@@ -1,12 +1,10 @@
 """Adaptive PID gain tuning driven by a physics-informed neural surrogate.
 
-The package covers the full pipeline: ground-truth plants and RK4 rollout
-(`plants`), Latin hypercube training data (`sampling`), the differentiable
-surrogate network (`network`, `model`), composite data+physics training
-(`training`), the time-varying PID law (`pid`), segment-wise gain
-optimization (`gainopt`), the closed-loop executor (`closedloop`),
-frequency-domain stability analysis (`stability`) and the experiment
-harness (`config`, `cli`, `plotting`).
+Modules: ground-truth plants and RK4 rollout (`plants`), Latin hypercube
+training data (`sampling`), the differentiable surrogate network
+(`network`, `model`), composite data+physics training (`training`), the
+time-varying PID law and error recursion (`pid`) and segment-wise gain
+optimization (`gainopt`).
 """
 
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec, glorot_params

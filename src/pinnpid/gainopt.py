@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pinnpid.pid import ErrorState, GainBounds, GainMatrix, trapezoid_weights
+from pinnpid.pid import ErrorState, GainBounds, GainMatrix, quadrature_nodes
 from pinnpid.plants import MsdParams
 
 BARRIER_G_MIN = 1e-6
@@ -30,7 +30,7 @@ class InfeasibleGainError(ValueError):
 
 
 class SegmentDiverged(RuntimeError):
-    """Gain optimization produced a non-finite cost twice."""
+    """Gain optimization produced a non-finite cost at its starting gains."""
 
 
 @dataclass
@@ -186,8 +186,7 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     if horizon < 1:
         raise ValueError("need at least a 1-step window")
     n = errors0.e_prop.shape[0]
-    w_quad = trapezoid_weights(dt, n_quad)
-    taus = np.linspace(0.0, dt, n_quad + 1)
+    taus, w_quad = quadrature_nodes(dt, n_quad)
     q, r, q_t = weights.q, weights.r, weights.q_terminal
 
     # forward sweep, caching what the reverse pass needs
@@ -196,12 +195,11 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     us = []
     actives = []
     tapes = []
-    values_all = []
     x = np.asarray(x0, dtype=float)
-    e = errors0
+    e_prop, e_int, e_deri = errors0.e_prop, errors0.e_int, errors0.e_deri
     quad_cost = 0.0
     for j in range(horizon):
-        e_stack = e.stacked()
+        e_stack = np.concatenate([e_prop, e_int, e_deri])
         u_raw = f @ e_stack
         if input_bounds is not None:
             u = np.clip(u_raw, input_bounds.lower, input_bounds.upper)
@@ -209,21 +207,17 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
         else:
             u = u_raw
             active = np.ones_like(u_raw, dtype=bool)
-        quad_cost += 0.5 * (e.e_prop @ q @ e.e_prop + u @ r @ u) * dt
+        quad_cost += 0.5 * (e_prop @ q @ e_prop + u @ r @ u) * dt
         values, tape = model.predict_with_tape(taus, x, u)
-        increment = w_quad @ (refs[j] - values)
         e_prop_next = refs[j + 1] - values[-1]
-        e = ErrorState(
-            e_prop=e_prop_next,
-            e_int=e.e_int + increment,
-            e_deri=(e_prop_next - e.e_prop) / dt,
-        )
+        e_int = e_int + w_quad @ (refs[j] - values)
+        e_deri = (e_prop_next - e_prop) / dt
+        e_prop = e_prop_next
         e_stacks.append(e_stack)
         us.append(u)
         actives.append(active)
         tapes.append(tape)
-        values_all.append(values)
-        e_props.append(e_prop_next)
+        e_props.append(e_prop)
         x = values[-1]
     e_h = e_props[-1]
     quad_cost += 0.5 * (e_h @ q_t @ e_h)
@@ -232,26 +226,27 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     total = quad_cost + weights.mu * theta
 
     # reverse sweep
+    w_col = w_quad[:, None]
     grad_f = weights.mu * theta_grad
     cx = np.zeros(n)
     cep = q_t @ e_h
     cei = np.zeros(n)
     ced = np.zeros(n)
     for j in range(horizon - 1, -1, -1):
-        cep = cep + ced / dt
-        cep_prev = -ced / dt
+        ced_dt = ced / dt
+        cep = cep + ced_dt
+        cep_prev = -ced_dt
         cx = cx - cep
-        cei_prev = cei.copy()
-        c_values = -np.outer(w_quad, cei)
+        c_values = -(w_col * cei)
         c_values[-1] += cx
         cx_prev, cu = model.predict_vjp(tapes[j], c_values)
         cep_prev = cep_prev + q @ e_props[j] * dt
         cu = cu + r @ us[j] * dt
         cu_raw = np.where(actives[j], cu, 0.0)
-        grad_f += np.outer(cu_raw, e_stacks[j])
+        grad_f += cu_raw[:, None] * e_stacks[j]
         c_stack = f.T @ cu_raw
         cep = cep_prev + c_stack[:n]
-        cei = cei_prev + c_stack[n : 2 * n]
+        cei = cei + c_stack[n : 2 * n]
         ced = c_stack[2 * n :]
         cx = cx_prev
     return plain, total, grad_f
@@ -264,6 +259,7 @@ class SegmentResult:
     iterations: int
     converged: bool
     trace: list = field(default_factory=list)
+    alpha_halvings: int = 0
 
 
 def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeights,
@@ -277,6 +273,9 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     Iterates until the max-norm gain change drops below ``tol`` (tol = 0
     disables early stopping) or ``max_iters`` is hit. Ranking uses the
     barrier-free cost so iterates stay comparable across the rho schedule.
+    A non-finite cost or gradient rolls the gains back to the last finite
+    iterate, halves the step size and restarts Adam; at the starting gains
+    it raises :class:`SegmentDiverged`.
     """
     n = errors_k.e_prop.shape[0]
     f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
@@ -290,8 +289,9 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
             f = bounds.center()
         f = _restore_feasibility(f, bounds, plant, n)
     state = AdamState.zeros(f.shape)
-    alpha_halved = False
     cfg = adam
+    halvings = 0
+    last_finite = None
     best_cost = np.inf
     best_f = f.copy()
     trace = []
@@ -305,15 +305,15 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
             plant=plant, rho=rho,
         )
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):
-            if alpha_halved:
-                raise SegmentDiverged(
-                    f"non-finite cost at iteration {it} (alpha already halved)"
-                )
+            if last_finite is None:
+                raise SegmentDiverged(f"non-finite cost at the starting gains {f.tolist()}")
+            f = last_finite
             cfg = AdamConfig(alpha=cfg.alpha / 2, beta1=cfg.beta1,
                              beta2=cfg.beta2, eps=cfg.eps)
             state = AdamState.zeros(f.shape)
-            alpha_halved = True
+            halvings += 1
             continue
+        last_finite = f
         if plain < best_cost:
             best_cost = plain
             best_f = f.copy()
@@ -342,4 +342,5 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         iterations=iterations,
         converged=converged,
         trace=trace,
+        alpha_halvings=halvings,
     )

@@ -27,7 +27,7 @@ class PinnModel:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
-        if self.params.shape != (self.net.spec.param_count(),):
+        if self.params.shape != (self.net.n_params,):
             raise ValueError("parameter vector does not match the network spec")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite model parameters")
@@ -57,27 +57,14 @@ class PinnModel:
 
     def predict_vjp(self, tape, cotangents):
         """Pull a per-tau cotangent batch back to (x, u), summed over taus."""
-        _, c_scaled = self.net.backward_raw(self.params, tape, cotangents)
+        _, c_scaled = self.net.backward_raw(self.params, tape, cotangents, want_grads=False)
         c_raw = c_scaled * self.net.scaling.slope
         cx = c_raw[:, 1 : 1 + self.n].sum(axis=0)
         cu = c_raw[:, 1 + self.n :].sum(axis=0)
         return cx, cu
 
-    def step(self, x, u) -> np.ndarray:
-        """One self-loop step: state after dt."""
-        return self.predict(np.array([self.dt]), x, u)[0]
-
     def time_derivative(self, t, x, u) -> np.ndarray:
         return self.net.time_derivative(self.params, t, x, u)
-
-    def rollout(self, x0, u_sequence) -> np.ndarray:
-        """Recurrent self-loop prediction; returns (len(u)+1, n) states at dt strides."""
-        x = np.asarray(x0, dtype=float)
-        states = [x]
-        for u in u_sequence:
-            x = self.step(x, np.asarray(u, dtype=float))
-            states.append(x)
-        return np.array(states)
 
 
 def save_model(model: PinnModel, path) -> None:

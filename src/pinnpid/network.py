@@ -6,7 +6,10 @@ derivative passes needed downstream are implemented directly on that
 structure:
 
 - reverse mode over the flat parameter vector (``grad_params``),
-- reverse mode to the raw inputs (``grad_inputs``),
+- reverse mode to the raw inputs (``grad_inputs``); with
+  ``want_grads=False`` the sweep (``backward_raw``) carries only this input
+  cotangent and skips the parameter-gradient accumulation, which the gain
+  optimizer's pullbacks never read,
 - forward mode along the time coordinate (``time_derivative``),
 - reverse-over-forward for gradients of functions of the time derivative
   (``grad_params_dual``), which the physics-residual training loss needs.
@@ -17,7 +20,7 @@ bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +76,7 @@ class InputScaling:
 
     lower: np.ndarray
     upper: np.ndarray
+    slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -83,10 +87,7 @@ class InputScaling:
             raise ValueError("scaling bounds must be matching 1-D arrays")
         if not np.all(lo < hi):
             raise ValueError("scaling requires lower < upper componentwise")
-
-    @property
-    def slope(self) -> np.ndarray:
-        return 2.0 / (self.upper - self.lower)
+        object.__setattr__(self, "slope", 2.0 / (hi - lo))
 
     def encode(self, raw: np.ndarray) -> np.ndarray:
         return (raw - self.lower) * self.slope - 1.0
@@ -119,28 +120,33 @@ class FeedforwardNet:
         self.n_state = n_state
         self.n_input = n_input
         self._slices = spec.param_slices()
+        self.n_params = spec.param_count()
 
     # -- assembly -----------------------------------------------------------
 
     def stack_rows(self, t, x, u) -> np.ndarray:
-        """Broadcast (t, x, u) into an (N, input_dim) matrix of raw rows."""
+        """Broadcast (t, x, u) into an (N, input_dim) matrix of raw rows.
+
+        ``t`` has one entry per row; ``x`` and ``u`` are either one row each,
+        shared by every row, or one row per ``t``.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.ndim == 1:
-            x = np.broadcast_to(x, (t.shape[0], self.n_state))
-        if u.ndim == 1:
-            u = np.broadcast_to(u, (t.shape[0], self.n_input))
-        if x.shape != (t.shape[0], self.n_state) or u.shape != (t.shape[0], self.n_input):
+        n, m = self.n_state, self.n_input
+        batch = t.shape[0]
+        if t.ndim != 1 or x.shape not in ((n,), (batch, n)) or u.shape not in ((m,), (batch, m)):
             raise ValueError("mismatched batch shapes for (t, x, u)")
-        return np.column_stack([t, x, u])
+        rows = np.empty((batch, 1 + n + m))
+        rows[:, 0] = t
+        rows[:, 1 : 1 + n] = x
+        rows[:, 1 + n :] = u
+        return rows
 
     def unpack(self, params: np.ndarray):
         params = np.asarray(params, dtype=float)
-        if params.shape != (self.spec.param_count(),):
-            raise ValueError(
-                f"parameter vector must have length {self.spec.param_count()}"
-            )
+        if params.shape != (self.n_params,):
+            raise ValueError(f"parameter vector must have length {self.n_params}")
         return [
             (params[w_sl].reshape(shape), params[b_sl])
             for w_sl, b_sl, shape in self._slices
@@ -196,20 +202,25 @@ class FeedforwardNet:
 
     # -- derivative passes ----------------------------------------------------
 
-    def backward_raw(self, params, tape, cot_values, cot_tangents=None):
+    def backward_raw(self, params, tape, cot_values, cot_tangents=None, want_grads=True):
         """Reverse sweep. Returns (param grads, input-value cotangent rows).
 
         ``cot_values`` pairs with the value output, ``cot_tangents`` with the
         tangent output of a dual forward pass; weight gradients then include
         the tangent path (the W reappearing in Adot = Zdot_prev @ W.T).
+        With ``want_grads=False`` no parameter gradient is accumulated and
+        None is returned in its place; the input cotangent is unchanged.
         """
         layers = self.unpack(params)
         zs, gs, adots, zdots = tape
-        grads = np.zeros_like(np.asarray(params, dtype=float))
-        gview = [
-            (grads[w_sl].reshape(shape), grads[b_sl])
-            for w_sl, b_sl, shape in self._slices
-        ]
+        if want_grads:
+            grads = np.zeros_like(np.asarray(params, dtype=float))
+            gview = [
+                (grads[w_sl].reshape(shape), grads[b_sl])
+                for w_sl, b_sl, shape in self._slices
+            ]
+        else:
+            grads = None
         cz = np.asarray(cot_values, dtype=float)
         czdot = cot_tangents
         last = len(layers) - 1
@@ -225,11 +236,12 @@ class FeedforwardNet:
                 if czdot is not None:
                     cadot = czdot * g
                     ca += cadot * (-2.0 * zs[i + 1]) * adots[i + 1]
-            gw, gb = gview[i]
-            gw += ca.T @ zs[i]
-            gb += ca.sum(axis=0)
-            if cadot is not None:
-                gw += cadot.T @ zdots[i]
+            if want_grads:
+                gw, gb = gview[i]
+                gw += ca.T @ zs[i]
+                gb += ca.sum(axis=0)
+                if cadot is not None:
+                    gw += cadot.T @ zdots[i]
             cz = ca @ w
             czdot = None if cadot is None else cadot @ w
         return grads, cz

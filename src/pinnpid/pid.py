@@ -10,6 +10,7 @@ interval, the derivative error by a backward difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,6 +126,16 @@ def trapezoid_weights(dt: float, n_quad: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=8)
+def quadrature_nodes(dt: float, n_quad: int):
+    """Read-only (taus, trapezoid weights) over one interval, built once per (dt, n_quad)."""
+    taus = np.linspace(0.0, dt, n_quad + 1)
+    weights = trapezoid_weights(dt, n_quad)
+    taus.flags.writeable = False
+    weights.flags.writeable = False
+    return taus, weights
+
+
 def error_init(model, x0, x_ref_0, x_ref_init, dt: float, u_prev=None) -> ErrorState:
     """First error state: zero integral, derivative from the reference rate
     minus the surrogate's initial time derivative (evaluated at u_prev = 0
@@ -155,9 +166,8 @@ def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
     """
     x_ref_k = np.asarray(x_ref_k, dtype=float)
     x_ref_next = np.asarray(x_ref_next, dtype=float)
-    taus = np.linspace(0.0, dt, n_quad + 1)
+    taus, weights = quadrature_nodes(dt, n_quad)
     values = model.predict(taus, np.asarray(x_k, dtype=float), np.asarray(u_k, dtype=float))
-    weights = trapezoid_weights(dt, n_quad)
     increment = weights @ (x_ref_k - values)
     if int_freeze is not None:
         increment = np.where(int_freeze, 0.0, increment)

@@ -184,20 +184,3 @@ def simulate_zoh(rhs, x0, u_sequence, dt: float, substeps: int):
             times.append(t)
             states.append(x)
     return np.array(times), np.array(states)
-
-
-def write_trajectory_csv(path, times, states, inputs, substeps: int) -> None:
-    """Trajectory CSV: header t,x1..xn,u1..um, one row per substep boundary."""
-    states = np.asarray(states)
-    inputs = np.asarray(inputs)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    n, m = states.shape[1], inputs.shape[1]
-    header = ",".join(["t"] + [f"x{i+1}" for i in range(n)] + [f"u{j+1}" for j in range(m)])
-    lines = [header]
-    for row, t in enumerate(times):
-        k = min((row - 1) // substeps if row > 0 else 0, inputs.shape[0] - 1)
-        vals = [t, *states[row], *inputs[k]]
-        lines.append(",".join("%.17g" % v for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

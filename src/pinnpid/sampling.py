@@ -10,13 +10,10 @@ seeded PCG64 generator, so sets are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 
 import numpy as np
 
 from pinnpid.plants import RolloutDiverged, rk4_step
-
-GENERATOR_NAME = "PCG64"
 
 
 @dataclass(frozen=True)
@@ -189,34 +186,3 @@ def build_phys_set(config: DatasetConfig) -> PhysSet:
     pts = lhs_sample(lo, hi, config.n_phys, rng)
     sdim = config.state_box.dim
     return PhysSet(t=pts[:, 0], x=pts[:, 1 : 1 + sdim], u=pts[:, 1 + sdim :])
-
-
-def write_dataset_csv(path, data: DataSet, config: DatasetConfig) -> None:
-    """CSV with named columns plus a JSON sidecar echoing the config."""
-    sdim, idim = data.x0.shape[1], data.u.shape[1]
-    cols = (
-        ["t"]
-        + [f"x0_{i+1}" for i in range(sdim)]
-        + [f"xf_{i+1}" for i in range(sdim)]
-        + [f"u_{j+1}" for j in range(idim)]
-    )
-    lines = [",".join(cols)]
-    for i in range(data.t.shape[0]):
-        vals = [data.t[i], *data.x0[i], *data.xf[i], *data.u[i]]
-        lines.append(",".join("%.17g" % v for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    sidecar = {
-        "generator": GENERATOR_NAME,
-        "seed": config.seed,
-        "n_data": config.n_data,
-        "n_phys": config.n_phys,
-        "dt": config.dt,
-        "eps": config.eps,
-        "state_box": [config.state_box.lower.tolist(), config.state_box.upper.tolist()],
-        "input_box": [config.input_box.lower.tolist(), config.input_box.upper.tolist()],
-        "n_resampled": data.n_resampled,
-    }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

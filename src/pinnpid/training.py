@@ -281,19 +281,3 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
     trained = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)
     return trained, history
-
-
-def write_history_csv(path, history) -> None:
-    lines = ["iter,L_data,L_phys,L_total,val_mse,val_mae"]
-    for rep in history:
-        vals = [
-            str(rep.iteration),
-            "%.17g" % rep.l_data,
-            "%.17g" % rep.l_phys,
-            "%.17g" % rep.l_total,
-            "" if rep.val_mse is None else "%.17g" % rep.val_mse,
-            "" if rep.val_mae is None else "%.17g" % rep.val_mae,
-        ]
-        lines.append(",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

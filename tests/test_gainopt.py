@@ -10,6 +10,7 @@ from pinnpid.gainopt import (
     BarrierSchedule,
     CostWeights,
     InfeasibleGainError,
+    SegmentDiverged,
     adam_step,
     msd_stability_value,
     optimize_segment,
@@ -51,6 +52,32 @@ class LinearSurrogate:
 
     def time_derivative(self, t, x, u):
         return self.a @ x + self.b @ u
+
+
+class CliffSurrogate(LinearSurrogate):
+    """Linear stand-in that returns NaN states once |u| drops below 0.2."""
+
+    def predict_with_tape(self, taus, x, u):
+        values, tape = super().predict_with_tape(taus, x, u)
+        if np.any(np.abs(u) < 0.2):
+            values = np.full_like(values, np.nan)
+        return values, tape
+
+
+class InputSpy:
+    """Wraps a model and records the (clipped) input of every window step."""
+
+    def __init__(self, model):
+        self.model = model
+        self.dt = model.dt
+        self.inputs = []
+
+    def predict_with_tape(self, taus, x, u):
+        self.inputs.append(float(u[0]))
+        return self.model.predict_with_tape(taus, x, u)
+
+    def predict_vjp(self, tape, cotangents):
+        return self.model.predict_vjp(tape, cotangents)
 
 
 def msd_bounds(lo=0.0, hi=5.0):
@@ -185,6 +212,36 @@ class TestWindowGradient:
             fd[0, i] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
+    def test_barrier_and_input_box_through_network_surrogate(self):
+        # the closed loop's configuration: barrier regularizer, input box, H = 5
+        from tests.test_pid import toy_model
+
+        model = toy_model(seed=6)
+        model.params = model.params * 0.5
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        x0 = np.array([0.1, -0.2])
+        refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
+        f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
+        kw = dict(input_bounds=Box([-1.0], [1.0]), regularizer_kind="barrier",
+                  plant=MSD, rho=0.5)
+        spy = InputSpy(model)
+        _, cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10, **kw)
+        saturated = [abs(u) == 1.0 for u in spy.inputs]
+        assert any(saturated) and not all(saturated)
+        assert msd_stability_value(MSD, f, 2) > 0
+        h = 1e-6
+        fd = np.zeros_like(f)
+        for i in range(f.shape[1]):
+            fp, fm = f.copy(), f.copy()
+            fp[0, i] += h
+            fm[0, i] -= h
+            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10, **kw)[1]
+            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10, **kw)[1]
+            fd[0, i] = (cp - cm) / (2 * h)
+        # the cost is about 190, so rounding alone puts ~2e-8 into each difference
+        np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+
     def test_saturated_channel_blocks_gradient(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.eye(2), r=[[0.01]], mu=1.0)
@@ -275,3 +332,27 @@ class TestOptimizeSegment:
         res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
                                msd_bounds(), max_iters=20000, tol=1e-6)
         assert res.converged and res.iterations < 20000
+
+    def test_non_finite_step_rolls_back_and_halves_alpha(self):
+        # 1-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff
+        model = CliffSurrogate()
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
+        refs = np.array([[0.1, 0.0]] * 2)
+        res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
+                               msd_bounds(), max_iters=200, tol=0.0)
+        assert res.alpha_halvings >= 1
+        assert np.isfinite(res.cost)
+        f = res.gains.stacked()
+        assert abs(f[0] @ e0.stacked()) >= 0.2
+        assert np.isfinite(window_cost_and_grad(model, np.zeros(2), e0, refs, f, weights,
+                                                model.dt, 10)[1])
+
+    def test_non_finite_start_raises(self):
+        # 5-step window: u falls below 0.2 inside the window already at the box centre
+        model = CliffSurrogate()
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(SegmentDiverged, match="starting gains"):
+            optimize_segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
+                             AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)

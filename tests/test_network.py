@@ -224,6 +224,67 @@ class TestDualReverse:
         np.testing.assert_allclose(g, fd, rtol=2e-5, atol=1e-7)
 
 
+class TestInputCotangentOnly:
+    """backward_raw(want_grads=False) must return the full pass's input cotangent."""
+
+    def batch(self, rng, rows=11):
+        net, params, _, _, _ = random_net(rng)
+        t = rng.uniform(0.0, 0.25, rows)
+        x = rng.uniform(-0.8, 0.8, (rows, net.n_state))
+        u = rng.uniform(-0.8, 0.8, (rows, net.n_input))
+        cot = rng.standard_normal((rows, net.spec.output_dim))
+        return net, params, net.stack_rows(t, x, u), cot
+
+    def test_value_tape(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            net, params, rows, cot = self.batch(rng)
+            _, _, tape = net.forward_raw(params, rows, want_tape=True)
+            grads, full = net.backward_raw(params, tape, cot)
+            none, fast = net.backward_raw(params, tape, cot, want_grads=False)
+            assert none is None and grads.shape == params.shape
+            assert np.array_equal(fast, full)
+
+    def test_dual_tape(self):
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            net, params, rows, cot = self.batch(rng)
+            cot_t = rng.standard_normal(cot.shape)
+            _, _, tape = net.forward_raw(
+                params, rows, net.time_tangent_rows(rows.shape[0]), want_tape=True
+            )
+            _, full = net.backward_raw(params, tape, cot, cot_t)
+            none, fast = net.backward_raw(params, tape, cot, cot_t, want_grads=False)
+            assert none is None
+            assert np.array_equal(fast, full)
+
+
+class TestStackRows:
+    def test_shared_rows_match_per_row_call(self):
+        rng = np.random.default_rng(47)
+        net, _, _, x, u = random_net(rng)
+        t = rng.uniform(0.0, 0.25, 7)
+        shared = net.stack_rows(t, x, u)
+        per_row = net.stack_rows(t, np.tile(x, (7, 1)), np.tile(u, (7, 1)))
+        assert np.array_equal(shared, per_row)
+        assert np.array_equal(shared, np.column_stack([t, np.tile(x, (7, 1)), np.tile(u, (7, 1))]))
+
+    def test_rejects_mismatched_shapes(self):
+        net = make_net([4, 8, 2], 2, 1)
+        t = np.zeros(3)
+        for x, u in (
+            (np.zeros(3), np.zeros(1)),  # state width
+            (np.zeros(2), np.zeros(2)),  # input width
+            (np.zeros((2, 2)), np.zeros(1)),  # state batch
+            (np.zeros(2), np.zeros((4, 1))),  # input batch
+            (np.zeros((3, 3)), np.zeros((3, 1))),  # per-row state width
+        ):
+            with pytest.raises(ValueError):
+                net.stack_rows(t, x, u)
+        with pytest.raises(ValueError):
+            net.stack_rows(np.zeros((3, 1)), np.zeros(2), np.zeros(1))
+
+
 class TestDerivativeSweep:
     def test_many_random_networks(self):
         # compact version of the acceptance sweep: all three derivative kinds
