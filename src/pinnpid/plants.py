@@ -9,13 +9,22 @@ cheap. Inputs are held constant over each RK4 step (ZOH).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class RolloutDiverged(RuntimeError):
-    """Raised when an integration step produces a non-finite state."""
+    """Raised when an integration step produces a non-finite state.
+
+    ``states`` carries the batch as the integration ended, when the raiser
+    has it, so a caller can tell the diverged rows from the finite ones
+    without integrating again.
+    """
+
+    def __init__(self, message, states=None):
+        super().__init__(message)
+        self.states = states
 
 
 @dataclass(frozen=True)
@@ -147,15 +156,28 @@ def msd_state_space(p: MsdParams):
     return a, b
 
 
-def rk4_step(rhs, x, u, h: float) -> np.ndarray:
-    """One classical RK4 step with the input held constant."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
+def rk4_advance(rhs, x, u, h) -> np.ndarray:
+    """The classical RK4 stage formula: x advanced by h with u held constant.
+
+    ``h`` is a scalar, or an array that broadcasts against ``x`` (one step
+    per row). No check is made; see :func:`rk4_step`.
+    """
     k1 = rhs(x, u)
     k2 = rhs(x + 0.5 * h * k1, u)
     k3 = rhs(x + 0.5 * h * k2, u)
     k4 = rhs(x + h * k3, u)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_step(rhs, x, u, h: float) -> np.ndarray:
+    """One RK4 step of size h with the input held constant.
+
+    ``x`` is one state ``(n,)`` or a batch ``(B, n)`` with inputs ``(B, m)``;
+    a batch raises if any of its rows turns non-finite.
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    out = rk4_advance(rhs, x, u, h)
     if not np.all(np.isfinite(out)):
         raise RolloutDiverged("non-finite state during RK4 step")
     return out
@@ -165,7 +187,10 @@ def simulate_zoh(rhs, x0, u_sequence, dt: float, substeps: int):
     """Hold each input for dt, integrating with ``substeps`` RK4 steps.
 
     Returns (times, states) sampled at every substep boundary, so states has
-    ``len(u_sequence) * substeps + 1`` rows.
+    ``len(u_sequence) * substeps + 1`` entries along its first axis. ``x0``
+    may carry a leading batch axis: from ``(B, n)`` initial states and
+    ``(B, m)`` inputs per entry of ``u_sequence``, ``states`` has shape
+    ``(len(u_sequence) * substeps + 1, B, n)``.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")

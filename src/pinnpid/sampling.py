@@ -4,16 +4,18 @@ Two collections are built over the short-horizon input space
 [0, dt+eps] x state box x input box: supervised samples (initial state,
 held input, elapsed time, integrated final state) and collocation samples
 for the physics residual (no integration). All randomness flows through a
-seeded PCG64 generator, so sets are reproducible across platforms.
+seeded PCG64 generator, so sets are reproducible across platforms. Labels
+come from :func:`pinnpid.plants.rk4_advance`, the one RK4 stage formula,
+taken with a per-row step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from pinnpid.plants import RolloutDiverged, rk4_step
+from pinnpid.plants import RolloutDiverged, rk4_advance
 
 
 @dataclass(frozen=True)
@@ -95,29 +97,46 @@ def lhs_sample(lower, upper, n: int, rng: np.random.Generator) -> np.ndarray:
     return box.lower + u01 * (box.upper - box.lower)
 
 
-def _oracle_steps(horizon: float) -> int:
-    # per-sample step <= 1e-3 * horizon keeps the label error near 1e-8
-    return 1000
+# Per-sample step = t / 1000 <= 1e-3 * horizon keeps the label error near
+# 1e-8: a half-step reintegration agrees with the labels to that tolerance.
+ORACLE_STEPS = 1000
+
+# Integrations of the redrawn rows before build_data_set gives up.
+LABEL_ATTEMPTS = 20
 
 
 def integrate_batch(rhs, x0, u, t_final, horizon: float) -> np.ndarray:
-    """Integrate all samples simultaneously, each to its own final time."""
-    n_steps = _oracle_steps(horizon)
-    h = (t_final / n_steps)[:, None]
+    """Integrate all samples simultaneously, each to its own final time.
+
+    Every row takes ``ORACLE_STEPS`` RK4 steps of size ``t_final / ORACLE_STEPS``;
+    ``horizon`` does not change the step count. A non-finite result raises
+    :class:`RolloutDiverged` with the final states attached.
+    """
+    h = (t_final / ORACLE_STEPS)[:, None]
     x = np.array(x0, dtype=float)
-    for _ in range(n_steps):
-        k1 = rhs(x, u)
-        k2 = rhs(x + 0.5 * h * k1, u)
-        k3 = rhs(x + 0.5 * h * k2, u)
-        k4 = rhs(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for _ in range(ORACLE_STEPS):
+        x = rk4_advance(rhs, x, u, h)
     if not np.all(np.isfinite(x)):
-        raise RolloutDiverged("non-finite state in batched rollout")
+        raise RolloutDiverged("non-finite state in batched rollout", states=x)
     return x
 
 
+def _label(rhs, x0, u, t, horizon: float) -> np.ndarray:
+    """integrate_batch's final states, non-finite rows included, without warnings."""
+    with np.errstate(all="ignore"):
+        try:
+            return integrate_batch(rhs, x0, u, t, horizon)
+        except RolloutDiverged as exc:
+            return exc.states
+
+
 def build_data_set(rhs, config: DatasetConfig) -> DataSet:
-    """LHS over (t, x0, u) jointly, then RK4 labels xf = x(t)."""
+    """LHS over (t, x0, u) jointly, then RK4 labels xf = x(t).
+
+    Rows whose label is non-finite are redrawn inside their own strata and
+    only those rows are integrated again, up to ``LABEL_ATTEMPTS``
+    integrations in all; ``n_resampled`` counts the redraws.
+    """
     rng = np.random.default_rng(config.seed)
     n = config.n_data
     sdim, idim = config.state_box.dim, config.input_box.dim
@@ -128,52 +147,37 @@ def build_data_set(rhs, config: DatasetConfig) -> DataSet:
     t = (1.0 - pts[:, 0]) * config.horizon
     x0 = pts[:, 1 : 1 + sdim]
     u = pts[:, 1 + sdim :]
+    xf = _label(rhs, x0, u, t, config.horizon)
     n_resampled = 0
-    for _ in range(20):
-        try:
-            xf = integrate_batch(rhs, x0, u, t, config.horizon)
+    width = np.concatenate(
+        [
+            [config.horizon],
+            config.state_box.upper - config.state_box.lower,
+            config.input_box.upper - config.input_box.lower,
+        ]
+    ) / n
+    for _ in range(LABEL_ATTEMPTS - 1):
+        bad = ~np.all(np.isfinite(xf), axis=1)
+        if not bad.any():
             break
-        except RolloutDiverged:
-            # redraw blown-up rows inside their own strata (offsets only)
-            with np.errstate(all="ignore"):
-                probe = integrate_batch_nanquiet(rhs, x0, u, t, config.horizon)
-            bad = ~np.all(np.isfinite(probe), axis=1)
-            n_resampled += int(bad.sum())
-            width = np.concatenate(
-                [
-                    [config.horizon],
-                    config.state_box.upper - config.state_box.lower,
-                    config.input_box.upper - config.input_box.lower,
-                ]
-            ) / n
-            shift = (rng.uniform(size=(int(bad.sum()), 1 + sdim + idim)) - 0.5) * width
-            t[bad] = np.clip(t[bad] + shift[:, 0], 1e-12, config.horizon)
-            x0[bad] = np.clip(
-                x0[bad] + shift[:, 1 : 1 + sdim],
-                config.state_box.lower,
-                config.state_box.upper,
-            )
-            u[bad] = np.clip(
-                u[bad] + shift[:, 1 + sdim :],
-                config.input_box.lower,
-                config.input_box.upper,
-            )
-    else:
+        # redraw blown-up rows inside their own strata (offsets only)
+        n_resampled += int(bad.sum())
+        shift = (rng.uniform(size=(int(bad.sum()), 1 + sdim + idim)) - 0.5) * width
+        t[bad] = np.clip(t[bad] + shift[:, 0], 1e-12, config.horizon)
+        x0[bad] = np.clip(
+            x0[bad] + shift[:, 1 : 1 + sdim],
+            config.state_box.lower,
+            config.state_box.upper,
+        )
+        u[bad] = np.clip(
+            u[bad] + shift[:, 1 + sdim :],
+            config.input_box.lower,
+            config.input_box.upper,
+        )
+        xf[bad] = _label(rhs, x0[bad], u[bad], t[bad], config.horizon)
+    if not np.all(np.isfinite(xf)):
         raise RolloutDiverged("could not build a finite dataset after resampling")
     return DataSet(t=t, x0=x0, xf=xf, u=u, n_resampled=n_resampled)
-
-
-def integrate_batch_nanquiet(rhs, x0, u, t_final, horizon: float) -> np.ndarray:
-    n_steps = _oracle_steps(horizon)
-    h = (t_final / n_steps)[:, None]
-    x = np.array(x0, dtype=float)
-    for _ in range(n_steps):
-        k1 = rhs(x, u)
-        k2 = rhs(x + 0.5 * h * k1, u)
-        k3 = rhs(x + 0.5 * h * k2, u)
-        k4 = rhs(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
 
 
 def build_phys_set(config: DatasetConfig) -> PhysSet:

@@ -12,13 +12,14 @@ scored by self-loop rollout MSE against held-out RK4 trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from pinnpid.gainopt import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
+from pinnpid.plants import simulate_zoh
 from pinnpid.sampling import DataSet, PhysSet, lhs_sample
 
 
@@ -147,18 +148,17 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
 
 def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps,
                         seed, substeps=200) -> ValidationSet:
-    """Random ZOH trajectories integrated finely enough to serve as truth."""
-    from pinnpid.plants import simulate_zoh
+    """Random ZOH trajectories integrated finely enough to serve as truth.
 
+    All trajectories are integrated together as one batch.
+    """
     rng = np.random.default_rng(seed)
     x0 = lhs_sample(state_box.lower, state_box.upper, n_traj, rng)
     u_seq = rng.uniform(
         input_box.lower, input_box.upper, size=(n_traj, n_steps, input_box.dim)
     )
-    truth = np.empty((n_traj, n_steps + 1, state_box.dim))
-    for i in range(n_traj):
-        _, states = simulate_zoh(rhs, x0[i], u_seq[i], dt, substeps)
-        truth[i] = states[::substeps]
+    _, states = simulate_zoh(rhs, x0, u_seq.transpose(1, 0, 2), dt, substeps)
+    truth = states[::substeps].transpose(1, 0, 2).copy()
     return ValidationSet(x0=x0, u_seq=u_seq, truth=truth, dt=dt)
 
 
@@ -170,9 +170,9 @@ def validate(model, vset: ValidationSet) -> ValidationReport:
     roll_err = []
     x_roll = vset.x0.copy()
     for k in range(n_steps):
-        pred_single = _predict_rows(model, taus, vset.truth[:, k, :], vset.u_seq[:, k, :])
+        pred_single = model.predict(taus, vset.truth[:, k, :], vset.u_seq[:, k, :])
         single_err.append(pred_single - vset.truth[:, k + 1, :])
-        x_roll = _predict_rows(model, taus, x_roll, vset.u_seq[:, k, :])
+        x_roll = model.predict(taus, x_roll, vset.u_seq[:, k, :])
         roll_err.append(x_roll - vset.truth[:, k + 1, :])
     single = np.concatenate(single_err, axis=0)
     roll = np.concatenate(roll_err, axis=0)
@@ -182,13 +182,6 @@ def validate(model, vset: ValidationSet) -> ValidationReport:
         mae_rollout=np.mean(np.abs(roll), axis=0),
         mse_rollout=np.mean(roll**2, axis=0),
     )
-
-
-def _predict_rows(model, taus, x_rows, u_rows):
-    if hasattr(model, "net"):
-        return model.net.forward_batch(model.params, taus, x_rows, u_rows)
-    return np.array([model.predict(np.array([t]), x, u)[0]
-                     for t, x, u in zip(taus, x_rows, u_rows)])
 
 
 def train(model: PinnModel, rhs, data_generator, config: TrainConfig,

@@ -230,3 +230,22 @@ class TestSimulateZoh:
         _, coarse = simulate_zoh(rhs, x0, u, 0.2, 20)
         _, fine = simulate_zoh(rhs, x0, u, 0.2, 200)
         np.testing.assert_allclose(coarse[-1], fine[-1], atol=1e-6)
+
+    @pytest.mark.parametrize("plant", ["msd", "arm"])
+    def test_batch_equals_single_state_calls(self, plant):
+        rng = np.random.default_rng(4)
+        if plant == "msd":
+            rhs = lambda x, u: msd_rhs(MSD, x, u)
+            x0, u = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (3, 5, 1))
+        else:
+            rhs = lambda x, u: manipulator_rhs(MANIP, x, u)
+            x0, u = rng.uniform(-1, 1, (5, 4)), rng.uniform(-0.5, 0.5, (3, 5, 2))
+        times, batch = simulate_zoh(rhs, x0, u, 0.2, 7)
+        assert batch.shape == (3 * 7 + 1, 5, x0.shape[1])
+        for b in range(5):
+            t_b, single = simulate_zoh(rhs, x0[b], u[:, b], 0.2, 7)
+            np.testing.assert_array_equal(t_b, times)
+            if plant == "msd":
+                np.testing.assert_array_equal(batch[:, b], single)
+            else:
+                np.testing.assert_allclose(batch[:, b], single, rtol=0, atol=1e-12)

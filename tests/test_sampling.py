@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from pinnpid.plants import MsdParams, msd_rhs
+from pinnpid.plants import MsdParams, RolloutDiverged, msd_rhs
 from pinnpid.sampling import (
     Box,
     DatasetConfig,
     build_data_set,
+    ORACLE_STEPS,
     build_phys_set,
     integrate_batch,
     lhs_sample,
@@ -99,6 +100,48 @@ class TestDataSet:
         a = build_data_set(rhs, cfg)
         b = build_data_set(rhs, cfg)
         assert np.array_equal(a.xf, b.xf) and np.array_equal(a.t, b.t)
+
+
+def counting(rhs):
+    """rhs that also records how many rows it was evaluated on."""
+
+    def wrapped(x, u):
+        wrapped.rows += x.shape[0]
+        return rhs(x, u)
+
+    wrapped.rows = 0
+    return wrapped
+
+
+def msd_cliff(x, u):
+    """MSD rates, but infinite in the corner x > 0, u > 0.98 of the box."""
+    corner = (x[..., 0] > 0.0) & (u[..., 0] > 0.98)
+    return np.where(corner[..., None], np.inf, msd_rhs(MSD, x, u))
+
+
+class TestResample:
+    def test_only_redrawn_rows_are_integrated_again(self):
+        cfg = msd_config(seed=7)
+        clean = build_data_set(lambda x, u: msd_rhs(MSD, x, u), cfg)
+        rhs = counting(msd_cliff)
+        data = build_data_set(rhs, cfg)
+        assert np.all(np.isfinite(data.xf))
+        assert data.n_resampled > 0
+        kept = (data.t == clean.t) & np.all(data.x0 == clean.x0, axis=1) & np.all(
+            data.u == clean.u, axis=1
+        )
+        assert 0 < np.sum(~kept) <= data.n_resampled
+        np.testing.assert_array_equal(
+            data.xf[kept],
+            integrate_batch(msd_cliff, data.x0[kept], data.u[kept], data.t[kept], cfg.horizon),
+        )
+        # one full integration, then one per redraw of a row
+        assert rhs.rows == 4 * ORACLE_STEPS * (cfg.n_data + data.n_resampled)
+
+    def test_gives_up_when_rows_never_turn_finite(self):
+        cfg = msd_config(n_data=8)
+        with pytest.raises(RolloutDiverged):
+            build_data_set(lambda x, u: np.full_like(x, np.inf), cfg)
 
 
 class TestPhysSet:

@@ -5,8 +5,23 @@ import pytest
 
 from pinnpid.model import PinnModel
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
-from pinnpid.plants import MsdParams, msd_rhs, msd_state_space
-from pinnpid.sampling import Box, DataSet, DatasetConfig, PhysSet, build_data_set, build_phys_set
+from pinnpid.plants import (
+    ManipulatorParams,
+    MsdParams,
+    manipulator_rhs,
+    msd_rhs,
+    msd_state_space,
+    simulate_zoh,
+)
+from pinnpid.sampling import (
+    Box,
+    DataSet,
+    DatasetConfig,
+    PhysSet,
+    build_data_set,
+    build_phys_set,
+    lhs_sample,
+)
 from pinnpid.training import (
     TrainConfig,
     ValidationSet,
@@ -144,13 +159,36 @@ class TestValidation:
 
         class OracleModel:
             def predict(self, taus, x, u):
-                from pinnpid.plants import simulate_zoh
                 _, states = simulate_zoh(MSD_RHS, x, [u], float(np.max(taus)), 50)
-                return states[-1][None, :]
+                return states[-1]
 
         rep = validate(OracleModel(), vset)
         assert np.max(rep.mae_single) < 1e-12
         assert np.max(rep.mae_rollout) < 1e-12
+
+    @pytest.mark.parametrize("plant", ["msd", "arm"])
+    def test_batched_set_matches_per_trajectory_integration(self, plant):
+        if plant == "msd":
+            rhs, sbox, ibox = MSD_RHS, STATE_BOX, INPUT_BOX
+        else:
+            arm = ManipulatorParams()
+            rhs = lambda x, u: manipulator_rhs(arm, x, u)
+            sbox = Box([-np.pi, -np.pi, -2.5, -2.5], [np.pi, np.pi, 2.5, 2.5])
+            ibox = Box([-0.5, -0.5], [0.5, 0.5])
+        vset = make_validation_set(rhs, sbox, ibox, 0.2, n_traj=4, n_steps=3, seed=7,
+                                   substeps=20)
+        rng = np.random.default_rng(7)
+        x0 = lhs_sample(sbox.lower, sbox.upper, 4, rng)
+        u_seq = rng.uniform(ibox.lower, ibox.upper, size=(4, 3, ibox.dim))
+        np.testing.assert_array_equal(vset.x0, x0)
+        np.testing.assert_array_equal(vset.u_seq, u_seq)
+        assert vset.truth.shape == (4, 4, sbox.dim)
+        for i in range(4):
+            _, states = simulate_zoh(rhs, x0[i], u_seq[i], 0.2, 20)
+            if plant == "msd":
+                np.testing.assert_array_equal(vset.truth[i], states[::20])
+            else:
+                np.testing.assert_allclose(vset.truth[i], states[::20], rtol=0, atol=1e-12)
 
     def test_reports_per_coordinate(self):
         model = msd_model(seed=8)
