@@ -3,8 +3,8 @@
 Modules: ground-truth plants and RK4 rollout (`plants`), Latin hypercube
 training data (`sampling`), the differentiable surrogate network
 (`network`, `model`), composite data+physics training (`training`), the
-time-varying PID law and error recursion (`pid`) and segment-wise gain
-optimization (`gainopt`).
+time-varying PID law and error recursion (`pid`), segment-wise gain
+optimization (`gainopt`) and the Adam update both optimizers share (`adam`).
 """
 
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec, glorot_params

@@ -1,0 +1,43 @@
+"""Bias-corrected Adam (Kingma & Ba, 2015), shared by training and gain search.
+
+Both callers import ``adam_step`` by that name, so each module holds its own
+global for it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass
+class AdamConfig:
+    alpha: float = 1e-2
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-7
+
+
+@dataclass
+class AdamState:
+    m: np.ndarray
+    v: np.ndarray
+    iteration: int = 0
+
+    @classmethod
+    def zeros(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
+
+
+def adam_step(state: AdamState, grad: np.ndarray, f: np.ndarray, cfg: AdamConfig):
+    """One bias-corrected Adam update of ``f``; returns (new f, new state)."""
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient in Adam update")
+    it = state.iteration + 1
+    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
+    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
+    m_hat = m / (1.0 - cfg.beta1**it)
+    v_hat = v / (1.0 - cfg.beta2**it)
+    f_new = f - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return f_new, AdamState(m=m, v=v, iteration=it)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.pid import ErrorState, GainBounds, GainMatrix, quadrature_nodes
 from pinnpid.plants import MsdParams
 
@@ -56,38 +57,6 @@ class CostWeights:
             raise ValueError("r must be symmetric positive definite")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-
-
-@dataclass
-class AdamConfig:
-    alpha: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
-
-
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    iteration: int = 0
-
-    @classmethod
-    def zeros(cls, shape) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape))
-
-
-def adam_step(state: AdamState, grad: np.ndarray, f: np.ndarray, cfg: AdamConfig):
-    """One bias-corrected Adam update on the stacked gain array."""
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite gradient in Adam update")
-    it = state.iteration + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**it)
-    v_hat = v / (1.0 - cfg.beta2**it)
-    f_new = f - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    return f_new, AdamState(m=m, v=v, iteration=it)
 
 
 @dataclass(frozen=True)

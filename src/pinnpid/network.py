@@ -16,6 +16,17 @@ structure:
 
 Everything operates on float64 and is pure: identical arguments give
 bit-identical results.
+
+``forward_raw`` and ``backward_raw`` take a keyword-only ``buffers`` dict
+that the caller keeps across calls. Every row-sized array of the pass (tape,
+reverse temporaries, returned values, tangents and input cotangent) is then
+written into the array kept under its key, allocated only when the key is
+missing or its shape changed. A training loop that passes the same dict each
+iteration so stops allocating and faulting in those arrays afresh. Aliasing
+rule: whatever a buffered pass returns, tape included, is overwritten by the
+next pass that uses the same dict; copy what must outlive it. The parameter
+gradient is never buffered. Without ``buffers`` every array is fresh, and the
+results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -89,8 +100,23 @@ class InputScaling:
             raise ValueError("scaling requires lower < upper componentwise")
         object.__setattr__(self, "slope", 2.0 / (hi - lo))
 
-    def encode(self, raw: np.ndarray) -> np.ndarray:
-        return (raw - self.lower) * self.slope - 1.0
+    def encode(self, raw: np.ndarray, out=None) -> np.ndarray:
+        z = np.subtract(raw, self.lower, out=out)
+        z *= self.slope
+        z -= 1.0
+        return z
+
+
+def _out(buffers, name, layer, shape):
+    """The array kept under ``(name, layer)``, (re)allocated to ``shape``; None
+    (allocate a fresh result) without buffers."""
+    if buffers is None:
+        return None
+    key = (name, layer)
+    arr = buffers.get(key)
+    if arr is None or arr.shape != shape:
+        arr = buffers[key] = np.empty(shape)
+    return arr
 
 
 def glorot_params(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
@@ -121,6 +147,8 @@ class FeedforwardNet:
         self.n_input = n_input
         self._slices = spec.param_slices()
         self.n_params = spec.param_count()
+        self._unpacked_for = None
+        self._unpacked = None
 
     # -- assembly -----------------------------------------------------------
 
@@ -144,41 +172,62 @@ class FeedforwardNet:
         return rows
 
     def unpack(self, params: np.ndarray):
-        params = np.asarray(params, dtype=float)
-        if params.shape != (self.n_params,):
+        """Per layer (weight, bias) views into the flat parameter vector.
+
+        The views of the last float64 array passed in are kept with a strong
+        reference to it and returned again for that same array; being views,
+        they follow in-place writes to it.
+        """
+        arr = np.asarray(params, dtype=float)
+        if arr.shape != (self.n_params,):
             raise ValueError(f"parameter vector must have length {self.n_params}")
-        return [
-            (params[w_sl].reshape(shape), params[b_sl])
-            for w_sl, b_sl, shape in self._slices
-        ]
+        if arr is self._unpacked_for:
+            return self._unpacked
+        layers = [(arr[w_sl].reshape(shape), arr[b_sl]) for w_sl, b_sl, shape in self._slices]
+        if arr is params:
+            self._unpacked_for, self._unpacked = arr, layers
+        return layers
 
     def init_params(self, seed: int) -> np.ndarray:
         return glorot_params(self.spec, np.random.default_rng(seed))
 
     # -- forward ------------------------------------------------------------
 
-    def forward_raw(self, params, raw_rows, tangent_rows=None, want_tape=False):
+    def forward_raw(self, params, raw_rows, tangent_rows=None, want_tape=False, *,
+                    buffers=None):
         """Evaluate the net on raw (unscaled) rows, optionally with a tangent pass.
 
         Returns (values, tangents, tape); tangents is None when no tangent was
         requested. The tape holds per layer the activations, tanh derivatives
         and both tangent streams so the reverse passes recompute nothing.
+        With ``buffers`` (see the module docstring) every returned array,
+        tape included, lives in the dict and is overwritten by its next pass.
         """
         layers = self.unpack(params)
-        z = self.scaling.encode(raw_rows)
-        zdot = None if tangent_rows is None else tangent_rows * self.scaling.slope
+        n = raw_rows.shape[0]
+        z = self.scaling.encode(raw_rows, out=_out(buffers, "z", 0, raw_rows.shape))
+        zdot = None
+        if tangent_rows is not None:
+            zdot = np.multiply(tangent_rows, self.scaling.slope,
+                               out=_out(buffers, "zdot", 0, tangent_rows.shape))
         zs = [z]
         gs = [None]
         adots = [None]
         zdots = [zdot]
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            a = z @ w.T + b
-            adot = None if zdot is None else zdot @ w.T
+            shape = (n, w.shape[0])
+            a = np.matmul(z, w.T, out=_out(buffers, "a", i, shape))
+            a += b
+            adot = None
+            if zdot is not None:
+                adot = np.matmul(zdot, w.T, out=_out(buffers, "adot", i, shape))
             if i < last:
-                z = np.tanh(a)
-                g = 1.0 - z * z
-                zdot = None if adot is None else g * adot
+                z = np.tanh(a, out=_out(buffers, "z", i + 1, shape))
+                g = np.multiply(z, z, out=_out(buffers, "g", i + 1, shape))
+                np.subtract(1.0, g, out=g)
+                zdot = None if adot is None else np.multiply(
+                    g, adot, out=_out(buffers, "zdot", i + 1, shape))
             else:
                 z = a
                 g = None
@@ -202,7 +251,8 @@ class FeedforwardNet:
 
     # -- derivative passes ----------------------------------------------------
 
-    def backward_raw(self, params, tape, cot_values, cot_tangents=None, want_grads=True):
+    def backward_raw(self, params, tape, cot_values, cot_tangents=None, want_grads=True, *,
+                     buffers=None):
         """Reverse sweep. Returns (param grads, input-value cotangent rows).
 
         ``cot_values`` pairs with the value output, ``cot_tangents`` with the
@@ -210,6 +260,10 @@ class FeedforwardNet:
         the tangent path (the W reappearing in Adot = Zdot_prev @ W.T).
         With ``want_grads=False`` no parameter gradient is accumulated and
         None is returned in its place; the input cotangent is unchanged.
+        With ``buffers`` the reverse temporaries and the returned input
+        cotangent live in the dict (see the module docstring); the
+        parameter gradient is always a fresh array. The dict may be the one
+        the tape's forward pass used: the keys do not collide.
         """
         layers = self.unpack(params)
         zs, gs, adots, zdots = tape
@@ -223,6 +277,7 @@ class FeedforwardNet:
             grads = None
         cz = np.asarray(cot_values, dtype=float)
         czdot = cot_tangents
+        n = cz.shape[0]
         last = len(layers) - 1
         for i in range(last, -1, -1):
             w, _ = layers[i]
@@ -231,19 +286,26 @@ class FeedforwardNet:
                 cadot = czdot
             else:
                 g = gs[i + 1]
-                ca = cz * g
+                ca = np.multiply(cz, g, out=_out(buffers, "ca", i, g.shape))
                 cadot = None
                 if czdot is not None:
-                    cadot = czdot * g
-                    ca += cadot * (-2.0 * zs[i + 1]) * adots[i + 1]
+                    cadot = np.multiply(czdot, g, out=_out(buffers, "cadot", i, g.shape))
+                    # cadot * (-2 z) * adot in this product order, so results stay bit-identical
+                    tmp = np.multiply(-2.0, zs[i + 1], out=_out(buffers, "tmp", i, g.shape))
+                    np.multiply(cadot, tmp, out=tmp)
+                    np.multiply(tmp, adots[i + 1], out=tmp)
+                    ca += tmp
             if want_grads:
                 gw, gb = gview[i]
                 gw += ca.T @ zs[i]
                 gb += ca.sum(axis=0)
                 if cadot is not None:
                     gw += cadot.T @ zdots[i]
-            cz = ca @ w
-            czdot = None if cadot is None else cadot @ w
+            shape = (n, w.shape[1])
+            cz = np.matmul(ca, w, out=_out(buffers, "cz", i, shape))
+            # the input tangent cotangent is never returned
+            czdot = None if cadot is None or i == 0 else np.matmul(
+                cadot, w, out=_out(buffers, "czdot", i, shape))
         return grads, cz
 
     def grad_params(self, params, t, x, u, cotangents) -> np.ndarray:

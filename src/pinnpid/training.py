@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from pinnpid.gainopt import AdamConfig, AdamState, adam_step
+from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
 from pinnpid.plants import simulate_zoh
 from pinnpid.sampling import DataSet, PhysSet, lhs_sample
@@ -117,19 +117,29 @@ def loss(model: PinnModel, data: DataSet, phys: PhysSet, rhs,
 
 
 def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
-                  lambda_phys: float, state_jacobian=None):
-    """One fused evaluation of the composite loss and its parameter gradient."""
+                  lambda_phys: float, state_jacobian=None, *, buffers=None):
+    """One fused evaluation of the composite loss and its parameter gradient.
+
+    ``buffers`` is a dict the caller keeps across calls; the data and the
+    physics pass each keep their row-sized arrays in a sub-dict of it (see
+    the ``network`` module docstring). Nothing returned aliases a buffer.
+    """
+    buf_d = buf_p = None
+    if buffers is not None:
+        buf_d = buffers.setdefault("data", {})
+        buf_p = buffers.setdefault("phys", {})
     # data term
     rows_d = net.stack_rows(data.t, data.x0, data.u)
-    preds, _, tape_d = net.forward_raw(params, rows_d, want_tape=True)
+    preds, _, tape_d = net.forward_raw(params, rows_d, want_tape=True, buffers=buf_d)
     res_d = preds - data.xf
     n_data = res_d.shape[0]
     l_data = float(np.mean(np.sum(res_d**2, axis=1)))
-    grad_d, _ = net.backward_raw(params, tape_d, (2.0 / n_data) * res_d)
+    grad_d, _ = net.backward_raw(params, tape_d, (2.0 / n_data) * res_d, buffers=buf_d)
     # physics term
     rows_p = net.stack_rows(phys.t, phys.x, phys.u)
     values, rates, tape_p = net.forward_raw(
-        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), want_tape=True
+        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), want_tape=True,
+        buffers=buf_p,
     )
     u2 = np.atleast_2d(phys.u)
     residual = rates - rhs(values, u2)
@@ -141,9 +151,21 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
     else:
         jac = state_jacobian(values, u2)
     cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
-    grad_p, _ = net.backward_raw(params, tape_p, cot_value, cot_rate)
+    grad_p, _ = net.backward_raw(params, tape_p, cot_value, cot_rate, buffers=buf_p)
     l_total = l_data + lambda_phys * l_phys
     return l_data, l_phys, l_total, grad_d + lambda_phys * grad_p
+
+
+def _check_finite_sets(data: DataSet, phys: PhysSet) -> None:
+    """Raise ValueError naming the set and its count of rows with a non-finite entry."""
+    for name, columns in (("data set", (data.t, data.x0, data.xf, data.u)),
+                          ("collocation set", (phys.t, phys.x, phys.u))):
+        bad = np.zeros(len(columns[0]), dtype=bool)
+        for col in columns:
+            finite = np.isfinite(col)
+            bad |= ~(finite if finite.ndim == 1 else finite.all(axis=1))
+        if bad.any():
+            raise ValueError(f"{name} has {int(bad.sum())} rows with non-finite entries")
 
 
 def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps,
@@ -189,14 +211,17 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     """Minimize the composite loss; returns (trained model, LossReport history).
 
     ``data_generator(round_index)`` supplies (DataSet, PhysSet); it is called
-    again at every regeneration boundary. The best-validation parameter
-    vector (self-loop rollout MSE) is restored before returning.
+    again at every regeneration boundary, and a set with a non-finite row
+    raises ValueError. The best-validation parameter vector (self-loop
+    rollout MSE) is restored before returning.
     """
     net = model.net
     params = model.params.copy()
     history: list[LossReport] = []
     best = (np.inf, params.copy())
     data, phys = data_generator(0)
+    _check_finite_sets(data, phys)
+    buffers = {}  # row-sized arrays of both passes, reused by every iteration
 
     def run_validation(pvec, iteration, report):
         nonlocal best
@@ -212,8 +237,10 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         for it in range(config.iterations):
             if config.regen_interval and it > 0 and it % config.regen_interval == 0:
                 data, phys = data_generator(it // config.regen_interval)
+                _check_finite_sets(data, phys)
             l_data, l_phys, l_total, grad = loss_and_grad(
-                net, params, data, phys, rhs, config.lambda_phys, state_jacobian
+                net, params, data, phys, rhs, config.lambda_phys, state_jacobian,
+                buffers=buffers,
             )
             report = LossReport(it, l_data, l_phys, l_total)
             if not np.isfinite(l_total):
@@ -239,7 +266,8 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
         def objective(pvec):
             l_data, l_phys, l_total, grad = loss_and_grad(
-                net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian
+                net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian,
+                buffers=buffers,
             )
             if not np.isfinite(l_total):
                 raise TrainingDiverged("non-finite loss in L-BFGS stage", it_counter[0])

@@ -4,14 +4,13 @@ and a dense grid-search oracle on a linear stand-in surrogate."""
 import numpy as np
 import pytest
 
+from pinnpid import gainopt, training
+from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.gainopt import (
-    AdamConfig,
-    AdamState,
     BarrierSchedule,
     CostWeights,
     InfeasibleGainError,
     SegmentDiverged,
-    adam_step,
     msd_stability_value,
     optimize_segment,
     project,
@@ -110,6 +109,10 @@ class TestStageCost:
 
 
 class TestAdam:
+    def test_one_function_under_each_callers_name(self):
+        assert training.adam_step is adam_step
+        assert gainopt.adam_step is adam_step
+
     def test_zero_gradient_keeps_gains(self):
         f = np.array([[1.0, 2.0]])
         f2, state = adam_step(AdamState.zeros(f.shape), np.zeros_like(f), f, AdamConfig())

@@ -259,6 +259,94 @@ class TestInputCotangentOnly:
             assert np.array_equal(fast, full)
 
 
+class TestUnpackCache:
+    def test_in_place_write_changes_next_output(self):
+        net, params, t, x, u = random_net(np.random.default_rng(51))
+        before = net.forward(params, t, x, u)
+        w_sl, b_sl, _ = net.spec.param_slices()[-1]
+        params[b_sl] += 1.0
+        after = net.forward(params, t, x, u)
+        np.testing.assert_allclose(after, before + 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(after, net.forward(params.copy(), t, x, u))
+
+    def test_new_vector_gets_new_views(self):
+        net, params, _, _, _ = random_net(np.random.default_rng(53))
+        other = params + 1.0
+        first = net.unpack(params)
+        second = net.unpack(other)
+        for (w1, b1), (w2, b2) in zip(first, second):
+            assert np.shares_memory(w1, params) and not np.shares_memory(w2, params)
+            assert np.shares_memory(b2, other) and np.array_equal(b2, b1 + 1.0)
+
+    def test_wrong_length_raises(self):
+        net, params, t, x, u = random_net(np.random.default_rng(57))
+        net.forward(params, t, x, u)
+        for bad in (params[:-1], np.append(params, 0.0), params.reshape(1, -1)):
+            with pytest.raises(ValueError):
+                net.unpack(bad)
+
+
+class TestBufferedPasses:
+    """A pass with ``buffers`` must return what the unbuffered pass returns, bit for bit."""
+
+    def batch(self, rng, rows=11, net=None, params=None):
+        if net is None:
+            net, params, _, _, _ = random_net(rng)
+        t = rng.uniform(0.0, 0.25, rows)
+        x = rng.uniform(-0.8, 0.8, (rows, net.n_state))
+        u = rng.uniform(-0.8, 0.8, (rows, net.n_input))
+        cot = rng.standard_normal((rows, net.spec.output_dim))
+        return net, params, net.stack_rows(t, x, u), cot
+
+    def passes(self, net, params, rows, cot, dual, want_grads, buffers=None):
+        """Forward then backward; every array produced, copied out of the buffers."""
+        tangents = net.time_tangent_rows(rows.shape[0]) if dual else None
+        cot_t = 0.5 * cot[:, ::-1] if dual else None
+        values, rates, tape = net.forward_raw(params, rows, tangents, want_tape=True,
+                                              buffers=buffers)
+        grads, cz = net.backward_raw(params, tape, cot, cot_t, want_grads, buffers=buffers)
+        out = [values, rates, cz, grads] + [a for part in tape for a in part]
+        return [None if a is None else a.copy() for a in out]
+
+    def assert_same(self, got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("want_grads", [True, False])
+    def test_matches_unbuffered(self, dual, want_grads):
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            net, params, rows, cot = self.batch(rng)
+            buffers = {}
+            got = self.passes(net, params, rows, cot, dual, want_grads, buffers)
+            self.assert_same(got, self.passes(net, params, rows, cot, dual, want_grads))
+            assert buffers
+
+    def test_second_call_on_other_rows_is_not_stale(self):
+        rng = np.random.default_rng(67)
+        net, params, rows_a, cot_a = self.batch(rng)
+        _, _, rows_b, cot_b = self.batch(rng, net=net, params=params)
+        buffers = {}
+        first, _, _ = net.forward_raw(params, rows_a, buffers=buffers)
+        self.passes(net, params, rows_a, cot_a, True, True, buffers)
+        got = self.passes(net, params, rows_b, cot_b, True, True, buffers)
+        self.assert_same(got, self.passes(net, params, rows_b, cot_b, True, True))
+        second, _, _ = net.forward_raw(params, rows_b, buffers=buffers)
+        assert second is first  # the aliasing rule: a buffered result is overwritten
+
+    def test_changed_row_count_reallocates(self):
+        rng = np.random.default_rng(71)
+        net, params, rows, cot = self.batch(rng, rows=11)
+        buffers = {}
+        self.passes(net, params, rows, cot, True, True, buffers)
+        _, _, rows7, cot7 = self.batch(rng, rows=7, net=net, params=params)
+        got = self.passes(net, params, rows7, cot7, True, True, buffers)
+        self.assert_same(got, self.passes(net, params, rows7, cot7, True, True))
+        assert all(a.shape[0] == 7 for a in buffers.values())
+
+
 class TestStackRows:
     def test_shared_rows_match_per_row_call(self):
         rng = np.random.default_rng(47)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pinnpid import training
 from pinnpid.model import PinnModel
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.plants import (
@@ -143,6 +144,19 @@ class TestLossGradient:
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
+    def test_buffered_call_matches_unbuffered(self):
+        model = msd_model(seed=12)
+        data, phys = small_sets(n_data=24, n_phys=40, seed=2)
+        want = loss_and_grad(model.net, model.params, data, phys, MSD_RHS, 0.7)
+        buffers = {}
+        for params in (model.params + 0.01, model.params):
+            got = loss_and_grad(model.net, params, data, phys, MSD_RHS, 0.7, buffers=buffers)
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3], want[3])
+        kept = [a for sub in buffers.values() for a in sub.values()]
+        assert set(buffers) == {"data", "phys"} and kept
+        assert not any(np.shares_memory(got[3], a) for a in kept)
+
     def test_fd_jacobian_matches_linear_plant(self):
         a_mat, _ = msd_state_space(MSD)
         x = np.random.default_rng(0).standard_normal((5, 2))
@@ -235,6 +249,46 @@ class TestTrain:
         trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg)
         adam_end = history[199].l_total
         assert history[-1].l_total < adam_end
+
+    def test_buffers_change_no_bit_of_training(self, monkeypatch):
+        # Adam, a regeneration that changes both row counts, then L-BFGS; the
+        # reference run's loss_and_grad drops the buffers it is handed
+        model = msd_model(widths=(4, 8, 8, 2), seed=3)
+        rounds = [small_sets(n_data=48, n_phys=64, seed=5),
+                  small_sets(n_data=40, n_phys=72, seed=6)]
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
+                                   n_traj=2, n_steps=3, seed=8, substeps=20)
+        cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", regen_interval=20,
+                          val_interval=20, lbfgs_iterations=30)
+        runs = []
+        for drop in (False, True):
+            if drop:
+                buffered = training.loss_and_grad
+                monkeypatch.setattr(training, "loss_and_grad",
+                                    lambda *a, buffers=None, **k: buffered(*a, **k))
+            trained, history = train(model, MSD_RHS, lambda k: rounds[k], cfg, validation=vset)
+            runs.append((trained.params, [(h.l_data, h.l_phys, h.val_mse) for h in history]))
+        assert len(runs[0][1]) > 40
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("at_round", [0, 1])
+    def test_non_finite_rows_rejected(self, at_round):
+        model = msd_model(widths=(4, 8, 2), seed=1)
+        data, phys = small_sets(n_data=16, n_phys=16)
+        bad_x0 = data.x0.copy()
+        bad_x0[[2, 5], 1] = np.nan
+        bad_u = phys.u.copy()
+        bad_u[7, 0] = np.inf
+        bad = (DataSet(t=data.t, x0=bad_x0, xf=data.xf, u=data.u),
+               PhysSet(t=phys.t, x=phys.x, u=bad_u))
+        cfg = TrainConfig(iterations=4, regen_interval=2, val_interval=0)
+        gen = lambda k: bad if k == at_round else (data, phys)
+        with pytest.raises(ValueError, match="data set has 2 rows"):
+            train(model, MSD_RHS, gen, cfg)
+        bad = (data, bad[1])
+        with pytest.raises(ValueError, match="collocation set has 1 rows"):
+            train(model, MSD_RHS, gen, cfg)
 
     def test_best_validation_checkpoint_restored(self):
         model = msd_model(widths=(4, 8, 2), seed=2)
