@@ -15,7 +15,7 @@ algebraic stability value g = (K^d + D)(K^p + K) - M K^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class InfeasibleGainError(ValueError):
 
 
 class SegmentDiverged(RuntimeError):
-    """Gain optimization produced a non-finite cost at its starting gains."""
+    """Gain optimization started from a non-finite point or produced a
+    non-finite cost at its starting gains."""
 
 
 @dataclass
@@ -117,10 +118,6 @@ def stage_cost(e, u, gains: GainMatrix, weights: CostWeights, dt: float,
     quad = 0.5 * (e @ weights.q @ e + u @ weights.r @ u) * dt
     theta, _ = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=gains.n)
     return quad + weights.mu * theta
-
-
-def project(gains: GainMatrix, bounds: GainBounds) -> GainMatrix:
-    return GainMatrix.from_stacked(project_stacked(gains.stacked(), bounds))
 
 
 def project_stacked(f: np.ndarray, bounds: GainBounds) -> np.ndarray:
@@ -227,7 +224,6 @@ class SegmentResult:
     cost: float
     iterations: int
     converged: bool
-    trace: list = field(default_factory=list)
     alpha_halvings: int = 0
 
 
@@ -235,8 +231,7 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
                      adam: AdamConfig, bounds: GainBounds, regularizer_kind: str = "norm",
                      barrier: BarrierSchedule | None = None, plant=None,
                      input_bounds=None, n_quad: int = 10, max_iters: int = 200,
-                     tol: float = 1e-6, init_gains: GainMatrix | None = None,
-                     keep_trace: bool = False) -> SegmentResult:
+                     tol: float = 1e-6, init_gains: GainMatrix | None = None) -> SegmentResult:
     """Projected Adam on the lookahead window; returns the best iterate.
 
     Iterates until the max-norm gain change drops below ``tol`` (tol = 0
@@ -244,7 +239,10 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     barrier-free cost so iterates stay comparable across the rho schedule.
     A non-finite cost or gradient rolls the gains back to the last finite
     iterate, halves the step size and restarts Adam; at the starting gains
-    it raises :class:`SegmentDiverged`.
+    it raises :class:`SegmentDiverged`. So does a non-finite entry in the
+    starting point (``x_k``, ``errors_k``, ``refs`` or the projected start
+    gains), checked before the first window, since the network rejects
+    non-finite input rows with ValueError.
     """
     n = errors_k.e_prop.shape[0]
     f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
@@ -257,13 +255,15 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         if msd_stability_value(plant, f, n) <= 0:
             f = bounds.center()
         f = _restore_feasibility(f, bounds, plant, n)
+    start = (x_k, errors_k.stacked(), refs, f)
+    if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in start):
+        raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
     state = AdamState.zeros(f.shape)
     cfg = adam
     halvings = 0
     last_finite = None
     best_cost = np.inf
     best_f = f.copy()
-    trace = []
     iterations = 0
     converged = False
     for it in range(max_iters):
@@ -286,8 +286,6 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         if plain < best_cost:
             best_cost = plain
             best_f = f.copy()
-        if keep_trace:
-            trace.append((it, total, f.copy()))
         f_new, state = adam_step(state, grad, f, cfg)
         f_new = project_stacked(f_new, bounds)
         if regularizer_kind == "barrier":
@@ -310,6 +308,5 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         cost=best_cost,
         iterations=iterations,
         converged=converged,
-        trace=trace,
         alpha_halvings=halvings,
     )

@@ -64,7 +64,8 @@ class PinnModel:
         return cx, cu
 
     def time_derivative(self, t, x, u) -> np.ndarray:
-        return self.net.time_derivative(self.params, t, x, u)
+        """d phi/dt at one elapsed time ``t`` from (x, u); shape (n,)."""
+        return self.net.value_and_time_derivative(self.params, [t], x, u)[1][0]
 
 
 def save_model(model: PinnModel, path) -> None:

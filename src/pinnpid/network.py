@@ -3,16 +3,18 @@
 The network maps a stacked input row (t, x, u) through an affine [-1, 1]
 rescaling, a stack of tanh hidden layers and a linear output layer. All
 derivative passes needed downstream are implemented directly on that
-structure:
+structure, on batches of rows assembled by ``stack_rows``:
 
-- reverse mode over the flat parameter vector (``grad_params``),
-- reverse mode to the raw inputs (``grad_inputs``); with
-  ``want_grads=False`` the sweep (``backward_raw``) carries only this input
-  cotangent and skips the parameter-gradient accumulation, which the gain
-  optimizer's pullbacks never read,
-- forward mode along the time coordinate (``time_derivative``),
-- reverse-over-forward for gradients of functions of the time derivative
-  (``grad_params_dual``), which the physics-residual training loss needs.
+- ``forward_raw``: values, optionally with forward mode along the time
+  coordinate (tangent rows from ``time_tangent_rows``); ``forward_batch``
+  and ``value_and_time_derivative`` are its (t, x, u) entry points,
+- ``backward_raw``: one reverse sweep returning the gradient over the flat
+  parameter vector and the cotangent of the encoded input rows (times
+  ``scaling.slope`` for the raw rows). On a dual tape it is
+  reverse-over-forward, for gradients of functions of the time derivative,
+  which the physics-residual training loss needs. With ``want_grads=False``
+  it carries only the input cotangent and skips the parameter-gradient
+  accumulation, which the gain optimizer's pullbacks never read.
 
 Everything operates on float64 and is pure: identical arguments give
 bit-identical results.
@@ -156,7 +158,9 @@ class FeedforwardNet:
         """Broadcast (t, x, u) into an (N, input_dim) matrix of raw rows.
 
         ``t`` has one entry per row; ``x`` and ``u`` are either one row each,
-        shared by every row, or one row per ``t``.
+        shared by every row, or one row per ``t``. Every network evaluation
+        assembles its rows here, so a NaN or infinite entry raises ValueError
+        before any pass runs.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float)
@@ -169,6 +173,8 @@ class FeedforwardNet:
         rows[:, 0] = t
         rows[:, 1 : 1 + n] = x
         rows[:, 1 + n :] = u
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite network input")
         return rows
 
     def unpack(self, params: np.ndarray):
@@ -239,12 +245,6 @@ class FeedforwardNet:
         tape = (zs, gs, adots, zdots) if want_tape else None
         return z, zdot, tape
 
-    def forward(self, params, t, x, u) -> np.ndarray:
-        """phi-hat(t, x, u): single sample in, (output_dim,) out."""
-        rows = self._single_rows(t, x, u)
-        values, _, _ = self.forward_raw(params, rows)
-        return values[0]
-
     def forward_batch(self, params, t, x, u) -> np.ndarray:
         values, _, _ = self.forward_raw(params, self.stack_rows(t, x, u))
         return values
@@ -308,44 +308,10 @@ class FeedforwardNet:
                 cadot, w, out=_out(buffers, "czdot", i, shape))
         return grads, cz
 
-    def grad_params(self, params, t, x, u, cotangents) -> np.ndarray:
-        """Sum over the batch of (d phi/d params)^T @ cotangent."""
-        rows = self.stack_rows(t, x, u)
-        cot = np.asarray(cotangents, dtype=float)
-        if cot.ndim == 1:
-            cot = cot[None, :]
-        if cot.shape != (rows.shape[0], self.spec.output_dim):
-            raise ValueError("cotangent shape must be (batch, output_dim)")
-        _, _, tape = self.forward_raw(params, rows, want_tape=True)
-        grads, _ = self.backward_raw(params, tape, cot)
-        return grads
-
-    def grad_inputs(self, params, t, x, u, cotangent):
-        """Cotangent pullbacks to the raw x and u blocks of one sample."""
-        rows = self._single_rows(t, x, u)
-        cot = np.asarray(cotangent, dtype=float)[None, :]
-        _, _, tape = self.forward_raw(params, rows, want_tape=True)
-        _, c_scaled = self.backward_raw(params, tape, cot)
-        c_raw = (c_scaled * self.scaling.slope)[0]
-        return c_raw[1 : 1 + self.n_state], c_raw[1 + self.n_state :]
-
     def time_tangent_rows(self, n: int) -> np.ndarray:
         rows = np.zeros((n, self.spec.input_dim))
         rows[:, 0] = 1.0
         return rows
-
-    def time_derivative(self, params, t, x, u) -> np.ndarray:
-        """d phi/dt for one sample, scaling chain factor included."""
-        rows = self._single_rows(t, x, u)
-        _, tangents, _ = self.forward_raw(params, rows, self.time_tangent_rows(1))
-        return tangents[0]
-
-    def time_derivative_batch(self, params, t, x, u) -> np.ndarray:
-        rows = self.stack_rows(t, x, u)
-        _, tangents, _ = self.forward_raw(
-            params, rows, self.time_tangent_rows(rows.shape[0])
-        )
-        return tangents
 
     def value_and_time_derivative(self, params, t, x, u):
         rows = self.stack_rows(t, x, u)
@@ -353,30 +319,3 @@ class FeedforwardNet:
             params, rows, self.time_tangent_rows(rows.shape[0])
         )
         return values, tangents
-
-    def grad_params_dual(self, params, t, x, u, cot_values, cot_tangents) -> np.ndarray:
-        """Parameter gradient with cotangents on both phi-hat and d phi/dt."""
-        rows = self.stack_rows(t, x, u)
-        _, _, tape = self.forward_raw(
-            params, rows, self.time_tangent_rows(rows.shape[0]), want_tape=True
-        )
-        grads, _ = self.backward_raw(
-            params,
-            tape,
-            np.asarray(cot_values, dtype=float),
-            np.asarray(cot_tangents, dtype=float),
-        )
-        return grads
-
-    # -- helpers --------------------------------------------------------------
-
-    def _single_rows(self, t, x, u) -> np.ndarray:
-        t = float(t)
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if x.shape != (self.n_state,) or u.shape != (self.n_input,):
-            raise ValueError("expected one sample with matching state/input widths")
-        row = np.concatenate([[t], x, u])
-        if not np.all(np.isfinite(row)):
-            raise ValueError("non-finite network input")
-        return row[None, :]

@@ -1,6 +1,8 @@
 """Gain optimizer checks: hand costs, Adam trace, projection, window gradient,
 and a dense grid-search oracle on a linear stand-in surrogate."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,16 +15,18 @@ from pinnpid.gainopt import (
     SegmentDiverged,
     msd_stability_value,
     optimize_segment,
-    project,
+    project_stacked,
     regularizer,
     stage_cost,
     window_cost_and_grad,
 )
+from pinnpid.model import load_model
 from pinnpid.pid import ErrorState, GainBounds, GainMatrix, diagonal_gain_bounds
 from pinnpid.plants import MsdParams, msd_state_space
 from pinnpid.sampling import Box
 
 MSD = MsdParams()
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
 
 
 class LinearSurrogate:
@@ -154,20 +158,20 @@ class TestProjection:
     def test_inside_unchanged(self):
         bounds = GainBounds(np.zeros((1, 3)), 5 * np.ones((1, 3)))
         g = GainMatrix([[1.0]], [[2.0]], [[3.0]])
-        assert np.array_equal(project(g, bounds).stacked(), g.stacked())
+        assert np.array_equal(project_stacked(g.stacked(), bounds), g.stacked())
 
     def test_clamps(self):
         bounds = GainBounds(np.zeros((1, 3)), 5 * np.ones((1, 3)))
         g = GainMatrix([[-1.0]], [[6.0]], [[2.0]])
-        np.testing.assert_array_equal(project(g, bounds).stacked(), [[0.0, 5.0, 2.0]])
+        np.testing.assert_array_equal(project_stacked(g.stacked(), bounds), [[0.0, 5.0, 2.0]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         bounds = GainBounds(np.zeros((1, 3)), 5 * np.ones((1, 3)))
         g = GainMatrix.from_stacked(rng.uniform(-3, 8, (1, 3)))
-        once = project(g, bounds)
-        twice = project(once, bounds)
-        assert np.array_equal(once.stacked(), twice.stacked())
+        once = project_stacked(g.stacked(), bounds)
+        twice = project_stacked(once, bounds)
+        assert np.array_equal(once, twice)
 
 
 class TestWindowGradient:
@@ -359,3 +363,18 @@ class TestOptimizeSegment:
         with pytest.raises(SegmentDiverged, match="starting gains"):
             optimize_segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
                              AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)
+
+    @pytest.mark.parametrize("bad", ["init_gains", "x_k", "errors_k", "refs"])
+    def test_non_finite_start_on_network_surrogate_raises(self, bad):
+        # the network rejects NaN rows with ValueError; the segment checks its start first
+        start = {"x_k": np.zeros(2), "errors_k": np.array([0.3, 0.0]),
+                 "refs": np.full((6, 2), 0.3), "init_gains": np.ones((1, 6))}
+        start[bad].flat[0] = np.nan
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        with pytest.raises(SegmentDiverged, match="non-finite"):
+            optimize_segment(load_model(FIXTURE), start["x_k"],
+                             ErrorState(start["errors_k"], np.zeros(2), np.zeros(2)),
+                             start["refs"], weights, AdamConfig(), msd_bounds(),
+                             regularizer_kind="barrier", plant=MSD,
+                             input_bounds=Box([-1.0], [1.0]),
+                             init_gains=GainMatrix.from_stacked(start["init_gains"]))

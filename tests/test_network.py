@@ -37,6 +37,30 @@ def hand_forward(net, params, t, x, u):
     return z
 
 
+def forward1(net, params, t, x, u):
+    """phi-hat(t, x, u) for one sample, through the batched pass."""
+    return net.forward_batch(params, [t], x, u)[0]
+
+
+def time_derivative1(net, params, t, x, u):
+    return net.value_and_time_derivative(params, [t], x, u)[1][0]
+
+
+def param_grad(net, params, rows, cot, cot_t=None):
+    """Parameter gradient of sum(cot * phi) (+ sum(cot_t * d phi/dt) with cot_t)."""
+    tangents = None if cot_t is None else net.time_tangent_rows(rows.shape[0])
+    _, _, tape = net.forward_raw(params, rows, tangents, want_tape=True)
+    grads, _ = net.backward_raw(params, tape, cot, cot_t)
+    return grads
+
+
+def input_grad(net, params, t, x, u, cot):
+    """Pullback of cot to (x, u) of one sample, the way the gain optimizer takes it."""
+    model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+    _, tape = model.predict_with_tape([t], x, u)
+    return model.predict_vjp(tape, np.asarray(cot, dtype=float)[None, :])
+
+
 def central_fd(f, v0, h=1e-5):
     v0 = np.asarray(v0, dtype=float)
     grad = np.zeros_like(v0)
@@ -65,8 +89,8 @@ class TestSpec:
 class TestForward:
     def test_zero_params_give_zero_output(self):
         net = make_net([4, 8, 2], 2, 1)
-        out = net.forward(np.zeros(net.spec.param_count()), 0.1, [0.3, -0.2], [0.5])
-        assert np.array_equal(out, np.zeros(2))
+        out = net.forward_batch(np.zeros(net.spec.param_count()), [0.1, 0.2], [0.3, -0.2], [0.5])
+        assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_odd_symmetry_with_zero_biases(self):
         # symmetric scaling box around 0 keeps the affine input map odd
@@ -77,8 +101,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         params = net.init_params(3)  # glorot leaves biases at zero
         t, x, u = 0.1, rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.5, 0.5, 1)
-        plus = net.forward(params, t, x, u)
-        minus = net.forward(params, -t, -x, -u)
+        plus = forward1(net, params, t, x, u)
+        minus = forward1(net, params, -t, -x, -u)
         np.testing.assert_allclose(plus, -minus, atol=1e-14)
 
     def test_matches_hand_rolled_oracle(self):
@@ -87,38 +111,38 @@ class TestForward:
         params = rng.standard_normal(net.spec.param_count())
         t, x, u = 0.07, rng.uniform(-0.9, 0.9, 2), rng.uniform(-0.9, 0.9, 1)
         np.testing.assert_allclose(
-            net.forward(params, t, x, u), hand_forward(net, params, t, x, u), atol=1e-12
+            forward1(net, params, t, x, u), hand_forward(net, params, t, x, u), atol=1e-12
         )
 
     def test_forward_is_pure(self):
         net, params, t, x, u = random_net(np.random.default_rng(5))
-        a = net.forward(params, t, x, u)
-        b = net.forward(params, t, x, u)
+        a = forward1(net, params, t, x, u)
+        b = forward1(net, params, t, x, u)
         assert np.array_equal(a, b)
 
     def test_rejects_nonfinite_input(self):
         net = make_net([4, 8, 2], 2, 1)
-        with pytest.raises(ValueError):
-            net.forward(np.zeros(net.spec.param_count()), np.nan, [0.0, 0.0], [0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            net.forward_batch(np.zeros(net.spec.param_count()), [np.nan], [0.0, 0.0], [0.0])
 
     def test_rejects_dimension_mismatch(self):
         net = make_net([4, 8, 2], 2, 1)
         with pytest.raises(ValueError):
-            net.forward(np.zeros(net.spec.param_count()), 0.0, [0.0], [0.0])
+            net.forward_batch(np.zeros(net.spec.param_count()), [0.0], [0.0], [0.0])
 
 
 class TestGradParams:
     def test_zero_cotangent(self):
         net, params, t, x, u = random_net(np.random.default_rng(0))
-        g = net.grad_params(params, [t], x[None, :], u[None, :], np.zeros((1, net.spec.output_dim)))
+        g = param_grad(net, params, net.stack_rows([t], x, u), np.zeros((1, net.spec.output_dim)))
         assert np.array_equal(g, np.zeros_like(params))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(21)
         net, params, t, x, u = random_net(rng)
         cot = rng.standard_normal(net.spec.output_dim)
-        g = net.grad_params(params, [t], x[None, :], u[None, :], cot[None, :])
-        fd = central_fd(lambda p: float(cot @ net.forward(p, t, x, u)), params)
+        g = param_grad(net, params, net.stack_rows([t], x, u), cot[None, :])
+        fd = central_fd(lambda p: float(cot @ forward1(net, p, t, x, u)), params)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_batch_gradient_is_sum_of_samples(self):
@@ -129,9 +153,9 @@ class TestGradParams:
         X = rng.uniform(-0.5, 0.5, size=(3, n))
         U = rng.uniform(-0.5, 0.5, size=(3, m))
         C = rng.standard_normal((3, net.spec.output_dim))
-        whole = net.grad_params(params, T, X, U, C)
+        whole = param_grad(net, params, net.stack_rows(T, X, U), C)
         parts = sum(
-            net.grad_params(params, [T[i]], X[i][None], U[i][None], C[i][None])
+            param_grad(net, params, net.stack_rows([T[i]], X[i], U[i]), C[i][None])
             for i in range(3)
         )
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-15)
@@ -140,15 +164,15 @@ class TestGradParams:
 class TestTimeDerivative:
     def test_zero_params(self):
         net = make_net([4, 8, 2], 2, 1)
-        rate = net.time_derivative(np.zeros(net.spec.param_count()), 0.1, [0.2, 0.1], [0.0])
+        rate = time_derivative1(net, np.zeros(net.spec.param_count()), 0.1, [0.2, 0.1], [0.0])
         assert np.array_equal(rate, np.zeros(2))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         net, params, t, x, u = random_net(rng)
-        rate = net.time_derivative(params, t, x, u)
+        rate = time_derivative1(net, params, t, x, u)
         h = 1e-6
-        fd = (net.forward(params, t + h, x, u) - net.forward(params, t - h, x, u)) / (2 * h)
+        fd = (forward1(net, params, t + h, x, u) - forward1(net, params, t - h, x, u)) / (2 * h)
         np.testing.assert_allclose(rate, fd, rtol=1e-5, atol=1e-9)
 
     def test_identity_readout_of_time_gives_scaling_slope(self):
@@ -160,15 +184,27 @@ class TestTimeDerivative:
         w1[0, 0] = 1e-4  # stay in tanh's linear regime
         params[layers[0][0]] = w1.ravel()
         params[layers[1][0]] = np.array([1.0])
-        rate = net.time_derivative(params, 0.2, [0.0, 0.0], [0.0])
+        rate = time_derivative1(net, params, 0.2, [0.0, 0.0], [0.0])
         slope = 2.0 / 0.5  # d t_scaled / d t
         np.testing.assert_allclose(rate, [1e-4 * slope], rtol=1e-6)
 
+    def test_model_time_derivative_matches_finite_differences(self):
+        rng = np.random.default_rng(19)
+        net, params, t, x, u = random_net(rng)
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        rate = model.time_derivative(t, x, u)
+        h = 1e-6
+        ends = model.predict([t - h, t + h], x, u)
+        assert rate.shape == (net.n_state,)
+        np.testing.assert_allclose(rate, (ends[1] - ends[0]) / (2 * h), rtol=1e-5, atol=1e-9)
+
 
 class TestGradInputs:
+    """Input pullbacks as the gain optimizer takes them: ``PinnModel.predict_vjp``."""
+
     def test_zero_cotangent(self):
         net, params, t, x, u = random_net(np.random.default_rng(9))
-        gx, gu = net.grad_inputs(params, t, x, u, np.zeros(net.spec.output_dim))
+        gx, gu = input_grad(net, params, t, x, u, np.zeros(net.spec.output_dim))
         assert np.array_equal(gx, np.zeros_like(x))
         assert np.array_equal(gu, np.zeros_like(u))
 
@@ -176,9 +212,9 @@ class TestGradInputs:
         rng = np.random.default_rng(17)
         net, params, t, x, u = random_net(rng)
         cot = rng.standard_normal(net.spec.output_dim)
-        gx, gu = net.grad_inputs(params, t, x, u, cot)
-        fd_x = central_fd(lambda v: float(cot @ net.forward(params, t, v, u)), x)
-        fd_u = central_fd(lambda v: float(cot @ net.forward(params, t, x, v)), u)
+        gx, gu = input_grad(net, params, t, x, u, cot)
+        fd_x = central_fd(lambda v: float(cot @ forward1(net, params, t, v, u)), x)
+        fd_u = central_fd(lambda v: float(cot @ forward1(net, params, t, x, v)), u)
         np.testing.assert_allclose(gx, fd_x, rtol=1e-5, atol=1e-9)
         np.testing.assert_allclose(gu, fd_u, rtol=1e-5, atol=1e-9)
 
@@ -196,11 +232,11 @@ class TestGradInputs:
         if m > 1:
             u = np.concatenate([u, np.zeros(m - 1)])
         cot = rng.standard_normal(net.spec.output_dim)
-        _, gu = net.grad_inputs(params, t, x, u, cot)
+        _, gu = input_grad(net, params, t, x, u, cot)
         gF = gu[0] * e
         fd = central_fd(
             lambda f: float(
-                cot @ net.forward(params, t, x, np.concatenate([[f @ e], np.zeros(m - 1)]))
+                cot @ forward1(net, params, t, x, np.concatenate([[f @ e], np.zeros(m - 1)]))
             ),
             F,
         )
@@ -215,13 +251,34 @@ class TestDualReverse:
         ct = rng.standard_normal(net.spec.output_dim)
 
         def scalar(p):
-            val = net.forward(p, t, x, u)
-            rate = net.time_derivative(p, t, x, u)
-            return float(cv @ val + ct @ rate)
+            val, rate = net.value_and_time_derivative(p, [t], x, u)
+            return float(cv @ val[0] + ct @ rate[0])
 
-        g = net.grad_params_dual(params, [t], x[None], u[None], cv[None], ct[None])
+        g = param_grad(net, params, net.stack_rows([t], x, u), cv[None], ct[None])
         fd = central_fd(scalar, params)
         np.testing.assert_allclose(g, fd, rtol=2e-5, atol=1e-7)
+
+
+class TestNonFiniteRows:
+    """A NaN or infinite entry in any row is rejected where the rows are stacked."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["t", "x", "u"])
+    @pytest.mark.parametrize("call", ["predict", "predict_with_tape", "time_derivative"])
+    def test_model_entry_points_raise(self, call, block, bad):
+        rng = np.random.default_rng(83)
+        net, params, _, _, _ = random_net(rng)
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        rows = 1 if call == "time_derivative" else 3
+        args = dict(t=rng.uniform(0.0, 0.25, rows),
+                    x=rng.uniform(-0.8, 0.8, (rows, net.n_state)),
+                    u=rng.uniform(-0.8, 0.8, (rows, net.n_input)))
+        args[block][rows - 1, ...] = bad  # the last row only
+        with pytest.raises(ValueError, match="non-finite network input"):
+            if call == "time_derivative":
+                model.time_derivative(args["t"][0], args["x"][0], args["u"][0])
+            else:
+                getattr(model, call)(args["t"], args["x"], args["u"])
 
 
 class TestInputCotangentOnly:
@@ -262,12 +319,12 @@ class TestInputCotangentOnly:
 class TestUnpackCache:
     def test_in_place_write_changes_next_output(self):
         net, params, t, x, u = random_net(np.random.default_rng(51))
-        before = net.forward(params, t, x, u)
+        before = forward1(net, params, t, x, u)
         w_sl, b_sl, _ = net.spec.param_slices()[-1]
         params[b_sl] += 1.0
-        after = net.forward(params, t, x, u)
+        after = forward1(net, params, t, x, u)
         np.testing.assert_allclose(after, before + 1.0, rtol=0, atol=1e-12)
-        assert np.array_equal(after, net.forward(params.copy(), t, x, u))
+        assert np.array_equal(after, forward1(net, params.copy(), t, x, u))
 
     def test_new_vector_gets_new_views(self):
         net, params, _, _, _ = random_net(np.random.default_rng(53))
@@ -280,7 +337,7 @@ class TestUnpackCache:
 
     def test_wrong_length_raises(self):
         net, params, t, x, u = random_net(np.random.default_rng(57))
-        net.forward(params, t, x, u)
+        forward1(net, params, t, x, u)
         for bad in (params[:-1], np.append(params, 0.0), params.reshape(1, -1)):
             with pytest.raises(ValueError):
                 net.unpack(bad)
@@ -380,8 +437,8 @@ class TestDerivativeSweep:
         for _ in range(20):
             net, params, t, x, u = random_net(rng)
             cot = rng.standard_normal(net.spec.output_dim)
-            g = net.grad_params(params, [t], x[None], u[None], cot[None])
-            fd = central_fd(lambda p: float(cot @ net.forward(p, t, x, u)), params)
+            g = param_grad(net, params, net.stack_rows([t], x, u), cot[None])
+            fd = central_fd(lambda p: float(cot @ forward1(net, p, t, x, u)), params)
             scale = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(g - fd) / scale) < 1e-5
 

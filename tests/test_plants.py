@@ -27,7 +27,7 @@ MSD = MsdParams()
 @pytest.fixture(scope="module")
 def lagrangian_oracle():
     """Symbolic Euler-Lagrange derivation of the arm's accelerations."""
-    a, b, da, db, ta, tb = sp.symbols("a b da db ta tb", real=True)
+    a, b, da, db = sp.symbols("a b da db", real=True)
     p = MANIP
     # COM positions, angles measured from the upward vertical
     p1 = sp.Matrix([p.lc1 * sp.sin(a), p.lc1 * sp.cos(a)])
@@ -46,21 +46,19 @@ def lagrangian_oracle():
     )
     U = p.m1 * p.gravity * p1[1] + p.m2 * p.gravity * p2[1]
     L = T - U
-    dda, ddb = sp.symbols("dda ddb", real=True)
-    subs_acc = {}
-    eqs = []
-    for i, (qi, qdi, tau) in enumerate([(a, da, ta), (b, db, tb)]):
-        dL_dqd = sp.diff(L, qdi)
-        # chain rule for d/dt of dL/dqdot
-        ddt = (
-            sp.diff(dL_dqd, a) * da
-            + sp.diff(dL_dqd, b) * db
-            + sp.diff(dL_dqd, da) * dda
-            + sp.diff(dL_dqd, db) * ddb
-        )
-        eqs.append(sp.Eq(ddt - sp.diff(L, qi), tau))
-    sol = sp.solve(eqs, [dda, ddb], dict=True)[0]
-    return sp.lambdify((a, b, da, db, ta, tb), (sol[dda], sol[ddb]), "numpy")
+    # Euler-Lagrange, d/dt(dL/dqdot) - dL/dq = tau, split by the chain rule into
+    # D(q) qddot + h(q, qdot) = tau with D = d(dL/dqdot)/dqdot
+    dL_dqd = sp.Matrix([L]).jacobian(qd).T
+    inertia = dL_dqd.jacobian(qd)
+    rest = dL_dqd.jacobian(q) * qd - sp.Matrix([L]).jacobian(q).T
+    inertia_fn = sp.lambdify((a, b), inertia, "numpy")
+    rest_fn = sp.lambdify((a, b, da, db), rest, "numpy")
+
+    def accelerations(qa, qb, qda, qdb, tau_a, tau_b):
+        rhs = np.array([tau_a, tau_b]) - np.ravel(rest_fn(qa, qb, qda, qdb))
+        return np.linalg.solve(np.asarray(inertia_fn(qa, qb), dtype=float), rhs)
+
+    return accelerations
 
 
 class TestManipulator:
