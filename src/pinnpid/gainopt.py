@@ -10,12 +10,15 @@ pullbacks.
 
 The regularizer is either the squared gain norm or, for the
 mass-spring-damper plant, the norm plus a logarithmic barrier on the
-algebraic stability value g = (K^d + D)(K^p + K) - M K^i.
+algebraic stability value g = (K^d + D)(K^p + K) - M K^i, weighted 1/rho.
+The barrier parameter rho follows one fixed schedule: a linear ramp from
+``RHO_START`` = 1e4 at the first iteration to ``RHO_END`` = 1e-3 at the last
+of ``max_iters``, so the barrier weight grows from 1e-4 to 1e3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +27,8 @@ from pinnpid.pid import ErrorState, GainBounds, GainMatrix, quadrature_nodes
 from pinnpid.plants import MsdParams
 
 BARRIER_G_MIN = 1e-6
+RHO_START = 1e4
+RHO_END = 1e-3
 
 
 class InfeasibleGainError(ValueError):
@@ -60,21 +65,12 @@ class CostWeights:
             raise ValueError("mu must be positive")
 
 
-@dataclass(frozen=True)
-class BarrierSchedule:
-    rho_start: float = 1e4
-    rho_end: float = 1e-3
-    total: int = 1
-
-    def __post_init__(self):
-        if self.rho_start <= 0 or self.rho_end <= 0 or self.total < 1:
-            raise ValueError("barrier parameters must be positive")
-
-    def rho(self, iteration: int) -> float:
-        if self.total == 1:
-            return self.rho_end
-        frac = min(max(iteration, 0), self.total - 1) / (self.total - 1)
-        return self.rho_start + (self.rho_end - self.rho_start) * frac
+def _barrier_rho(iteration: int, total: int) -> float:
+    """rho on the linear ramp from RHO_START to RHO_END over ``total`` iterations."""
+    if total <= 1:
+        return RHO_END
+    frac = min(iteration, total - 1) / (total - 1)
+    return RHO_START + (RHO_END - RHO_START) * frac
 
 
 def scalar_gains(f: np.ndarray, n: int):
@@ -107,17 +103,6 @@ def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
     grad[0, n] += coeff * (-plant.mass)
     grad[0, 2 * n] += coeff * (kp + plant.stiffness)
     return theta, grad
-
-
-def stage_cost(e, u, gains: GainMatrix, weights: CostWeights, dt: float,
-               regularizer_kind: str = "norm", plant=None, rho=None) -> float:
-    """J = 0.5 (e'Qe + u'Ru) dt + mu Theta(F)."""
-    e = np.asarray(e, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    f = gains.stacked()
-    quad = 0.5 * (e @ weights.q @ e + u @ weights.r @ u) * dt
-    theta, _ = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=gains.n)
-    return quad + weights.mu * theta
 
 
 def project_stacked(f: np.ndarray, bounds: GainBounds) -> np.ndarray:
@@ -229,14 +214,15 @@ class SegmentResult:
 
 def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeights,
                      adam: AdamConfig, bounds: GainBounds, regularizer_kind: str = "norm",
-                     barrier: BarrierSchedule | None = None, plant=None,
-                     input_bounds=None, n_quad: int = 10, max_iters: int = 200,
+                     plant=None, input_bounds=None, n_quad: int = 10, max_iters: int = 200,
                      tol: float = 1e-6, init_gains: GainMatrix | None = None) -> SegmentResult:
     """Projected Adam on the lookahead window; returns the best iterate.
 
     Iterates until the max-norm gain change drops below ``tol`` (tol = 0
-    disables early stopping) or ``max_iters`` is hit. Ranking uses the
-    barrier-free cost so iterates stay comparable across the rho schedule.
+    disables early stopping) or ``max_iters`` is hit; one more window then
+    scores the final iterate without stepping, so a segment makes
+    ``iterations + 1`` window evaluations. Ranking uses the barrier-free cost
+    so iterates stay comparable across the rho ramp.
     A non-finite cost or gradient rolls the gains back to the last finite
     iterate, halves the step size and restarts Adam; at the starting gains
     it raises :class:`SegmentDiverged`. So does a non-finite entry in the
@@ -246,12 +232,10 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     """
     n = errors_k.e_prop.shape[0]
     f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
-    f = f.copy()
-    if regularizer_kind == "barrier":
+    barrier = regularizer_kind == "barrier"
+    if barrier:
         if plant is None:
             raise ValueError("barrier regularizer needs the plant parameters")
-        if barrier is None:
-            barrier = BarrierSchedule(total=max_iters)
         if msd_stability_value(plant, f, n) <= 0:
             f = bounds.center()
         f = _restore_feasibility(f, bounds, plant, n)
@@ -263,48 +247,42 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     halvings = 0
     last_finite = None
     best_cost = np.inf
-    best_f = f.copy()
+    best_f = f
     iterations = 0
     converged = False
-    for it in range(max_iters):
-        rho = barrier.rho(it) if regularizer_kind == "barrier" else None
+    for it in range(max_iters + 1):
+        rho = _barrier_rho(it, max_iters) if barrier else None
         plain, total, grad = window_cost_and_grad(
             model, x_k, errors_k, refs, f, weights, model.dt, n_quad,
             input_bounds=input_bounds, regularizer_kind=regularizer_kind,
             plant=plant, rho=rho,
         )
+        if converged or it == max_iters:
+            # the final iterate is scored, never stepped from
+            if plain < best_cost:
+                best_cost, best_f = plain, f
+            break
         if not np.isfinite(total) or not np.all(np.isfinite(grad)):
             if last_finite is None:
                 raise SegmentDiverged(f"non-finite cost at the starting gains {f.tolist()}")
             f = last_finite
-            cfg = AdamConfig(alpha=cfg.alpha / 2, beta1=cfg.beta1,
-                             beta2=cfg.beta2, eps=cfg.eps)
+            cfg = replace(cfg, alpha=cfg.alpha / 2)
             state = AdamState.zeros(f.shape)
             halvings += 1
             continue
         last_finite = f
         if plain < best_cost:
-            best_cost = plain
-            best_f = f.copy()
+            best_cost, best_f = plain, f
         f_new, state = adam_step(state, grad, f, cfg)
         f_new = project_stacked(f_new, bounds)
-        if regularizer_kind == "barrier":
+        if barrier:
             f_new = _restore_feasibility(f_new, bounds, plant, n)
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
         iterations = it + 1
-        if tol > 0 and delta < tol:
-            converged = True
-            break
-    plain, _, _ = window_cost_and_grad(
-        model, x_k, errors_k, refs, f, weights, model.dt, n_quad,
-        input_bounds=input_bounds, regularizer_kind="norm",
-    )
-    if plain < best_cost:
-        best_cost = plain
-        best_f = f.copy()
+        converged = tol > 0 and delta < tol
     return SegmentResult(
-        gains=GainMatrix.from_stacked(best_f),
+        gains=GainMatrix.from_stacked(best_f.copy()),
         cost=best_cost,
         iterations=iterations,
         converged=converged,

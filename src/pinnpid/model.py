@@ -52,7 +52,7 @@ class PinnModel:
 
     def predict_with_tape(self, taus, x, u):
         rows = self.net.stack_rows(taus, x, u)
-        values, _, tape = self.net.forward_raw(self.params, rows, want_tape=True)
+        values, _, tape = self.net.forward_raw(self.params, rows)
         return values, tape
 
     def predict_vjp(self, tape, cotangents):
@@ -95,6 +95,8 @@ def load_model(path) -> PinnModel:
     lines = [line for line in lines if line]
     if not lines or lines[0] != MODEL_HEADER:
         raise ValueError(f"not a model file (expected '{MODEL_HEADER}' header)")
+    if len(lines) < 4:
+        raise ValueError("model file ends before its HORIZON line")
     widths = tuple(int(w) for w in lines[1].split())
     spec = NetworkSpec(widths)
     n = spec.output_dim

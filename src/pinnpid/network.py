@@ -5,9 +5,10 @@ rescaling, a stack of tanh hidden layers and a linear output layer. All
 derivative passes needed downstream are implemented directly on that
 structure, on batches of rows assembled by ``stack_rows``:
 
-- ``forward_raw``: values, optionally with forward mode along the time
-  coordinate (tangent rows from ``time_tangent_rows``); ``forward_batch``
-  and ``value_and_time_derivative`` are its (t, x, u) entry points,
+- ``forward_raw``: values and the tape the reverse sweep reads, optionally
+  with forward mode along the time coordinate (tangent rows from
+  ``time_tangent_rows``); ``forward_batch`` and ``value_and_time_derivative``
+  are its (t, x, u) entry points,
 - ``backward_raw``: one reverse sweep returning the gradient over the flat
   parameter vector and the cotangent of the encoded input rows (times
   ``scaling.slope`` for the raw rows). On a dual tape it is
@@ -51,10 +52,6 @@ class NetworkSpec:
             raise ValueError("need at least one hidden layer")
         if any(w < 1 for w in widths):
             raise ValueError("all layer widths must be >= 1")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_widths) - 1
 
     @property
     def input_dim(self) -> int:
@@ -199,8 +196,7 @@ class FeedforwardNet:
 
     # -- forward ------------------------------------------------------------
 
-    def forward_raw(self, params, raw_rows, tangent_rows=None, want_tape=False, *,
-                    buffers=None):
+    def forward_raw(self, params, raw_rows, tangent_rows=None, *, buffers=None):
         """Evaluate the net on raw (unscaled) rows, optionally with a tangent pass.
 
         Returns (values, tangents, tape); tangents is None when no tangent was
@@ -242,8 +238,7 @@ class FeedforwardNet:
             gs.append(g)
             adots.append(adot)
             zdots.append(zdot)
-        tape = (zs, gs, adots, zdots) if want_tape else None
-        return z, zdot, tape
+        return z, zdot, (zs, gs, adots, zdots)
 
     def forward_batch(self, params, t, x, u) -> np.ndarray:
         values, _, _ = self.forward_raw(params, self.stack_rows(t, x, u))

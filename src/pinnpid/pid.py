@@ -30,14 +30,6 @@ class GainMatrix:
         if not (self.kp.shape == self.ki.shape == self.kd.shape):
             raise ValueError("gain blocks must share one m x n shape")
 
-    @property
-    def m(self) -> int:
-        return self.kp.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.kp.shape[1]
-
     def stacked(self) -> np.ndarray:
         return np.hstack([self.kp, self.ki, self.kd])
 
@@ -48,9 +40,6 @@ class GainMatrix:
         if 3 * n != f.shape[1]:
             raise ValueError("stacked gain width must be a multiple of 3")
         return cls(kp=f[:, :n], ki=f[:, n : 2 * n], kd=f[:, 2 * n :])
-
-    def copy(self) -> "GainMatrix":
-        return GainMatrix(self.kp.copy(), self.ki.copy(), self.kd.copy())
 
 
 @dataclass
@@ -136,18 +125,16 @@ def quadrature_nodes(dt: float, n_quad: int):
     return taus, weights
 
 
-def error_init(model, x0, x_ref_0, x_ref_init, dt: float, u_prev=None) -> ErrorState:
+def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> ErrorState:
     """First error state: zero integral, derivative from the reference rate
-    minus the surrogate's initial time derivative (evaluated at u_prev = 0
-    unless an input is supplied, which breaks the u_0 circularity)."""
+    minus the surrogate's initial time derivative, evaluated at a zero input
+    (which breaks the u_0 circularity)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     x0 = np.asarray(x0, dtype=float)
     x_ref_0 = np.asarray(x_ref_0, dtype=float)
     x_ref_init = np.asarray(x_ref_init, dtype=float)
-    if u_prev is None:
-        u_prev = np.zeros(model.m)
-    rate = model.time_derivative(0.0, x0, np.asarray(u_prev, dtype=float))
+    rate = model.time_derivative(0.0, x0, np.zeros(model.m))
     return ErrorState(
         e_prop=x_ref_0 - x0,
         e_int=np.zeros_like(x0),
@@ -156,21 +143,17 @@ def error_init(model, x0, x_ref_0, x_ref_init, dt: float, u_prev=None) -> ErrorS
 
 
 def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
-                 dt: float, n_quad: int = 10, x_meas_next=None,
-                 int_freeze=None) -> ErrorState:
+                 dt: float, n_quad: int = 10, x_meas_next=None) -> ErrorState:
     """Advance the error state across one interval using the surrogate.
 
     e_prop comes from the surrogate's dt prediction, unless a fresh
     measurement ``x_meas_next`` is supplied (closed-loop feedback path).
-    ``int_freeze`` masks coordinates whose integral is held (anti-windup).
     """
     x_ref_k = np.asarray(x_ref_k, dtype=float)
     x_ref_next = np.asarray(x_ref_next, dtype=float)
     taus, weights = quadrature_nodes(dt, n_quad)
     values = model.predict(taus, np.asarray(x_k, dtype=float), np.asarray(u_k, dtype=float))
     increment = weights @ (x_ref_k - values)
-    if int_freeze is not None:
-        increment = np.where(int_freeze, 0.0, increment)
     x_end = values[-1] if x_meas_next is None else np.asarray(x_meas_next, dtype=float)
     e_prop = x_ref_next - x_end
     return ErrorState(
@@ -178,16 +161,3 @@ def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
         e_int=errors.e_int + increment,
         e_deri=(e_prop - errors.e_prop) / dt,
     )
-
-
-def antiwindup_freeze(gains: GainMatrix, u_raw, input_bounds, increment) -> np.ndarray:
-    """Coordinates to hold: their integral channel is saturated and the pending
-    increment would push the raw input further into saturation."""
-    u_raw = np.asarray(u_raw, dtype=float)
-    at_hi = u_raw >= np.asarray(input_bounds.upper)
-    at_lo = u_raw <= np.asarray(input_bounds.lower)
-    freeze = np.zeros(gains.n, dtype=bool)
-    for j in range(gains.n):
-        push = gains.ki[:, j] * increment[j]
-        freeze[j] = np.any((at_hi & (push > 0)) | (at_lo & (push < 0)))
-    return freeze

@@ -48,10 +48,6 @@ class ManipulatorParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    @property
-    def b_diag(self) -> np.ndarray:
-        return np.array([self.b_alpha, self.b_beta])
-
 
 @dataclass(frozen=True)
 class MsdParams:
@@ -62,14 +58,6 @@ class MsdParams:
     def __post_init__(self):
         if min(self.mass, self.damping, self.stiffness) <= 0:
             raise ValueError("mass, damping and stiffness must be positive")
-
-    @property
-    def zeta(self) -> float:
-        return self.damping / (2.0 * np.sqrt(self.mass * self.stiffness))
-
-    @property
-    def omega_n(self) -> float:
-        return np.sqrt(self.stiffness / self.mass)
 
 
 def manipulator_inertia(p: ManipulatorParams, beta):
@@ -132,14 +120,6 @@ def manipulator_energy(p: ManipulatorParams, x) -> float:
         p.l1 * np.cos(x[0]) + p.lc2 * np.cos(x[0] + x[1])
     )
     return kinetic + potential
-
-
-def gravity_compensation_input(p: ManipulatorParams, q_ref) -> np.ndarray:
-    """Steady-state input u = B^-1 g(q_ref) that holds the arm at q_ref."""
-    b = p.b_diag
-    if np.any(b == 0):
-        raise ValueError("input matrix B is singular")
-    return manipulator_gravity(p, np.asarray(q_ref, dtype=float)) / b
 
 
 def msd_rhs(p: MsdParams, x, u) -> np.ndarray:

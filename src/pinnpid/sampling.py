@@ -37,10 +37,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, points) -> np.ndarray:
-        points = np.asarray(points)
-        return np.all((points >= self.lower) & (points <= self.upper), axis=-1)
-
 
 @dataclass(frozen=True)
 class DatasetConfig:

@@ -5,9 +5,10 @@ squared physics residual (surrogate time derivative minus the nominal
 right-hand side evaluated at the surrogate output). Gradients flow through
 the network's dual reverse pass; the residual's dependence on the predicted
 state enters via the plant Jacobian. Default optimizer is full-batch Adam
-with a cosine-decayed learning rate; L-BFGS (scipy) is available as a
-refinement stage. The returned parameters are the best-validation iterate,
-scored by self-loop rollout MSE against held-out RK4 trajectories.
+with a cosine-decayed learning rate; L-BFGS-B (scipy, default memory) is
+available as a refinement stage after it. The returned parameters are the
+best-validation iterate, scored by self-loop rollout MSE against held-out
+RK4 trajectories.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pinnpid.sampling import DataSet, PhysSet, lhs_sample
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries a diagnostic snapshot."""
+    """Loss or its gradient became non-finite; carries a diagnostic snapshot."""
 
     def __init__(self, message, iteration=None, last_report=None):
         super().__init__(message)
@@ -36,19 +37,17 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     iterations: int = 10000
     lambda_phys: float = 1.0
-    optimizer: str = "adam"  # adam | lbfgs | adam-then-lbfgs
+    optimizer: str = "adam"  # adam | adam-then-lbfgs
     lr_start: float = 1e-3
     lr_end: float = 1e-4
     regen_interval: int = 0  # 0 disables dataset regeneration
     val_interval: int = 250
     lbfgs_iterations: int = 500
-    lbfgs_memory: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.lambda_phys <= 0:
             raise ValueError("lambda must be positive")
-        if self.optimizer not in ("adam", "lbfgs", "adam-then-lbfgs"):
+        if self.optimizer not in ("adam", "adam-then-lbfgs"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.regen_interval and self.iterations % self.regen_interval:
             raise ValueError("regeneration interval must divide total iterations")
@@ -130,7 +129,7 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
         buf_p = buffers.setdefault("phys", {})
     # data term
     rows_d = net.stack_rows(data.t, data.x0, data.u)
-    preds, _, tape_d = net.forward_raw(params, rows_d, want_tape=True, buffers=buf_d)
+    preds, _, tape_d = net.forward_raw(params, rows_d, buffers=buf_d)
     res_d = preds - data.xf
     n_data = res_d.shape[0]
     l_data = float(np.mean(np.sum(res_d**2, axis=1)))
@@ -138,8 +137,7 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
     # physics term
     rows_p = net.stack_rows(phys.t, phys.x, phys.u)
     values, rates, tape_p = net.forward_raw(
-        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), want_tape=True,
-        buffers=buf_p,
+        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
     )
     u2 = np.atleast_2d(phys.u)
     residual = rates - rhs(values, u2)
@@ -232,7 +230,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         if report.val_mse < best[0]:
             best = (report.val_mse, pvec.copy())
 
-    if config.iterations > 0 and config.optimizer in ("adam", "adam-then-lbfgs"):
+    if config.iterations > 0:
         state = AdamState.zeros(params.shape)
         for it in range(config.iterations):
             if config.regen_interval and it > 0 and it % config.regen_interval == 0:
@@ -243,9 +241,9 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
                 buffers=buffers,
             )
             report = LossReport(it, l_data, l_phys, l_total)
-            if not np.isfinite(l_total):
+            if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
                 raise TrainingDiverged(
-                    f"non-finite loss at iteration {it}", it,
+                    f"non-finite loss or gradient at iteration {it}", it,
                     history[-1] if history else None,
                 )
             frac = it / max(config.iterations - 1, 1)
@@ -261,7 +259,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
                 run_validation(params, it, report)
             history.append(report)
 
-    if config.optimizer in ("lbfgs", "adam-then-lbfgs") and config.lbfgs_iterations > 0:
+    if config.optimizer == "adam-then-lbfgs" and config.lbfgs_iterations > 0:
         it_counter = [len(history)]
 
         def objective(pvec):
@@ -269,8 +267,9 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
                 net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian,
                 buffers=buffers,
             )
-            if not np.isfinite(l_total):
-                raise TrainingDiverged("non-finite loss in L-BFGS stage", it_counter[0])
+            if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
+                raise TrainingDiverged("non-finite loss or gradient in L-BFGS stage",
+                                       it_counter[0])
             return l_total, grad
 
         def callback(pvec):
@@ -287,8 +286,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
         result = scipy.optimize.minimize(
             objective, params, jac=True, method="L-BFGS-B",
-            options={"maxiter": config.lbfgs_iterations,
-                     "maxcor": config.lbfgs_memory},
+            options={"maxiter": config.lbfgs_iterations},
             callback=callback,
         )
         params = result.x

@@ -9,7 +9,6 @@ import pytest
 from pinnpid import gainopt, training
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.gainopt import (
-    BarrierSchedule,
     CostWeights,
     InfeasibleGainError,
     SegmentDiverged,
@@ -17,7 +16,6 @@ from pinnpid.gainopt import (
     optimize_segment,
     project_stacked,
     regularizer,
-    stage_cost,
     window_cost_and_grad,
 )
 from pinnpid.model import load_model
@@ -88,16 +86,30 @@ def msd_bounds(lo=0.0, hi=5.0):
 
 
 class TestStageCost:
+    """Costs of a 1-step window: one stage cost, no terminal weight."""
+
     def test_zero(self):
-        w = CostWeights(q=np.eye(1), r=np.eye(1))
-        g = GainMatrix([[0.0]], [[0.0]], [[0.0]])
-        assert stage_cost([0.0], [0.0], g, w, 0.2) == 0.0
+        model = LinearSurrogate()
+        w = CostWeights(q=np.eye(2), r=np.eye(1))
+        zeros = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
+        plain, total, grad = window_cost_and_grad(
+            model, np.zeros(2), zeros, np.zeros((2, 2)), np.zeros((1, 6)), w, model.dt, 10
+        )
+        assert plain == 0.0 and total == 0.0
+        assert np.array_equal(grad, np.zeros((1, 6)))
 
     def test_hand_value_plain(self):
-        w = CostWeights(q=[[1000.0]], r=[[0.01]], mu=1.0)
-        g = GainMatrix([[1.2]], [[1.0]], [[1.2]])
-        j = stage_cost([0.1], [0.5], g, w, 0.2, "norm")
-        assert j == pytest.approx(4.88025, abs=1e-12)
+        # u = 1.2 * 0.1 + 1.0 * 0.38 = 0.5;
+        # J = 0.5 (1000 * 0.1^2 + 0.01 * 0.5^2) 0.2 + (1.2^2 + 1.0^2 + 1.2^2) = 4.88025
+        model = LinearSurrogate()
+        w = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.1, 0.0], [0.38, 0.0], [0.0, 0.0])
+        f = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
+        plain, total, _ = window_cost_and_grad(
+            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, model.dt, 10, regularizer_kind="norm"
+        )
+        assert plain == pytest.approx(4.88025, abs=1e-12)
+        assert total == plain
 
     def test_hand_value_barrier_theta(self):
         g = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
@@ -314,8 +326,7 @@ class TestOptimizeSegment:
         refs = np.array([[0.8, 0.0]] * 6)
         res = optimize_segment(
             model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
-            regularizer_kind="barrier", plant=MSD,
-            barrier=BarrierSchedule(total=400), max_iters=400, tol=0.0,
+            regularizer_kind="barrier", plant=MSD, max_iters=400, tol=0.0,
         )
         assert msd_stability_value(MSD, res.gains.stacked(), 2) > 0
 
@@ -339,6 +350,39 @@ class TestOptimizeSegment:
         res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
                                msd_bounds(), max_iters=20000, tol=1e-6)
         assert res.converged and res.iterations < 20000
+
+    @pytest.mark.parametrize("stop", ["converged", "max_iters"])
+    def test_final_iterate_scored_by_one_more_window(self, stop, monkeypatch):
+        # every iteration makes one window call, and one more scores the final iterate;
+        # the returned cost is the plain window cost of the returned gains, bit for bit
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        if stop == "converged":
+            model, x0 = LinearSurrogate(), np.zeros(2)
+            e0 = ErrorState([0.4, 0.0], [0.0, 0.0], [0.0, 0.0])
+            refs = np.array([[0.2, 0.0]] * 4)
+            kw = dict(max_iters=20000, tol=1e-6)
+        else:
+            model, x0 = load_model(FIXTURE), np.array([0.1, -0.2])
+            e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+            refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
+            kw = dict(regularizer_kind="barrier", plant=MSD, input_bounds=Box([-1.0], [1.0]),
+                      max_iters=30, tol=0.0)
+        window = gainopt.window_cost_and_grad
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return window(*args, **kwargs)
+
+        monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
+        res = optimize_segment(model, x0, e0, refs, weights, AdamConfig(), msd_bounds(), **kw)
+        assert res.converged == (stop == "converged")
+        if stop == "max_iters":
+            assert res.iterations == 30
+        assert calls[0] == res.iterations + 1
+        plain, _, _ = window(model, x0, e0, refs, res.gains.stacked(), weights, model.dt, 10,
+                             input_bounds=kw.get("input_bounds"))
+        assert res.cost == plain
 
     def test_non_finite_step_rolls_back_and_halves_alpha(self):
         # 1-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff

@@ -1,10 +1,14 @@
 """Derivative and serialization checks for the feedforward network."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.model import PinnModel, load_model, save_model
+
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
 
 
 def make_net(widths, n_state, n_input, t_hi=0.25):
@@ -49,7 +53,7 @@ def time_derivative1(net, params, t, x, u):
 def param_grad(net, params, rows, cot, cot_t=None):
     """Parameter gradient of sum(cot * phi) (+ sum(cot_t * d phi/dt) with cot_t)."""
     tangents = None if cot_t is None else net.time_tangent_rows(rows.shape[0])
-    _, _, tape = net.forward_raw(params, rows, tangents, want_tape=True)
+    _, _, tape = net.forward_raw(params, rows, tangents)
     grads, _ = net.backward_raw(params, tape, cot, cot_t)
     return grads
 
@@ -296,7 +300,7 @@ class TestInputCotangentOnly:
         rng = np.random.default_rng(41)
         for _ in range(5):
             net, params, rows, cot = self.batch(rng)
-            _, _, tape = net.forward_raw(params, rows, want_tape=True)
+            _, _, tape = net.forward_raw(params, rows)
             grads, full = net.backward_raw(params, tape, cot)
             none, fast = net.backward_raw(params, tape, cot, want_grads=False)
             assert none is None and grads.shape == params.shape
@@ -307,9 +311,7 @@ class TestInputCotangentOnly:
         for _ in range(5):
             net, params, rows, cot = self.batch(rng)
             cot_t = rng.standard_normal(cot.shape)
-            _, _, tape = net.forward_raw(
-                params, rows, net.time_tangent_rows(rows.shape[0]), want_tape=True
-            )
+            _, _, tape = net.forward_raw(params, rows, net.time_tangent_rows(rows.shape[0]))
             _, full = net.backward_raw(params, tape, cot, cot_t)
             none, fast = net.backward_raw(params, tape, cot, cot_t, want_grads=False)
             assert none is None
@@ -359,8 +361,7 @@ class TestBufferedPasses:
         """Forward then backward; every array produced, copied out of the buffers."""
         tangents = net.time_tangent_rows(rows.shape[0]) if dual else None
         cot_t = 0.5 * cot[:, ::-1] if dual else None
-        values, rates, tape = net.forward_raw(params, rows, tangents, want_tape=True,
-                                              buffers=buffers)
+        values, rates, tape = net.forward_raw(params, rows, tangents, buffers=buffers)
         grads, cz = net.backward_raw(params, tape, cot, cot_t, want_grads, buffers=buffers)
         out = [values, rates, cz, grads] + [a for part in tape for a in part]
         return [None if a is None else a.copy() for a in out]
@@ -465,5 +466,13 @@ class TestSerialization:
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("NOTAMODEL\n")
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_rejects_truncated_file(self, tmp_path, k):
+        # the first k lines of a valid model file: header, widths, scaling, HORIZON, parameters
+        path = tmp_path / "cut.txt"
+        path.write_text("".join(FIXTURE.read_text().splitlines(keepends=True)[:k]))
         with pytest.raises(ValueError):
             load_model(path)

@@ -9,7 +9,6 @@ from pinnpid.pid import (
     ErrorState,
     GainBounds,
     GainMatrix,
-    antiwindup_freeze,
     control_input,
     diagonal_gain_bounds,
     error_init,
@@ -185,12 +184,3 @@ class TestBounds:
         assert b.lower[0, 4] == -3.0  # integral block, coordinate 0
         assert b.upper[0, 1] == 0.0 and b.lower[0, 1] == 0.0  # cross-coupling pinned
         assert b.upper[1, 0] == 0.0  # channel 2 does not see coordinate 1
-
-    def test_antiwindup_freezes_pushing_coordinate(self):
-        gains = GainMatrix([[1.0, 0.0]], [[2.0, 0.0]], [[0.5, 0.0]])
-        bounds = Box([-1.0], [1.0])
-        freeze = antiwindup_freeze(gains, np.array([1.4]), bounds, np.array([0.3, 0.1]))
-        assert freeze[0]  # increment would push deeper into upper saturation
-        assert not freeze[1]  # ki is zero on that coordinate
-        freeze = antiwindup_freeze(gains, np.array([1.4]), bounds, np.array([-0.3, 0.0]))
-        assert not freeze[0]  # unwinding is allowed

@@ -149,8 +149,8 @@ class TestPhysSet:
         cfg = msd_config()
         phys = build_phys_set(cfg)
         assert np.all((phys.t >= 0) & (phys.t <= cfg.horizon))
-        assert np.all(cfg.state_box.contains(phys.x))
-        assert np.all(cfg.input_box.contains(phys.u))
+        for box, points in ((cfg.state_box, phys.x), (cfg.input_box, phys.u)):
+            assert np.all((points >= box.lower) & (points <= box.upper))
 
     def test_counts(self):
         cfg = msd_config(n_phys=77)

@@ -290,6 +290,28 @@ class TestTrain:
         with pytest.raises(ValueError, match="collocation set has 1 rows"):
             train(model, MSD_RHS, gen, cfg)
 
+    @pytest.mark.parametrize("stage", ["adam", "lbfgs"])
+    @pytest.mark.parametrize("fault", ["loss", "gradient"])
+    def test_non_finite_evaluation_raises_diverged(self, fault, stage):
+        # a NaN rhs makes the loss NaN; a NaN state Jacobian leaves the loss finite
+        # and makes only the gradient NaN
+        model = msd_model(widths=(4, 8, 2), seed=1)
+        data, phys = small_sets()
+        rhs, jac = MSD_RHS, None
+        if fault == "loss":
+            rhs = lambda x, u: np.full(np.shape(x), np.nan)
+        else:
+            jac = lambda x, u: np.full(x.shape + (x.shape[-1],), np.nan)
+        if stage == "adam":
+            cfg = TrainConfig(iterations=4, val_interval=0)
+        else:
+            cfg = TrainConfig(iterations=0, optimizer="adam-then-lbfgs", lbfgs_iterations=5,
+                              val_interval=0)
+        with pytest.raises(training.TrainingDiverged) as info:
+            train(model, rhs, lambda k: (data, phys), cfg, state_jacobian=jac)
+        assert info.value.iteration == 0
+        assert info.value.last_report is None
+
     def test_best_validation_checkpoint_restored(self):
         model = msd_model(widths=(4, 8, 2), seed=2)
         data, phys = small_sets(n_data=64, n_phys=64, seed=4)
