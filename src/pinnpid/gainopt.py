@@ -3,10 +3,31 @@
 Each sampling interval solves a small nonconvex program: roll the surrogate
 H self-loop steps under u = F E with the gain matrix held constant, sum the
 quadratic stage costs plus a gain regularizer, and descend with Adam while
-projecting onto the feasible gain box. The gradient with respect to F is
-assembled by a reverse sweep chained through the PID law, the error
-recursion (including its quadrature nodes) and the network's input
-pullbacks.
+projecting onto the feasible gain box.
+
+The window keeps its error states as one stacked (H+1) x 3n array, row j
+holding E_j = (e_prop, e_int, e_deri), next to H x m arrays of the raw
+inputs F E_j and of their clip into the input box. With V_j the surrogate's
+(n_quad + 1) x n predictions over step j from (x_j, u_j), the error
+recursion of ``pid.error_update`` is the fixed linear map
+
+    E_{j+1} = A E_j + c_j - P vec(V_j),    x_{j+1} = last row of V_j,
+
+where A carries e_int over and puts -e_prop / dt into e_deri, P takes the
+last prediction into e_prop and e_deri (the latter over dt) and the
+trapezoid sum into e_int, and c_j = B (r_j, r_{j+1}) holds the references.
+A, P and B depend only on (n, dt, n_quad) and are built once. The reverse
+sweep is that map's discrete adjoint. With lambda_j = dJ/dE_j, starting
+from the terminal weight on e_prop_H, each step pulls the cotangent
+-P^T lambda_{j+1} of V_j, plus dJ/dx_{j+1} on its last row, back through the
+network to (x_j, u_j); the input cotangent plus dt R u_j, zeroed in the
+channels that the input box clips, is cu_j, and
+
+    lambda_j = A^T lambda_{j+1} + (dt Q e_prop_j, 0, 0) + F^T cu_j.
+
+The gradient with respect to F is the sum over j of cu_j E_j^T. The stage
+costs, the active mask, the direct cotangents and that sum are each one
+array operation per window.
 
 The regularizer is either the squared gain norm or, for the
 mass-spring-damper plant, the norm plus a logarithmic barrier on the
@@ -19,6 +40,7 @@ of ``max_iters``, so the barrier weight grows from 1e-4 to 1e3.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,8 +107,8 @@ def msd_stability_value(plant: MsdParams, f: np.ndarray, n: int) -> float:
 
 def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
     """Theta(F) and its gradient; kind is 'norm' or 'barrier'."""
-    theta = float(np.sum(f * f))
-    grad = 2.0 * f.copy()
+    theta = float((f * f).sum())
+    grad = 2.0 * f
     if kind == "norm":
         return theta, grad
     if kind != "barrier":
@@ -106,7 +128,7 @@ def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
 
 
 def project_stacked(f: np.ndarray, bounds: GainBounds) -> np.ndarray:
-    return np.clip(f, bounds.lower, bounds.upper)
+    return np.minimum(np.maximum(f, bounds.lower), bounds.upper)
 
 
 def _restore_feasibility(f, bounds, plant, n):
@@ -123,83 +145,95 @@ def _restore_feasibility(f, bounds, plant, n):
     return f
 
 
+@lru_cache(maxsize=8)
+def _error_maps(n: int, dt: float, n_quad: int):
+    """Read-only (A, P, B) of the error recursion E' = A E + B (r_j, r_{j+1}) - P vec(V).
+
+    vec(V) is the (n_quad + 1) x n prediction block flattened row by row.
+    Built once per (n, dt, n_quad); see the module docstring.
+    """
+    _, w = quadrature_nodes(dt, n_quad)
+    eye = np.eye(n)
+    end = np.zeros(n_quad + 1)
+    end[-1] = 1.0
+    a = np.zeros((3 * n, 3 * n))
+    a[n : 2 * n, n : 2 * n] = eye
+    a[2 * n :, :n] = -eye / dt
+    p = np.vstack([np.kron(end, eye), np.kron(w, eye), np.kron(end, eye) / dt])
+    b = np.zeros((3 * n, 2 * n))
+    b[n : 2 * n, :n] = w.sum() * eye
+    b[:n, n:] = eye
+    b[2 * n :, n:] = eye / dt
+    for arr in (a, p, b):
+        arr.flags.writeable = False
+    return a, p, b
+
+
 def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
                          weights: CostWeights, dt: float, n_quad: int,
                          input_bounds=None, regularizer_kind: str = "norm",
                          plant=None, rho=None):
     """Lookahead cost, its barrier-free value, and the gradient w.r.t. F.
 
-    refs has H+1 rows; the surrogate is unrolled H steps with F constant.
-    Returns (plain cost, total cost, dcost/dF).
+    refs has H+1 rows of width n; the surrogate is unrolled H steps with F
+    constant. Returns (plain cost, total cost, dcost/dF).
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     horizon = refs.shape[0] - 1
     if horizon < 1:
         raise ValueError("need at least a 1-step window")
     n = errors0.e_prop.shape[0]
-    taus, w_quad = quadrature_nodes(dt, n_quad)
+    if refs.shape[1] != n:
+        raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
+    taus, _ = quadrature_nodes(dt, n_quad)
+    a, p, b = _error_maps(n, dt, n_quad)
     q, r, q_t = weights.q, weights.r, weights.q_terminal
 
-    # forward sweep, caching what the reverse pass needs
-    e_props = [errors0.e_prop]
-    e_stacks = []
-    us = []
-    actives = []
+    # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its clip
+    e = np.empty((horizon + 1, 3 * n))
+    e[0] = errors0.stacked()
+    c = np.concatenate((refs[:-1], refs[1:]), axis=1) @ b.T
+    u_raw = np.empty((horizon, f.shape[0]))
+    u = u_raw if input_bounds is None else np.empty_like(u_raw)
     tapes = []
     x = np.asarray(x0, dtype=float)
-    e_prop, e_int, e_deri = errors0.e_prop, errors0.e_int, errors0.e_deri
-    quad_cost = 0.0
     for j in range(horizon):
-        e_stack = np.concatenate([e_prop, e_int, e_deri])
-        u_raw = f @ e_stack
+        np.matmul(f, e[j], out=u_raw[j])
         if input_bounds is not None:
-            u = np.clip(u_raw, input_bounds.lower, input_bounds.upper)
-            active = (u_raw > input_bounds.lower) & (u_raw < input_bounds.upper)
-        else:
-            u = u_raw
-            active = np.ones_like(u_raw, dtype=bool)
-        quad_cost += 0.5 * (e_prop @ q @ e_prop + u @ r @ u) * dt
-        values, tape = model.predict_with_tape(taus, x, u)
-        e_prop_next = refs[j + 1] - values[-1]
-        e_int = e_int + w_quad @ (refs[j] - values)
-        e_deri = (e_prop_next - e_prop) / dt
-        e_prop = e_prop_next
-        e_stacks.append(e_stack)
-        us.append(u)
-        actives.append(active)
+            np.minimum(np.maximum(u_raw[j], input_bounds.lower, out=u[j]),
+                       input_bounds.upper, out=u[j])
+        values, tape = model.predict_with_tape(taus, x, u[j])
         tapes.append(tape)
-        e_props.append(e_prop)
+        e[j + 1] = a @ e[j] + c[j] - p @ values.reshape(-1)
         x = values[-1]
-    e_h = e_props[-1]
-    quad_cost += 0.5 * (e_h @ q_t @ e_h)
+
+    # costs, and the direct cotangents dt Q e_prop_j and dt R u_j of the stage costs
+    e_props = e[:horizon, :n]
+    e_h = e[horizon, :n]
+    cep_direct = dt * (e_props @ q.T)
+    cu_direct = dt * (u @ r.T)
+    lam = np.zeros(3 * n)  # dJ/dE_{j+1} in the reverse sweep, starting at E_H
+    lam[:n] = q_t @ e_h
+    quad_cost = 0.5 * ((cep_direct * e_props).sum() + (cu_direct * u).sum() + lam[:n] @ e_h)
     theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
-    plain = quad_cost + weights.mu * float(np.sum(f * f))
+    plain = quad_cost + weights.mu * float((f * f).sum())
     total = quad_cost + weights.mu * theta
 
-    # reverse sweep
-    w_col = w_quad[:, None]
-    grad_f = weights.mu * theta_grad
+    # reverse sweep, the adjoint of the recursion; cx is dJ/dx_{j+1}
+    if input_bounds is not None:
+        active = (u_raw > input_bounds.lower) & (u_raw < input_bounds.upper)
+    cu_raw = np.empty_like(u_raw)
     cx = np.zeros(n)
-    cep = q_t @ e_h
-    cei = np.zeros(n)
-    ced = np.zeros(n)
     for j in range(horizon - 1, -1, -1):
-        ced_dt = ced / dt
-        cep = cep + ced_dt
-        cep_prev = -ced_dt
-        cx = cx - cep
-        c_values = -(w_col * cei)
+        c_values = (p.T @ -lam).reshape(n_quad + 1, n)
         c_values[-1] += cx
-        cx_prev, cu = model.predict_vjp(tapes[j], c_values)
-        cep_prev = cep_prev + q @ e_props[j] * dt
-        cu = cu + r @ us[j] * dt
-        cu_raw = np.where(actives[j], cu, 0.0)
-        grad_f += cu_raw[:, None] * e_stacks[j]
-        c_stack = f.T @ cu_raw
-        cep = cep_prev + c_stack[:n]
-        cei = cei + c_stack[n : 2 * n]
-        ced = c_stack[2 * n :]
-        cx = cx_prev
+        cx, cu = model.predict_vjp(tapes[j], c_values)
+        cu = cu + cu_direct[j]
+        cu_raw[j] = cu if input_bounds is None else np.where(active[j], cu, 0.0)
+        if j > 0:
+            lam = a.T @ lam + f.T @ cu_raw[j]
+            lam[:n] += cep_direct[j]
+    grad_f = weights.mu * theta_grad + cu_raw.T @ e[:horizon]
     return plain, total, grad_f
 
 

@@ -58,10 +58,8 @@ class PinnModel:
     def predict_vjp(self, tape, cotangents):
         """Pull a per-tau cotangent batch back to (x, u), summed over taus."""
         _, c_scaled = self.net.backward_raw(self.params, tape, cotangents, want_grads=False)
-        c_raw = c_scaled * self.net.scaling.slope
-        cx = c_raw[:, 1 : 1 + self.n].sum(axis=0)
-        cu = c_raw[:, 1 + self.n :].sum(axis=0)
-        return cx, cu
+        c_raw = (c_scaled * self.net.scaling.slope).sum(axis=0)
+        return c_raw[1 : 1 + self.n], c_raw[1 + self.n :]
 
     def time_derivative(self, t, x, u) -> np.ndarray:
         """d phi/dt at one elapsed time ``t`` from (x, u); shape (n,)."""

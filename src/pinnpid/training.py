@@ -269,7 +269,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
             )
             if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
                 raise TrainingDiverged("non-finite loss or gradient in L-BFGS stage",
-                                       it_counter[0])
+                                       it_counter[0], history[-1] if history else None)
             return l_total, grad
 
         def callback(pvec):

@@ -1,6 +1,7 @@
 """Gain optimizer checks: hand costs, Adam trace, projection, window gradient,
 and a dense grid-search oracle on a linear stand-in surrogate."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +23,20 @@ from pinnpid.model import load_model
 from pinnpid.pid import ErrorState, GainBounds, GainMatrix, diagonal_gain_bounds
 from pinnpid.plants import MsdParams, msd_state_space
 from pinnpid.sampling import Box
+from tests.reference_window import window_cost_and_grad as reference_window
 
 MSD = MsdParams()
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
 
 
 class LinearSurrogate:
-    """Exact-derivative stand-in: phi(tau, x, u) = x + tau (A x + B u)."""
+    """Exact-derivative stand-in: phi(tau, x, u) = x + tau (A x + B u).
 
-    def __init__(self, plant=MSD, dt=0.2, eps=0.05):
-        self.a, self.b = msd_state_space(plant)
+    (A, B) is the MSD state space unless ``ab`` gives another pair.
+    """
+
+    def __init__(self, plant=MSD, dt=0.2, eps=0.05, ab=None):
+        self.a, self.b = msd_state_space(plant) if ab is None else ab
         self.dt = dt
         self.eps = eps
         self.n = self.a.shape[0]
@@ -66,7 +71,7 @@ class CliffSurrogate(LinearSurrogate):
 
 
 class InputSpy:
-    """Wraps a model and records the (clipped) input of every window step."""
+    """Wraps a model and records the (clipped) input vector of every window step."""
 
     def __init__(self, model):
         self.model = model
@@ -74,7 +79,7 @@ class InputSpy:
         self.inputs = []
 
     def predict_with_tape(self, taus, x, u):
-        self.inputs.append(float(u[0]))
+        self.inputs.append(np.array(u, dtype=float))
         return self.model.predict_with_tape(taus, x, u)
 
     def predict_vjp(self, tape, cotangents):
@@ -246,7 +251,7 @@ class TestWindowGradient:
                   plant=MSD, rho=0.5)
         spy = InputSpy(model)
         _, cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10, **kw)
-        saturated = [abs(u) == 1.0 for u in spy.inputs]
+        saturated = [abs(u[0]) == 1.0 for u in spy.inputs]
         assert any(saturated) and not all(saturated)
         assert msd_stability_value(MSD, f, 2) > 0
         h = 1e-6
@@ -261,6 +266,54 @@ class TestWindowGradient:
         # the cost is about 190, so rounding alone puts ~2e-8 into each difference
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
+    @pytest.mark.parametrize("box", [None, Box([-0.8, -0.8], [0.8, 0.8])],
+                             ids=["no_box", "box"])
+    def test_two_inputs_match_finite_differences(self, box):
+        # 4-state, 2-input linear stand-in with an arm-shaped F: channel i acts on coordinate i
+        a = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                      [-2.0, 0.5, -0.4, 0.0], [0.3, -1.5, 0.0, -0.6]])
+        b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.0, 0.8]])
+        model = LinearSurrogate(ab=(a, b))
+        weights = CostWeights(q=np.diag([100.0, 50.0, 1.0, 1.0]), r=np.diag([0.01, 0.02]),
+                              mu=1.0, q_terminal=np.diag([100.0, 50.0, 1.0, 1.0]))
+        bounds = diagonal_gain_bounds(4, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0))
+        f = np.zeros((2, 12))
+        f[0, [0, 4, 8]] = [1.5, 0.3, 0.8]
+        f[1, [1, 5, 9]] = [2.0, 0.4, 0.6]
+        assert np.array_equal(project_stacked(f, bounds), f)
+        e0 = ErrorState([0.4, -0.3, 0.0, 0.0], [0.1, 0.05, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1])
+        x0 = np.array([0.1, -0.2, 0.0, 0.1])
+        refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
+        spy = InputSpy(model)
+        _, cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10,
+                                             input_bounds=box)
+        if box is not None:
+            saturated = [np.any(np.abs(u) == 0.8) for u in spy.inputs]
+            assert any(saturated) and not all(saturated)
+        h = 1e-6
+        fd = np.zeros_like(f)
+        for idx in np.ndindex(f.shape):
+            fp, fm = f.copy(), f.copy()
+            fp[idx] += h
+            fm[idx] -= h
+            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10,
+                                      input_bounds=box)[1]
+            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10,
+                                      input_bounds=box)[1]
+            fd[idx] = (cp - cm) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_reference_of_another_width(self, width):
+        # a (6, 1) reference would broadcast against the 2-state predictions
+        model = load_model(FIXTURE)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
+        with pytest.raises(ValueError, match="width"):
+            window_cost_and_grad(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5),
+                                 f, weights, model.dt, 10)
+
     def test_saturated_channel_blocks_gradient(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.eye(2), r=[[0.01]], mu=1.0)
@@ -273,6 +326,39 @@ class TestWindowGradient:
         )
         # only the regularizer path remains on the saturated proportional entry
         assert grad[0, 0] == pytest.approx(2.0 * 4.0)
+
+
+class TestStackedWindow:
+    """The stacked-state window against the frozen step-by-step one in reference_window.py."""
+
+    def test_matches_step_by_step_window(self):
+        # 2 models x H = 1..5 x 2 regularizers x with and without an input box x 5 draws
+        rng = np.random.default_rng(7)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0,
+                              q_terminal=np.diag([10.0, 1.0]))
+        cases = itertools.product((LinearSurrogate(), load_model(FIXTURE)), range(1, 6),
+                                  ("norm", "barrier"), (None, Box([-1.0], [1.0])), range(5))
+        checked = 0
+        for model, horizon, kind, box, _ in cases:
+            x0 = rng.uniform([-1.0, -0.5], [1.0, 0.5])
+            e0 = ErrorState(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2),
+                            rng.uniform(-2, 2, 2))
+            refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
+            f = rng.uniform(0.0, 3.0, (1, 6))
+            kp, ki, kd = f[0, 0], f[0, 2], f[0, 4]
+            # keep the stability value g positive for the barrier
+            f[0, 2] = min(ki, 0.9 * (kd + MSD.damping) * (kp + MSD.stiffness) / MSD.mass)
+            kw = dict(input_bounds=box, regularizer_kind=kind)
+            if kind == "barrier":
+                kw.update(plant=MSD, rho=rng.uniform(0.01, 10.0))
+            args = (model, x0, e0, refs, f, weights, model.dt, 10)
+            new = window_cost_and_grad(*args, **kw)
+            old = reference_window(*args, **kw)
+            for a, b in zip(new[:2], old[:2]):
+                assert abs(a - b) <= 1e-12 * abs(b)
+            assert np.max(np.abs(new[2] - old[2])) <= 1e-12 * np.max(np.abs(old[2]))
+            checked += 1
+        assert checked == 200
 
 
 class TestOptimizeSegment:

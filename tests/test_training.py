@@ -312,6 +312,29 @@ class TestTrain:
         assert info.value.iteration == 0
         assert info.value.last_report is None
 
+    def test_lbfgs_divergence_keeps_the_adam_stage_report(self, monkeypatch):
+        # the rhs turns NaN once the two Adam steps are done, so the first L-BFGS
+        # evaluation diverges with the Adam stage's last report in hand
+        model = msd_model(widths=(4, 8, 2), seed=1)
+        data, phys = small_sets()
+        _, adam_history = train(model, MSD_RHS, lambda k: (data, phys),
+                                TrainConfig(iterations=2, val_interval=0))
+        steps = []
+        adam_step = training.adam_step
+
+        def counting_adam_step(*args, **kwargs):
+            steps.append(1)
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", counting_adam_step)
+        rhs = lambda x, u: MSD_RHS(x, u) if len(steps) < 2 else np.full(np.shape(x), np.nan)
+        cfg = TrainConfig(iterations=2, optimizer="adam-then-lbfgs", lbfgs_iterations=5,
+                          val_interval=0)
+        with pytest.raises(training.TrainingDiverged, match="L-BFGS") as info:
+            train(model, rhs, lambda k: (data, phys), cfg)
+        assert info.value.iteration == 2
+        assert info.value.last_report == adam_history[-1]
+
     def test_best_validation_checkpoint_restored(self):
         model = msd_model(widths=(4, 8, 2), seed=2)
         data, phys = small_sets(n_data=64, n_phys=64, seed=4)
