@@ -1,7 +1,9 @@
 """Bias-corrected Adam (Kingma & Ba, 2015), shared by training and gain search.
 
 Both callers import ``adam_step`` by that name, so each module holds its own
-global for it.
+global for it. Only the step size ``alpha`` is set per call; the moment
+decay rates ``BETA1`` and ``BETA2`` and the denominator guard ``EPS`` are
+the same for every caller.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-7
+
 
 @dataclass
 class AdamConfig:
     alpha: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
 
 @dataclass
@@ -35,9 +38,9 @@ def adam_step(state: AdamState, grad: np.ndarray, f: np.ndarray, cfg: AdamConfig
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient in Adam update")
     it = state.iteration + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**it)
-    v_hat = v / (1.0 - cfg.beta2**it)
-    f_new = f - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**it)
+    v_hat = v / (1.0 - BETA2**it)
+    f_new = f - cfg.alpha * m_hat / (np.sqrt(v_hat) + EPS)
     return f_new, AdamState(m=m, v=v, iteration=it)

@@ -189,19 +189,20 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     a, p, b = _error_maps(n, dt, n_quad)
     q, r, q_t = weights.q, weights.r, weights.q_terminal
 
-    # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its clip
+    # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its clip into
+    # the input box; no box is (-inf, inf), since the network rejects non-finite inputs
+    lower, upper = (-np.inf, np.inf) if input_bounds is None else (
+        input_bounds.lower, input_bounds.upper)
     e = np.empty((horizon + 1, 3 * n))
     e[0] = errors0.stacked()
     c = np.concatenate((refs[:-1], refs[1:]), axis=1) @ b.T
     u_raw = np.empty((horizon, f.shape[0]))
-    u = u_raw if input_bounds is None else np.empty_like(u_raw)
+    u = np.empty_like(u_raw)
     tapes = []
     x = np.asarray(x0, dtype=float)
     for j in range(horizon):
         np.matmul(f, e[j], out=u_raw[j])
-        if input_bounds is not None:
-            np.minimum(np.maximum(u_raw[j], input_bounds.lower, out=u[j]),
-                       input_bounds.upper, out=u[j])
+        np.minimum(np.maximum(u_raw[j], lower, out=u[j]), upper, out=u[j])
         values, tape = model.predict_with_tape(taus, x, u[j])
         tapes.append(tape)
         e[j + 1] = a @ e[j] + c[j] - p @ values.reshape(-1)
@@ -220,8 +221,7 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     total = quad_cost + weights.mu * theta
 
     # reverse sweep, the adjoint of the recursion; cx is dJ/dx_{j+1}
-    if input_bounds is not None:
-        active = (u_raw > input_bounds.lower) & (u_raw < input_bounds.upper)
+    active = (u_raw > lower) & (u_raw < upper)
     cu_raw = np.empty_like(u_raw)
     cx = np.zeros(n)
     for j in range(horizon - 1, -1, -1):
@@ -229,7 +229,7 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
         c_values[-1] += cx
         cx, cu = model.predict_vjp(tapes[j], c_values)
         cu = cu + cu_direct[j]
-        cu_raw[j] = cu if input_bounds is None else np.where(active[j], cu, 0.0)
+        cu_raw[j] = np.where(active[j], cu, 0.0)
         if j > 0:
             lam = a.T @ lam + f.T @ cu_raw[j]
             lam[:n] += cep_direct[j]
@@ -291,12 +291,8 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
             input_bounds=input_bounds, regularizer_kind=regularizer_kind,
             plant=plant, rho=rho,
         )
-        if converged or it == max_iters:
-            # the final iterate is scored, never stepped from
-            if plain < best_cost:
-                best_cost, best_f = plain, f
-            break
-        if not np.isfinite(total) or not np.all(np.isfinite(grad)):
+        final = converged or it == max_iters  # the final iterate is scored, never stepped from
+        if not final and (not np.isfinite(total) or not np.all(np.isfinite(grad))):
             if last_finite is None:
                 raise SegmentDiverged(f"non-finite cost at the starting gains {f.tolist()}")
             f = last_finite
@@ -304,9 +300,11 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
             state = AdamState.zeros(f.shape)
             halvings += 1
             continue
-        last_finite = f
         if plain < best_cost:
             best_cost, best_f = plain, f
+        if final:
+            break
+        last_finite = f
         f_new, state = adam_step(state, grad, f, cfg)
         f_new = project_stacked(f_new, bounds)
         if barrier:

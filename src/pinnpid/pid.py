@@ -80,11 +80,14 @@ def diagonal_gain_bounds(n_state, n_input, kp_range, ki_range, kd_range,
                          coords=None) -> GainBounds:
     """Bounds realizing per-channel scalar gains on selected state coordinates.
 
-    Channel i acts on coordinate coords[i] (default i); every other entry is
-    pinned to zero. This encodes gain sets given as one interval per PID term
-    per channel.
+    Channel i acts on coordinate coords[i] (default i), one in [0, n_state);
+    every other entry is pinned to zero. This encodes gain sets given as one
+    interval per PID term per channel.
     """
     coords = list(range(n_input)) if coords is None else list(coords)
+    if len(coords) != n_input or not all(0 <= j < n_state for j in coords):
+        raise ValueError(f"coords {coords} must name one coordinate in [0, {n_state}) "
+                         f"for each of the {n_input} input channels")
     lo = np.zeros((n_input, 3 * n_state))
     hi = np.zeros((n_input, 3 * n_state))
     for i, j in enumerate(coords):
@@ -125,15 +128,23 @@ def quadrature_nodes(dt: float, n_quad: int):
     return taus, weights
 
 
+def _vectors(**named) -> list[np.ndarray]:
+    """The arguments as float arrays; ValueError names one not of the first's shape (n,)."""
+    arrays = [np.asarray(v, dtype=float) for v in named.values()]
+    for name, arr in zip(named, arrays):
+        if arr.ndim != 1 or arr.shape != arrays[0].shape:
+            raise ValueError(f"{name} has shape {arr.shape}, "
+                             f"{next(iter(named))} has shape {arrays[0].shape}")
+    return arrays
+
+
 def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> ErrorState:
     """First error state: zero integral, derivative from the reference rate
     minus the surrogate's initial time derivative, evaluated at a zero input
-    (which breaks the u_0 circularity)."""
+    (which breaks the u_0 circularity). The references need the state's shape (n,)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    x_ref_0 = np.asarray(x_ref_0, dtype=float)
-    x_ref_init = np.asarray(x_ref_init, dtype=float)
+    x0, x_ref_0, x_ref_init = _vectors(x0=x0, x_ref_0=x_ref_0, x_ref_init=x_ref_init)
     rate = model.time_derivative(0.0, x0, np.zeros(model.m))
     return ErrorState(
         e_prop=x_ref_0 - x0,
@@ -148,13 +159,13 @@ def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
 
     e_prop comes from the surrogate's dt prediction, unless a fresh
     measurement ``x_meas_next`` is supplied (closed-loop feedback path).
+    The references and the measurement need the state's shape (n,).
     """
-    x_ref_k = np.asarray(x_ref_k, dtype=float)
-    x_ref_next = np.asarray(x_ref_next, dtype=float)
+    x_k, x_ref_k, x_ref_next = _vectors(x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next)
     taus, weights = quadrature_nodes(dt, n_quad)
-    values = model.predict(taus, np.asarray(x_k, dtype=float), np.asarray(u_k, dtype=float))
+    values = model.predict(taus, x_k, np.asarray(u_k, dtype=float))
     increment = weights @ (x_ref_k - values)
-    x_end = values[-1] if x_meas_next is None else np.asarray(x_meas_next, dtype=float)
+    x_end = values[-1] if x_meas_next is None else _vectors(x_k=x_k, x_meas_next=x_meas_next)[1]
     e_prop = x_ref_next - x_end
     return ErrorState(
         e_prop=e_prop,

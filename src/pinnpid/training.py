@@ -4,11 +4,17 @@ The loss is the mean squared data mismatch plus lambda times the mean
 squared physics residual (surrogate time derivative minus the nominal
 right-hand side evaluated at the surrogate output). Gradients flow through
 the network's dual reverse pass; the residual's dependence on the predicted
-state enters via the plant Jacobian. Default optimizer is full-batch Adam
-with a cosine-decayed learning rate; L-BFGS-B (scipy, default memory) is
+state enters via the plant Jacobian, by default a central difference with
+step ``FD_STEP``. Default optimizer is full-batch Adam with a
+cosine-decayed learning rate; L-BFGS-B (scipy, default memory) is
 available as a refinement stage after it. The returned parameters are the
 best-validation iterate, scored by self-loop rollout MSE against held-out
 RK4 trajectories.
+
+Both stages share one path in ``train``: an evaluation that raises
+:class:`TrainingDiverged` on a non-finite loss or gradient, a record step
+that validates every ``val_interval``-th report and appends it, and a score
+step that keeps the best-validation parameters, for the final iterate too.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
 from pinnpid.plants import simulate_zoh
 from pinnpid.sampling import DataSet, PhysSet, lhs_sample
+
+FD_STEP = 1e-6  # central-difference step of the default state Jacobian
 
 
 class TrainingDiverged(RuntimeError):
@@ -83,15 +91,15 @@ class ValidationReport:
     mse_rollout: np.ndarray
 
 
-def fd_state_jacobian(rhs, x, u, h=1e-6):
-    """Batched central-difference Jacobian of rhs w.r.t. the state."""
+def fd_state_jacobian(rhs, x, u):
+    """Batched central-difference Jacobian of rhs w.r.t. the state, step ``FD_STEP``."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     jac = np.empty(x.shape + (n,))
     for j in range(n):
         dx = np.zeros_like(x)
-        dx[..., j] = h
-        jac[..., j] = (rhs(x + dx, u) - rhs(x - dx, u)) / (2.0 * h)
+        dx[..., j] = FD_STEP
+        jac[..., j] = (rhs(x + dx, u) - rhs(x - dx, u)) / (2.0 * FD_STEP)
     return jac
 
 
@@ -216,86 +224,65 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     net = model.net
     params = model.params.copy()
     history: list[LossReport] = []
-    best = (np.inf, params.copy())
+    best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
     _check_finite_sets(data, phys)
     buffers = {}  # row-sized arrays of both passes, reused by every iteration
 
-    def run_validation(pvec, iteration, report):
-        nonlocal best
-        probe = PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps)
-        vrep = validate(probe, validation)
-        report.val_mse = float(np.mean(vrep.mse_rollout))
-        report.val_mae = float(np.mean(vrep.mae_rollout))
-        if report.val_mse < best[0]:
-            best = (report.val_mse, pvec.copy())
+    def evaluate(pvec, stage):
+        l_data, l_phys, l_total, grad = loss_and_grad(
+            net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian, buffers=buffers,
+        )
+        if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
+            raise TrainingDiverged(
+                f"non-finite loss or gradient in the {stage} stage at iteration {len(history)}",
+                len(history), history[-1] if history else None,
+            )
+        return l_data, l_phys, l_total, grad
 
-    if config.iterations > 0:
-        state = AdamState.zeros(params.shape)
-        for it in range(config.iterations):
-            if config.regen_interval and it > 0 and it % config.regen_interval == 0:
-                data, phys = data_generator(it // config.regen_interval)
-                _check_finite_sets(data, phys)
-            l_data, l_phys, l_total, grad = loss_and_grad(
-                net, params, data, phys, rhs, config.lambda_phys, state_jacobian,
-                buffers=buffers,
-            )
-            report = LossReport(it, l_data, l_phys, l_total)
-            if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
-                raise TrainingDiverged(
-                    f"non-finite loss or gradient at iteration {it}", it,
-                    history[-1] if history else None,
-                )
-            frac = it / max(config.iterations - 1, 1)
-            alpha = config.lr_end + 0.5 * (config.lr_start - config.lr_end) * (
-                1.0 + np.cos(np.pi * frac)
-            )
-            params, state = adam_step(
-                state, grad, params, AdamConfig(alpha=alpha)
-            )
-            if validation is not None and config.val_interval and (
-                (it + 1) % config.val_interval == 0
-            ):
-                run_validation(params, it, report)
-            history.append(report)
+    def score(pvec):
+        vrep = validate(PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps), validation)
+        mse = float(np.mean(vrep.mse_rollout))
+        if mse < best[0]:
+            best[:] = mse, pvec.copy()
+        return mse, float(np.mean(vrep.mae_rollout))
+
+    def record(pvec, report):
+        if validation is not None and config.val_interval and (
+            (report.iteration + 1) % config.val_interval == 0
+        ):
+            report.val_mse, report.val_mae = score(pvec)
+        history.append(report)
+
+    state = AdamState.zeros(params.shape)
+    for it in range(config.iterations):
+        if config.regen_interval and it > 0 and it % config.regen_interval == 0:
+            data, phys = data_generator(it // config.regen_interval)
+            _check_finite_sets(data, phys)
+        l_data, l_phys, l_total, grad = evaluate(params, "Adam")
+        frac = it / max(config.iterations - 1, 1)
+        alpha = config.lr_end + 0.5 * (config.lr_start - config.lr_end) * (
+            1.0 + np.cos(np.pi * frac)
+        )
+        params, state = adam_step(state, grad, params, AdamConfig(alpha=alpha))
+        record(params, LossReport(it, l_data, l_phys, l_total))
 
     if config.optimizer == "adam-then-lbfgs" and config.lbfgs_iterations > 0:
-        it_counter = [len(history)]
-
         def objective(pvec):
-            l_data, l_phys, l_total, grad = loss_and_grad(
-                net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian,
-                buffers=buffers,
-            )
-            if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
-                raise TrainingDiverged("non-finite loss or gradient in L-BFGS stage",
-                                       it_counter[0], history[-1] if history else None)
+            _, _, l_total, grad = evaluate(pvec, "L-BFGS")
             return l_total, grad
 
         def callback(pvec):
-            l_rep = loss(
-                PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps),
-                data, phys, rhs, config.lambda_phys, it_counter[0],
-            )
-            if validation is not None and config.val_interval and (
-                (it_counter[0] + 1) % config.val_interval == 0
-            ):
-                run_validation(pvec, it_counter[0], l_rep)
-            history.append(l_rep)
-            it_counter[0] += 1
+            probe = PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps)
+            record(pvec, loss(probe, data, phys, rhs, config.lambda_phys, len(history)))
 
-        result = scipy.optimize.minimize(
+        params = scipy.optimize.minimize(
             objective, params, jac=True, method="L-BFGS-B",
-            options={"maxiter": config.lbfgs_iterations},
-            callback=callback,
-        )
-        params = result.x
+            options={"maxiter": config.lbfgs_iterations}, callback=callback,
+        ).x
 
     if validation is not None:
-        final = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)
-        vrep = validate(final, validation)
-        if float(np.mean(vrep.mse_rollout)) < best[0]:
-            best = (float(np.mean(vrep.mse_rollout)), params.copy())
+        score(params)
         params = best[1]
 
     trained = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)

@@ -1,0 +1,117 @@
+"""Frozen two-stage trainer, the oracle for ``training.train``.
+
+It runs the Adam stage and the L-BFGS stage each with its own divergence
+check and its own validate-and-append block, counts the L-BFGS iterations
+in a separate counter and compares the final iterate against the best
+checkpoint a third time, where the library routes both stages through one
+evaluation, validation and history path. Keep it as it is: it is the
+reference that the shared path is compared against.
+"""
+
+import numpy as np
+import scipy.optimize
+
+from pinnpid.adam import AdamConfig, AdamState, adam_step
+from pinnpid.model import PinnModel
+from pinnpid.training import (
+    LossReport,
+    TrainConfig,
+    TrainingDiverged,
+    ValidationSet,
+    _check_finite_sets,
+    loss,
+    loss_and_grad,
+    validate,
+)
+
+
+def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
+          validation: ValidationSet | None = None, state_jacobian=None):
+    """Minimize the composite loss; returns (trained model, LossReport history)."""
+    net = model.net
+    params = model.params.copy()
+    history: list[LossReport] = []
+    best = (np.inf, params.copy())
+    data, phys = data_generator(0)
+    _check_finite_sets(data, phys)
+    buffers = {}
+
+    def run_validation(pvec, iteration, report):
+        nonlocal best
+        probe = PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps)
+        vrep = validate(probe, validation)
+        report.val_mse = float(np.mean(vrep.mse_rollout))
+        report.val_mae = float(np.mean(vrep.mae_rollout))
+        if report.val_mse < best[0]:
+            best = (report.val_mse, pvec.copy())
+
+    if config.iterations > 0:
+        state = AdamState.zeros(params.shape)
+        for it in range(config.iterations):
+            if config.regen_interval and it > 0 and it % config.regen_interval == 0:
+                data, phys = data_generator(it // config.regen_interval)
+                _check_finite_sets(data, phys)
+            l_data, l_phys, l_total, grad = loss_and_grad(
+                net, params, data, phys, rhs, config.lambda_phys, state_jacobian,
+                buffers=buffers,
+            )
+            report = LossReport(it, l_data, l_phys, l_total)
+            if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
+                raise TrainingDiverged(
+                    f"non-finite loss or gradient at iteration {it}", it,
+                    history[-1] if history else None,
+                )
+            frac = it / max(config.iterations - 1, 1)
+            alpha = config.lr_end + 0.5 * (config.lr_start - config.lr_end) * (
+                1.0 + np.cos(np.pi * frac)
+            )
+            params, state = adam_step(
+                state, grad, params, AdamConfig(alpha=alpha)
+            )
+            if validation is not None and config.val_interval and (
+                (it + 1) % config.val_interval == 0
+            ):
+                run_validation(params, it, report)
+            history.append(report)
+
+    if config.optimizer == "adam-then-lbfgs" and config.lbfgs_iterations > 0:
+        it_counter = [len(history)]
+
+        def objective(pvec):
+            l_data, l_phys, l_total, grad = loss_and_grad(
+                net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian,
+                buffers=buffers,
+            )
+            if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
+                raise TrainingDiverged("non-finite loss or gradient in L-BFGS stage",
+                                       it_counter[0], history[-1] if history else None)
+            return l_total, grad
+
+        def callback(pvec):
+            l_rep = loss(
+                PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps),
+                data, phys, rhs, config.lambda_phys, it_counter[0],
+            )
+            if validation is not None and config.val_interval and (
+                (it_counter[0] + 1) % config.val_interval == 0
+            ):
+                run_validation(pvec, it_counter[0], l_rep)
+            history.append(l_rep)
+            it_counter[0] += 1
+
+        result = scipy.optimize.minimize(
+            objective, params, jac=True, method="L-BFGS-B",
+            options={"maxiter": config.lbfgs_iterations},
+            callback=callback,
+        )
+        params = result.x
+
+    if validation is not None:
+        final = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)
+        vrep = validate(final, validation)
+        if float(np.mean(vrep.mse_rollout)) < best[0]:
+            best = (float(np.mean(vrep.mse_rollout)), params.copy())
+        params = best[1]
+
+    trained = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)
+    return trained, history

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinnpid import gainopt, training
+from pinnpid import adam, gainopt, training
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.gainopt import (
     CostWeights,
@@ -20,7 +20,14 @@ from pinnpid.gainopt import (
     window_cost_and_grad,
 )
 from pinnpid.model import load_model
-from pinnpid.pid import ErrorState, GainBounds, GainMatrix, diagonal_gain_bounds
+from pinnpid.pid import (
+    ErrorState,
+    GainBounds,
+    GainMatrix,
+    diagonal_gain_bounds,
+    error_update,
+    quadrature_nodes,
+)
 from pinnpid.plants import MsdParams, msd_state_space
 from pinnpid.sampling import Box
 from tests.reference_window import window_cost_and_grad as reference_window
@@ -145,7 +152,7 @@ class TestAdam:
         grad = np.array([[0.37]])
         cfg = AdamConfig()
         f2, _ = adam_step(AdamState.zeros(f.shape), grad, f, cfg)
-        expected = 1.0 - cfg.alpha * 0.37 / (0.37 + cfg.eps)
+        expected = 1.0 - cfg.alpha * 0.37 / (0.37 + adam.EPS)
         assert f2[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_independent_scripted_trace(self):
@@ -359,6 +366,32 @@ class TestStackedWindow:
             assert np.max(np.abs(new[2] - old[2])) <= 1e-12 * np.max(np.abs(old[2]))
             checked += 1
         assert checked == 200
+
+    def test_error_recursion_matches_controller(self):
+        # the inputs F E_j the window feeds the surrogate, with E_j from the fixed
+        # linear error map, against F E_j with E_j from successive pid.error_update
+        # calls along the same inputs; no box, so each input is F E_j itself
+        rng = np.random.default_rng(11)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        for model in (LinearSurrogate(), load_model(FIXTURE)):
+            taus, _ = quadrature_nodes(model.dt, 10)
+            for _ in range(50):
+                horizon = int(rng.integers(1, 6))
+                x = rng.uniform([-1.0, -0.5], [1.0, 0.5])
+                errors = ErrorState(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2),
+                                    rng.uniform(-2, 2, 2))
+                refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
+                f = rng.uniform(-3.0, 3.0, (1, 6))
+                spy = InputSpy(model)
+                window_cost_and_grad(spy, x, errors, refs, f, weights, model.dt, 10)
+                assert len(spy.inputs) == horizon
+                for j, u in enumerate(spy.inputs):
+                    e = errors.stacked()
+                    # relative to the size of the terms of the product F E_j
+                    assert np.max(np.abs(u - f @ e)) <= 1e-12 * np.max(np.abs(f) @ np.abs(e))
+                    errors = error_update(model, refs[j], refs[j + 1], x, u, errors,
+                                          model.dt, 10)
+                    x = model.predict(taus, x, u)[-1]
 
 
 class TestOptimizeSegment:

@@ -184,3 +184,34 @@ class TestBounds:
         assert b.lower[0, 4] == -3.0  # integral block, coordinate 0
         assert b.upper[0, 1] == 0.0 and b.lower[0, 1] == 0.0  # cross-coupling pinned
         assert b.upper[1, 0] == 0.0  # channel 2 does not see coordinate 1
+
+    @pytest.mark.parametrize("n_input, coords", [(1, [-1]), (2, [0]), (1, [2]), (1, [0, 1])])
+    def test_diagonal_bounds_reject_bad_coords(self, n_input, coords):
+        # [-1] would put each range into the previous block, [0] for two channels
+        # would pin channel 2 to zero, and [2] would index past the state
+        with pytest.raises(ValueError, match="coords"):
+            diagonal_gain_bounds(2, n_input, (0.0, 3.0), (0.0, 2.0), (0.0, 1.0), coords=coords)
+
+
+class TestVectorShapes:
+    """References and measurements must match the state's shape (n,); none may broadcast."""
+
+    @pytest.mark.parametrize("arg", ["x_ref_0", "x_ref_init"])
+    @pytest.mark.parametrize("bad", [[0.3], [[0.3], [0.0]]], ids=["width_1", "column"])
+    def test_error_init_rejects(self, arg, bad):
+        model = toy_model(seed=4)
+        args = dict(x0=np.array([0.2, -0.1]), x_ref_0=np.zeros(2), x_ref_init=np.zeros(2))
+        args[arg] = bad
+        with pytest.raises(ValueError, match=arg):
+            error_init(model, dt=0.2, **args)
+
+    @pytest.mark.parametrize("arg", ["x_ref_k", "x_ref_next", "x_meas_next"])
+    @pytest.mark.parametrize("bad", [[0.3], [[0.3], [0.0]]], ids=["width_1", "column"])
+    def test_error_update_rejects(self, arg, bad):
+        model = toy_model(seed=3)
+        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
+        args = dict(x_ref_k=np.array([0.2, 0.0]), x_ref_next=np.array([0.2, 0.0]),
+                    x_meas_next=np.array([0.15, 0.05]))
+        args[arg] = bad
+        with pytest.raises(ValueError, match=arg):
+            error_update(model, x_k=np.zeros(2), u_k=np.zeros(1), errors=e0, dt=0.2, **args)

@@ -1,5 +1,7 @@
 """Loss, residual and trainer checks, with finite-difference gradient oracles."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from pinnpid.training import (
     train,
     validate,
 )
+from tests.reference_train import train as reference_train
 
 MSD = MsdParams()
 MSD_RHS = lambda x, u: msd_rhs(MSD, x, u)
@@ -347,3 +350,84 @@ class TestTrain:
         assert scored, "validation must have run"
         final = validate(trained, vset)
         assert float(np.mean(final.mse_rollout)) <= min(scored) + 1e-12
+
+
+def nan_after(calls):
+    """The MSD rhs for its first ``calls`` calls, NaN from then on."""
+    count = []
+
+    def faulty(x, u):
+        count.append(1)
+        return MSD_RHS(x, u) if len(count) <= calls else np.full(np.shape(x), np.nan)
+
+    return faulty
+
+
+class TestTrainMatchesReference:
+    """``train`` against the frozen two-stage trainer in reference_train.py, bit for bit."""
+
+    def runs(self, cfg, rhs_factory=lambda: MSD_RHS, jac=None):
+        """(params, history) of train and of the reference, or the TrainingDiverged of each."""
+        model = msd_model(widths=(4, 8, 8, 2), seed=3)
+        rounds = [small_sets(n_data=48, n_phys=64, seed=5),
+                  small_sets(n_data=40, n_phys=72, seed=6)]
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3,
+                                   seed=8, substeps=20)
+        out = []
+        for fn in (train, reference_train):
+            try:
+                trained, history = fn(model, rhs_factory(), lambda k: rounds[k], cfg,
+                                      validation=vset, state_jacobian=jac)
+                out.append((trained.params, history))
+            except training.TrainingDiverged as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(iterations=40, val_interval=10),
+        TrainConfig(iterations=40, optimizer="adam-then-lbfgs", regen_interval=20,
+                    val_interval=10, lbfgs_iterations=30),
+        TrainConfig(iterations=0, optimizer="adam-then-lbfgs", val_interval=0,
+                    lbfgs_iterations=12),
+        TrainConfig(iterations=20, optimizer="adam-then-lbfgs", val_interval=5,
+                    lbfgs_iterations=0),
+    ], ids=["adam", "adam_then_lbfgs_regen", "no_adam", "no_lbfgs"])
+    def test_history_and_parameters(self, cfg):
+        (got_params, got), (want_params, want) = self.runs(cfg)
+        assert got
+        assert [astuple(h) for h in got] == [astuple(h) for h in want]
+        assert got_params.tobytes() == want_params.tobytes()
+
+    def test_both_stages_validate(self):
+        cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", regen_interval=20,
+                          val_interval=10, lbfgs_iterations=30)
+        (_, got), _ = self.runs(cfg)
+        validated = [h.iteration for h in got if h.val_mse is not None]
+        assert validated[:4] == [9, 19, 29, 39] and validated[-1] >= 49
+
+    def test_zero_iterations_with_validation_returns_start(self):
+        cfg = TrainConfig(iterations=0, val_interval=0)
+        (got_params, got), (want_params, want) = self.runs(cfg)
+        assert got == want == []
+        assert got_params.tobytes() == want_params.tobytes() == msd_model(
+            widths=(4, 8, 8, 2), seed=3).params.tobytes()
+
+    @pytest.mark.parametrize("stage, calls", [("Adam", 15), ("L-BFGS", 30)])
+    def test_divergence(self, stage, calls):
+        # with the exact Jacobian the rhs runs once per Adam step and once per L-BFGS
+        # evaluation and callback; it turns NaN after ``calls`` of them
+        cfg = TrainConfig(iterations=20, optimizer="adam-then-lbfgs", val_interval=5,
+                          lbfgs_iterations=30)
+        a_mat, _ = msd_state_space(MSD)
+        jac = lambda x, u: np.broadcast_to(a_mat, (x.shape[0], 2, 2))
+        got, want = self.runs(cfg, lambda: nan_after(calls), jac=jac)
+        assert isinstance(got, training.TrainingDiverged)
+        assert isinstance(want, training.TrainingDiverged)
+        assert stage in str(got)
+        assert got.iteration == want.iteration
+        assert (got.iteration < cfg.iterations) == (stage == "Adam")
+        assert astuple(got.last_report) == astuple(want.last_report)
+        if stage == "Adam":
+            assert got.last_report.val_mse is not None  # iteration 14, the last, validates
+        else:
+            assert got.iteration > cfg.iterations
