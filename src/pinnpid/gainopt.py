@@ -1,11 +1,11 @@
 """Segment-wise PID gain optimization over the transition surrogate.
 
 Each sampling interval solves a small nonconvex program: roll the surrogate
-H self-loop steps under u = F E with the gain matrix held constant, sum the
-quadratic stage costs plus a gain regularizer, and descend with Adam while
-projecting onto the feasible gain box.
+self-loop under u = F E with the gain matrix held constant, sum the
+quadratic costs of stages 0..H-1 plus a gain regularizer, and descend with
+Adam while projecting onto the feasible gain box.
 
-The window keeps its error states as one stacked (H+1) x 3n array, row j
+The window keeps its error states as one stacked H x 3n array, row j
 holding E_j = (e_prop, e_int, e_deri), next to H x m arrays of the raw
 inputs F E_j and of their clip into the input box. With V_j the surrogate's
 (n_quad + 1) x n predictions over step j from (x_j, u_j), the error
@@ -16,18 +16,21 @@ recursion of ``pid.error_update`` is the fixed linear map
 where A carries e_int over and puts -e_prop / dt into e_deri, P takes the
 last prediction into e_prop and e_deri (the latter over dt) and the
 trapezoid sum into e_int, and c_j = B (r_j, r_{j+1}) holds the references.
-A, P and B depend only on (n, dt, n_quad) and are built once. The reverse
-sweep is that map's discrete adjoint. With lambda_j = dJ/dE_j, starting
-from the terminal weight on e_prop_H, each step pulls the cotangent
--P^T lambda_{j+1} of V_j, plus dJ/dx_{j+1} on its last row, back through the
-network to (x_j, u_j); the input cotangent plus dt R u_j, zeroed in the
-channels that the input box clips, is cu_j, and
+A, P and B depend only on (n, dt, n_quad) and are built once. No cost reads
+E_H, so only the H-1 steps that form E_1..E_{H-1} are unrolled. The reverse
+sweep is that map's discrete adjoint. With lambda_j = dJ/dE_j, it starts at
+the last scored stage, whose input cotangent cu_{H-1} is dt R u_{H-1}, from
+lambda_{H-1} = (dt Q e_prop_{H-1}, 0, 0) + F^T cu_{H-1}. Each earlier step
+pulls the cotangent -P^T lambda_{j+1} of V_j, plus dJ/dx_{j+1} on its last
+row, back through the network to (x_j, u_j); the input cotangent plus
+dt R u_j is cu_j, and
 
     lambda_j = A^T lambda_{j+1} + (dt Q e_prop_j, 0, 0) + F^T cu_j.
 
-The gradient with respect to F is the sum over j of cu_j E_j^T. The stage
-costs, the active mask, the direct cotangents and that sum are each one
-array operation per window.
+The gradient with respect to F is the sum over j of cu_j E_j^T, each cu_j
+zeroed in the channels that the input box clips. The stage costs, the
+active mask, the direct cotangents and that sum are each one array
+operation per window.
 
 The regularizer is either the squared gain norm or, for the
 mass-spring-damper plant, the norm plus a logarithmic barrier on the
@@ -64,23 +67,18 @@ class SegmentDiverged(RuntimeError):
 
 @dataclass
 class CostWeights:
+    """Window cost J(F) = (dt/2) sum_{j<H} (e_pj^T Q e_pj + u_j^T R u_j) + mu Theta(F),
+    with e_pj the proportional error and u_j the clipped input of stage j."""
+
     q: np.ndarray
     r: np.ndarray
     mu: float = 1.0
-    q_terminal: np.ndarray | None = None
 
     def __post_init__(self):
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
         self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
-        if self.q_terminal is None:
-            self.q_terminal = np.zeros_like(self.q)
-        else:
-            self.q_terminal = np.atleast_2d(np.asarray(self.q_terminal, dtype=float))
-        for name, mat in (("q", self.q), ("q_terminal", self.q_terminal)):
-            if not np.allclose(mat, mat.T):
-                raise ValueError(f"{name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(mat)) < -1e-12:
-                raise ValueError(f"{name} must be positive semidefinite")
+        if not np.allclose(self.q, self.q.T) or np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
+            raise ValueError("q must be symmetric positive semidefinite")
         if not np.allclose(self.r, self.r.T) or np.min(np.linalg.eigvalsh(self.r)) <= 0:
             raise ValueError("r must be symmetric positive definite")
         if self.mu <= 0:
@@ -175,7 +173,8 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
                          plant=None, rho=None):
     """Lookahead cost, its barrier-free value, and the gradient w.r.t. F.
 
-    refs has H+1 rows of width n; the surrogate is unrolled H steps with F
+    refs has H+1 rows of width n, of which the window reads r_0..r_{H-1}:
+    it scores stages 0..H-1 and so unrolls the surrogate H-1 steps with F
     constant. Returns (plain cost, total cost, dcost/dF).
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
@@ -187,15 +186,15 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
         raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
     taus, _ = quadrature_nodes(dt, n_quad)
     a, p, b = _error_maps(n, dt, n_quad)
-    q, r, q_t = weights.q, weights.r, weights.q_terminal
+    q, r = weights.q, weights.r
 
     # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its clip into
     # the input box; no box is (-inf, inf), since the network rejects non-finite inputs
     lower, upper = (-np.inf, np.inf) if input_bounds is None else (
         input_bounds.lower, input_bounds.upper)
-    e = np.empty((horizon + 1, 3 * n))
+    e = np.empty((horizon, 3 * n))
     e[0] = errors0.stacked()
-    c = np.concatenate((refs[:-1], refs[1:]), axis=1) @ b.T
+    c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
     u_raw = np.empty((horizon, f.shape[0]))
     u = np.empty_like(u_raw)
     tapes = []
@@ -203,37 +202,36 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     for j in range(horizon):
         np.matmul(f, e[j], out=u_raw[j])
         np.minimum(np.maximum(u_raw[j], lower, out=u[j]), upper, out=u[j])
+        if j == horizon - 1:
+            break
         values, tape = model.predict_with_tape(taus, x, u[j])
         tapes.append(tape)
         e[j + 1] = a @ e[j] + c[j] - p @ values.reshape(-1)
         x = values[-1]
 
     # costs, and the direct cotangents dt Q e_prop_j and dt R u_j of the stage costs
-    e_props = e[:horizon, :n]
-    e_h = e[horizon, :n]
+    e_props = e[:, :n]
     cep_direct = dt * (e_props @ q.T)
     cu_direct = dt * (u @ r.T)
-    lam = np.zeros(3 * n)  # dJ/dE_{j+1} in the reverse sweep, starting at E_H
-    lam[:n] = q_t @ e_h
-    quad_cost = 0.5 * ((cep_direct * e_props).sum() + (cu_direct * u).sum() + lam[:n] @ e_h)
+    quad_cost = 0.5 * ((cep_direct * e_props).sum() + (cu_direct * u).sum())
     theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
     plain = quad_cost + weights.mu * float((f * f).sum())
     total = quad_cost + weights.mu * theta
 
-    # reverse sweep, the adjoint of the recursion; cx is dJ/dx_{j+1}
+    # reverse sweep, the adjoint of the recursion: lam is dJ/dE_j and cx is dJ/dx_j;
+    # only the last row of cu_raw has no network term, the loop overwrites the others
     active = (u_raw > lower) & (u_raw < upper)
-    cu_raw = np.empty_like(u_raw)
+    cu_raw = np.where(active, cu_direct, 0.0)
+    lam = np.zeros(3 * n)
     cx = np.zeros(n)
-    for j in range(horizon - 1, -1, -1):
+    for j in range(horizon - 1, 0, -1):
+        lam = a.T @ lam + f.T @ cu_raw[j]
+        lam[:n] += cep_direct[j]
         c_values = (p.T @ -lam).reshape(n_quad + 1, n)
         c_values[-1] += cx
-        cx, cu = model.predict_vjp(tapes[j], c_values)
-        cu = cu + cu_direct[j]
-        cu_raw[j] = np.where(active[j], cu, 0.0)
-        if j > 0:
-            lam = a.T @ lam + f.T @ cu_raw[j]
-            lam[:n] += cep_direct[j]
-    grad_f = weights.mu * theta_grad + cu_raw.T @ e[:horizon]
+        cx, cu = model.predict_vjp(tapes[j - 1], c_values)
+        cu_raw[j - 1] = np.where(active[j - 1], cu + cu_direct[j - 1], 0.0)
+    grad_f = weights.mu * theta_grad + cu_raw.T @ e
     return plain, total, grad_f
 
 

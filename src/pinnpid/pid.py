@@ -44,14 +44,15 @@ class GainMatrix:
 
 @dataclass
 class ErrorState:
+    """Proportional, integral and derivative errors, three vectors of one shape (n,)."""
+
     e_prop: np.ndarray
     e_int: np.ndarray
     e_deri: np.ndarray
 
     def __post_init__(self):
-        self.e_prop = np.asarray(self.e_prop, dtype=float)
-        self.e_int = np.asarray(self.e_int, dtype=float)
-        self.e_deri = np.asarray(self.e_deri, dtype=float)
+        self.e_prop, self.e_int, self.e_deri = _vectors(
+            e_prop=self.e_prop, e_int=self.e_int, e_deri=self.e_deri)
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.e_prop, self.e_int, self.e_deri])
@@ -159,9 +160,10 @@ def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
 
     e_prop comes from the surrogate's dt prediction, unless a fresh
     measurement ``x_meas_next`` is supplied (closed-loop feedback path).
-    The references and the measurement need the state's shape (n,).
+    The references, the measurement and the errors need the state's shape (n,).
     """
-    x_k, x_ref_k, x_ref_next = _vectors(x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next)
+    x_k, x_ref_k, x_ref_next, _ = _vectors(x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next,
+                                           errors=errors.e_prop)
     taus, weights = quadrature_nodes(dt, n_quad)
     values = model.predict(taus, x_k, np.asarray(u_k, dtype=float))
     increment = weights @ (x_ref_k - values)

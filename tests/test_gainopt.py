@@ -3,6 +3,7 @@ and a dense grid-search oracle on a linear stand-in surrogate."""
 
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,18 +79,21 @@ class CliffSurrogate(LinearSurrogate):
 
 
 class InputSpy:
-    """Wraps a model and records the (clipped) input vector of every window step."""
+    """Wraps a model, records the (clipped) input vector of every window step
+    and counts the reverse passes."""
 
     def __init__(self, model):
         self.model = model
         self.dt = model.dt
         self.inputs = []
+        self.vjp_calls = 0
 
     def predict_with_tape(self, taus, x, u):
         self.inputs.append(np.array(u, dtype=float))
         return self.model.predict_with_tape(taus, x, u)
 
     def predict_vjp(self, tape, cotangents):
+        self.vjp_calls += 1
         return self.model.predict_vjp(tape, cotangents)
 
 
@@ -98,7 +102,7 @@ def msd_bounds(lo=0.0, hi=5.0):
 
 
 class TestStageCost:
-    """Costs of a 1-step window: one stage cost, no terminal weight."""
+    """Costs of a 1-step window: the stage-0 cost alone, with no surrogate step."""
 
     def test_zero(self):
         model = LinearSurrogate()
@@ -201,8 +205,7 @@ class TestProjection:
 class TestWindowGradient:
     def test_matches_finite_differences(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0,
-                              q_terminal=np.diag([1000.0, 1.0]))
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.5, -0.1], [0.2, 0.0], [-0.4, 0.1])
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
@@ -282,7 +285,7 @@ class TestWindowGradient:
         b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.0, 0.8]])
         model = LinearSurrogate(ab=(a, b))
         weights = CostWeights(q=np.diag([100.0, 50.0, 1.0, 1.0]), r=np.diag([0.01, 0.02]),
-                              mu=1.0, q_terminal=np.diag([100.0, 50.0, 1.0, 1.0]))
+                              mu=1.0)
         bounds = diagonal_gain_bounds(4, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0))
         f = np.zeros((2, 12))
         f[0, [0, 4, 8]] = [1.5, 0.3, 0.8]
@@ -339,10 +342,12 @@ class TestStackedWindow:
     """The stacked-state window against the frozen step-by-step one in reference_window.py."""
 
     def test_matches_step_by_step_window(self):
-        # 2 models x H = 1..5 x 2 regularizers x with and without an input box x 5 draws
+        # 2 models x H = 1..5 x 2 regularizers x with and without an input box x 5 draws;
+        # the reference also takes a terminal weight on e_prop_H, here zero
         rng = np.random.default_rng(7)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0,
-                              q_terminal=np.diag([10.0, 1.0]))
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        ref_weights = SimpleNamespace(q=weights.q, r=weights.r, mu=weights.mu,
+                                      q_terminal=np.zeros((2, 2)))
         cases = itertools.product((LinearSurrogate(), load_model(FIXTURE)), range(1, 6),
                                   ("norm", "barrier"), (None, Box([-1.0], [1.0])), range(5))
         checked = 0
@@ -358,9 +363,8 @@ class TestStackedWindow:
             kw = dict(input_bounds=box, regularizer_kind=kind)
             if kind == "barrier":
                 kw.update(plant=MSD, rho=rng.uniform(0.01, 10.0))
-            args = (model, x0, e0, refs, f, weights, model.dt, 10)
-            new = window_cost_and_grad(*args, **kw)
-            old = reference_window(*args, **kw)
+            new = window_cost_and_grad(model, x0, e0, refs, f, weights, model.dt, 10, **kw)
+            old = reference_window(model, x0, e0, refs, f, ref_weights, model.dt, 10, **kw)
             for a, b in zip(new[:2], old[:2]):
                 assert abs(a - b) <= 1e-12 * abs(b)
             assert np.max(np.abs(new[2] - old[2])) <= 1e-12 * np.max(np.abs(old[2]))
@@ -384,7 +388,7 @@ class TestStackedWindow:
                 f = rng.uniform(-3.0, 3.0, (1, 6))
                 spy = InputSpy(model)
                 window_cost_and_grad(spy, x, errors, refs, f, weights, model.dt, 10)
-                assert len(spy.inputs) == horizon
+                assert len(spy.inputs) == horizon - 1
                 for j, u in enumerate(spy.inputs):
                     e = errors.stacked()
                     # relative to the size of the terms of the product F E_j
@@ -392,6 +396,21 @@ class TestStackedWindow:
                     errors = error_update(model, refs[j], refs[j + 1], x, u, errors,
                                           model.dt, 10)
                     x = model.predict(taus, x, u)[-1]
+
+    @pytest.mark.parametrize("horizon", range(1, 6))
+    def test_unrolls_one_surrogate_step_fewer_than_it_scores(self, horizon):
+        # stages 0..H-1 need the H-1 steps that form E_1..E_{H-1}, each pulled back once;
+        # no cost reads the state after the last scored stage
+        model = load_model(FIXTURE)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
+        spy = InputSpy(model)
+        window_cost_and_grad(spy, np.array([0.1, -0.2]), e0, np.full((horizon + 1, 2), 0.5), f,
+                             weights, model.dt, 10, input_bounds=Box([-1.0], [1.0]),
+                             regularizer_kind="barrier", plant=MSD, rho=1.0)
+        assert len(spy.inputs) == horizon - 1
+        assert spy.vjp_calls == horizon - 1
 
 
 class TestOptimizeSegment:
@@ -408,12 +427,11 @@ class TestOptimizeSegment:
 
     def test_matches_dense_grid_search(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0,
-                              q_terminal=np.diag([1000.0, 1.0]))
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.5, 0.0], [0.3, 0.0], [-0.2, 0.0])
         x0 = np.array([-0.2, 0.0])
         ref = np.array([0.3, 0.0])
-        refs = np.array([x0 + e0.e_prop, ref])  # 1-step window
+        refs = np.array([x0 + e0.e_prop, ref, ref])  # 2-step window: stages 0 and 1
         res = optimize_segment(
             model, x0, e0, refs, weights, AdamConfig(), msd_bounds(),
             max_iters=6000, tol=1e-10,
@@ -421,16 +439,18 @@ class TestOptimizeSegment:
         # independent oracle: closed-form cost on a 0.05 grid over the box
         grid = np.arange(0.0, 5.0 + 1e-9, 0.05)
         kp, ki, kd = np.meshgrid(grid, grid, grid, indexing="ij")
-        u = kp * e0.e_prop[0] + ki * e0.e_int[0] + kd * e0.e_deri[0]
-        rate = model.a @ x0
-        x1 = x0[None, None, None, :] + model.dt * (
-            rate[None, None, None, :] + u[..., None] * model.b[:, 0][None, None, None, :]
-        )
-        e1 = ref[None, None, None, :] - x1
+        u0 = kp * e0.e_prop[0] + ki * e0.e_int[0] + kd * e0.e_deri[0]
+        # stage 1 on the linear stand-in x(tau) = x0 + tau rate, whose integral is exact
+        rate = model.a @ x0 + u0[..., None] * model.b[:, 0]
+        e1_prop = ref - (x0 + model.dt * rate)
+        e1_int = e0.e_int + model.dt * (refs[0] - x0) - 0.5 * model.dt**2 * rate
+        e1_deri = (e1_prop - e0.e_prop) / model.dt
+        u1 = kp * e1_prop[..., 0] + ki * e1_int[..., 0] + kd * e1_deri[..., 0]
         cost = (
-            0.5 * (e0.e_prop @ weights.q @ e0.e_prop + 0.01 * u**2) * model.dt
+            0.5 * (e0.e_prop @ weights.q @ e0.e_prop + 0.01 * u0**2) * model.dt
+            + 0.5 * (np.einsum("...i,ij,...j->...", e1_prop, weights.q, e1_prop)
+                     + 0.01 * u1**2) * model.dt
             + 1.0 * (kp**2 + ki**2 + kd**2)
-            + 0.5 * np.einsum("...i,ij,...j->...", e1, weights.q_terminal, e1)
         )
         best = np.unravel_index(np.argmin(cost), cost.shape)
         best_gains = np.array([grid[best[0]], grid[best[1]], grid[best[2]]])
@@ -504,11 +524,11 @@ class TestOptimizeSegment:
         assert res.cost == plain
 
     def test_non_finite_step_rolls_back_and_halves_alpha(self):
-        # 1-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff
+        # 2-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff
         model = CliffSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
-        refs = np.array([[0.1, 0.0]] * 2)
+        refs = np.array([[0.1, 0.0]] * 3)
         res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
                                msd_bounds(), max_iters=200, tol=0.0)
         assert res.alpha_halvings >= 1

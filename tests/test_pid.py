@@ -194,7 +194,25 @@ class TestBounds:
 
 
 class TestVectorShapes:
-    """References and measurements must match the state's shape (n,); none may broadcast."""
+    """References, measurements and errors must match the state's shape (n,); none may
+    broadcast."""
+
+    @pytest.mark.parametrize("parts", [
+        ([0.5, 0.0], [0.0], [0.0, 0.0]),
+        ([0.5, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([[0.5], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]]),
+        (0.5, 0.0, 0.0),
+    ], ids=["e_int_width_1", "e_deri_width_3", "columns", "scalars"])
+    def test_error_state_rejects(self, parts):
+        with pytest.raises(ValueError, match="shape"):
+            ErrorState(*parts)
+
+    def test_error_update_rejects_errors_of_another_width(self):
+        # a 1-entry error state would broadcast into both entries of e_deri
+        model = toy_model(seed=3)
+        with pytest.raises(ValueError, match="errors"):
+            error_update(model, np.array([0.2, 0.0]), np.array([0.2, 0.0]), np.zeros(2),
+                         np.zeros(1), ErrorState([0.5], [0.0], [0.0]), 0.2)
 
     @pytest.mark.parametrize("arg", ["x_ref_0", "x_ref_init"])
     @pytest.mark.parametrize("bad", [[0.3], [[0.3], [0.0]]], ids=["width_1", "column"])
