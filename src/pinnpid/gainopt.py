@@ -9,7 +9,8 @@ The window keeps its error states as one stacked H x 3n array, row j
 holding E_j = (e_prop, e_int, e_deri), next to H x m arrays of the raw
 inputs F E_j and of their clip into the input box. With V_j the surrogate's
 (n_quad + 1) x n predictions over step j from (x_j, u_j), the error
-recursion of ``pid.error_update`` is the fixed linear map
+recursion of ``pid.error_update``, with the last prediction in place of the
+measurement, is the fixed linear map
 
     E_{j+1} = A E_j + c_j - P vec(V_j),    x_{j+1} = last row of V_j,
 

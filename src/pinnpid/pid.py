@@ -2,9 +2,10 @@
 
 The gain matrix stacks proportional, integral and derivative blocks as
 F = [K^p, K^i, K^d] (m x 3n); the error state stacks the matching error
-vectors E = (e_prop, e_int, e_deri). The integral error advances by
-trapezoid quadrature of the surrogate prediction over one sampling
-interval, the derivative error by a backward difference.
+vectors E = (e_prop, e_int, e_deri). Across one sampling interval the
+proportional error is taken from the measured state, the integral error
+advances by trapezoid quadrature of the surrogate prediction, and the
+derivative error by a backward difference.
 """
 
 from __future__ import annotations
@@ -155,20 +156,22 @@ def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> ErrorState:
 
 
 def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
-                 dt: float, n_quad: int = 10, x_meas_next=None) -> ErrorState:
-    """Advance the error state across one interval using the surrogate.
+                 dt: float, n_quad: int = 10, *, x_meas_next) -> ErrorState:
+    """Advance the error state across one interval.
 
-    e_prop comes from the surrogate's dt prediction, unless a fresh
-    measurement ``x_meas_next`` is supplied (closed-loop feedback path).
+    e_prop comes from the measurement ``x_meas_next``; e_int integrates the
+    reference minus the surrogate's prediction from (x_k, u_k) over [0, dt].
     The references, the measurement and the errors need the state's shape (n,).
     """
-    x_k, x_ref_k, x_ref_next, _ = _vectors(x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next,
-                                           errors=errors.e_prop)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    x_k, x_ref_k, x_ref_next, x_meas_next, _ = _vectors(
+        x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next, x_meas_next=x_meas_next,
+        errors=errors.e_prop)
     taus, weights = quadrature_nodes(dt, n_quad)
     values = model.predict(taus, x_k, np.asarray(u_k, dtype=float))
     increment = weights @ (x_ref_k - values)
-    x_end = values[-1] if x_meas_next is None else _vectors(x_k=x_k, x_meas_next=x_meas_next)[1]
-    e_prop = x_ref_next - x_end
+    e_prop = x_ref_next - x_meas_next
     return ErrorState(
         e_prop=e_prop,
         e_int=errors.e_int + increment,

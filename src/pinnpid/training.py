@@ -1,13 +1,14 @@
 """Training of the transition surrogate on the composite data + physics loss.
 
-The loss is the mean squared data mismatch plus lambda times the mean
-squared physics residual (surrogate time derivative minus the nominal
+The loss is the mean squared data mismatch plus ``LAMBDA_PHYS`` times the
+mean squared physics residual (surrogate time derivative minus the nominal
 right-hand side evaluated at the surrogate output). Gradients flow through
 the network's dual reverse pass; the residual's dependence on the predicted
-state enters via the plant Jacobian, by default a central difference with
-step ``FD_STEP``. Default optimizer is full-batch Adam with a
-cosine-decayed learning rate; L-BFGS-B (scipy, default memory) is
-available as a refinement stage after it. The returned parameters are the
+state enters via the plant Jacobian, a central difference with step
+``FD_STEP``. Default optimizer is full-batch Adam with a learning rate
+cosine-decayed from ``LR_START`` to ``LR_END``; L-BFGS-B (scipy, default
+memory) is available as a refinement stage after it. Both stages fit one
+data set and one collocation set. The returned parameters are the
 best-validation iterate, scored by self-loop rollout MSE against held-out
 RK4 trajectories.
 
@@ -29,7 +30,10 @@ from pinnpid.model import PinnModel
 from pinnpid.plants import simulate_zoh
 from pinnpid.sampling import DataSet, PhysSet, lhs_sample
 
-FD_STEP = 1e-6  # central-difference step of the default state Jacobian
+FD_STEP = 1e-6  # central-difference step of the state Jacobian
+LAMBDA_PHYS = 1.0  # weight of the physics residual term in the loss
+LR_START = 1e-3  # Adam learning rate at the first iteration ...
+LR_END = 1e-4  # ... cosine-decayed to this one at the last
 
 
 class TrainingDiverged(RuntimeError):
@@ -44,21 +48,16 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     iterations: int = 10000
-    lambda_phys: float = 1.0
     optimizer: str = "adam"  # adam | adam-then-lbfgs
-    lr_start: float = 1e-3
-    lr_end: float = 1e-4
-    regen_interval: int = 0  # 0 disables dataset regeneration
-    val_interval: int = 250
+    val_interval: int = 250  # 0 disables validation during training
     lbfgs_iterations: int = 500
 
     def __post_init__(self):
-        if self.lambda_phys <= 0:
-            raise ValueError("lambda must be positive")
         if self.optimizer not in ("adam", "adam-then-lbfgs"):
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
-        if self.regen_interval and self.iterations % self.regen_interval:
-            raise ValueError("regeneration interval must divide total iterations")
+        for name in ("iterations", "val_interval", "lbfgs_iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.val_interval and self.iterations % self.val_interval:
             raise ValueError("validation interval must divide total iterations")
 
@@ -85,8 +84,6 @@ class ValidationSet:
 
 @dataclass
 class ValidationReport:
-    mae_single: np.ndarray
-    mse_single: np.ndarray
     mae_rollout: np.ndarray
     mse_rollout: np.ndarray
 
@@ -109,8 +106,7 @@ def physics_residual(model: PinnModel, rhs, t, x, u) -> np.ndarray:
     return rates - rhs(values, np.atleast_2d(u))
 
 
-def loss(model: PinnModel, data: DataSet, phys: PhysSet, rhs,
-         lambda_phys: float = 1.0, iteration: int = 0) -> LossReport:
+def loss(model: PinnModel, data: DataSet, phys: PhysSet, rhs, iteration: int = 0) -> LossReport:
     preds = model.net.forward_batch(model.params, data.t, data.x0, data.u)
     l_data = float(np.mean(np.sum((preds - data.xf) ** 2, axis=1)))
     residual = physics_residual(model, rhs, phys.t, phys.x, phys.u)
@@ -119,12 +115,11 @@ def loss(model: PinnModel, data: DataSet, phys: PhysSet, rhs,
         iteration=iteration,
         l_data=l_data,
         l_phys=l_phys,
-        l_total=l_data + lambda_phys * l_phys,
+        l_total=l_data + LAMBDA_PHYS * l_phys,
     )
 
 
-def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
-                  lambda_phys: float, state_jacobian=None, *, buffers=None):
+def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers=None):
     """One fused evaluation of the composite loss and its parameter gradient.
 
     ``buffers`` is a dict the caller keeps across calls; the data and the
@@ -152,14 +147,11 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs,
     n_phys = residual.shape[0]
     l_phys = float(np.mean(np.sum(residual**2, axis=1)))
     cot_rate = (2.0 / n_phys) * residual
-    if state_jacobian is None:
-        jac = fd_state_jacobian(rhs, values, u2)
-    else:
-        jac = state_jacobian(values, u2)
+    jac = fd_state_jacobian(rhs, values, u2)
     cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
     grad_p, _ = net.backward_raw(params, tape_p, cot_value, cot_rate, buffers=buf_p)
-    l_total = l_data + lambda_phys * l_phys
-    return l_data, l_phys, l_total, grad_d + lambda_phys * grad_p
+    l_total = l_data + LAMBDA_PHYS * l_phys
+    return l_data, l_phys, l_total, grad_d + LAMBDA_PHYS * grad_p
 
 
 def _check_finite_sets(data: DataSet, phys: PhysSet) -> None:
@@ -191,35 +183,29 @@ def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps,
 
 
 def validate(model, vset: ValidationSet) -> ValidationReport:
-    """Single-step and recurrent self-loop errors per state coordinate."""
+    """Recurrent self-loop errors per state coordinate."""
     n_traj, n_steps = vset.u_seq.shape[:2]
     taus = np.full(n_traj, vset.dt)
-    single_err = []
     roll_err = []
     x_roll = vset.x0.copy()
     for k in range(n_steps):
-        pred_single = model.predict(taus, vset.truth[:, k, :], vset.u_seq[:, k, :])
-        single_err.append(pred_single - vset.truth[:, k + 1, :])
         x_roll = model.predict(taus, x_roll, vset.u_seq[:, k, :])
         roll_err.append(x_roll - vset.truth[:, k + 1, :])
-    single = np.concatenate(single_err, axis=0)
     roll = np.concatenate(roll_err, axis=0)
     return ValidationReport(
-        mae_single=np.mean(np.abs(single), axis=0),
-        mse_single=np.mean(single**2, axis=0),
         mae_rollout=np.mean(np.abs(roll), axis=0),
         mse_rollout=np.mean(roll**2, axis=0),
     )
 
 
 def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
-          validation: ValidationSet | None = None, state_jacobian=None):
+          validation: ValidationSet | None = None):
     """Minimize the composite loss; returns (trained model, LossReport history).
 
-    ``data_generator(round_index)`` supplies (DataSet, PhysSet); it is called
-    again at every regeneration boundary, and a set with a non-finite row
-    raises ValueError. The best-validation parameter vector (self-loop
-    rollout MSE) is restored before returning.
+    ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that
+    both stages fit; a set with a non-finite row raises ValueError. The
+    best-validation parameter vector (self-loop rollout MSE) is restored
+    before returning.
     """
     net = model.net
     params = model.params.copy()
@@ -230,9 +216,8 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     buffers = {}  # row-sized arrays of both passes, reused by every iteration
 
     def evaluate(pvec, stage):
-        l_data, l_phys, l_total, grad = loss_and_grad(
-            net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian, buffers=buffers,
-        )
+        l_data, l_phys, l_total, grad = loss_and_grad(net, pvec, data, phys, rhs,
+                                                      buffers=buffers)
         if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
             raise TrainingDiverged(
                 f"non-finite loss or gradient in the {stage} stage at iteration {len(history)}",
@@ -256,14 +241,9 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
     state = AdamState.zeros(params.shape)
     for it in range(config.iterations):
-        if config.regen_interval and it > 0 and it % config.regen_interval == 0:
-            data, phys = data_generator(it // config.regen_interval)
-            _check_finite_sets(data, phys)
         l_data, l_phys, l_total, grad = evaluate(params, "Adam")
         frac = it / max(config.iterations - 1, 1)
-        alpha = config.lr_end + 0.5 * (config.lr_start - config.lr_end) * (
-            1.0 + np.cos(np.pi * frac)
-        )
+        alpha = LR_END + 0.5 * (LR_START - LR_END) * (1.0 + np.cos(np.pi * frac))
         params, state = adam_step(state, grad, params, AdamConfig(alpha=alpha))
         record(params, LossReport(it, l_data, l_phys, l_total))
 
@@ -274,7 +254,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
         def callback(pvec):
             probe = PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps)
-            record(pvec, loss(probe, data, phys, rhs, config.lambda_phys, len(history)))
+            record(pvec, loss(probe, data, phys, rhs, len(history)))
 
         params = scipy.optimize.minimize(
             objective, params, jac=True, method="L-BFGS-B",

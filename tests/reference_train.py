@@ -14,6 +14,8 @@ import scipy.optimize
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
 from pinnpid.training import (
+    LR_END,
+    LR_START,
     LossReport,
     TrainConfig,
     TrainingDiverged,
@@ -26,7 +28,7 @@ from pinnpid.training import (
 
 
 def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
-          validation: ValidationSet | None = None, state_jacobian=None):
+          validation: ValidationSet | None = None):
     """Minimize the composite loss; returns (trained model, LossReport history)."""
     net = model.net
     params = model.params.copy()
@@ -48,12 +50,8 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     if config.iterations > 0:
         state = AdamState.zeros(params.shape)
         for it in range(config.iterations):
-            if config.regen_interval and it > 0 and it % config.regen_interval == 0:
-                data, phys = data_generator(it // config.regen_interval)
-                _check_finite_sets(data, phys)
             l_data, l_phys, l_total, grad = loss_and_grad(
-                net, params, data, phys, rhs, config.lambda_phys, state_jacobian,
-                buffers=buffers,
+                net, params, data, phys, rhs, buffers=buffers,
             )
             report = LossReport(it, l_data, l_phys, l_total)
             if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
@@ -62,7 +60,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
                     history[-1] if history else None,
                 )
             frac = it / max(config.iterations - 1, 1)
-            alpha = config.lr_end + 0.5 * (config.lr_start - config.lr_end) * (
+            alpha = LR_END + 0.5 * (LR_START - LR_END) * (
                 1.0 + np.cos(np.pi * frac)
             )
             params, state = adam_step(
@@ -79,8 +77,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
         def objective(pvec):
             l_data, l_phys, l_total, grad = loss_and_grad(
-                net, pvec, data, phys, rhs, config.lambda_phys, state_jacobian,
-                buffers=buffers,
+                net, pvec, data, phys, rhs, buffers=buffers,
             )
             if not np.isfinite(l_total) or not np.all(np.isfinite(grad)):
                 raise TrainingDiverged("non-finite loss or gradient in L-BFGS stage",
@@ -90,7 +87,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         def callback(pvec):
             l_rep = loss(
                 PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps),
-                data, phys, rhs, config.lambda_phys, it_counter[0],
+                data, phys, rhs, it_counter[0],
             )
             if validation is not None and config.val_interval and (
                 (it_counter[0] + 1) % config.val_interval == 0

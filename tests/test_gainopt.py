@@ -393,9 +393,10 @@ class TestStackedWindow:
                     e = errors.stacked()
                     # relative to the size of the terms of the product F E_j
                     assert np.max(np.abs(u - f @ e)) <= 1e-12 * np.max(np.abs(f) @ np.abs(e))
+                    x_next = model.predict(taus, x, u)[-1]
                     errors = error_update(model, refs[j], refs[j + 1], x, u, errors,
-                                          model.dt, 10)
-                    x = model.predict(taus, x, u)[-1]
+                                          model.dt, 10, x_meas_next=x_next)
+                    x = x_next
 
     @pytest.mark.parametrize("horizon", range(1, 6))
     def test_unrolls_one_surrogate_step_fewer_than_it_scores(self, horizon):
@@ -426,12 +427,14 @@ class TestOptimizeSegment:
         assert np.max(np.abs(res.gains.stacked())) < 0.05
 
     def test_matches_dense_grid_search(self):
+        # 3-step window: the input of stage 0 moves the velocity at stage 1 and so the
+        # position at stage 2, which Q weights most, so the optimum is inside the box
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.5, 0.0], [0.3, 0.0], [-0.2, 0.0])
+        e0 = ErrorState([0.5, 0.0], [0.3, 0.0], [0.2, 0.0])
         x0 = np.array([-0.2, 0.0])
         ref = np.array([0.3, 0.0])
-        refs = np.array([x0 + e0.e_prop, ref, ref])  # 2-step window: stages 0 and 1
+        refs = np.array([x0 + e0.e_prop, ref, ref, ref])  # stages 0, 1 and 2
         res = optimize_segment(
             model, x0, e0, refs, weights, AdamConfig(), msd_bounds(),
             max_iters=6000, tol=1e-10,
@@ -439,21 +442,22 @@ class TestOptimizeSegment:
         # independent oracle: closed-form cost on a 0.05 grid over the box
         grid = np.arange(0.0, 5.0 + 1e-9, 0.05)
         kp, ki, kd = np.meshgrid(grid, grid, grid, indexing="ij")
-        u0 = kp * e0.e_prop[0] + ki * e0.e_int[0] + kd * e0.e_deri[0]
-        # stage 1 on the linear stand-in x(tau) = x0 + tau rate, whose integral is exact
-        rate = model.a @ x0 + u0[..., None] * model.b[:, 0]
-        e1_prop = ref - (x0 + model.dt * rate)
-        e1_int = e0.e_int + model.dt * (refs[0] - x0) - 0.5 * model.dt**2 * rate
-        e1_deri = (e1_prop - e0.e_prop) / model.dt
-        u1 = kp * e1_prop[..., 0] + ki * e1_int[..., 0] + kd * e1_deri[..., 0]
-        cost = (
-            0.5 * (e0.e_prop @ weights.q @ e0.e_prop + 0.01 * u0**2) * model.dt
-            + 0.5 * (np.einsum("...i,ij,...j->...", e1_prop, weights.q, e1_prop)
-                     + 0.01 * u1**2) * model.dt
-            + 1.0 * (kp**2 + ki**2 + kd**2)
-        )
+        cost = weights.mu * (kp**2 + ki**2 + kd**2)
+        x, e_prop, e_int, e_deri = x0, e0.e_prop, e0.e_int, e0.e_deri
+        for j in range(3):
+            u = kp * e_prop[..., 0] + ki * e_int[..., 0] + kd * e_deri[..., 0]
+            cost = cost + 0.5 * (np.einsum("...i,ij,...j->...", e_prop, weights.q, e_prop)
+                                 + 0.01 * u**2) * model.dt
+            # the next stage on the linear stand-in x(tau) = x + tau rate, whose
+            # integral is exact
+            rate = x @ model.a.T + u[..., None] * model.b[:, 0]
+            x_next = x + model.dt * rate
+            e_int = e_int + model.dt * (refs[j] - x) - 0.5 * model.dt**2 * rate
+            e_next = refs[j + 1] - x_next
+            x, e_prop, e_deri = x_next, e_next, (e_next - e_prop) / model.dt
         best = np.unravel_index(np.argmin(cost), cost.shape)
         best_gains = np.array([grid[best[0]], grid[best[1]], grid[best[2]]])
+        assert np.all((best_gains > 0.0) & (best_gains < 5.0))
         f = res.gains.stacked()
         mine = np.array([f[0, 0], f[0, 2], f[0, 4]])
         assert np.max(np.abs(mine - best_gains)) <= 0.05 + 1e-9

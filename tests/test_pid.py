@@ -111,7 +111,7 @@ class TestErrorUpdate:
         ref = np.array([0.4, 0.0])
         model = ReferenceModel(ref)
         e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        e1 = error_update(model, ref, ref, ref, np.zeros(1), e0, 0.2)
+        e1 = error_update(model, ref, ref, ref, np.zeros(1), e0, 0.2, x_meas_next=ref)
         assert np.allclose(e1.e_prop, 0.0)
         assert np.allclose(e1.e_int, 0.0)
 
@@ -120,7 +120,8 @@ class TestErrorUpdate:
         model = ReferenceModel(np.zeros(2))
         c = np.array([0.7, -0.2])
         e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        e1 = error_update(model, c, c, np.zeros(2), np.zeros(1), e0, 0.2, n_quad=7)
+        e1 = error_update(model, c, c, np.zeros(2), np.zeros(1), e0, 0.2, n_quad=7,
+                          x_meas_next=np.zeros(2))
         np.testing.assert_allclose(e1.e_int, c * 0.2, rtol=1e-14)
 
     def test_quadrature_refinement(self):
@@ -130,8 +131,8 @@ class TestErrorUpdate:
         u = np.array([0.2])
         ref = np.array([0.1, 0.0])
         e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        coarse = error_update(model, ref, ref, x, u, e0, 0.2, n_quad=10)
-        fine = error_update(model, ref, ref, x, u, e0, 0.2, n_quad=1000)
+        coarse = error_update(model, ref, ref, x, u, e0, 0.2, n_quad=10, x_meas_next=x)
+        fine = error_update(model, ref, ref, x, u, e0, 0.2, n_quad=1000, x_meas_next=x)
         assert np.max(np.abs(coarse.e_int - fine.e_int)) < 1e-4 * 0.2
 
     def test_telescoping_derivative_identity(self):
@@ -144,7 +145,8 @@ class TestErrorUpdate:
         x = np.array([0.1, 0.2])
         for k in range(6):
             ref = rng.standard_normal(2) * 0.3
-            e = error_update(model, ref, ref, x, np.array([0.1]), e, dt)
+            e = error_update(model, ref, ref, x, np.array([0.1]), e, dt,
+                             x_meas_next=rng.standard_normal(2) * 0.3)
             total += e.e_deri * dt
         np.testing.assert_allclose(total, e.e_prop - e0_prop, atol=1e-12)
 
@@ -156,6 +158,15 @@ class TestErrorUpdate:
         e1 = error_update(model, ref, ref, np.zeros(2), np.zeros(1), e0, 0.2,
                           x_meas_next=meas)
         np.testing.assert_allclose(e1.e_prop, ref - meas)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.2])
+    def test_rejects_nonpositive_dt(self, dt):
+        # dt = 0 divided by zero in e_deri, and dt < 0 flipped its sign
+        model = toy_model(seed=3)
+        e0 = ErrorState([0.1, 0.0], np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="dt"):
+            error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), e0, dt,
+                         x_meas_next=np.zeros(2))
 
 
 class TestQuadrature:
@@ -212,7 +223,8 @@ class TestVectorShapes:
         model = toy_model(seed=3)
         with pytest.raises(ValueError, match="errors"):
             error_update(model, np.array([0.2, 0.0]), np.array([0.2, 0.0]), np.zeros(2),
-                         np.zeros(1), ErrorState([0.5], [0.0], [0.0]), 0.2)
+                         np.zeros(1), ErrorState([0.5], [0.0], [0.0]), 0.2,
+                         x_meas_next=np.array([0.15, 0.05]))
 
     @pytest.mark.parametrize("arg", ["x_ref_0", "x_ref_init"])
     @pytest.mark.parametrize("bad", [[0.3], [[0.3], [0.0]]], ids=["width_1", "column"])

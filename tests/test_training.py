@@ -103,18 +103,12 @@ class TestLoss:
     def test_hand_computed_two_samples(self):
         model = msd_model(seed=1)
         data, phys = small_sets(n_data=2, n_phys=2)
-        rep = loss(model, data, phys, MSD_RHS, lambda_phys=1.0)
+        rep = loss(model, data, phys, MSD_RHS)
         preds = model.net.forward_batch(model.params, data.t, data.x0, data.u)
         by_hand = 0.5 * sum(np.sum((preds[i] - data.xf[i]) ** 2) for i in range(2))
         assert rep.l_data == pytest.approx(by_hand, rel=1e-12)
-        assert rep.l_total == pytest.approx(rep.l_data + 1.0 * rep.l_phys, rel=1e-12)
-
-    def test_lambda_weighting(self):
-        model = msd_model(seed=2)
-        data, phys = small_sets()
-        r1 = loss(model, data, phys, MSD_RHS, lambda_phys=1.0)
-        r2 = loss(model, data, phys, MSD_RHS, lambda_phys=2.5)
-        assert r2.l_total == pytest.approx(r1.l_data + 2.5 * r1.l_phys, rel=1e-12)
+        assert rep.l_total == pytest.approx(rep.l_data + training.LAMBDA_PHYS * rep.l_phys,
+                                            rel=1e-12)
 
     def test_permutation_invariance(self):
         model = msd_model(seed=4)
@@ -131,9 +125,7 @@ class TestLossGradient:
     def test_matches_finite_differences(self):
         model = msd_model(widths=(4, 6, 2), seed=11)
         data, phys = small_sets(n_data=8, n_phys=8)
-        a_mat, _ = msd_state_space(MSD)
-        jac = lambda x, u: np.broadcast_to(a_mat, (x.shape[0], 2, 2))
-        *_, grad = loss_and_grad(model.net, model.params, data, phys, MSD_RHS, 1.0, jac)
+        *_, grad = loss_and_grad(model.net, model.params, data, phys, MSD_RHS)
         h = 1e-6
         fd = np.zeros_like(model.params)
         for i in range(model.params.size):
@@ -148,17 +140,21 @@ class TestLossGradient:
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
     def test_buffered_call_matches_unbuffered(self):
+        # one dict through two set sizes: the data rows shrink and the collocation
+        # rows grow, so the second size reallocates the arrays of both passes
         model = msd_model(seed=12)
-        data, phys = small_sets(n_data=24, n_phys=40, seed=2)
-        want = loss_and_grad(model.net, model.params, data, phys, MSD_RHS, 0.7)
         buffers = {}
-        for params in (model.params + 0.01, model.params):
-            got = loss_and_grad(model.net, params, data, phys, MSD_RHS, 0.7, buffers=buffers)
-        assert got[:3] == want[:3]
-        assert np.array_equal(got[3], want[3])
-        kept = [a for sub in buffers.values() for a in sub.values()]
-        assert set(buffers) == {"data", "phys"} and kept
-        assert not any(np.shares_memory(got[3], a) for a in kept)
+        for n_data, n_phys, seed in ((24, 40, 2), (16, 72, 6)):
+            data, phys = small_sets(n_data=n_data, n_phys=n_phys, seed=seed)
+            want = loss_and_grad(model.net, model.params, data, phys, MSD_RHS)
+            for params in (model.params + 0.01, model.params):
+                got = loss_and_grad(model.net, params, data, phys, MSD_RHS, buffers=buffers)
+            assert got[:3] == want[:3]
+            assert np.array_equal(got[3], want[3])
+            kept = [a for sub in buffers.values() for a in sub.values()]
+            assert set(buffers) == {"data", "phys"} and kept
+            assert {a.shape[0] for a in buffers["data"].values()} == {n_data}
+            assert not any(np.shares_memory(got[3], a) for a in kept)
 
     def test_fd_jacobian_matches_linear_plant(self):
         a_mat, _ = msd_state_space(MSD)
@@ -180,7 +176,6 @@ class TestValidation:
                 return states[-1]
 
         rep = validate(OracleModel(), vset)
-        assert np.max(rep.mae_single) < 1e-12
         assert np.max(rep.mae_rollout) < 1e-12
 
     @pytest.mark.parametrize("plant", ["msd", "arm"])
@@ -212,7 +207,7 @@ class TestValidation:
         vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
                                    n_traj=2, n_steps=4, seed=2, substeps=50)
         rep = validate(model, vset)
-        assert rep.mae_single.shape == (2,)
+        assert rep.mae_rollout.shape == (2,)
         assert np.all(rep.mse_rollout >= 0)
 
 
@@ -230,11 +225,8 @@ class TestTrain:
         cfg_data = DatasetConfig(n_data=256, n_phys=512, dt=0.2, eps=0.05,
                                  state_box=STATE_BOX, input_box=INPUT_BOX, seed=3)
         sets = (build_data_set(MSD_RHS, cfg_data), build_phys_set(cfg_data))
-        a_mat, _ = msd_state_space(MSD)
-        jac = lambda x, u: np.broadcast_to(a_mat, (x.shape[0], 2, 2))
-        cfg = TrainConfig(iterations=1500, val_interval=0, lr_start=3e-3, lr_end=3e-4)
-        trained, history = train(model, MSD_RHS, lambda k: sets, cfg,
-                                 state_jacobian=jac)
+        cfg = TrainConfig(iterations=1500, val_interval=0)
+        trained, history = train(model, MSD_RHS, lambda k: sets, cfg)
         first = np.mean([h.l_total for h in history[:100]])
         last = np.mean([h.l_total for h in history[-100:]])
         assert last < first / 20
@@ -254,64 +246,72 @@ class TestTrain:
         assert history[-1].l_total < adam_end
 
     def test_buffers_change_no_bit_of_training(self, monkeypatch):
-        # Adam, a regeneration that changes both row counts, then L-BFGS; the
-        # reference run's loss_and_grad drops the buffers it is handed
+        # Adam, then L-BFGS; the reference run's loss_and_grad drops the buffers it
+        # is handed
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
-        rounds = [small_sets(n_data=48, n_phys=64, seed=5),
-                  small_sets(n_data=40, n_phys=72, seed=6)]
+        sets = small_sets(n_data=48, n_phys=64, seed=5)
         vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
                                    n_traj=2, n_steps=3, seed=8, substeps=20)
-        cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", regen_interval=20,
-                          val_interval=20, lbfgs_iterations=30)
+        cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=20,
+                          lbfgs_iterations=30)
         runs = []
         for drop in (False, True):
             if drop:
                 buffered = training.loss_and_grad
                 monkeypatch.setattr(training, "loss_and_grad",
                                     lambda *a, buffers=None, **k: buffered(*a, **k))
-            trained, history = train(model, MSD_RHS, lambda k: rounds[k], cfg, validation=vset)
+            trained, history = train(model, MSD_RHS, lambda k: sets, cfg, validation=vset)
             runs.append((trained.params, [(h.l_data, h.l_phys, h.val_mse) for h in history]))
         assert len(runs[0][1]) > 40
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
-    @pytest.mark.parametrize("at_round", [0, 1])
-    def test_non_finite_rows_rejected(self, at_round):
+    @pytest.mark.parametrize("bad_set", [0, 1])
+    def test_non_finite_rows_rejected(self, bad_set):
+        # bad_set indexes the (data set, collocation set) pair handed to train
         model = msd_model(widths=(4, 8, 2), seed=1)
         data, phys = small_sets(n_data=16, n_phys=16)
         bad_x0 = data.x0.copy()
         bad_x0[[2, 5], 1] = np.nan
         bad_u = phys.u.copy()
         bad_u[7, 0] = np.inf
-        bad = (DataSet(t=data.t, x0=bad_x0, xf=data.xf, u=data.u),
-               PhysSet(t=phys.t, x=phys.x, u=bad_u))
-        cfg = TrainConfig(iterations=4, regen_interval=2, val_interval=0)
-        gen = lambda k: bad if k == at_round else (data, phys)
-        with pytest.raises(ValueError, match="data set has 2 rows"):
-            train(model, MSD_RHS, gen, cfg)
-        bad = (data, bad[1])
-        with pytest.raises(ValueError, match="collocation set has 1 rows"):
-            train(model, MSD_RHS, gen, cfg)
+        sets = [data, phys]
+        sets[bad_set] = (DataSet(t=data.t, x0=bad_x0, xf=data.xf, u=data.u),
+                         PhysSet(t=phys.t, x=phys.x, u=bad_u))[bad_set]
+        match = ("data set has 2 rows", "collocation set has 1 rows")[bad_set]
+        with pytest.raises(ValueError, match=match):
+            train(model, MSD_RHS, lambda k: tuple(sets), TrainConfig(iterations=4, val_interval=0))
+
+    @pytest.mark.parametrize("fields", [
+        dict(iterations=-5, val_interval=0), dict(lbfgs_iterations=-3), dict(val_interval=-5),
+    ], ids=["iterations", "lbfgs_iterations", "val_interval"])
+    def test_config_rejects_negative_counts(self, fields):
+        # each was accepted without a word: no Adam step, no L-BFGS stage, and
+        # validation on a sign-flipped modulus
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=rf"^{name} must not be negative"):
+            TrainConfig(**fields)
 
     @pytest.mark.parametrize("stage", ["adam", "lbfgs"])
     @pytest.mark.parametrize("fault", ["loss", "gradient"])
-    def test_non_finite_evaluation_raises_diverged(self, fault, stage):
+    def test_non_finite_evaluation_raises_diverged(self, fault, stage, monkeypatch):
         # a NaN rhs makes the loss NaN; a NaN state Jacobian leaves the loss finite
         # and makes only the gradient NaN
         model = msd_model(widths=(4, 8, 2), seed=1)
         data, phys = small_sets()
-        rhs, jac = MSD_RHS, None
+        rhs = MSD_RHS
         if fault == "loss":
             rhs = lambda x, u: np.full(np.shape(x), np.nan)
         else:
-            jac = lambda x, u: np.full(x.shape + (x.shape[-1],), np.nan)
+            monkeypatch.setattr(training, "fd_state_jacobian",
+                                lambda rhs, x, u: np.full(x.shape + (x.shape[-1],), np.nan))
         if stage == "adam":
             cfg = TrainConfig(iterations=4, val_interval=0)
         else:
             cfg = TrainConfig(iterations=0, optimizer="adam-then-lbfgs", lbfgs_iterations=5,
                               val_interval=0)
         with pytest.raises(training.TrainingDiverged) as info:
-            train(model, rhs, lambda k: (data, phys), cfg, state_jacobian=jac)
+            train(model, rhs, lambda k: (data, phys), cfg)
         assert info.value.iteration == 0
         assert info.value.last_report is None
 
@@ -366,18 +366,17 @@ def nan_after(calls):
 class TestTrainMatchesReference:
     """``train`` against the frozen two-stage trainer in reference_train.py, bit for bit."""
 
-    def runs(self, cfg, rhs_factory=lambda: MSD_RHS, jac=None):
+    def runs(self, cfg, rhs_factory=lambda: MSD_RHS):
         """(params, history) of train and of the reference, or the TrainingDiverged of each."""
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
-        rounds = [small_sets(n_data=48, n_phys=64, seed=5),
-                  small_sets(n_data=40, n_phys=72, seed=6)]
+        sets = small_sets(n_data=48, n_phys=64, seed=5)
         vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3,
                                    seed=8, substeps=20)
         out = []
         for fn in (train, reference_train):
             try:
-                trained, history = fn(model, rhs_factory(), lambda k: rounds[k], cfg,
-                                      validation=vset, state_jacobian=jac)
+                trained, history = fn(model, rhs_factory(), lambda k: sets, cfg,
+                                      validation=vset)
                 out.append((trained.params, history))
             except training.TrainingDiverged as exc:
                 out.append(exc)
@@ -385,13 +384,13 @@ class TestTrainMatchesReference:
 
     @pytest.mark.parametrize("cfg", [
         TrainConfig(iterations=40, val_interval=10),
-        TrainConfig(iterations=40, optimizer="adam-then-lbfgs", regen_interval=20,
-                    val_interval=10, lbfgs_iterations=30),
+        TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=10,
+                    lbfgs_iterations=30),
         TrainConfig(iterations=0, optimizer="adam-then-lbfgs", val_interval=0,
                     lbfgs_iterations=12),
         TrainConfig(iterations=20, optimizer="adam-then-lbfgs", val_interval=5,
                     lbfgs_iterations=0),
-    ], ids=["adam", "adam_then_lbfgs_regen", "no_adam", "no_lbfgs"])
+    ], ids=["adam", "adam_then_lbfgs", "no_adam", "no_lbfgs"])
     def test_history_and_parameters(self, cfg):
         (got_params, got), (want_params, want) = self.runs(cfg)
         assert got
@@ -399,8 +398,8 @@ class TestTrainMatchesReference:
         assert got_params.tobytes() == want_params.tobytes()
 
     def test_both_stages_validate(self):
-        cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", regen_interval=20,
-                          val_interval=10, lbfgs_iterations=30)
+        cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=10,
+                          lbfgs_iterations=30)
         (_, got), _ = self.runs(cfg)
         validated = [h.iteration for h in got if h.val_mse is not None]
         assert validated[:4] == [9, 19, 29, 39] and validated[-1] >= 49
@@ -413,14 +412,16 @@ class TestTrainMatchesReference:
             widths=(4, 8, 8, 2), seed=3).params.tobytes()
 
     @pytest.mark.parametrize("stage, calls", [("Adam", 15), ("L-BFGS", 30)])
-    def test_divergence(self, stage, calls):
-        # with the exact Jacobian the rhs runs once per Adam step and once per L-BFGS
-        # evaluation and callback; it turns NaN after ``calls`` of them
+    def test_divergence(self, stage, calls, monkeypatch):
+        # with the exact Jacobian in place of the central difference, the rhs runs once
+        # per Adam step and once per L-BFGS evaluation and callback; it turns NaN after
+        # ``calls`` of them
         cfg = TrainConfig(iterations=20, optimizer="adam-then-lbfgs", val_interval=5,
                           lbfgs_iterations=30)
         a_mat, _ = msd_state_space(MSD)
-        jac = lambda x, u: np.broadcast_to(a_mat, (x.shape[0], 2, 2))
-        got, want = self.runs(cfg, lambda: nan_after(calls), jac=jac)
+        monkeypatch.setattr(training, "fd_state_jacobian",
+                            lambda rhs, x, u: np.broadcast_to(a_mat, (x.shape[0], 2, 2)))
+        got, want = self.runs(cfg, lambda: nan_after(calls))
         assert isinstance(got, training.TrainingDiverged)
         assert isinstance(want, training.TrainingDiverged)
         assert stage in str(got)
