@@ -3,7 +3,8 @@
 Each sampling interval solves a small nonconvex program: roll the surrogate
 self-loop under u = F E with the gain matrix held constant, sum the
 quadratic costs of stages 0..H-1 plus a gain regularizer, and descend with
-Adam while projecting onto the feasible gain box.
+Adam while projecting onto the feasible gain box. ``window_cost_and_grad``
+returns the stage costs' sum and gradient; ``optimize_segment`` adds the rest.
 
 The window keeps its error states as one stacked H x 3n array, row j
 holding E_j = (e_prop, e_int, e_deri), next to H x m arrays of the raw
@@ -130,14 +131,14 @@ def project_stacked(f: np.ndarray, bounds: GainBounds) -> np.ndarray:
     return np.minimum(np.maximum(f, bounds.lower), bounds.upper)
 
 
-def _restore_feasibility(f, bounds, plant, n):
-    """Pull K^i down (g is affine in it) until g >= BARRIER_G_MIN."""
-    g = msd_stability_value(plant, f, n)
-    if g >= BARRIER_G_MIN:
+def _project(f, bounds, plant, n):
+    """Clip F into the gain box; given a plant, then pull K^i down (g is affine
+    in it) until g >= BARRIER_G_MIN, or raise InfeasibleGainError."""
+    f = project_stacked(f, bounds)
+    if plant is None or msd_stability_value(plant, f, n) >= BARRIER_G_MIN:
         return f
     kp, _, kd = scalar_gains(f, n)
     ki_max = ((kd + plant.damping) * (kp + plant.stiffness) - BARRIER_G_MIN) / plant.mass
-    f = f.copy()
     f[0, n] = max(min(f[0, n], ki_max), bounds.lower[0, n])
     if msd_stability_value(plant, f, n) < BARRIER_G_MIN / 2:
         raise InfeasibleGainError("cannot restore barrier feasibility inside the gain box")
@@ -169,14 +170,13 @@ def _error_maps(n: int, dt: float, n_quad: int):
 
 
 def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
-                         weights: CostWeights, dt: float, n_quad: int,
-                         input_bounds=None, regularizer_kind: str = "norm",
-                         plant=None, rho=None):
-    """Lookahead cost, its barrier-free value, and the gradient w.r.t. F.
+                         weights: CostWeights, dt: float, n_quad: int, input_bounds=None):
+    """Tracking cost of the lookahead window and its gradient w.r.t. F.
 
     refs has H+1 rows of width n, of which the window reads r_0..r_{H-1}:
     it scores stages 0..H-1 and so unrolls the surrogate H-1 steps with F
-    constant. Returns (plain cost, total cost, dcost/dF).
+    constant. Returns ((dt/2) sum_{j<H} (e_pj^T Q e_pj + u_j^T R u_j), its
+    gradient); the gain regularizer is the caller's (``optimize_segment``).
     """
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     horizon = refs.shape[0] - 1
@@ -215,9 +215,6 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     cep_direct = dt * (e_props @ q.T)
     cu_direct = dt * (u @ r.T)
     quad_cost = 0.5 * ((cep_direct * e_props).sum() + (cu_direct * u).sum())
-    theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
-    plain = quad_cost + weights.mu * float((f * f).sum())
-    total = quad_cost + weights.mu * theta
 
     # reverse sweep, the adjoint of the recursion: lam is dJ/dE_j and cx is dJ/dx_j;
     # only the last row of cu_raw has no network term, the loop overwrites the others
@@ -232,8 +229,7 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
         c_values[-1] += cx
         cx, cu = model.predict_vjp(tapes[j - 1], c_values)
         cu_raw[j - 1] = np.where(active[j - 1], cu + cu_direct[j - 1], 0.0)
-    grad_f = weights.mu * theta_grad + cu_raw.T @ e
-    return plain, total, grad_f
+    return quad_cost, cu_raw.T @ e
 
 
 @dataclass
@@ -254,8 +250,11 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     Iterates until the max-norm gain change drops below ``tol`` (tol = 0
     disables early stopping) or ``max_iters`` is hit; one more window then
     scores the final iterate without stepping, so a segment makes
-    ``iterations + 1`` window evaluations. Ranking uses the barrier-free cost
-    so iterates stay comparable across the rho ramp.
+    ``iterations + 1`` window evaluations, each plus mu Theta(F) from
+    ``regularizer``. Ranking uses the barrier-free cost (mu ||F||^2 in place
+    of mu Theta) so iterates stay comparable across the rho ramp. The start
+    and every step pass through ``_project``; under the barrier a start whose
+    clipped g is not positive is first moved to the box centre.
     A non-finite cost or gradient rolls the gains back to the last finite
     iterate, halves the step size and restarts Adam; at the starting gains
     it raises :class:`SegmentDiverged`. So does a non-finite entry in the
@@ -264,14 +263,14 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     non-finite input rows with ValueError.
     """
     n = errors_k.e_prop.shape[0]
-    f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
     barrier = regularizer_kind == "barrier"
-    if barrier:
-        if plant is None:
-            raise ValueError("barrier regularizer needs the plant parameters")
-        if msd_stability_value(plant, f, n) <= 0:
-            f = bounds.center()
-        f = _restore_feasibility(f, bounds, plant, n)
+    if barrier and plant is None:
+        raise ValueError("barrier regularizer needs the plant parameters")
+    cut = plant if barrier else None  # the plant whose K^i cut _project applies
+    f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
+    if barrier and msd_stability_value(plant, f, n) <= 0:
+        f = bounds.center()
+    f = _project(f, bounds, cut, n)
     start = (x_k, errors_k.stacked(), refs, f)
     if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in start):
         raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
@@ -284,12 +283,13 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     iterations = 0
     converged = False
     for it in range(max_iters + 1):
+        quad, grad_quad = window_cost_and_grad(model, x_k, errors_k, refs, f, weights,
+                                               model.dt, n_quad, input_bounds=input_bounds)
         rho = _barrier_rho(it, max_iters) if barrier else None
-        plain, total, grad = window_cost_and_grad(
-            model, x_k, errors_k, refs, f, weights, model.dt, n_quad,
-            input_bounds=input_bounds, regularizer_kind=regularizer_kind,
-            plant=plant, rho=rho,
-        )
+        theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
+        plain = quad + weights.mu * float((f * f).sum())
+        total = quad + weights.mu * theta
+        grad = weights.mu * theta_grad + grad_quad
         final = converged or it == max_iters  # the final iterate is scored, never stepped from
         if not final and (not np.isfinite(total) or not np.all(np.isfinite(grad))):
             if last_finite is None:
@@ -305,9 +305,7 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
             break
         last_finite = f
         f_new, state = adam_step(state, grad, f, cfg)
-        f_new = project_stacked(f_new, bounds)
-        if barrier:
-            f_new = _restore_feasibility(f_new, bounds, plant, n)
+        f_new = _project(f_new, bounds, cut, n)
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
         iterations = it + 1

@@ -48,7 +48,7 @@ class PinnModel:
 
     def predict(self, taus, x, u) -> np.ndarray:
         """States at elapsed times ``taus`` from (x, u); shape (len(taus), n)."""
-        return self.net.forward_batch(self.params, taus, x, u)
+        return self.net.forward_raw(self.params, self.net.stack_rows(taus, x, u))[0]
 
     def predict_with_tape(self, taus, x, u):
         rows = self.net.stack_rows(taus, x, u)
@@ -63,7 +63,8 @@ class PinnModel:
 
     def time_derivative(self, t, x, u) -> np.ndarray:
         """d phi/dt at one elapsed time ``t`` from (x, u); shape (n,)."""
-        return self.net.value_and_time_derivative(self.params, [t], x, u)[1][0]
+        rows = self.net.stack_rows([t], x, u)
+        return self.net.forward_raw(self.params, rows, self.net.time_tangent_rows(1))[1][0]
 
 
 def save_model(model: PinnModel, path) -> None:

@@ -5,13 +5,12 @@ rescaling, a stack of tanh hidden layers and a linear output layer. All
 derivative passes needed downstream are implemented directly on that
 structure, on batches of rows assembled by ``stack_rows``:
 
-- ``forward_raw``: values and the tape the reverse sweep reads, optionally
-  with forward mode along the time coordinate (tangent rows from
-  ``time_tangent_rows``); ``forward_batch`` and ``value_and_time_derivative``
-  are its (t, x, u) entry points,
-- ``backward_raw``: one reverse sweep returning the gradient over the flat
-  parameter vector and the cotangent of the encoded input rows (times
-  ``scaling.slope`` for the raw rows). On a dual tape it is
+- ``forward_raw``, the one forward entry: values and the tape the reverse
+  sweep reads, optionally with forward mode along the time coordinate
+  (tangent rows from ``time_tangent_rows``),
+- ``backward_raw``, the one reverse entry: a sweep returning the gradient
+  over the flat parameter vector and the cotangent of the encoded input
+  rows (times ``scaling.slope`` for the raw rows). On a dual tape it is
   reverse-over-forward, for gradients of functions of the time derivative,
   which the physics-residual training loss needs. With ``want_grads=False``
   it carries only the input cotangent and skips the parameter-gradient
@@ -240,10 +239,6 @@ class FeedforwardNet:
             zdots.append(zdot)
         return z, zdot, (zs, gs, adots, zdots)
 
-    def forward_batch(self, params, t, x, u) -> np.ndarray:
-        values, _, _ = self.forward_raw(params, self.stack_rows(t, x, u))
-        return values
-
     # -- derivative passes ----------------------------------------------------
 
     def backward_raw(self, params, tape, cot_values, cot_tangents=None, want_grads=True, *,
@@ -307,10 +302,3 @@ class FeedforwardNet:
         rows = np.zeros((n, self.spec.input_dim))
         rows[:, 0] = 1.0
         return rows
-
-    def value_and_time_derivative(self, params, t, x, u):
-        rows = self.stack_rows(t, x, u)
-        values, tangents, _ = self.forward_raw(
-            params, rows, self.time_tangent_rows(rows.shape[0])
-        )
-        return values, tangents

@@ -7,10 +7,11 @@ the network's dual reverse pass; the residual's dependence on the predicted
 state enters via the plant Jacobian, a central difference with step
 ``FD_STEP``. Default optimizer is full-batch Adam with a learning rate
 cosine-decayed from ``LR_START`` to ``LR_END``; L-BFGS-B (scipy, default
-memory) is available as a refinement stage after it. Both stages fit one
-data set and one collocation set. The returned parameters are the
-best-validation iterate, scored by self-loop rollout MSE against held-out
-RK4 trajectories.
+memory) refines its result when ``lbfgs_iterations`` is positive. Both
+stages fit one data set and one collocation set. The returned parameters
+are the best-validation iterate, scored by self-loop rollout MSE against
+held-out RK4 trajectories. ``loss`` and ``loss_and_grad`` share the loss's
+two forward passes (``_forward``); the latter adds their reverse sweeps.
 
 Both stages share one path in ``train``: an evaluation that raises
 :class:`TrainingDiverged` on a non-finite loss or gradient, a record step
@@ -48,16 +49,18 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     iterations: int = 10000
-    optimizer: str = "adam"  # adam | adam-then-lbfgs
+    optimizer: str = "adam"  # "adam-then-lbfgs" iff lbfgs_iterations > 0
     val_interval: int = 250  # 0 disables validation during training
-    lbfgs_iterations: int = 500
+    lbfgs_iterations: int = 0  # L-BFGS runs iff this is positive
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "adam-then-lbfgs"):
-            raise ValueError(f"unknown optimizer '{self.optimizer}'")
         for name in ("iterations", "val_interval", "lbfgs_iterations"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
+        expected = "adam-then-lbfgs" if self.lbfgs_iterations > 0 else "adam"
+        if self.optimizer != expected:
+            raise ValueError(f"optimizer '{self.optimizer}' with lbfgs_iterations = "
+                             f"{self.lbfgs_iterations}; expected '{expected}'")
         if self.val_interval and self.iterations % self.val_interval:
             raise ValueError("validation interval must divide total iterations")
 
@@ -69,7 +72,6 @@ class LossReport:
     l_phys: float
     l_total: float
     val_mse: float | None = None
-    val_mae: float | None = None
 
 
 @dataclass
@@ -84,7 +86,6 @@ class ValidationSet:
 
 @dataclass
 class ValidationReport:
-    mae_rollout: np.ndarray
     mse_rollout: np.ndarray
 
 
@@ -100,23 +101,31 @@ def fd_state_jacobian(rhs, x, u):
     return jac
 
 
-def physics_residual(model: PinnModel, rhs, t, x, u) -> np.ndarray:
-    """Phi = d phi/dt - f(phi, u) at the collocation points; shape (N, n)."""
-    values, rates = model.net.value_and_time_derivative(model.params, t, x, u)
-    return rates - rhs(values, np.atleast_2d(u))
+def _forward(net, params, data: DataSet, phys: PhysSet, rhs, buffers=None):
+    """Data pass and dual physics pass: (l_data, l_phys) and what the reverse
+    sweeps read, (data residual, tape, physics residual, predicted states,
+    inputs, tape). ``buffers`` is as in ``loss_and_grad``."""
+    buf_d = buf_p = None
+    if buffers is not None:
+        buf_d = buffers.setdefault("data", {})
+        buf_p = buffers.setdefault("phys", {})
+    rows_d = net.stack_rows(data.t, data.x0, data.u)
+    preds, _, tape_d = net.forward_raw(params, rows_d, buffers=buf_d)
+    res_d = preds - data.xf
+    l_data = float(np.mean(np.sum(res_d**2, axis=1)))
+    rows_p = net.stack_rows(phys.t, phys.x, phys.u)
+    values, rates, tape_p = net.forward_raw(
+        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
+    )
+    u2 = np.atleast_2d(phys.u)
+    residual = rates - rhs(values, u2)
+    l_phys = float(np.mean(np.sum(residual**2, axis=1)))
+    return l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p
 
 
 def loss(model: PinnModel, data: DataSet, phys: PhysSet, rhs, iteration: int = 0) -> LossReport:
-    preds = model.net.forward_batch(model.params, data.t, data.x0, data.u)
-    l_data = float(np.mean(np.sum((preds - data.xf) ** 2, axis=1)))
-    residual = physics_residual(model, rhs, phys.t, phys.x, phys.u)
-    l_phys = float(np.mean(np.sum(residual**2, axis=1)))
-    return LossReport(
-        iteration=iteration,
-        l_data=l_data,
-        l_phys=l_phys,
-        l_total=l_data + LAMBDA_PHYS * l_phys,
-    )
+    l_data, l_phys, *_ = _forward(model.net, model.params, data, phys, rhs)
+    return LossReport(iteration, l_data, l_phys, l_data + LAMBDA_PHYS * l_phys)
 
 
 def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers=None):
@@ -126,27 +135,12 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers=Non
     physics pass each keep their row-sized arrays in a sub-dict of it (see
     the ``network`` module docstring). Nothing returned aliases a buffer.
     """
-    buf_d = buf_p = None
-    if buffers is not None:
-        buf_d = buffers.setdefault("data", {})
-        buf_p = buffers.setdefault("phys", {})
-    # data term
-    rows_d = net.stack_rows(data.t, data.x0, data.u)
-    preds, _, tape_d = net.forward_raw(params, rows_d, buffers=buf_d)
-    res_d = preds - data.xf
-    n_data = res_d.shape[0]
-    l_data = float(np.mean(np.sum(res_d**2, axis=1)))
-    grad_d, _ = net.backward_raw(params, tape_d, (2.0 / n_data) * res_d, buffers=buf_d)
-    # physics term
-    rows_p = net.stack_rows(phys.t, phys.x, phys.u)
-    values, rates, tape_p = net.forward_raw(
-        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
+    l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p = _forward(
+        net, params, data, phys, rhs, buffers
     )
-    u2 = np.atleast_2d(phys.u)
-    residual = rates - rhs(values, u2)
-    n_phys = residual.shape[0]
-    l_phys = float(np.mean(np.sum(residual**2, axis=1)))
-    cot_rate = (2.0 / n_phys) * residual
+    buf_d, buf_p = (None, None) if buffers is None else (buffers["data"], buffers["phys"])
+    grad_d, _ = net.backward_raw(params, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
+    cot_rate = (2.0 / residual.shape[0]) * residual
     jac = fd_state_jacobian(rhs, values, u2)
     cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
     grad_p, _ = net.backward_raw(params, tape_p, cot_value, cot_rate, buffers=buf_p)
@@ -192,10 +186,7 @@ def validate(model, vset: ValidationSet) -> ValidationReport:
         x_roll = model.predict(taus, x_roll, vset.u_seq[:, k, :])
         roll_err.append(x_roll - vset.truth[:, k + 1, :])
     roll = np.concatenate(roll_err, axis=0)
-    return ValidationReport(
-        mae_rollout=np.mean(np.abs(roll), axis=0),
-        mse_rollout=np.mean(roll**2, axis=0),
-    )
+    return ValidationReport(mse_rollout=np.mean(roll**2, axis=0))
 
 
 def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
@@ -230,13 +221,13 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         mse = float(np.mean(vrep.mse_rollout))
         if mse < best[0]:
             best[:] = mse, pvec.copy()
-        return mse, float(np.mean(vrep.mae_rollout))
+        return mse
 
     def record(pvec, report):
         if validation is not None and config.val_interval and (
             (report.iteration + 1) % config.val_interval == 0
         ):
-            report.val_mse, report.val_mae = score(pvec)
+            report.val_mse = score(pvec)
         history.append(report)
 
     state = AdamState.zeros(params.shape)
@@ -247,7 +238,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         params, state = adam_step(state, grad, params, AdamConfig(alpha=alpha))
         record(params, LossReport(it, l_data, l_phys, l_total))
 
-    if config.optimizer == "adam-then-lbfgs" and config.lbfgs_iterations > 0:
+    if config.lbfgs_iterations > 0:
         def objective(pvec):
             _, _, l_total, grad = evaluate(pvec, "L-BFGS")
             return l_total, grad

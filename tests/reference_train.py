@@ -43,7 +43,6 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         probe = PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps)
         vrep = validate(probe, validation)
         report.val_mse = float(np.mean(vrep.mse_rollout))
-        report.val_mae = float(np.mean(vrep.mae_rollout))
         if report.val_mse < best[0]:
             best = (report.val_mse, pvec.copy())
 

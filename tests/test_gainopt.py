@@ -101,6 +101,17 @@ def msd_bounds(lo=0.0, hi=5.0):
     return diagonal_gain_bounds(2, 1, (lo, hi), (lo, hi), (lo, hi), coords=[0])
 
 
+def regularized_window(model, x0, errors0, refs, f, weights, dt, n_quad, input_bounds=None,
+                       kind="norm", plant=None, rho=None):
+    """(plain cost, total cost, gradient of the total): the window's tracking cost and
+    gradient with mu times the regularizer added the way ``optimize_segment`` adds it."""
+    quad, grad = window_cost_and_grad(model, x0, errors0, refs, f, weights, dt, n_quad,
+                                      input_bounds=input_bounds)
+    theta, theta_grad = regularizer(f, kind, plant=plant, rho=rho, n=errors0.e_prop.shape[0])
+    return (quad + weights.mu * float((f * f).sum()), quad + weights.mu * theta,
+            weights.mu * theta_grad + grad)
+
+
 class TestStageCost:
     """Costs of a 1-step window: the stage-0 cost alone, with no surrogate step."""
 
@@ -108,10 +119,10 @@ class TestStageCost:
         model = LinearSurrogate()
         w = CostWeights(q=np.eye(2), r=np.eye(1))
         zeros = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        plain, total, grad = window_cost_and_grad(
+        cost, grad = window_cost_and_grad(
             model, np.zeros(2), zeros, np.zeros((2, 2)), np.zeros((1, 6)), w, model.dt, 10
         )
-        assert plain == 0.0 and total == 0.0
+        assert cost == 0.0
         assert np.array_equal(grad, np.zeros((1, 6)))
 
     def test_hand_value_plain(self):
@@ -121,8 +132,8 @@ class TestStageCost:
         w = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.1, 0.0], [0.38, 0.0], [0.0, 0.0])
         f = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
-        plain, total, _ = window_cost_and_grad(
-            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, model.dt, 10, regularizer_kind="norm"
+        plain, total, _ = regularized_window(
+            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, model.dt, 10, kind="norm"
         )
         assert plain == pytest.approx(4.88025, abs=1e-12)
         assert total == plain
@@ -210,7 +221,7 @@ class TestWindowGradient:
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
-        _, cost, grad = window_cost_and_grad(
+        cost, grad = window_cost_and_grad(
             model, x0, e0, refs, f, weights, model.dt, 10
         )
         fd = np.zeros_like(f)
@@ -219,8 +230,8 @@ class TestWindowGradient:
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10)[1]
-            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10)[1]
+            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10)[0]
+            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10)[0]
             fd[0, i] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -234,15 +245,15 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.2, 0.0]] * 3)
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
-        _, cost, grad = window_cost_and_grad(model, x0, e0, refs, f, weights, model.dt, 10)
+        cost, grad = window_cost_and_grad(model, x0, e0, refs, f, weights, model.dt, 10)
         h = 1e-6
         fd = np.zeros_like(f)
         for i in range(f.shape[1]):
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10)[1]
-            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10)[1]
+            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10)[0]
+            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10)[0]
             fd[0, i] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -257,10 +268,9 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
-        kw = dict(input_bounds=Box([-1.0], [1.0]), regularizer_kind="barrier",
-                  plant=MSD, rho=0.5)
+        kw = dict(input_bounds=Box([-1.0], [1.0]), kind="barrier", plant=MSD, rho=0.5)
         spy = InputSpy(model)
-        _, cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10, **kw)
+        _, cost, grad = regularized_window(spy, x0, e0, refs, f, weights, model.dt, 10, **kw)
         saturated = [abs(u[0]) == 1.0 for u in spy.inputs]
         assert any(saturated) and not all(saturated)
         assert msd_stability_value(MSD, f, 2) > 0
@@ -270,8 +280,8 @@ class TestWindowGradient:
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10, **kw)[1]
-            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10, **kw)[1]
+            cp = regularized_window(model, x0, e0, refs, fp, weights, model.dt, 10, **kw)[1]
+            cm = regularized_window(model, x0, e0, refs, fm, weights, model.dt, 10, **kw)[1]
             fd[0, i] = (cp - cm) / (2 * h)
         # the cost is about 190, so rounding alone puts ~2e-8 into each difference
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
@@ -295,8 +305,8 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2, 0.0, 0.1])
         refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
         spy = InputSpy(model)
-        _, cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10,
-                                             input_bounds=box)
+        cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10,
+                                          input_bounds=box)
         if box is not None:
             saturated = [np.any(np.abs(u) == 0.8) for u in spy.inputs]
             assert any(saturated) and not all(saturated)
@@ -307,9 +317,9 @@ class TestWindowGradient:
             fp[idx] += h
             fm[idx] -= h
             cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10,
-                                      input_bounds=box)[1]
+                                      input_bounds=box)[0]
             cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10,
-                                      input_bounds=box)[1]
+                                      input_bounds=box)[0]
             fd[idx] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
@@ -330,12 +340,12 @@ class TestWindowGradient:
         e0 = ErrorState([5.0, 0.0], [0.0, 0.0], [0.0, 0.0])  # huge error saturates u
         refs = np.zeros((3, 2))
         f = np.array([[4.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-        _, _, grad = window_cost_and_grad(
+        _, grad = window_cost_and_grad(
             model, np.zeros(2), e0, refs, f, weights, model.dt, 10,
             input_bounds=Box([-1.0], [1.0]),
         )
-        # only the regularizer path remains on the saturated proportional entry
-        assert grad[0, 0] == pytest.approx(2.0 * 4.0)
+        # no tracking path reaches the saturated proportional entry
+        assert grad[0, 0] == 0.0
 
 
 class TestStackedWindow:
@@ -360,11 +370,11 @@ class TestStackedWindow:
             kp, ki, kd = f[0, 0], f[0, 2], f[0, 4]
             # keep the stability value g positive for the barrier
             f[0, 2] = min(ki, 0.9 * (kd + MSD.damping) * (kp + MSD.stiffness) / MSD.mass)
-            kw = dict(input_bounds=box, regularizer_kind=kind)
-            if kind == "barrier":
-                kw.update(plant=MSD, rho=rng.uniform(0.01, 10.0))
-            new = window_cost_and_grad(model, x0, e0, refs, f, weights, model.dt, 10, **kw)
-            old = reference_window(model, x0, e0, refs, f, ref_weights, model.dt, 10, **kw)
+            plant, rho = (MSD, rng.uniform(0.01, 10.0)) if kind == "barrier" else (None, None)
+            new = regularized_window(model, x0, e0, refs, f, weights, model.dt, 10,
+                                     input_bounds=box, kind=kind, plant=plant, rho=rho)
+            old = reference_window(model, x0, e0, refs, f, ref_weights, model.dt, 10,
+                                   input_bounds=box, regularizer_kind=kind, plant=plant, rho=rho)
             for a, b in zip(new[:2], old[:2]):
                 assert abs(a - b) <= 1e-12 * abs(b)
             assert np.max(np.abs(new[2] - old[2])) <= 1e-12 * np.max(np.abs(old[2]))
@@ -408,8 +418,7 @@ class TestStackedWindow:
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
         spy = InputSpy(model)
         window_cost_and_grad(spy, np.array([0.1, -0.2]), e0, np.full((horizon + 1, 2), 0.5), f,
-                             weights, model.dt, 10, input_bounds=Box([-1.0], [1.0]),
-                             regularizer_kind="barrier", plant=MSD, rho=1.0)
+                             weights, model.dt, 10, input_bounds=Box([-1.0], [1.0]))
         assert len(spy.inputs) == horizon - 1
         assert spy.vjp_calls == horizon - 1
 
@@ -523,9 +532,10 @@ class TestOptimizeSegment:
         if stop == "max_iters":
             assert res.iterations == 30
         assert calls[0] == res.iterations + 1
-        plain, _, _ = window(model, x0, e0, refs, res.gains.stacked(), weights, model.dt, 10,
-                             input_bounds=kw.get("input_bounds"))
-        assert res.cost == plain
+        f = res.gains.stacked()
+        quad, _ = window(model, x0, e0, refs, f, weights, model.dt, 10,
+                         input_bounds=kw.get("input_bounds"))
+        assert res.cost == quad + weights.mu * float((f * f).sum())
 
     def test_non_finite_step_rolls_back_and_halves_alpha(self):
         # 2-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff
@@ -540,7 +550,7 @@ class TestOptimizeSegment:
         f = res.gains.stacked()
         assert abs(f[0] @ e0.stacked()) >= 0.2
         assert np.isfinite(window_cost_and_grad(model, np.zeros(2), e0, refs, f, weights,
-                                                model.dt, 10)[1])
+                                                model.dt, 10)[0])
 
     def test_non_finite_start_raises(self):
         # 5-step window: u falls below 0.2 inside the window already at the box centre
@@ -565,3 +575,48 @@ class TestOptimizeSegment:
                              regularizer_kind="barrier", plant=MSD,
                              input_bounds=Box([-1.0], [1.0]),
                              init_gains=GainMatrix.from_stacked(start["init_gains"]))
+
+
+class TestSegmentFeasibility:
+    """Where the barrier segment starts: the box centre in place of an unstable warm
+    start, the K^i cut below g = BARRIER_G_MIN, and the error when no cut is left."""
+
+    def first_window_gains(self, monkeypatch, bounds, init=None):
+        window = gainopt.window_cost_and_grad
+        seen = []
+
+        def recording(model, x0, errors0, refs, f, *args, **kwargs):
+            seen.append(f.copy())
+            return window(model, x0, errors0, refs, f, *args, **kwargs)
+
+        monkeypatch.setattr(gainopt, "window_cost_and_grad", recording)
+        model = LinearSurrogate()
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        init_gains = None if init is None else GainMatrix.from_stacked(
+            np.array([[init[0], 0.0, init[1], 0.0, init[2], 0.0]]))
+        optimize_segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights, AdamConfig(),
+                         bounds, regularizer_kind="barrier", plant=MSD, max_iters=2, tol=0.0,
+                         init_gains=init_gains)
+        return seen[0]
+
+    def test_box_without_a_stable_gain_raises(self, monkeypatch):
+        # K^p = K^d = 0 leave g = D K - M K^i = 0.5 - K^i, negative on all of K^i in [4, 5]
+        bounds = diagonal_gain_bounds(2, 1, (0.0, 0.0), (4.0, 5.0), (0.0, 0.0), coords=[0])
+        with pytest.raises(InfeasibleGainError, match="inside the gain box"):
+            self.first_window_gains(monkeypatch, bounds)
+
+    def test_unstable_warm_start_starts_at_box_centre(self, monkeypatch):
+        bounds = msd_bounds()
+        start = np.array([[0.0, 0.0, 5.0, 0.0, 0.0, 0.0]])
+        assert msd_stability_value(MSD, start, 2) < 0
+        first = self.first_window_gains(monkeypatch, bounds, (0.0, 5.0, 0.0))
+        assert np.array_equal(first, bounds.center())
+
+    def test_barely_stable_warm_start_is_cut_to_g_min(self, monkeypatch):
+        start = np.array([[0.0, 0.0, 0.4999995, 0.0, 0.0, 0.0]])
+        assert 0.0 < msd_stability_value(MSD, start, 2) < gainopt.BARRIER_G_MIN
+        first = self.first_window_gains(monkeypatch, msd_bounds(), (0.0, 0.4999995, 0.0))
+        np.testing.assert_array_equal(first[0, [0, 1, 3, 4, 5]], 0.0)
+        assert first[0, 2] == pytest.approx(0.499999, abs=1e-15)
+        assert msd_stability_value(MSD, first, 2) >= gainopt.BARRIER_G_MIN / 2

@@ -43,11 +43,11 @@ def hand_forward(net, params, t, x, u):
 
 def forward1(net, params, t, x, u):
     """phi-hat(t, x, u) for one sample, through the batched pass."""
-    return net.forward_batch(params, [t], x, u)[0]
+    return net.forward_raw(params, net.stack_rows([t], x, u))[0][0]
 
 
 def time_derivative1(net, params, t, x, u):
-    return net.value_and_time_derivative(params, [t], x, u)[1][0]
+    return net.forward_raw(params, net.stack_rows([t], x, u), net.time_tangent_rows(1))[1][0]
 
 
 def param_grad(net, params, rows, cot, cot_t=None):
@@ -93,7 +93,8 @@ class TestSpec:
 class TestForward:
     def test_zero_params_give_zero_output(self):
         net = make_net([4, 8, 2], 2, 1)
-        out = net.forward_batch(np.zeros(net.spec.param_count()), [0.1, 0.2], [0.3, -0.2], [0.5])
+        rows = net.stack_rows([0.1, 0.2], [0.3, -0.2], [0.5])
+        out, _, _ = net.forward_raw(np.zeros(net.spec.param_count()), rows)
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_odd_symmetry_with_zero_biases(self):
@@ -127,12 +128,13 @@ class TestForward:
     def test_rejects_nonfinite_input(self):
         net = make_net([4, 8, 2], 2, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            net.forward_batch(np.zeros(net.spec.param_count()), [np.nan], [0.0, 0.0], [0.0])
+            net.forward_raw(np.zeros(net.spec.param_count()),
+                            net.stack_rows([np.nan], [0.0, 0.0], [0.0]))
 
     def test_rejects_dimension_mismatch(self):
         net = make_net([4, 8, 2], 2, 1)
         with pytest.raises(ValueError):
-            net.forward_batch(np.zeros(net.spec.param_count()), [0.0], [0.0], [0.0])
+            net.forward_raw(np.zeros(net.spec.param_count()), net.stack_rows([0.0], [0.0], [0.0]))
 
 
 class TestGradParams:
@@ -255,7 +257,7 @@ class TestDualReverse:
         ct = rng.standard_normal(net.spec.output_dim)
 
         def scalar(p):
-            val, rate = net.value_and_time_derivative(p, [t], x, u)
+            val, rate, _ = net.forward_raw(p, net.stack_rows([t], x, u), net.time_tangent_rows(1))
             return float(cv @ val[0] + ct @ rate[0])
 
         g = param_grad(net, params, net.stack_rows([t], x, u), cv[None], ct[None])

@@ -32,7 +32,6 @@ from pinnpid.training import (
     loss,
     loss_and_grad,
     make_validation_set,
-    physics_residual,
     train,
     validate,
 )
@@ -58,44 +57,54 @@ def small_sets(n_data=8, n_phys=8, seed=0):
     return build_data_set(MSD_RHS, cfg), build_phys_set(cfg)
 
 
+def one_row_l_phys(model, rhs, t, x, u):
+    """The physics term of ``loss`` on the one collocation row (t, x, u): the
+    squared norm of that row's residual d phi/dt - rhs(phi, u)."""
+    data = DataSet(t=np.array([0.1]), x0=np.zeros((1, 2)), xf=np.zeros((1, 2)),
+                   u=np.zeros((1, 1)))
+    phys = PhysSet(t=np.array([t]), x=np.atleast_2d(x), u=np.atleast_2d(u))
+    return loss(model, data, phys, rhs).l_phys
+
+
 class TestPhysicsResidual:
     def test_zero_network_zero_rhs(self):
         model = msd_model(seed=None)
         zero_rhs = lambda x, u: np.zeros_like(np.atleast_2d(x))
-        res = physics_residual(model, zero_rhs, np.array([0.1]), np.array([[0.3, 0.1]]),
-                               np.array([[0.2]]))
-        assert np.array_equal(res, np.zeros((1, 2)))
+        assert one_row_l_phys(model, zero_rhs, 0.1, [0.3, 0.1], [0.2]) == 0.0
 
     def test_matches_finite_difference_rate(self):
+        # the rhs shifted by the expected residual leaves the residual's error, each of
+        # whose coordinates must lie inside the tightest per-coordinate tolerance
         model = msd_model(seed=5)
         t, x, u = 0.12, np.array([0.4, -0.2]), np.array([0.3])
-        res = physics_residual(model, MSD_RHS, np.array([t]), x[None], u[None])[0]
         h = 1e-6
         fd_rate = (model.predict(np.array([t + h]), x, u)[0]
                    - model.predict(np.array([t - h]), x, u)[0]) / (2 * h)
         expected = fd_rate - msd_rhs(MSD, model.predict(np.array([t]), x, u)[0], u)
-        np.testing.assert_allclose(res, expected, rtol=1e-5, atol=1e-7)
+        shifted = lambda xs, us: MSD_RHS(xs, us) + expected
+        tol = np.min(1e-7 + 1e-5 * np.abs(expected))
+        assert one_row_l_phys(model, shifted, t, x, u) <= tol**2
+        assert one_row_l_phys(model, MSD_RHS, t, x, u) > 1e4 * tol**2
 
     def test_affine_scaling_with_linear_rhs(self):
         # doubling the output layer doubles value and rate; with u = 0 the
-        # residual of the linear plant doubles exactly
+        # residual of the linear plant doubles exactly, so its square quadruples
         model = msd_model(seed=7)
-        t, x, u = np.array([0.1]), np.array([[0.2, 0.1]]), np.array([[0.0]])
-        res1 = physics_residual(model, MSD_RHS, t, x, u)
+        t, x, u = 0.1, [0.2, 0.1], [0.0]
+        l1 = one_row_l_phys(model, MSD_RHS, t, x, u)
         doubled = model.params.copy()
         w_sl, b_sl, _ = model.net.spec.param_slices()[-1]
         doubled[w_sl] *= 2.0
         doubled[b_sl] *= 2.0
         model2 = PinnModel(net=model.net, params=doubled, dt=model.dt, eps=model.eps)
-        res2 = physics_residual(model2, MSD_RHS, t, x, u)
-        np.testing.assert_allclose(res2, 2.0 * res1, rtol=1e-12)
+        assert one_row_l_phys(model2, MSD_RHS, t, x, u) == pytest.approx(4.0 * l1, rel=1e-12)
 
 
 class TestLoss:
     def test_exact_predictions_zero_data_loss(self):
         model = msd_model(seed=3)
         data, phys = small_sets()
-        preds = model.net.forward_batch(model.params, data.t, data.x0, data.u)
+        preds = model.predict(data.t, data.x0, data.u)
         exact = DataSet(t=data.t, x0=data.x0, xf=preds, u=data.u)
         rep = loss(model, exact, phys, MSD_RHS)
         assert rep.l_data == pytest.approx(0.0, abs=1e-28)
@@ -104,7 +113,7 @@ class TestLoss:
         model = msd_model(seed=1)
         data, phys = small_sets(n_data=2, n_phys=2)
         rep = loss(model, data, phys, MSD_RHS)
-        preds = model.net.forward_batch(model.params, data.t, data.x0, data.u)
+        preds = model.predict(data.t, data.x0, data.u)
         by_hand = 0.5 * sum(np.sum((preds[i] - data.xf[i]) ** 2) for i in range(2))
         assert rep.l_data == pytest.approx(by_hand, rel=1e-12)
         assert rep.l_total == pytest.approx(rep.l_data + training.LAMBDA_PHYS * rep.l_phys,
@@ -176,7 +185,7 @@ class TestValidation:
                 return states[-1]
 
         rep = validate(OracleModel(), vset)
-        assert np.max(rep.mae_rollout) < 1e-12
+        assert np.max(rep.mse_rollout) < 1e-24
 
     @pytest.mark.parametrize("plant", ["msd", "arm"])
     def test_batched_set_matches_per_trajectory_integration(self, plant):
@@ -207,7 +216,7 @@ class TestValidation:
         vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
                                    n_traj=2, n_steps=4, seed=2, substeps=50)
         rep = validate(model, vset)
-        assert rep.mae_rollout.shape == (2,)
+        assert rep.mse_rollout.shape == (2,)
         assert np.all(rep.mse_rollout >= 0)
 
 
@@ -388,14 +397,21 @@ class TestTrainMatchesReference:
                     lbfgs_iterations=30),
         TrainConfig(iterations=0, optimizer="adam-then-lbfgs", val_interval=0,
                     lbfgs_iterations=12),
-        TrainConfig(iterations=20, optimizer="adam-then-lbfgs", val_interval=5,
-                    lbfgs_iterations=0),
-    ], ids=["adam", "adam_then_lbfgs", "no_adam", "no_lbfgs"])
+    ], ids=["adam", "adam_then_lbfgs", "no_adam"])
     def test_history_and_parameters(self, cfg):
         (got_params, got), (want_params, want) = self.runs(cfg)
         assert got
         assert [astuple(h) for h in got] == [astuple(h) for h in want]
         assert got_params.tobytes() == want_params.tobytes()
+
+    @pytest.mark.parametrize("fields", [
+        dict(optimizer="adam-then-lbfgs", lbfgs_iterations=0),
+        dict(lbfgs_iterations=100),
+    ], ids=["lbfgs_without_iterations", "iterations_without_lbfgs"])
+    def test_optimizer_disagreeing_with_lbfgs_iterations_rejected(self, fields):
+        # the second ran no L-BFGS iteration while the default was 500, without a word
+        with pytest.raises(ValueError, match="expected 'adam"):
+            TrainConfig(iterations=20, val_interval=5, **fields)
 
     def test_both_stages_validate(self):
         cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=10,
