@@ -44,7 +44,7 @@ of ``max_iters``, so the barrier weight grows from 1e-4 to 1e3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,8 +63,8 @@ class InfeasibleGainError(ValueError):
 
 
 class SegmentDiverged(RuntimeError):
-    """Gain optimization started from a non-finite point or produced a
-    non-finite cost at its starting gains."""
+    """Gain optimization started from a non-finite point or met a non-finite
+    window cost or gradient."""
 
 
 @dataclass
@@ -238,7 +238,6 @@ class SegmentResult:
     cost: float
     iterations: int
     converged: bool
-    alpha_halvings: int = 0
 
 
 def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeights,
@@ -255,17 +254,23 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     of mu Theta) so iterates stay comparable across the rho ramp. The start
     and every step pass through ``_project``; under the barrier a start whose
     clipped g is not positive is first moved to the box centre.
-    A non-finite cost or gradient rolls the gains back to the last finite
-    iterate, halves the step size and restarts Adam; at the starting gains
-    it raises :class:`SegmentDiverged`. So does a non-finite entry in the
-    starting point (``x_k``, ``errors_k``, ``refs`` or the projected start
-    gains), checked before the first window, since the network rejects
-    non-finite input rows with ValueError.
+
+    Failure contract: a non-finite entry in the starting point (``x_k``,
+    ``errors_k``, ``refs`` or the projected start gains) raises
+    :class:`SegmentDiverged` before the first window, since the network
+    rejects non-finite input rows with ValueError. A non-finite plain cost or
+    gradient at any iterate raises :class:`SegmentDiverged` naming the
+    iteration and the gains. A network surrogate cannot produce one: its
+    outputs are bounded by its finite last layer, and ``_project`` keeps the
+    gains in the box with g >= BARRIER_G_MIN / 2. The segment does not
+    recover; the caller does, for example by holding the previous gains.
     """
     n = errors_k.e_prop.shape[0]
     barrier = regularizer_kind == "barrier"
     if barrier and plant is None:
         raise ValueError("barrier regularizer needs the plant parameters")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     cut = plant if barrier else None  # the plant whose K^i cut _project applies
     f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
     if barrier and msd_stability_value(plant, f, n) <= 0:
@@ -275,12 +280,8 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in start):
         raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
     state = AdamState.zeros(f.shape)
-    cfg = adam
-    halvings = 0
-    last_finite = None
     best_cost = np.inf
     best_f = f
-    iterations = 0
     converged = False
     for it in range(max_iters + 1):
         quad, grad_quad = window_cost_and_grad(model, x_k, errors_k, refs, f, weights,
@@ -288,32 +289,17 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         rho = _barrier_rho(it, max_iters) if barrier else None
         theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
         plain = quad + weights.mu * float((f * f).sum())
-        total = quad + weights.mu * theta
         grad = weights.mu * theta_grad + grad_quad
-        final = converged or it == max_iters  # the final iterate is scored, never stepped from
-        if not final and (not np.isfinite(total) or not np.all(np.isfinite(grad))):
-            if last_finite is None:
-                raise SegmentDiverged(f"non-finite cost at the starting gains {f.tolist()}")
-            f = last_finite
-            cfg = replace(cfg, alpha=cfg.alpha / 2)
-            state = AdamState.zeros(f.shape)
-            halvings += 1
-            continue
+        if not np.isfinite(plain) or not np.all(np.isfinite(grad)):
+            raise SegmentDiverged(f"non-finite window cost or gradient at iteration {it}, "
+                                  f"gains {f.tolist()}")
         if plain < best_cost:
             best_cost, best_f = plain, f
-        if final:
+        if converged or it == max_iters:  # the final iterate is scored, never stepped from
             break
-        last_finite = f
-        f_new, state = adam_step(state, grad, f, cfg)
+        f_new, state = adam_step(state, grad, f, adam)
         f_new = _project(f_new, bounds, cut, n)
-        delta = float(np.max(np.abs(f_new - f)))
+        converged = float(np.max(np.abs(f_new - f))) < tol
         f = f_new
-        iterations = it + 1
-        converged = tol > 0 and delta < tol
-    return SegmentResult(
-        gains=GainMatrix.from_stacked(best_f.copy()),
-        cost=best_cost,
-        iterations=iterations,
-        converged=converged,
-        alpha_halvings=halvings,
-    )
+    return SegmentResult(gains=GainMatrix.from_stacked(best_f.copy()), cost=best_cost,
+                         iterations=it, converged=converged)

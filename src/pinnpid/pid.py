@@ -111,20 +111,15 @@ def control_input(gains: GainMatrix, errors: ErrorState, input_bounds=None) -> n
     return u
 
 
-def trapezoid_weights(dt: float, n_quad: int) -> np.ndarray:
-    if n_quad < 2:
-        raise ValueError("need at least 2 quadrature panels")
-    w = np.full(n_quad + 1, dt / n_quad)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 @lru_cache(maxsize=8)
 def quadrature_nodes(dt: float, n_quad: int):
     """Read-only (taus, trapezoid weights) over one interval, built once per (dt, n_quad)."""
+    if n_quad < 2:
+        raise ValueError("need at least 2 quadrature panels")
     taus = np.linspace(0.0, dt, n_quad + 1)
-    weights = trapezoid_weights(dt, n_quad)
+    weights = np.full(n_quad + 1, dt / n_quad)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
     taus.flags.writeable = False
     weights.flags.writeable = False
     return taus, weights

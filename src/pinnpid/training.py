@@ -35,6 +35,7 @@ FD_STEP = 1e-6  # central-difference step of the state Jacobian
 LAMBDA_PHYS = 1.0  # weight of the physics residual term in the loss
 LR_START = 1e-3  # Adam learning rate at the first iteration ...
 LR_END = 1e-4  # ... cosine-decayed to this one at the last
+VALIDATION_SUBSTEPS = 200  # RK4 steps per dt of the validation truth
 
 
 class TrainingDiverged(RuntimeError):
@@ -160,19 +161,19 @@ def _check_finite_sets(data: DataSet, phys: PhysSet) -> None:
             raise ValueError(f"{name} has {int(bad.sum())} rows with non-finite entries")
 
 
-def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps,
-                        seed, substeps=200) -> ValidationSet:
+def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps, seed) -> ValidationSet:
     """Random ZOH trajectories integrated finely enough to serve as truth.
 
-    All trajectories are integrated together as one batch.
+    All trajectories are integrated together as one batch, with
+    ``VALIDATION_SUBSTEPS`` RK4 steps per dt.
     """
     rng = np.random.default_rng(seed)
     x0 = lhs_sample(state_box.lower, state_box.upper, n_traj, rng)
     u_seq = rng.uniform(
         input_box.lower, input_box.upper, size=(n_traj, n_steps, input_box.dim)
     )
-    _, states = simulate_zoh(rhs, x0, u_seq.transpose(1, 0, 2), dt, substeps)
-    truth = states[::substeps].transpose(1, 0, 2).copy()
+    _, states = simulate_zoh(rhs, x0, u_seq.transpose(1, 0, 2), dt, VALIDATION_SUBSTEPS)
+    truth = states[::VALIDATION_SUBSTEPS].transpose(1, 0, 2).copy()
     return ValidationSet(x0=x0, u_seq=u_seq, truth=truth, dt=dt)
 
 

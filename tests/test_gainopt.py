@@ -2,6 +2,7 @@
 and a dense grid-search oracle on a linear stand-in surrogate."""
 
 import itertools
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,6 +12,8 @@ import pytest
 from pinnpid import adam, gainopt, training
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.gainopt import (
+    RHO_END,
+    RHO_START,
     CostWeights,
     InfeasibleGainError,
     SegmentDiverged,
@@ -79,18 +82,21 @@ class CliffSurrogate(LinearSurrogate):
 
 
 class InputSpy:
-    """Wraps a model, records the (clipped) input vector of every window step
-    and counts the reverse passes."""
+    """Wraps a model, records the (clipped) input vector and the predictions of
+    every window step and counts the reverse passes."""
 
     def __init__(self, model):
         self.model = model
         self.dt = model.dt
         self.inputs = []
+        self.predictions = []
         self.vjp_calls = 0
 
     def predict_with_tape(self, taus, x, u):
         self.inputs.append(np.array(u, dtype=float))
-        return self.model.predict_with_tape(taus, x, u)
+        values, tape = self.model.predict_with_tape(taus, x, u)
+        self.predictions.append(values.copy())
+        return values, tape
 
     def predict_vjp(self, tape, cotangents):
         self.vjp_calls += 1
@@ -423,6 +429,44 @@ class TestStackedWindow:
         assert spy.vjp_calls == horizon - 1
 
 
+class TestNetworkWindowIsFinite:
+    """Why the segment needs no recovery on a network surrogate: a tanh MLP with
+    finite parameters bounds each output coordinate by sum_j |W_L[i, j]| + |b_L[i]|,
+    so wherever the segment can put F the window's cost and gradient are finite."""
+
+    def test_predictions_bounded_and_cost_and_gradient_finite(self):
+        model = load_model(FIXTURE)
+        w_last, b_last = model.net.unpack(model.params)[-1]
+        bound = np.abs(w_last).sum(axis=1) + np.abs(b_last)
+        lo, hi = model.net.scaling.lower[1:3], model.net.scaling.upper[1:3]
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        bounds = msd_bounds()
+        corners = list(itertools.product((0.0, 5.0), repeat=3))
+        rng = np.random.default_rng(0)
+        configs = itertools.product(range(1, 6), (None, Box([-1.0], [1.0])), ("norm", "barrier"))
+        for horizon, input_bounds, kind in configs:
+            for trial in range(16):
+                kp, ki, kd = corners[trial] if trial < 8 else rng.uniform(0.0, 5.0, 3)
+                f = np.array([[kp, 0.0, ki, 0.0, kd, 0.0]])
+                plant = rho = None
+                if kind == "barrier":  # the K^i cut that every barrier iterate passes
+                    plant, f = MSD, gainopt._project(f, bounds, MSD, 2)
+                    rho = RHO_END if trial % 2 else rng.uniform(RHO_END, RHO_START)
+                x0 = rng.uniform(lo, hi)
+                refs = np.column_stack([rng.uniform(lo[0], hi[0], horizon + 1),
+                                        np.zeros(horizon + 1)])
+                e0 = ErrorState(refs[0] - x0, rng.uniform(-2.0, 2.0, 2),
+                                rng.uniform(-10.0, 10.0, 2))
+                spy = InputSpy(model)
+                plain, total, grad = regularized_window(
+                    spy, x0, e0, refs, f, weights, model.dt, 10, input_bounds=input_bounds,
+                    kind=kind, plant=plant, rho=rho)
+                assert np.isfinite(plain) and np.isfinite(total) and np.all(np.isfinite(grad))
+                assert len(spy.predictions) == horizon - 1
+                for values in spy.predictions:
+                    assert np.all(np.abs(values) <= bound)
+
+
 class TestOptimizeSegment:
     def test_regularizer_drives_gains_to_zero(self):
         model = LinearSurrogate()
@@ -537,29 +581,34 @@ class TestOptimizeSegment:
                          input_bounds=kw.get("input_bounds"))
         assert res.cost == quad + weights.mu * float((f * f).sum())
 
-    def test_non_finite_step_rolls_back_and_halves_alpha(self):
-        # 2-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff
+    def test_non_finite_step_raises(self):
+        # 2-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff;
+        # the segment names the first iterate with a non-finite window and does not recover
         model = CliffSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
         refs = np.array([[0.1, 0.0]] * 3)
-        res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
-                               msd_bounds(), max_iters=200, tol=0.0)
-        assert res.alpha_halvings >= 1
-        assert np.isfinite(res.cost)
-        f = res.gains.stacked()
-        assert abs(f[0] @ e0.stacked()) >= 0.2
-        assert np.isfinite(window_cost_and_grad(model, np.zeros(2), e0, refs, f, weights,
-                                                model.dt, 10)[0])
+        with pytest.raises(SegmentDiverged, match=r"at iteration [1-9]\d*, gains \[\[") as info:
+            optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
+                             msd_bounds(), max_iters=200, tol=0.0)
+        f = np.array(json.loads(str(info.value).split("gains ")[1]))
+        assert abs(f[0] @ e0.stacked()) < 0.2
 
     def test_non_finite_start_raises(self):
         # 5-step window: u falls below 0.2 inside the window already at the box centre
         model = CliffSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(SegmentDiverged, match="starting gains"):
+        with pytest.raises(SegmentDiverged, match="at iteration 0,"):
             optimize_segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
                              AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)
+
+    def test_negative_max_iters_rejected(self):
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.4, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="max_iters"):
+            optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
+                             AdamConfig(), msd_bounds(), max_iters=-1)
 
     @pytest.mark.parametrize("bad", ["init_gains", "x_k", "errors_k", "refs"])
     def test_non_finite_start_on_network_surrogate_raises(self, bad):

@@ -13,7 +13,7 @@ from pinnpid.pid import (
     diagonal_gain_bounds,
     error_init,
     error_update,
-    trapezoid_weights,
+    quadrature_nodes,
 )
 from pinnpid.sampling import Box
 
@@ -171,7 +171,7 @@ class TestErrorUpdate:
 
 class TestQuadrature:
     def test_weights_sum_to_dt(self):
-        w = trapezoid_weights(0.2, 10)
+        w = quadrature_nodes(0.2, 10)[1]
         assert w.sum() == pytest.approx(0.2)
         assert w[0] == pytest.approx(0.01) and w[5] == pytest.approx(0.02)
 
@@ -181,10 +181,14 @@ class TestQuadrature:
         exact = 1.0 - np.cos(dt)
         errs = []
         for n_quad in (4, 8, 16):
-            taus = np.linspace(0, dt, n_quad + 1)
-            errs.append(abs(trapezoid_weights(dt, n_quad) @ np.sin(taus) - exact))
+            taus, w = quadrature_nodes(dt, n_quad)
+            errs.append(abs(w @ np.sin(taus) - exact))
         assert 3.5 < errs[0] / errs[1] < 4.5
         assert 3.5 < errs[1] / errs[2] < 4.5
+
+    def test_rejects_fewer_than_two_panels(self):
+        with pytest.raises(ValueError, match="2 quadrature panels"):
+            quadrature_nodes(0.2, 1)
 
 
 class TestBounds:

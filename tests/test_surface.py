@@ -4,6 +4,8 @@ A public module-level function or class, or a public method or property of
 such a class, must appear as a whole word in ``src/`` or ``bench/`` somewhere
 other than its own ``def``/``class`` line. Every field of a configuration
 record must be set by name, as a keyword argument or a string dict key, in
+``src/`` or ``bench/``. Every defaulted parameter of a public function or
+method must be set, by keyword or by position, by some call of that name in
 ``src/`` or ``bench/``. Test files do not count as callers.
 """
 
@@ -60,6 +62,51 @@ def names_set_by_callers():
     return names
 
 
+def defaulted_parameters():
+    """(qualified name, bare name, positional index or None, parameter) of every
+    defaulted parameter of a public function or method; the index skips self/cls."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = [(node, 0)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                members = [(item, 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                           for d in item.decorator_list) else 1)
+                           for item in node.body if isinstance(item, ast.FunctionDef)]
+            for fn, skip in members:
+                if fn.name.startswith("_") or node.name.startswith("_"):
+                    continue
+                qualified = fn.name if fn is node else f"{node.name}.{fn.name}"
+                positional = [*fn.args.posonlyargs, *fn.args.args]
+                first = len(positional) - len(fn.args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield qualified, fn.name, i - skip, arg.arg
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        yield qualified, fn.name, None, arg.arg
+
+
+def calls_by_name():
+    """Every call in src/ and bench/, keyed by the called name (``f(...)``, ``x.f(...)``)."""
+    calls = {}
+    for f in caller_files():
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets_parameter(call, index, param):
+    """Whether the call passes ``param``: by keyword, at positional ``index``, or
+    through ``*args`` / ``**kwargs``."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
 def test_every_public_name_has_a_caller():
     names = list(public_names())
     assert set(ALLOWED) <= {bare for _, _, bare in names}
@@ -86,3 +133,12 @@ def test_every_config_field_is_set_by_a_caller():
                           if isinstance(item, ast.AnnAssign) and item.target.id not in set_names]
     assert found == set(CONFIGS.values())
     assert not unset, "set nowhere in src/ or bench/: " + ", ".join(unset)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    calls = calls_by_name()
+    params = list(defaulted_parameters())
+    assert params
+    unset = [f"{qualified}.{param}" for qualified, name, index, param in params
+             if not any(sets_parameter(call, index, param) for call in calls.get(name, []))]
+    assert not unset, "a default no call in src/ or bench/ overrides: " + ", ".join(unset)

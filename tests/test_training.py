@@ -176,12 +176,12 @@ class TestLossGradient:
 
 class TestValidation:
     def test_oracle_standin_has_zero_error(self):
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
-                                   n_traj=3, n_steps=5, seed=1, substeps=50)
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=3, n_steps=5, seed=1)
 
         class OracleModel:
             def predict(self, taus, x, u):
-                _, states = simulate_zoh(MSD_RHS, x, [u], float(np.max(taus)), 50)
+                _, states = simulate_zoh(MSD_RHS, x, [u], float(np.max(taus)),
+                                         training.VALIDATION_SUBSTEPS)
                 return states[-1]
 
         rep = validate(OracleModel(), vset)
@@ -196,8 +196,8 @@ class TestValidation:
             rhs = lambda x, u: manipulator_rhs(arm, x, u)
             sbox = Box([-np.pi, -np.pi, -2.5, -2.5], [np.pi, np.pi, 2.5, 2.5])
             ibox = Box([-0.5, -0.5], [0.5, 0.5])
-        vset = make_validation_set(rhs, sbox, ibox, 0.2, n_traj=4, n_steps=3, seed=7,
-                                   substeps=20)
+        vset = make_validation_set(rhs, sbox, ibox, 0.2, n_traj=4, n_steps=3, seed=7)
+        substeps = training.VALIDATION_SUBSTEPS
         rng = np.random.default_rng(7)
         x0 = lhs_sample(sbox.lower, sbox.upper, 4, rng)
         u_seq = rng.uniform(ibox.lower, ibox.upper, size=(4, 3, ibox.dim))
@@ -205,16 +205,15 @@ class TestValidation:
         np.testing.assert_array_equal(vset.u_seq, u_seq)
         assert vset.truth.shape == (4, 4, sbox.dim)
         for i in range(4):
-            _, states = simulate_zoh(rhs, x0[i], u_seq[i], 0.2, 20)
+            _, states = simulate_zoh(rhs, x0[i], u_seq[i], 0.2, substeps)
             if plant == "msd":
-                np.testing.assert_array_equal(vset.truth[i], states[::20])
+                np.testing.assert_array_equal(vset.truth[i], states[::substeps])
             else:
-                np.testing.assert_allclose(vset.truth[i], states[::20], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(vset.truth[i], states[::substeps], rtol=0, atol=1e-12)
 
     def test_reports_per_coordinate(self):
         model = msd_model(seed=8)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
-                                   n_traj=2, n_steps=4, seed=2, substeps=50)
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=4, seed=2)
         rep = validate(model, vset)
         assert rep.mse_rollout.shape == (2,)
         assert np.all(rep.mse_rollout >= 0)
@@ -259,8 +258,7 @@ class TestTrain:
         # is handed
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
         sets = small_sets(n_data=48, n_phys=64, seed=5)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
-                                   n_traj=2, n_steps=3, seed=8, substeps=20)
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3, seed=8)
         cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=20,
                           lbfgs_iterations=30)
         runs = []
@@ -350,8 +348,7 @@ class TestTrain:
     def test_best_validation_checkpoint_restored(self):
         model = msd_model(widths=(4, 8, 2), seed=2)
         data, phys = small_sets(n_data=64, n_phys=64, seed=4)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2,
-                                   n_traj=2, n_steps=4, seed=5, substeps=50)
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=4, seed=5)
         cfg = TrainConfig(iterations=300, val_interval=100)
         trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg,
                                  validation=vset)
@@ -379,8 +376,7 @@ class TestTrainMatchesReference:
         """(params, history) of train and of the reference, or the TrainingDiverged of each."""
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
         sets = small_sets(n_data=48, n_phys=64, seed=5)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3,
-                                   seed=8, substeps=20)
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3, seed=8)
         out = []
         for fn in (train, reference_train):
             try:
