@@ -83,7 +83,7 @@ class CostWeights:
             raise ValueError("q must be symmetric positive semidefinite")
         if not np.allclose(self.r, self.r.T) or np.min(np.linalg.eigvalsh(self.r)) <= 0:
             raise ValueError("r must be symmetric positive definite")
-        if self.mu <= 0:
+        if not (np.isfinite(self.mu) and self.mu > 0):
             raise ValueError("mu must be positive")
 
 

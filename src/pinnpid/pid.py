@@ -139,7 +139,7 @@ def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> ErrorState:
     """First error state: zero integral, derivative from the reference rate
     minus the surrogate's initial time derivative, evaluated at a zero input
     (which breaks the u_0 circularity). The references need the state's shape (n,)."""
-    if dt <= 0:
+    if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     x0, x_ref_0, x_ref_init = _vectors(x0=x0, x_ref_0=x_ref_0, x_ref_init=x_ref_init)
     rate = model.time_derivative(0.0, x0, np.zeros(model.m))
@@ -158,7 +158,7 @@ def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
     reference minus the surrogate's prediction from (x_k, u_k) over [0, dt].
     The references, the measurement and the errors need the state's shape (n,).
     """
-    if dt <= 0:
+    if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     x_k, x_ref_k, x_ref_next, x_meas_next, _ = _vectors(
         x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next, x_meas_next=x_meas_next,

@@ -15,16 +15,7 @@ import numpy as np
 
 
 class RolloutDiverged(RuntimeError):
-    """Raised when an integration step produces a non-finite state.
-
-    ``states`` carries the batch as the integration ended, when the raiser
-    has it, so a caller can tell the diverged rows from the finite ones
-    without integrating again.
-    """
-
-    def __init__(self, message, states=None):
-        super().__init__(message)
-        self.states = states
+    """Raised when an integration step produces a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -155,7 +146,7 @@ def rk4_step(rhs, x, u, h: float) -> np.ndarray:
     ``x`` is one state ``(n,)`` or a batch ``(B, n)`` with inputs ``(B, m)``;
     a batch raises if any of its rows turns non-finite.
     """
-    if h <= 0:
+    if not (np.isfinite(h) and h > 0):
         raise ValueError("step size must be positive")
     out = rk4_advance(rhs, x, u, h)
     if not np.all(np.isfinite(out)):
@@ -174,7 +165,7 @@ def simulate_zoh(rhs, x0, u_sequence, dt: float, substeps: int):
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    if dt <= 0:
+    if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     x = np.asarray(x0, dtype=float)
     h = dt / substeps

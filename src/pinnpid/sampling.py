@@ -6,7 +6,9 @@ held input, elapsed time, integrated final state) and collocation samples
 for the physics residual (no integration). All randomness flows through a
 seeded PCG64 generator, so sets are reproducible across platforms. Labels
 come from :func:`pinnpid.plants.rk4_advance`, the one RK4 stage formula,
-taken with a per-row step.
+taken with a per-row step, in one batched integration. A label is never
+redrawn: a non-finite one raises :class:`pinnpid.plants.RolloutDiverged`, so
+every set stays one Latin hypercube.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class DatasetConfig:
     def __post_init__(self):
         if self.n_data < 1 or self.n_phys < 1:
             raise ValueError("sample counts must be >= 1")
-        if self.eps <= 0 or self.dt <= 0:
+        if not all(np.isfinite(v) and v > 0 for v in (self.dt, self.eps)):
             raise ValueError("dt and eps must be positive")
 
     @property
@@ -61,7 +63,10 @@ class DatasetConfig:
 
 @dataclass
 class DataSet:
-    """Supervised transitions: x(t) from (x0, u) integrated by the RK4 oracle."""
+    """Supervised transitions: x(t) from (x0, u) integrated by the RK4 oracle.
+
+    ``n_resampled`` is always 0: labels are never redrawn.
+    """
 
     t: np.ndarray
     x0: np.ndarray
@@ -97,92 +102,50 @@ def lhs_sample(lower, upper, n: int, rng: np.random.Generator) -> np.ndarray:
 # 1e-8: a half-step reintegration agrees with the labels to that tolerance.
 ORACLE_STEPS = 1000
 
-# Integrations of the redrawn rows before build_data_set gives up.
-LABEL_ATTEMPTS = 20
-
 
 def integrate_batch(rhs, x0, u, t_final, horizon: float) -> np.ndarray:
     """Integrate all samples simultaneously, each to its own final time.
 
     Every row takes ``ORACLE_STEPS`` RK4 steps of size ``t_final / ORACLE_STEPS``;
-    ``horizon`` does not change the step count. A non-finite result raises
-    :class:`RolloutDiverged` with the final states attached.
+    ``horizon`` does not change the step count. Floating-point warnings are
+    silenced: a non-finite result raises :class:`RolloutDiverged` naming how
+    many rows diverged.
     """
     h = (t_final / ORACLE_STEPS)[:, None]
     x = np.array(x0, dtype=float)
-    for _ in range(ORACLE_STEPS):
-        x = rk4_advance(rhs, x, u, h)
-    if not np.all(np.isfinite(x)):
-        raise RolloutDiverged("non-finite state in batched rollout", states=x)
+    with np.errstate(all="ignore"):
+        for _ in range(ORACLE_STEPS):
+            x = rk4_advance(rhs, x, u, h)
+    bad = int(np.sum(~np.all(np.isfinite(x), axis=1)))
+    if bad:
+        raise RolloutDiverged(f"{bad} of {x.shape[0]} rows non-finite in batched rollout")
     return x
 
 
-def _label(rhs, x0, u, t, horizon: float) -> np.ndarray:
-    """integrate_batch's final states, non-finite rows included, without warnings."""
-    with np.errstate(all="ignore"):
-        try:
-            return integrate_batch(rhs, x0, u, t, horizon)
-        except RolloutDiverged as exc:
-            return exc.states
+def _lhs_split(config: DatasetConfig, t_upper: float, n: int, seed: int):
+    """LHS over [0, t_upper] x state box x input box, split into (t, x, u) columns."""
+    rng = np.random.default_rng(seed)
+    lo = np.concatenate([[0.0], config.state_box.lower, config.input_box.lower])
+    hi = np.concatenate([[t_upper], config.state_box.upper, config.input_box.upper])
+    pts = lhs_sample(lo, hi, n, rng)
+    sdim = config.state_box.dim
+    return pts[:, 0], pts[:, 1 : 1 + sdim], pts[:, 1 + sdim :]
 
 
 def build_data_set(rhs, config: DatasetConfig) -> DataSet:
     """LHS over (t, x0, u) jointly, then RK4 labels xf = x(t).
 
-    Rows whose label is non-finite are redrawn inside their own strata and
-    only those rows are integrated again, up to ``LABEL_ATTEMPTS``
-    integrations in all; ``n_resampled`` counts the redraws.
+    The rows stay one Latin hypercube: a non-finite label is not redrawn but
+    raises :class:`RolloutDiverged`.
     """
-    rng = np.random.default_rng(config.seed)
-    n = config.n_data
-    sdim, idim = config.state_box.dim, config.input_box.dim
-    lo = np.concatenate([[0.0], config.state_box.lower, config.input_box.lower])
-    hi = np.concatenate([[1.0], config.state_box.upper, config.input_box.upper])
-    pts = lhs_sample(lo, hi, n, rng)
+    v, x0, u = _lhs_split(config, 1.0, config.n_data, config.seed)
     # map the unit time coordinate onto (0, horizon]: v in [0,1) -> (1-v)*H
-    t = (1.0 - pts[:, 0]) * config.horizon
-    x0 = pts[:, 1 : 1 + sdim]
-    u = pts[:, 1 + sdim :]
-    xf = _label(rhs, x0, u, t, config.horizon)
-    n_resampled = 0
-    width = np.concatenate(
-        [
-            [config.horizon],
-            config.state_box.upper - config.state_box.lower,
-            config.input_box.upper - config.input_box.lower,
-        ]
-    ) / n
-    for _ in range(LABEL_ATTEMPTS - 1):
-        bad = ~np.all(np.isfinite(xf), axis=1)
-        if not bad.any():
-            break
-        # redraw blown-up rows inside their own strata (offsets only)
-        n_resampled += int(bad.sum())
-        shift = (rng.uniform(size=(int(bad.sum()), 1 + sdim + idim)) - 0.5) * width
-        t[bad] = np.clip(t[bad] + shift[:, 0], 1e-12, config.horizon)
-        x0[bad] = np.clip(
-            x0[bad] + shift[:, 1 : 1 + sdim],
-            config.state_box.lower,
-            config.state_box.upper,
-        )
-        u[bad] = np.clip(
-            u[bad] + shift[:, 1 + sdim :],
-            config.input_box.lower,
-            config.input_box.upper,
-        )
-        xf[bad] = _label(rhs, x0[bad], u[bad], t[bad], config.horizon)
-    if not np.all(np.isfinite(xf)):
-        raise RolloutDiverged("could not build a finite dataset after resampling")
-    return DataSet(t=t, x0=x0, xf=xf, u=u, n_resampled=n_resampled)
+    t = (1.0 - v) * config.horizon
+    xf = integrate_batch(rhs, x0, u, t, config.horizon)
+    return DataSet(t=t, x0=x0, xf=xf, u=u)
 
 
 def build_phys_set(config: DatasetConfig) -> PhysSet:
     """LHS over [0, horizon] x state box x input box; no integration."""
-    rng = np.random.default_rng(config.seed + 1)
-    lo = np.concatenate([[0.0], config.state_box.lower, config.input_box.lower])
-    hi = np.concatenate(
-        [[config.horizon], config.state_box.upper, config.input_box.upper]
-    )
-    pts = lhs_sample(lo, hi, config.n_phys, rng)
-    sdim = config.state_box.dim
-    return PhysSet(t=pts[:, 0], x=pts[:, 1 : 1 + sdim], u=pts[:, 1 + sdim :])
+    t, x, u = _lhs_split(config, config.horizon, config.n_phys, config.seed + 1)
+    return PhysSet(t=t, x=x, u=u)

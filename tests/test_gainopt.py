@@ -155,6 +155,10 @@ class TestStageCost:
         assert msd_stability_value(MSD, g, 2) == pytest.approx(-3.5)
         with pytest.raises(InfeasibleGainError):
             regularizer(g, "barrier", plant=MSD, rho=1.0, n=2)
+        # so must the weight on the regularizer; NaN passed `mu <= 0`
+        for mu in (0.0, np.nan):
+            with pytest.raises(ValueError, match="mu"):
+                CostWeights(q=np.eye(2), r=[[0.01]], mu=mu)
 
 
 class TestAdam:

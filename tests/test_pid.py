@@ -159,14 +159,17 @@ class TestErrorUpdate:
                           x_meas_next=meas)
         np.testing.assert_allclose(e1.e_prop, ref - meas)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.2])
+    @pytest.mark.parametrize("dt", [0.0, -0.2, np.nan])
     def test_rejects_nonpositive_dt(self, dt):
-        # dt = 0 divided by zero in e_deri, and dt < 0 flipped its sign
+        # dt = 0 divided by zero in e_deri, dt < 0 flipped its sign, and NaN
+        # passed `dt <= 0` into a NaN e_deri
         model = toy_model(seed=3)
         e0 = ErrorState([0.1, 0.0], np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="dt"):
             error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), e0, dt,
                          x_meas_next=np.zeros(2))
+        with pytest.raises(ValueError, match="dt"):
+            error_init(model, np.zeros(2), np.zeros(2), np.zeros(2), dt)
 
 
 class TestQuadrature:

@@ -190,8 +190,12 @@ class TestRk4:
         assert 14.0 <= ratio <= 18.0
 
     def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            rk4_step(lambda x, u: x, np.ones(1), np.zeros(1), 0.0)
+        # a NaN step passed `h <= 0` and surfaced as RolloutDiverged
+        for h in (0.0, np.nan):
+            with pytest.raises(ValueError, match="step size"):
+                rk4_step(lambda x, u: x, np.ones(1), np.zeros(1), h)
+            with pytest.raises(ValueError, match="dt"):
+                simulate_zoh(lambda x, u: x, np.ones(1), [np.zeros(1)], h, 10)
 
     def test_divergence_detected(self):
         with pytest.raises(RolloutDiverged), np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,7 @@
 """Stratification, determinism and oracle-consistency of the training sets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,10 @@ class TestDataSet:
             input_box=Box([-0.5, -0.5], [0.5, 0.5]),
         )
         assert cfg.horizon == pytest.approx(0.250)
+        # NaN passed `dt <= 0` and made every sample time NaN
+        for bad in (dict(dt=0.0), dict(dt=np.nan), dict(eps=np.nan)):
+            with pytest.raises(ValueError, match="dt and eps"):
+                replace(cfg, **bad)
 
     def test_short_time_stays_near_start(self):
         cfg = msd_config()
@@ -101,6 +107,17 @@ class TestDataSet:
         b = build_data_set(rhs, cfg)
         assert np.array_equal(a.xf, b.xf) and np.array_equal(a.t, b.t)
 
+    def test_rows_are_one_latin_hypercube(self):
+        # the hypercube on which msd_cliff (below) diverges on one row
+        cfg = msd_config(seed=7)
+        data = build_data_set(lambda x, u: msd_rhs(MSD, x, u), cfg)
+        cols = np.column_stack([1.0 - data.t / cfg.horizon, data.x0, data.u])
+        lo = np.concatenate([[0.0], cfg.state_box.lower, cfg.input_box.lower])
+        hi = np.concatenate([[1.0], cfg.state_box.upper, cfg.input_box.upper])
+        strata = np.floor((cols - lo) / (hi - lo) * cfg.n_data).astype(int)
+        for j in range(cols.shape[1]):
+            assert sorted(strata[:, j]) == list(range(cfg.n_data))
+
 
 def counting(rhs):
     """rhs that also records how many rows it was evaluated on."""
@@ -120,27 +137,19 @@ def msd_cliff(x, u):
 
 
 class TestResample:
-    def test_only_redrawn_rows_are_integrated_again(self):
+    """A diverged label is never redrawn: it raises, without a RuntimeWarning
+    (which tier-1 turns into an error), after one integration."""
+
+    def test_diverged_label_raises_after_one_integration(self):
         cfg = msd_config(seed=7)
-        clean = build_data_set(lambda x, u: msd_rhs(MSD, x, u), cfg)
         rhs = counting(msd_cliff)
-        data = build_data_set(rhs, cfg)
-        assert np.all(np.isfinite(data.xf))
-        assert data.n_resampled > 0
-        kept = (data.t == clean.t) & np.all(data.x0 == clean.x0, axis=1) & np.all(
-            data.u == clean.u, axis=1
-        )
-        assert 0 < np.sum(~kept) <= data.n_resampled
-        np.testing.assert_array_equal(
-            data.xf[kept],
-            integrate_batch(msd_cliff, data.x0[kept], data.u[kept], data.t[kept], cfg.horizon),
-        )
-        # one full integration, then one per redraw of a row
-        assert rhs.rows == 4 * ORACLE_STEPS * (cfg.n_data + data.n_resampled)
+        with pytest.raises(RolloutDiverged, match="^1 of 64 rows non-finite in batched rollout$"):
+            build_data_set(rhs, cfg)
+        assert rhs.rows == 4 * ORACLE_STEPS * cfg.n_data
 
     def test_gives_up_when_rows_never_turn_finite(self):
         cfg = msd_config(n_data=8)
-        with pytest.raises(RolloutDiverged):
+        with pytest.raises(RolloutDiverged, match="^8 of 8 rows"):
             build_data_set(lambda x, u: np.full_like(x, np.inf), cfg)
 
 

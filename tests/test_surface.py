@@ -6,10 +6,13 @@ other than its own ``def``/``class`` line. Every field of a configuration
 record must be set by name, as a keyword argument or a string dict key, in
 ``src/`` or ``bench/``. Every defaulted parameter of a public function or
 method must be set, by keyword or by position, by some call of that name in
-``src/`` or ``bench/``. Test files do not count as callers.
+``src/`` or ``bench/``. Test files do not count as callers. Every public
+exception class must be the expected exception of some ``pytest.raises``
+under ``tests/``, so each failure path has a test that forces it.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -142,3 +145,32 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     unset = [f"{qualified}.{param}" for qualified, name, index, param in params
              if not any(sets_parameter(call, index, param) for call in calls.get(name, []))]
     assert not unset, "a default no call in src/ or bench/ overrides: " + ", ".join(unset)
+
+
+def exception_classes():
+    """Names of the public exception classes that ``pinnpid`` defines."""
+    for module, qualified, name in public_names():
+        if qualified == name:
+            obj = getattr(importlib.import_module(f"pinnpid.{Path(module).stem}"), name)
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                yield name
+
+
+def names_expected_by_tests():
+    """Every name passed as the expected exception of a ``pytest.raises`` under tests/."""
+    names = set()
+    for f in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "raises"
+                    and node.args):
+                expected = node.args[0]
+                for e in expected.elts if isinstance(expected, ast.Tuple) else [expected]:
+                    names.add(e.id if isinstance(e, ast.Name) else getattr(e, "attr", None))
+    return names
+
+
+def test_every_exception_is_forced_by_a_test():
+    exceptions = set(exception_classes())
+    assert exceptions
+    missing = sorted(exceptions - names_expected_by_tests())
+    assert not missing, "expected by no pytest.raises under tests/: " + ", ".join(missing)
