@@ -21,6 +21,10 @@ EPS = 1e-7
 class AdamConfig:
     alpha: float = 1e-2
 
+    def __post_init__(self):
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be positive")
+
 
 @dataclass
 class AdamState:

@@ -36,8 +36,12 @@ class ManipulatorParams:
 
     def __post_init__(self):
         for name in ("m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2"):
-            if getattr(self, name) <= 0:
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be strictly positive")
+        for name in ("gravity", "b_alpha", "b_beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -47,58 +51,106 @@ class MsdParams:
     stiffness: float = 1.0
 
     def __post_init__(self):
-        if min(self.mass, self.damping, self.stiffness) <= 0:
-            raise ValueError("mass, damping and stiffness must be positive")
+        for name in ("mass", "damping", "stiffness"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive")
 
 
 def manipulator_inertia(p: ManipulatorParams, beta):
     """Entries of the symmetric inertia matrix D(q) at joint angle beta."""
     cb = np.cos(beta)
-    d11 = (
-        p.m1 * p.lc1**2
-        + p.i1
-        + p.m2 * (p.l1**2 + p.lc2**2 + 2.0 * p.l1 * p.lc2 * cb)
-        + p.i2
-    )
-    d12 = p.m2 * (p.lc2**2 + p.l1 * p.lc2 * cb) + p.i2
+    # d12 = m2 (lc2^2 + l1 lc2 cos(beta)) + i2
+    d12 = p.l1 * p.lc2 * cb
+    d12 += p.lc2**2
+    d12 *= p.m2
+    d12 += p.i2
+    # d11 = m1 lc1^2 + i1 + m2 (l1^2 + lc2^2 + 2 l1 lc2 cos(beta)) + i2, in cb's storage
+    cb *= 2.0 * p.l1 * p.lc2
+    cb += p.l1**2 + p.lc2**2
+    cb *= p.m2
+    cb += p.m1 * p.lc1**2 + p.i1
+    cb += p.i2
     d22 = p.m2 * p.lc2**2 + p.i2
-    return d11, d12, d22
+    return cb, d12, d22
 
 
-def manipulator_gravity(p: ManipulatorParams, q) -> np.ndarray:
-    """Gravity vector g(q), upright-zero convention: g(0) = 0."""
+def manipulator_gravity(p: ManipulatorParams, q, out=None) -> np.ndarray:
+    """Gravity vector g(q), upright-zero convention: g(0) = 0.
+
+    Written into ``out`` (the shape of ``q``) when given; ``manipulator_rhs``
+    passes its acceleration columns.
+    """
     q = np.asarray(q, dtype=float)
-    alpha = q[..., 0]
-    ab = q[..., 0] + q[..., 1]
-    g1 = -(p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity * np.sin(alpha) - (
-        p.m2 * p.lc2 * p.gravity
-    ) * np.sin(ab)
-    g2 = -p.m2 * p.lc2 * p.gravity * np.sin(ab)
-    return np.stack([g1, g2], axis=-1)
+    if out is None:
+        out = np.empty(q.shape)
+    # g1 = -(m1 lc1 + m2 l1) g sin(alpha) - m2 lc2 g sin(alpha + beta) and
+    # g2 = -m2 lc2 g sin(alpha + beta) share the sine of alpha + beta
+    s = np.sin(q[..., 0] + q[..., 1])
+    s *= p.m2 * p.lc2 * p.gravity
+    np.negative(s, out=out[..., 1])
+    g1 = np.sin(q[..., 0])
+    g1 *= -(p.m1 * p.lc1 + p.m2 * p.l1) * p.gravity
+    np.subtract(g1, s, out=out[..., 0])
+    return out
 
 
 def manipulator_rhs(p: ManipulatorParams, x, u) -> np.ndarray:
-    """State rate [qdot; -D^-1 (C qdot + g) + D^-1 B u]; 2x2 D inverted explicitly."""
+    """State rate [qdot; -D^-1 (C qdot + g) + D^-1 B u]; 2x2 D inverted explicitly.
+
+    The rate is written into one new array, whose acceleration columns hold
+    g(q) until the accelerations replace it; the other temporaries are
+    reused in place. Every element is computed by the operations of the
+    formulas in the comments, in their order, so which buffer a step
+    reuses does not change the result (``tests/reference_plants.py`` keeps
+    the form without reuse).
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    alpha, beta = x[..., 0], x[..., 1]
-    da, db = x[..., 2], x[..., 3]
+    single = x.ndim == 1
+    if single:  # a batch of one, so that every temporary is an array
+        x, u = x[None], u[None]
+    beta, da, db = x[..., 1], x[..., 2], x[..., 3]
+    out = np.empty(x.shape)
     d11, d12, d22 = manipulator_inertia(p, beta)
-    det = d11 * d22 - d12 * d12
-    if np.any(np.abs(det) < 1e-12):
+    det = d11 * d22
+    w = d12 * d12
+    det -= w
+    if (np.abs(det, out=w) < 1e-12).any():
         raise ValueError("singular inertia matrix (invalid parameters)")
-    h = -p.m2 * p.l1 * p.lc2 * np.sin(beta)
-    # C(q, qdot) qdot with Christoffel symbols of D
-    c1 = h * db * da + h * (da + db) * db
-    c2 = -h * da * da
-    g = manipulator_gravity(p, x[..., :2])
-    tau1 = p.b_alpha * u[..., 0]
-    tau2 = p.b_beta * u[..., 1]
-    r1 = tau1 - c1 - g[..., 0]
-    r2 = tau2 - c2 - g[..., 1]
-    dd_a = (d22 * r1 - d12 * r2) / det
-    dd_b = (-d12 * r1 + d11 * r2) / det
-    return np.stack([da, db, dd_a, dd_b], axis=-1)
+    h = np.sin(beta)
+    h *= -p.m2 * p.l1 * p.lc2
+    # C(q, qdot) qdot with Christoffel symbols of D: c1 = h db da + h (da + db) db in w,
+    # c2 = -h da da kept as h da da in h (negation is exact)
+    np.multiply(h, db, out=w)
+    w *= da
+    t = da + db
+    t *= h
+    t *= db
+    w += t
+    h *= da
+    h *= da
+    g = manipulator_gravity(p, x[..., :2], out=out[..., 2:])
+    # r1 = tau1 - c1 - g1 in w, r2 = tau2 - c2 - g2 in h
+    np.multiply(p.b_alpha, u[..., 0], out=t)
+    np.subtract(t, w, out=w)
+    w -= g[..., 0]
+    np.multiply(p.b_beta, u[..., 1], out=t)
+    h += t
+    h -= g[..., 1]
+    # dd_b = (-d12 r1 + d11 r2) / det, as d11 r2 - d12 r1, then dd_a = (d22 r1 - d12 r2) / det
+    np.multiply(d12, h, out=t)
+    d12 *= w
+    d11 *= h
+    d11 -= d12
+    np.divide(d11, det, out=out[..., 3])
+    w *= d22
+    w -= t
+    np.divide(w, det, out=out[..., 2])
+    # two column copies: one (..., 2) block copy runs a 2-element loop per row
+    out[..., 0] = da
+    out[..., 1] = db
+    return out[0] if single else out
 
 
 def manipulator_energy(p: ManipulatorParams, x) -> float:

@@ -202,6 +202,12 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState.zeros(f.shape), np.array([[np.nan]]), f, AdamConfig())
 
+    @pytest.mark.parametrize("alpha", [0.0, -1e-2, np.nan, np.inf])
+    def test_rejects_nonpositive_or_nonfinite_step_size(self, alpha):
+        # a NaN alpha surfaced as a non-finite network input, a negative one climbed
+        with pytest.raises(ValueError, match="alpha"):
+            AdamConfig(alpha=alpha)
+
 
 class TestProjection:
     def test_inside_unchanged(self):

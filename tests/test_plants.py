@@ -15,17 +15,20 @@ from pinnpid.plants import (
     manipulator_rhs,
     msd_rhs,
     msd_state_space,
+    rk4_advance,
     rk4_step,
     simulate_zoh,
 )
+from pinnpid.training import FD_STEP, fd_state_jacobian
+from tests import reference_plants
 
 MANIP = ManipulatorParams()
 MSD = MsdParams()
 
 
-@pytest.fixture(scope="module")
-def lagrangian_oracle():
-    """Symbolic Euler-Lagrange derivation of the arm's accelerations."""
+def euler_lagrange():
+    """Symbolic Euler-Lagrange terms of the arm: the symbols (a, b, da, db),
+    the inertia D(q) and the rest h(q, qdot) of D(q) qddot + h(q, qdot) = tau."""
     a, b, da, db = sp.symbols("a b da db", real=True)
     p = MANIP
     # COM positions, angles measured from the upward vertical
@@ -50,6 +53,13 @@ def lagrangian_oracle():
     dL_dqd = sp.Matrix([L]).jacobian(qd).T
     inertia = dL_dqd.jacobian(qd)
     rest = dL_dqd.jacobian(q) * qd - sp.Matrix([L]).jacobian(q).T
+    return (a, b, da, db), inertia, rest
+
+
+@pytest.fixture(scope="module")
+def lagrangian_oracle():
+    """Symbolic Euler-Lagrange derivation of the arm's accelerations."""
+    (a, b, da, db), inertia, rest = euler_lagrange()
     inertia_fn = sp.lambdify((a, b), inertia, "numpy")
     rest_fn = sp.lambdify((a, b, da, db), rest, "numpy")
 
@@ -58,6 +68,17 @@ def lagrangian_oracle():
         return np.linalg.solve(np.asarray(inertia_fn(qa, qb), dtype=float), rhs)
 
     return accelerations
+
+
+@pytest.fixture(scope="module")
+def lagrangian_state_jacobian():
+    """The 4x4 state Jacobian of [qdot; D^-1 (tau - h)], differentiated symbolically."""
+    x_syms, inertia, rest = euler_lagrange()
+    tau = sp.symbols("tau_a tau_b", real=True)
+    acc = inertia.LUsolve(sp.Matrix(tau) - rest)
+    rate = sp.Matrix([x_syms[2], x_syms[3], acc[0], acc[1]])
+    jac_fn = sp.lambdify((*x_syms, *tau), rate.jacobian(sp.Matrix(x_syms)), "numpy", cse=True)
+    return lambda x, tau_: np.asarray(jac_fn(*x, *tau_), dtype=float)
 
 
 class TestManipulator:
@@ -121,10 +142,106 @@ class TestManipulator:
         drift = max(abs(manipulator_energy(MANIP, s) - e0) for s in states[::40])
         assert drift < 5e-7  # pure integrator truncation, scales as h^4
 
+    def test_fd_state_jacobian_matches_lagrangian_oracle(self, lagrangian_state_jacobian):
+        # states in the sampling box, then fast ones like the labels (up to 37.7 rad/s)
+        rng = np.random.default_rng(21)
+        x = np.concatenate([
+            rng.uniform([-3, -3, -2.5, -2.5], [3, 3, 2.5, 2.5], (4, 4)),
+            rng.uniform([-9, -9, -40, -40], [9, 9, 40, 40], (3, 4)),
+        ])
+        u = rng.uniform(-0.5, 0.5, (7, 2))
+        jac = fd_state_jacobian(lambda x_, u_: manipulator_rhs(MANIP, x_, u_), x, u)
+        tau = np.array([MANIP.b_alpha, MANIP.b_beta]) * u
+        for i in range(7):
+            # central differences lose about eps |f| / FD_STEP to rounding; the
+            # truncation error, of order FD_STEP^2, is far below that
+            scale = max(1.0, np.max(np.abs(manipulator_rhs(MANIP, x[i], u[i]))))
+            atol = 100 * np.finfo(float).eps / FD_STEP * scale
+            np.testing.assert_allclose(
+                jac[i], lagrangian_state_jacobian(x[i], tau[i]), rtol=0, atol=atol
+            )
+
     def test_inertia_positive_definite_on_grid(self):
         for beta in np.linspace(-np.pi, np.pi, 41):
             d11, d12, d22 = manipulator_inertia(MANIP, beta)
             assert d11 > 0 and d11 * d22 - d12**2 > 0
+
+
+class TestParams:
+    POSITIVE = {
+        ManipulatorParams: ("m1", "m2", "l1", "l2", "lc1", "lc2", "i1", "i2"),
+        MsdParams: ("mass", "damping", "stiffness"),
+    }
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "record, name", [(r, n) for r, names in POSITIVE.items() for n in names]
+    )
+    def test_rejects_nonpositive_or_nonfinite(self, record, name, value):
+        with pytest.raises(ValueError, match=name):
+            record(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gravity", "b_alpha", "b_beta"])
+    def test_rejects_nonfinite_arm_constants(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ManipulatorParams(**{name: value})
+
+    def test_zero_and_negative_arm_constants_accepted(self):
+        ManipulatorParams(gravity=0.0, b_alpha=-1.0, b_beta=0.0)
+
+
+class TestArmKernelMatchesFrozenReference:
+    """The in-place arm kernel against ``tests/reference_plants.py``, bit for bit.
+
+    NumPy's sin can differ in the last bit with the array's length, so each
+    comparison is between inputs of one shape.
+    """
+
+    IDS = staticmethod(lambda shape: "x".join(map(str, shape + (4,))))
+    RHS = staticmethod(lambda x, u: manipulator_rhs(MANIP, x, u))
+    REF = staticmethod(lambda x, u: reference_plants.manipulator_rhs(MANIP, x, u))
+
+    @staticmethod
+    def draw(shape, seed=17):
+        # angles over several turns, velocities beyond the 37.7 rad/s that labels reach
+        rng = np.random.default_rng(seed)
+        x = rng.uniform([-20.0, -20.0, -40.0, -40.0], [20.0, 20.0, 40.0, 40.0], shape + (4,))
+        return x, rng.uniform(-0.5, 0.5, shape + (2,))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (4,), (16,), (4000,)], ids=IDS)
+    def test_rhs_and_gravity(self, shape):
+        x, u = self.draw(shape)
+        got = manipulator_rhs(MANIP, x, u)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, reference_plants.manipulator_rhs(MANIP, x, u))
+        np.testing.assert_array_equal(
+            manipulator_gravity(MANIP, x[..., :2]),
+            reference_plants.manipulator_gravity(MANIP, x[..., :2]),
+        )
+        for got_d, ref_d in zip(manipulator_inertia(MANIP, x[..., 1]),
+                                reference_plants.manipulator_inertia(MANIP, x[..., 1])):
+            np.testing.assert_array_equal(got_d, ref_d)
+
+    @pytest.mark.parametrize("shape", [(16,), (4000,)], ids=IDS)
+    def test_finite_difference_inputs_and_jacobian(self, shape):
+        x, u = self.draw(shape)
+        for j in range(4):
+            for sign in (1.0, -1.0):
+                xs = x.copy()
+                xs[..., j] += sign * FD_STEP
+                np.testing.assert_array_equal(self.RHS(xs, u), self.REF(xs, u))
+        np.testing.assert_array_equal(
+            fd_state_jacobian(self.RHS, x, u), fd_state_jacobian(self.REF, x, u)
+        )
+
+    @pytest.mark.parametrize("shape", [(4,), (16,), (4000,)], ids=IDS)
+    def test_one_rk4_step(self, shape):
+        x, u = self.draw(shape)
+        h = np.full(shape + (1,), 1e-3)
+        np.testing.assert_array_equal(
+            rk4_advance(self.RHS, x, u, h), rk4_advance(self.REF, x, u, h)
+        )
 
 
 class TestGravityCompensation:
