@@ -19,16 +19,31 @@ structure, on batches of rows assembled by ``stack_rows``:
 Everything operates on float64 and is pure: identical arguments give
 bit-identical results.
 
+Each pass keeps only the row-sized arrays that are read again later. In the
+forward pass a layer's pre-activation ``a = z W^T + b`` is formed in the
+array of that layer's output, and a hidden layer's tanh overwrites it in
+place; ``a`` is not part of the tape. In the reverse sweep the products
+``ca = cz * g`` and ``cadot = czdot * g`` of a hidden layer overwrite the
+cotangents ``cz`` and ``czdot`` that the layer above produced, and one
+``tmp`` array per hidden width holds ``cadot * (-2 z) * adot``. Neither pass
+writes the caller's inputs (rows, tangent rows, ``cot_values``,
+``cot_tangents``), and the reverse sweep never writes the tape. Every
+element keeps the same operations in the same order as without the reuse
+(``tests/reference_network.py`` keeps that form).
+
 ``forward_raw`` and ``backward_raw`` take a keyword-only ``buffers`` dict
 that the caller keeps across calls. Every row-sized array of the pass (tape,
 reverse temporaries, returned values, tangents and input cotangent) is then
 written into the array kept under its key, allocated only when the key is
 missing or its shape changed. A training loop that passes the same dict each
-iteration so stops allocating and faulting in those arrays afresh. Aliasing
-rule: whatever a buffered pass returns, tape included, is overwritten by the
-next pass that uses the same dict; copy what must outlive it. The parameter
-gradient is never buffered. Without ``buffers`` every array is fresh, and the
-results are bit-identical either way.
+iteration so stops allocating and faulting in those arrays afresh. For
+hidden widths (h, h) a buffered dual forward and reverse keeps 13 arrays of
+width h (8 of the forward pass, 5 of the reverse), 3 of the input width and
+2 of the output width; a value forward and reverse keeps 6, 2 and 1.
+Aliasing rule: whatever a buffered pass returns, tape included, is
+overwritten by the next pass that uses the same dict; copy what must outlive
+it. The parameter gradient is never buffered. Without ``buffers`` every
+array is fresh, and the results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -107,7 +122,8 @@ class InputScaling:
 
 def _out(buffers, name, layer, shape):
     """The array kept under ``(name, layer)``, (re)allocated to ``shape``; None
-    (allocate a fresh result) without buffers."""
+    (allocate a fresh result) without buffers. ``layer`` is the layer index,
+    or the width for an array that layers of one width share."""
     if buffers is None:
         return None
     key = (name, layer)
@@ -201,8 +217,11 @@ class FeedforwardNet:
         Returns (values, tangents, tape); tangents is None when no tangent was
         requested. The tape holds per layer the activations, tanh derivatives
         and both tangent streams so the reverse passes recompute nothing.
-        With ``buffers`` (see the module docstring) every returned array,
-        tape included, lives in the dict and is overwritten by its next pass.
+        Each layer forms its pre-activation in its output array, which a
+        hidden layer's tanh then overwrites in place; ``raw_rows`` and
+        ``tangent_rows`` are never written. With ``buffers`` (see the module
+        docstring) every returned array, tape included, lives in the dict
+        and is overwritten by its next pass.
         """
         layers = self.unpack(params)
         n = raw_rows.shape[0]
@@ -218,19 +237,19 @@ class FeedforwardNet:
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
             shape = (n, w.shape[0])
-            a = np.matmul(z, w.T, out=_out(buffers, "a", i, shape))
-            a += b
+            # the pre-activation a = z W^T + b, which a hidden layer's tanh overwrites
+            z = np.matmul(z, w.T, out=_out(buffers, "z", i + 1, shape))
+            z += b
             adot = None
             if zdot is not None:
                 adot = np.matmul(zdot, w.T, out=_out(buffers, "adot", i, shape))
             if i < last:
-                z = np.tanh(a, out=_out(buffers, "z", i + 1, shape))
+                np.tanh(z, out=z)
                 g = np.multiply(z, z, out=_out(buffers, "g", i + 1, shape))
                 np.subtract(1.0, g, out=g)
                 zdot = None if adot is None else np.multiply(
                     g, adot, out=_out(buffers, "zdot", i + 1, shape))
             else:
-                z = a
                 g = None
                 zdot = adot
             zs.append(z)
@@ -250,10 +269,13 @@ class FeedforwardNet:
         the tangent path (the W reappearing in Adot = Zdot_prev @ W.T).
         With ``want_grads=False`` no parameter gradient is accumulated and
         None is returned in its place; the input cotangent is unchanged.
-        With ``buffers`` the reverse temporaries and the returned input
-        cotangent live in the dict (see the module docstring); the
-        parameter gradient is always a fresh array. The dict may be the one
-        the tape's forward pass used: the keys do not collide.
+        Below the output layer, ``cz * g`` and ``czdot * g`` overwrite the
+        cotangents ``cz`` and ``czdot`` of the layer above, which the sweep
+        itself produced; ``cot_values``, ``cot_tangents`` and the tape are
+        never written. With ``buffers`` the reverse temporaries and the
+        returned input cotangent live in the dict (see the module
+        docstring); the parameter gradient is always a fresh array. The dict
+        may be the one the tape's forward pass used: the keys do not collide.
         """
         layers = self.unpack(params)
         zs, gs, adots, zdots = tape
@@ -271,17 +293,19 @@ class FeedforwardNet:
         last = len(layers) - 1
         for i in range(last, -1, -1):
             w, _ = layers[i]
-            if i == last:
+            if i == last:  # the caller's cotangents: read, never written
                 ca = cz
                 cadot = czdot
-            else:
+            else:  # cz and czdot came from the layer above and are read no more
                 g = gs[i + 1]
-                ca = np.multiply(cz, g, out=_out(buffers, "ca", i, g.shape))
+                ca = np.multiply(cz, g, out=cz)
                 cadot = None
                 if czdot is not None:
-                    cadot = np.multiply(czdot, g, out=_out(buffers, "cadot", i, g.shape))
-                    # cadot * (-2 z) * adot in this product order, so results stay bit-identical
-                    tmp = np.multiply(-2.0, zs[i + 1], out=_out(buffers, "tmp", i, g.shape))
+                    cadot = np.multiply(czdot, g, out=czdot)
+                    # cadot * (-2 z) * adot in this product order, so results stay bit-identical;
+                    # keyed by width, so hidden layers of one width share it
+                    tmp = np.multiply(-2.0, zs[i + 1],
+                                      out=_out(buffers, "tmp", g.shape[1], g.shape))
                     np.multiply(cadot, tmp, out=tmp)
                     np.multiply(tmp, adots[i + 1], out=tmp)
                     ca += tmp

@@ -42,6 +42,13 @@ class ManipulatorParams:
         for name in ("gravity", "b_alpha", "b_beta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # det D(beta) = (m1 lc1^2 + i1)(m2 lc2^2 + i2) + m2 l1^2 (m2 lc2^2 sin^2 beta + i2)
+        # is bounded below by its value at sin beta = 0, at every beta
+        det_min = self.m2 * self.l1**2 * self.i2 + (self.m1 * self.lc1**2 + self.i1) * (
+            self.m2 * self.lc2**2 + self.i2
+        )
+        if det_min < 1e-12:
+            raise ValueError("singular inertia matrix (invalid parameters)")
 
 
 @dataclass(frozen=True)
@@ -113,11 +120,9 @@ def manipulator_rhs(p: ManipulatorParams, x, u) -> np.ndarray:
     beta, da, db = x[..., 1], x[..., 2], x[..., 3]
     out = np.empty(x.shape)
     d11, d12, d22 = manipulator_inertia(p, beta)
-    det = d11 * d22
+    det = d11 * d22  # nonzero: ManipulatorParams checks a lower bound that holds at every beta
     w = d12 * d12
     det -= w
-    if (np.abs(det, out=w) < 1e-12).any():
-        raise ValueError("singular inertia matrix (invalid parameters)")
     h = np.sin(beta)
     h *= -p.m2 * p.l1 * p.lc2
     # C(q, qdot) qdot with Christoffel symbols of D: c1 = h db da + h (da + db) db in w,

@@ -91,14 +91,23 @@ class ValidationReport:
 
 
 def fd_state_jacobian(rhs, x, u):
-    """Batched central-difference Jacobian of rhs w.r.t. the state, step ``FD_STEP``."""
+    """Batched central-difference Jacobian of rhs w.r.t. the state, step ``FD_STEP``.
+
+    Each column j moves only x_j, in one working copy of ``x`` that is
+    restored after the column; the other entries are passed exactly as in
+    ``x``. ``rhs`` must return a new array, not a view of its state argument.
+    """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     jac = np.empty(x.shape + (n,))
+    xs = x.copy()
     for j in range(n):
-        dx = np.zeros_like(x)
-        dx[..., j] = FD_STEP
-        jac[..., j] = (rhs(x + dx, u) - rhs(x - dx, u)) / (2.0 * FD_STEP)
+        np.add(x[..., j], FD_STEP, out=xs[..., j])
+        diff = rhs(xs, u)
+        np.subtract(x[..., j], FD_STEP, out=xs[..., j])
+        diff -= rhs(xs, u)
+        xs[..., j] = x[..., j]
+        np.divide(diff, 2.0 * FD_STEP, out=jac[..., j])
     return jac
 
 

@@ -6,6 +6,10 @@ in a separate counter and compares the final iterate against the best
 checkpoint a third time, where the library routes both stages through one
 evaluation, validation and history path. Keep it as it is: it is the
 reference that the shared path is compared against.
+
+``fd_state_jacobian`` is the frozen central-difference Jacobian: it builds a
+step array and the two shifted states afresh for each column, where the
+library moves one column of a single working copy.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ import scipy.optimize
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
 from pinnpid.training import (
+    FD_STEP,
     LR_END,
     LR_START,
     LossReport,
@@ -111,3 +116,15 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
     trained = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)
     return trained, history
+
+
+def fd_state_jacobian(rhs, x, u):
+    """Batched central-difference Jacobian of rhs w.r.t. the state, step ``FD_STEP``."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    jac = np.empty(x.shape + (n,))
+    for j in range(n):
+        dx = np.zeros_like(x)
+        dx[..., j] = FD_STEP
+        jac[..., j] = (rhs(x + dx, u) - rhs(x - dx, u)) / (2.0 * FD_STEP)
+    return jac

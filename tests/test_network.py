@@ -1,5 +1,6 @@
 """Derivative and serialization checks for the feedforward network."""
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.model import PinnModel, load_model, save_model
+from tests import reference_network
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
 
@@ -347,6 +349,15 @@ class TestUnpackCache:
                 net.unpack(bad)
 
 
+def run_passes(forward, backward, net, params, raw, cot, cot_t, dual, want_grads, buffers):
+    """Forward then backward; every array produced, copied out of the buffers."""
+    tangents = net.time_tangent_rows(raw.shape[0]) if dual else None
+    values, rates, tape = forward(params, raw, tangents, buffers=buffers)
+    grads, cz = backward(params, tape, cot, cot_t if dual else None, want_grads, buffers=buffers)
+    out = [values, rates, cz, grads] + [a for part in tape for a in part]
+    return [None if a is None else a.copy() for a in out]
+
+
 class TestBufferedPasses:
     """A pass with ``buffers`` must return what the unbuffered pass returns, bit for bit."""
 
@@ -360,13 +371,8 @@ class TestBufferedPasses:
         return net, params, net.stack_rows(t, x, u), cot
 
     def passes(self, net, params, rows, cot, dual, want_grads, buffers=None):
-        """Forward then backward; every array produced, copied out of the buffers."""
-        tangents = net.time_tangent_rows(rows.shape[0]) if dual else None
-        cot_t = 0.5 * cot[:, ::-1] if dual else None
-        values, rates, tape = net.forward_raw(params, rows, tangents, buffers=buffers)
-        grads, cz = net.backward_raw(params, tape, cot, cot_t, want_grads, buffers=buffers)
-        out = [values, rates, cz, grads] + [a for part in tape for a in part]
-        return [None if a is None else a.copy() for a in out]
+        return run_passes(net.forward_raw, net.backward_raw, net, params, rows, cot,
+                          0.5 * cot[:, ::-1], dual, want_grads, buffers)
 
     def assert_same(self, got, want):
         assert len(got) == len(want)
@@ -405,6 +411,77 @@ class TestBufferedPasses:
         got = self.passes(net, params, rows7, cot7, True, True, buffers)
         self.assert_same(got, self.passes(net, params, rows7, cot7, True, True))
         assert all(a.shape[0] == 7 for a in buffers.values())
+
+
+def wide_batch(widths, rows, seed=97):
+    """A net of the given widths, perturbed parameters, raw rows and both cotangents."""
+    n = widths[-1]
+    m = widths[0] - 1 - n
+    net = make_net(widths, n, m)
+    rng = np.random.default_rng(seed)
+    params = net.init_params(seed) + 0.1 * rng.standard_normal(net.n_params)
+    raw = net.stack_rows(rng.uniform(0.0, 0.25, rows), rng.uniform(-1.0, 1.0, (rows, n)),
+                         rng.uniform(-1.0, 1.0, (rows, m)))
+    return net, params, raw, rng.standard_normal((rows, n)), rng.standard_normal((rows, n))
+
+
+class TestPassesMatchFrozenReference:
+    """The in-place passes against ``tests/reference_network.py``, bit for bit.
+
+    A row's value can change in its last bits with the number of rows in the
+    call, so each comparison is between calls on the same rows.
+    """
+
+    @pytest.mark.parametrize("rows", [11, 1000, 4000, 8000])
+    @pytest.mark.parametrize("widths", [(4, 32, 32, 2), (7, 32, 32, 4), (4, 16, 32, 8, 2)],
+                             ids=lambda w: "-".join(map(str, w)))
+    def test_value_and_dual_buffered_and_not(self, widths, rows):
+        net, params, raw, cot, cot_t = wide_batch(widths, rows)
+        ref_forward = partial(reference_network.forward_raw, net)
+        ref_backward = partial(reference_network.backward_raw, net)
+        for dual in (False, True):
+            for want_grads in (True, False):
+                args = (net, params, raw, cot, cot_t, dual, want_grads)
+                want = run_passes(ref_forward, ref_backward, *args, None)
+                buffers = {}
+                # the second buffered call runs on the arrays the first one left
+                for bufs in (None, buffers, buffers):
+                    got = run_passes(net.forward_raw, net.backward_raw, *args, bufs)
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestPassesWriteOnlyTheirOwnArrays:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_reverse_leaves_cotangents_and_tape_unchanged(self, dual, buffered):
+        net, params, raw, cot, cot_t = wide_batch((4, 16, 32, 8, 2), 50)
+        buffers = {} if buffered else None
+        tangents = net.time_tangent_rows(raw.shape[0]) if dual else None
+        inputs = [raw, cot, cot_t] + ([tangents] if dual else [])
+        inputs_before = [a.copy() for a in inputs]
+        _, _, tape = net.forward_raw(params, raw, tangents, buffers=buffers)
+        kept = [a for part in tape for a in part if a is not None]
+        kept_before = [a.copy() for a in kept]
+        net.backward_raw(params, tape, cot, cot_t if dual else None, buffers=buffers)
+        for a, b in zip(inputs + kept, inputs_before + kept_before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dual, hidden_arrays", [(False, 6), (True, 13)])
+    @pytest.mark.parametrize("widths", [(4, 32, 32, 2), (7, 32, 32, 4)])
+    def test_buffered_footprint(self, widths, dual, hidden_arrays):
+        # the counts stated in the network module docstring
+        net, params, raw, cot, cot_t = wide_batch(widths, 40)
+        buffers = {}
+        run_passes(net.forward_raw, net.backward_raw, net, params, raw, cot, cot_t, dual, True,
+                   buffers)
+        assert all(a.shape[0] == 40 for a in buffers.values())
+        widths_kept = [a.shape[1] for a in buffers.values()]
+        assert widths_kept.count(32) == hidden_arrays
+        assert widths_kept.count(widths[0]) == (3 if dual else 2)
+        assert widths_kept.count(widths[-1]) == (2 if dual else 1)
+        assert len(widths_kept) == hidden_arrays + (5 if dual else 3)
 
 
 class TestStackRows:

@@ -190,6 +190,23 @@ class TestParams:
     def test_zero_and_negative_arm_constants_accepted(self):
         ManipulatorParams(gravity=0.0, b_alpha=-1.0, b_beta=0.0)
 
+    def test_rejects_near_singular_inertia(self):
+        # det D(beta) >= m2 l1^2 i2 + (m1 lc1^2 + i1)(m2 lc2^2 + i2), about 2.6e-14 here
+        with pytest.raises(ValueError, match="singular inertia"):
+            ManipulatorParams(m1=1e-7, m2=1e-7, i1=1e-7, i2=1e-7)
+        ManipulatorParams(m1=1e-5, m2=1e-5, i1=1e-5, i2=1e-5)
+
+    def test_inertia_determinant_bound_holds_on_grid(self):
+        rng = np.random.default_rng(89)
+        beta = np.linspace(-np.pi, np.pi, 2001)
+        for _ in range(200):
+            p = ManipulatorParams(*rng.uniform(0.05, 3.0, 8))
+            d11, d12, d22 = manipulator_inertia(p, beta)
+            bound = p.m2 * p.l1**2 * p.i2 + (p.m1 * p.lc1**2 + p.i1) * (p.m2 * p.lc2**2 + p.i2)
+            ratio = (d11 * d22 - d12**2) / bound
+            assert ratio.min() >= 1.0 - 1e-12
+            assert ratio[1000] == pytest.approx(1.0, rel=1e-12)  # sin(beta) = 0: the bound is hit
+
 
 class TestArmKernelMatchesFrozenReference:
     """The in-place arm kernel against ``tests/reference_plants.py``, bit for bit.

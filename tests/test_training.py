@@ -35,6 +35,7 @@ from pinnpid.training import (
     train,
     validate,
 )
+from tests.reference_train import fd_state_jacobian as reference_fd_state_jacobian
 from tests.reference_train import train as reference_train
 
 MSD = MsdParams()
@@ -172,6 +173,44 @@ class TestLossGradient:
         jac = fd_state_jacobian(MSD_RHS, x, u)
         for i in range(5):
             np.testing.assert_allclose(jac[i], a_mat, atol=1e-8)
+
+    @pytest.mark.parametrize("rows", [None, 16, 4000])
+    @pytest.mark.parametrize("plant", ["msd", "arm"])
+    def test_fd_jacobian_matches_frozen_reference(self, plant, rows):
+        rng = np.random.default_rng(83)
+        shape = () if rows is None else (rows,)
+        if plant == "msd":
+            rhs = MSD_RHS
+            x = rng.uniform(-2.0, 2.0, shape + (2,))
+            u = rng.uniform(-1.0, 1.0, shape + (1,))
+        else:
+            arm = ManipulatorParams()
+            rhs = lambda x_, u_: manipulator_rhs(arm, x_, u_)
+            x = rng.uniform([-20.0, -20.0, -40.0, -40.0], [20.0, 20.0, 40.0, 40.0], shape + (4,))
+            u = rng.uniform(-0.5, 0.5, shape + (2,))
+        x_before = x.copy()
+        got = fd_state_jacobian(rhs, x, u)
+        assert np.array_equal(got, reference_fd_state_jacobian(rhs, x, u))
+        assert np.array_equal(x, x_before)
+
+    def test_fd_jacobian_passes_unperturbed_entries_exactly(self):
+        # signed zeros included: x + 0.0 would turn -0.0 into 0.0
+        x = np.array([[-0.0, 0.5], [1.5, -0.0], [-0.0, -0.0]])
+        seen = []
+
+        def rhs(xs, u):
+            seen.append(xs.copy())
+            return MSD_RHS(xs, u)
+
+        fd_state_jacobian(rhs, x, np.zeros((3, 1)))
+        assert len(seen) == 4
+        for k, xs in enumerate(seen):
+            j, sign = k // 2, (1.0, -1.0)[k % 2]
+            assert np.array_equal(xs[:, j], x[:, j] + sign * training.FD_STEP)
+            other = xs[:, 1 - j]
+            assert np.array_equal(other, x[:, 1 - j])
+            assert np.array_equal(np.signbit(other), np.signbit(x[:, 1 - j]))
+        assert np.array_equal(np.signbit(x), [[True, False], [False, True], [True, True]])
 
 
 class TestValidation:
