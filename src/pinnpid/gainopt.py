@@ -34,12 +34,16 @@ zeroed in the channels that the input box clips. The stage costs, the
 active mask, the direct cotangents and that sum are each one array
 operation per window.
 
-The regularizer is either the squared gain norm or, for the
-mass-spring-damper plant, the norm plus a logarithmic barrier on the
-algebraic stability value g = (K^d + D)(K^p + K) - M K^i, weighted 1/rho.
-The barrier parameter rho follows one fixed schedule: a linear ramp from
-``RHO_START`` = 1e4 at the first iteration to ``RHO_END`` = 1e-3 at the last
-of ``max_iters``, so the barrier weight grows from 1e-4 to 1e3.
+F is one m x 3n array throughout, and one function, ``_project``, takes
+the warm start and every iterate into the gain box. The regularizer is
+either the squared gain norm or, for the mass-spring-damper plant, the norm
+plus a logarithmic barrier on the algebraic stability value
+g = (K^d + D)(K^p + K) - M K^i, weighted 1/rho. g reads K^p, K^i and K^d of
+input 0 on state coordinate 0 alone (``scalar_gains``), so a barrier search
+needs bounds that pin every other gain to 0. The barrier parameter rho
+follows one fixed schedule: a linear ramp from ``RHO_START`` = 1e4 at the
+first iteration to ``RHO_END`` = 1e-3 at the last of ``max_iters``, so the
+barrier weight grows from 1e-4 to 1e3.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class CostWeights:
     def __post_init__(self):
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
         self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
+        if not (np.isfinite(self.q).all() and np.isfinite(self.r).all()):
+            raise ValueError("q and r must be finite")
         if not np.allclose(self.q, self.q.T) or np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
             raise ValueError("q must be symmetric positive semidefinite")
         if not np.allclose(self.r, self.r.T) or np.min(np.linalg.eigvalsh(self.r)) <= 0:
@@ -127,14 +133,20 @@ def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
     return theta, grad
 
 
-def project_stacked(f: np.ndarray, bounds: GainBounds) -> np.ndarray:
-    return np.minimum(np.maximum(f, bounds.lower), bounds.upper)
+def _barrier_reads_every_gain(bounds: GainBounds, n: int) -> bool:
+    """Whether the box pins every entry of F to 0 except the three that
+    ``scalar_gains`` reads, so that g covers every gain the search can move."""
+    if bounds.lower.shape[1] != 3 * n:
+        return False
+    unread = (bounds.lower != 0) | (bounds.upper != 0)
+    unread[0, [0, n, 2 * n]] = False
+    return not unread.any()
 
 
 def _project(f, bounds, plant, n):
-    """Clip F into the gain box; given a plant, then pull K^i down (g is affine
-    in it) until g >= BARRIER_G_MIN, or raise InfeasibleGainError."""
-    f = project_stacked(f, bounds)
+    """Clip F into the gain box (a new array); given a plant, then pull K^i down
+    (g is affine in it) until g >= BARRIER_G_MIN, or raise InfeasibleGainError."""
+    f = np.minimum(np.maximum(f, bounds.lower), bounds.upper)
     if plant is None or msd_stability_value(plant, f, n) >= BARRIER_G_MIN:
         return f
     kp, _, kd = scalar_gains(f, n)
@@ -147,12 +159,12 @@ def _project(f, bounds, plant, n):
 
 @lru_cache(maxsize=8)
 def _error_maps(n: int, dt: float, n_quad: int):
-    """Read-only (A, P, B) of the error recursion E' = A E + B (r_j, r_{j+1}) - P vec(V).
+    """Read-only (taus, A, P, B): the nodes and maps of E' = A E + B (r_j, r_{j+1}) - P vec(V).
 
     vec(V) is the (n_quad + 1) x n prediction block flattened row by row.
     Built once per (n, dt, n_quad); see the module docstring.
     """
-    _, w = quadrature_nodes(dt, n_quad)
+    taus, w = quadrature_nodes(dt, n_quad)
     eye = np.eye(n)
     end = np.zeros(n_quad + 1)
     end[-1] = 1.0
@@ -166,7 +178,7 @@ def _error_maps(n: int, dt: float, n_quad: int):
     b[2 * n :, n:] = eye / dt
     for arr in (a, p, b):
         arr.flags.writeable = False
-    return a, p, b
+    return taus, a, p, b
 
 
 def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
@@ -185,8 +197,7 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     n = errors0.e_prop.shape[0]
     if refs.shape[1] != n:
         raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
-    taus, _ = quadrature_nodes(dt, n_quad)
-    a, p, b = _error_maps(n, dt, n_quad)
+    taus, a, p, b = _error_maps(n, dt, n_quad)
     q, r = weights.q, weights.r
 
     # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its clip into
@@ -255,6 +266,10 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     and every step pass through ``_project``; under the barrier a start whose
     clipped g is not positive is first moved to the box centre.
 
+    The barrier raises ValueError before the first window unless ``bounds``
+    pins every gain to 0 except the three that g reads; otherwise g would
+    not see the gains the search moves.
+
     Failure contract: a non-finite entry in the starting point (``x_k``,
     ``errors_k``, ``refs`` or the projected start gains) raises
     :class:`SegmentDiverged` before the first window, since the network
@@ -269,10 +284,13 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     barrier = regularizer_kind == "barrier"
     if barrier and plant is None:
         raise ValueError("barrier regularizer needs the plant parameters")
+    if barrier and not _barrier_reads_every_gain(bounds, n):
+        raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
+                         "alone; the bounds must pin every other gain to 0")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     cut = plant if barrier else None  # the plant whose K^i cut _project applies
-    f = bounds.center() if init_gains is None else project_stacked(init_gains.stacked(), bounds)
+    f = bounds.center() if init_gains is None else _project(init_gains.stacked(), bounds, None, n)
     if barrier and msd_stability_value(plant, f, n) <= 0:
         f = bounds.center()
     f = _project(f, bounds, cut, n)
@@ -301,5 +319,5 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         f_new = _project(f_new, bounds, cut, n)
         converged = float(np.max(np.abs(f_new - f))) < tol
         f = f_new
-    return SegmentResult(gains=GainMatrix.from_stacked(best_f.copy()), cost=best_cost,
+    return SegmentResult(gains=GainMatrix.from_stacked(best_f), cost=best_cost,
                          iterations=it, converged=converged)

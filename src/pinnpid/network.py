@@ -96,7 +96,7 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class InputScaling:
-    """Per-coordinate affine map of raw inputs onto [-1, 1]."""
+    """Per-coordinate affine map of raw inputs onto [-1, 1], from finite bounds."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -111,6 +111,8 @@ class InputScaling:
             raise ValueError("scaling bounds must be matching 1-D arrays")
         if not np.all(lo < hi):
             raise ValueError("scaling requires lower < upper componentwise")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("scaling bounds must be finite")
         object.__setattr__(self, "slope", 2.0 / (hi - lo))
 
     def encode(self, raw: np.ndarray, out=None) -> np.ndarray:
@@ -146,13 +148,15 @@ class FeedforwardNet:
     """A tanh MLP over ``[t, x, u]`` rows with analytic derivative passes.
 
     ``n_state`` and ``n_input`` fix how the input row splits into the time,
-    state and control blocks; the scaling must cover all ``1 + n + m``
-    coordinates in that order.
+    state and control blocks, and the output is the n-wide state; the scaling
+    must cover all ``1 + n + m`` coordinates in that order.
     """
 
     def __init__(self, spec: NetworkSpec, scaling: InputScaling, n_state: int, n_input: int):
         if spec.input_dim != 1 + n_state + n_input:
             raise ValueError("input width must equal 1 + n_state + n_input")
+        if spec.output_dim != n_state:
+            raise ValueError("output width must equal n_state")
         if scaling.lower.shape[0] != spec.input_dim:
             raise ValueError("scaling dimension must match the input width")
         self.spec = spec

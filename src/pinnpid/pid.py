@@ -1,11 +1,10 @@
 """Time-varying PID law and the surrogate-driven discrete error recursion.
 
-The gain matrix stacks proportional, integral and derivative blocks as
-F = [K^p, K^i, K^d] (m x 3n); the error state stacks the matching error
-vectors E = (e_prop, e_int, e_deri). Across one sampling interval the
-proportional error is taken from the measured state, the integral error
-advances by trapezoid quadrature of the surrogate prediction, and the
-derivative error by a backward difference.
+The gain matrix F = [K^p, K^i, K^d] (m x 3n) is one read-only array; the
+error state stacks the matching error vectors E = (e_prop, e_int, e_deri).
+Across one sampling interval the proportional error is taken from the
+measured state, the integral error advances by trapezoid quadrature of the
+surrogate prediction, and the derivative error by a backward difference.
 """
 
 from __future__ import annotations
@@ -16,31 +15,25 @@ from functools import lru_cache
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class GainMatrix:
-    """PID gain blocks, each m x n."""
+    """The stacked gain matrix F = [K^p, K^i, K^d] (m x 3n), held as one read-only copy."""
 
-    kp: np.ndarray
-    ki: np.ndarray
-    kd: np.ndarray
+    f: np.ndarray
 
     def __post_init__(self):
-        self.kp = np.atleast_2d(np.asarray(self.kp, dtype=float))
-        self.ki = np.atleast_2d(np.asarray(self.ki, dtype=float))
-        self.kd = np.atleast_2d(np.asarray(self.kd, dtype=float))
-        if not (self.kp.shape == self.ki.shape == self.kd.shape):
-            raise ValueError("gain blocks must share one m x n shape")
+        f = np.array(self.f, dtype=float, ndmin=2)
+        if f.shape[1] % 3:
+            raise ValueError("stacked gain width must be a multiple of 3")
+        f.flags.writeable = False
+        object.__setattr__(self, "f", f)
 
     def stacked(self) -> np.ndarray:
-        return np.hstack([self.kp, self.ki, self.kd])
+        return self.f
 
     @classmethod
     def from_stacked(cls, f: np.ndarray) -> "GainMatrix":
-        f = np.atleast_2d(np.asarray(f, dtype=float))
-        n = f.shape[1] // 3
-        if 3 * n != f.shape[1]:
-            raise ValueError("stacked gain width must be a multiple of 3")
-        return cls(kp=f[:, :n], ki=f[:, n : 2 * n], kd=f[:, 2 * n :])
+        return cls(f)
 
 
 @dataclass
@@ -61,7 +54,7 @@ class ErrorState:
 
 @dataclass(frozen=True)
 class GainBounds:
-    """Per-entry box on the stacked gain matrix (lower <= upper, equality pins)."""
+    """Per-entry finite box on the stacked gain matrix (lower <= upper, equality pins)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -73,6 +66,8 @@ class GainBounds:
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or not np.all(lo <= hi):
             raise ValueError("gain bounds need lower <= upper entrywise")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("gain bounds must be finite")
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)

@@ -133,8 +133,8 @@ def _forward(net, params, data: DataSet, phys: PhysSet, rhs, buffers=None):
     return l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p
 
 
-def loss(model: PinnModel, data: DataSet, phys: PhysSet, rhs, iteration: int = 0) -> LossReport:
-    l_data, l_phys, *_ = _forward(model.net, model.params, data, phys, rhs)
+def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int = 0) -> LossReport:
+    l_data, l_phys, *_ = _forward(net, params, data, phys, rhs)
     return LossReport(iteration, l_data, l_phys, l_data + LAMBDA_PHYS * l_phys)
 
 
@@ -254,8 +254,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
             return l_total, grad
 
         def callback(pvec):
-            probe = PinnModel(net=net, params=pvec, dt=model.dt, eps=model.eps)
-            record(pvec, loss(probe, data, phys, rhs, len(history)))
+            record(pvec, loss(net, pvec, data, phys, rhs, len(history)))
 
         params = scipy.optimize.minimize(
             objective, params, jac=True, method="L-BFGS-B",

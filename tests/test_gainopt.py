@@ -19,7 +19,6 @@ from pinnpid.gainopt import (
     SegmentDiverged,
     msd_stability_value,
     optimize_segment,
-    project_stacked,
     regularizer,
     window_cost_and_grad,
 )
@@ -160,6 +159,15 @@ class TestStageCost:
             with pytest.raises(ValueError, match="mu"):
                 CostWeights(q=np.eye(2), r=[[0.01]], mu=mu)
 
+    @pytest.mark.parametrize("q, r", [
+        ([[np.inf, 0.0], [0.0, 1.0]], [[0.01]]),
+        (np.eye(2), [[np.inf]]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [[0.01]]),
+    ], ids=["inf_q", "inf_r", "nan_q"])
+    def test_cost_weights_reject_non_finite(self, q, r):
+        with pytest.raises(ValueError, match="q and r must be finite"):
+            CostWeights(q=q, r=r)
+
 
 class TestAdam:
     def test_one_function_under_each_callers_name(self):
@@ -212,20 +220,21 @@ class TestAdam:
 class TestProjection:
     def test_inside_unchanged(self):
         bounds = GainBounds(np.zeros((1, 3)), 5 * np.ones((1, 3)))
-        g = GainMatrix([[1.0]], [[2.0]], [[3.0]])
-        assert np.array_equal(project_stacked(g.stacked(), bounds), g.stacked())
+        g = GainMatrix.from_stacked([[1.0, 2.0, 3.0]])
+        assert np.array_equal(gainopt._project(g.stacked(), bounds, None, 1), g.stacked())
 
     def test_clamps(self):
         bounds = GainBounds(np.zeros((1, 3)), 5 * np.ones((1, 3)))
-        g = GainMatrix([[-1.0]], [[6.0]], [[2.0]])
-        np.testing.assert_array_equal(project_stacked(g.stacked(), bounds), [[0.0, 5.0, 2.0]])
+        g = GainMatrix.from_stacked([[-1.0, 6.0, 2.0]])
+        np.testing.assert_array_equal(gainopt._project(g.stacked(), bounds, None, 1),
+                                      [[0.0, 5.0, 2.0]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         bounds = GainBounds(np.zeros((1, 3)), 5 * np.ones((1, 3)))
         g = GainMatrix.from_stacked(rng.uniform(-3, 8, (1, 3)))
-        once = project_stacked(g.stacked(), bounds)
-        twice = project_stacked(once, bounds)
+        once = gainopt._project(g.stacked(), bounds, None, 1)
+        twice = gainopt._project(once, bounds, None, 1)
         assert np.array_equal(once, twice)
 
 
@@ -316,7 +325,7 @@ class TestWindowGradient:
         f = np.zeros((2, 12))
         f[0, [0, 4, 8]] = [1.5, 0.3, 0.8]
         f[1, [1, 5, 9]] = [2.0, 0.4, 0.6]
-        assert np.array_equal(project_stacked(f, bounds), f)
+        assert np.array_equal(gainopt._project(f, bounds, None, 4), f)
         e0 = ErrorState([0.4, -0.3, 0.0, 0.0], [0.1, 0.05, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1])
         x0 = np.array([0.1, -0.2, 0.0, 0.1])
         refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
@@ -548,6 +557,20 @@ class TestOptimizeSegment:
                              msd_bounds(), **kw)
         assert np.array_equal(a.gains.stacked(), b.gains.stacked())
 
+    def test_leaves_init_gains_unchanged(self):
+        start = [[1.0, 0.0, 0.5, 0.0, 0.2, 0.0]]
+        source = np.array(start)
+        init = GainMatrix.from_stacked(source)
+        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        res = optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
+                               CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]]), AdamConfig(),
+                               msd_bounds(), regularizer_kind="barrier", plant=MSD,
+                               max_iters=20, tol=0.0, init_gains=init)
+        np.testing.assert_array_equal(init.stacked(), start)
+        np.testing.assert_array_equal(source, start)
+        assert not np.array_equal(res.gains.stacked(), start)  # the search did move
+        assert not res.gains.stacked().flags.writeable
+
     def test_convergence_before_max_iters(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
@@ -664,6 +687,24 @@ class TestSegmentFeasibility:
         bounds = diagonal_gain_bounds(2, 1, (0.0, 0.0), (4.0, 5.0), (0.0, 0.0), coords=[0])
         with pytest.raises(InfeasibleGainError, match="inside the gain box"):
             self.first_window_gains(monkeypatch, bounds)
+
+    @pytest.mark.parametrize("bounds", [
+        diagonal_gain_bounds(2, 1, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), coords=[1]),
+        diagonal_gain_bounds(2, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0)),
+        GainBounds(msd_bounds().lower + [[0, 0.5, 0, 0, 0, 0]],
+                   msd_bounds().upper + [[0, 0.5, 0, 0, 0, 0]]),
+    ], ids=["velocity_channel", "two_inputs", "pinned_velocity_gain"])
+    def test_barrier_rejects_bounds_it_does_not_read(self, monkeypatch, bounds):
+        # on velocity_channel g reads three entries pinned to 0, so it is D K = 0.5 at
+        # every gain the box allows; the segment refuses before its first window
+        monkeypatch.setattr(gainopt, "window_cost_and_grad",
+                            lambda *args, **kwargs: pytest.fail("a window ran"))
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="pin every other gain to 0"):
+            optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
+                             weights, AdamConfig(), bounds, regularizer_kind="barrier",
+                             plant=MSD, max_iters=2, tol=0.0)
 
     def test_unstable_warm_start_starts_at_box_centre(self, monkeypatch):
         bounds = msd_bounds()

@@ -91,6 +91,26 @@ class TestSpec:
         with pytest.raises(ValueError):
             NetworkSpec((4, 0, 2))
 
+    @pytest.mark.parametrize("lo, hi, match", [
+        ([0.0, 1.0], [1.0, 1.0], "lower < upper"),
+        ([0.0, -1.0], [1.0, -2.0], "lower < upper"),
+        ([0.0, -1.0], [np.inf, 1.0], "finite"),  # slope 0: every forward pass reads NaN
+        ([0.0, -np.inf], [1.0, 1.0], "finite"),
+    ], ids=["equal", "reversed", "inf_upper", "inf_lower"])
+    def test_scaling_rejects_bounds(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            InputScaling(lo, hi)
+
+    @pytest.mark.parametrize("widths, n_scaled, match", [
+        ((5, 8, 2), 5, "input width"),
+        ((4, 8, 2), 3, "scaling dimension"),
+        ((4, 8, 3), 4, "output width"),  # three outputs for a two-state model
+    ], ids=["input", "scaling", "output"])
+    def test_net_rejects_widths(self, widths, n_scaled, match):
+        scaling = InputScaling(np.zeros(n_scaled), np.ones(n_scaled))
+        with pytest.raises(ValueError, match=match):
+            FeedforwardNet(NetworkSpec(widths), scaling, 2, 1)
+
 
 class TestForward:
     def test_zero_params_give_zero_output(self):
@@ -114,9 +134,9 @@ class TestForward:
 
     def test_matches_hand_rolled_oracle(self):
         rng = np.random.default_rng(11)
-        net = make_net([4, 2, 2, 1], 2, 1)
+        net = make_net([4, 2, 2, 1], 1, 2)  # the one output is the one state
         params = rng.standard_normal(net.spec.param_count())
-        t, x, u = 0.07, rng.uniform(-0.9, 0.9, 2), rng.uniform(-0.9, 0.9, 1)
+        t, x, u = 0.07, rng.uniform(-0.9, 0.9, 1), rng.uniform(-0.9, 0.9, 2)
         np.testing.assert_allclose(
             forward1(net, params, t, x, u), hand_forward(net, params, t, x, u), atol=1e-12
         )
@@ -185,14 +205,14 @@ class TestTimeDerivative:
 
     def test_identity_readout_of_time_gives_scaling_slope(self):
         # single hidden unit wired (almost) linearly: output = w_out * tanh(w_t * t_scaled)
-        net = make_net([4, 1, 1], 2, 1, t_hi=0.5)
+        net = make_net([4, 1, 1], 1, 2, t_hi=0.5)
         params = np.zeros(net.spec.param_count())
         layers = net.spec.param_slices()
         w1 = np.zeros((1, 4))
         w1[0, 0] = 1e-4  # stay in tanh's linear regime
         params[layers[0][0]] = w1.ravel()
         params[layers[1][0]] = np.array([1.0])
-        rate = time_derivative1(net, params, 0.2, [0.0, 0.0], [0.0])
+        rate = time_derivative1(net, params, 0.2, [0.0], [0.0, 0.0])
         slope = 2.0 / 0.5  # d t_scaled / d t
         np.testing.assert_allclose(rate, [1e-4 * slope], rtol=1e-6)
 
@@ -541,6 +561,16 @@ class TestSerialization:
         assert np.array_equal(
             loaded.predict(np.array([0.1]), x, u), model.predict(np.array([0.1]), x, u)
         )
+
+    def test_rejects_non_finite_scaling(self, tmp_path):
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        bounds = lines[2].split()
+        bounds[-1] = "inf"  # the input's upper bound
+        lines[2] = " ".join(bounds) + "\n"
+        path = tmp_path / "inf.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(path)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -44,25 +44,25 @@ class ReferenceModel:
 
 class TestControlInput:
     def test_zero_errors(self):
-        gains = GainMatrix(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
+        gains = GainMatrix.from_stacked(np.ones((1, 6)))
         e = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
         assert np.array_equal(control_input(gains, e), np.zeros(1))
 
     def test_hand_dot_product_1d(self):
-        gains = GainMatrix([[2.0]], [[0.5]], [[0.1]])
+        gains = GainMatrix.from_stacked([[2.0, 0.5, 0.1]])
         e = ErrorState([0.3], [0.2], [-1.0])
         u = control_input(gains, e)
         assert u[0] == pytest.approx(0.6)
 
     def test_saturation(self):
-        gains = GainMatrix([[1.7]], [[0.0]], [[0.0]])
+        gains = GainMatrix.from_stacked([[1.7, 0.0, 0.0]])
         e = ErrorState([1.0], [0.0], [0.0])
         u = control_input(gains, e, Box([-1.0], [1.0]))
         assert u[0] == 1.0
 
     def test_linearity_before_saturation(self):
         rng = np.random.default_rng(8)
-        gains = GainMatrix(*rng.standard_normal((3, 2, 3)))
+        gains = GainMatrix.from_stacked(np.hstack(rng.standard_normal((3, 2, 3))))
         e1 = ErrorState(*rng.standard_normal((3, 3)))
         e2 = ErrorState(*rng.standard_normal((3, 3)))
         a, b = 0.3, -1.2
@@ -78,7 +78,7 @@ class TestControlInput:
         )
 
     def test_dimension_mismatch(self):
-        gains = GainMatrix(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)))
+        gains = GainMatrix.from_stacked(np.ones((1, 6)))
         with pytest.raises(ValueError):
             control_input(gains, ErrorState([0.1], [0.0], [0.0]))
 
@@ -209,6 +209,34 @@ class TestBounds:
         # would pin channel 2 to zero, and [2] would index past the state
         with pytest.raises(ValueError, match="coords"):
             diagonal_gain_bounds(2, n_input, (0.0, 3.0), (0.0, 2.0), (0.0, 1.0), coords=coords)
+
+    @pytest.mark.parametrize("lo, hi, match", [
+        ([[0.0, 2.0, 0.0]], [[1.0, 1.0, 1.0]], "lower <= upper"),
+        ([[0.0, 0.0, 0.0]], [[1.0, 1.0]], "lower <= upper"),
+        ([[0.0, np.nan, 0.0]], [[1.0, 1.0, 1.0]], "lower <= upper"),
+        ([[0.0, 0.0, 0.0]], [[1.0, np.inf, 1.0]], "finite"),  # its centre would be infinite
+        ([[0.0, -np.inf, 0.0]], [[1.0, 1.0, 1.0]], "finite"),
+    ], ids=["reversed", "shapes", "nan", "inf_upper", "inf_lower"])
+    def test_gain_bounds_reject(self, lo, hi, match):
+        with pytest.raises(ValueError, match=match):
+            GainBounds(lo, hi)
+
+
+class TestGainMatrix:
+    def test_rejects_width_not_a_multiple_of_3(self):
+        with pytest.raises(ValueError, match="multiple of 3"):
+            GainMatrix.from_stacked(np.ones((1, 4)))
+
+    def test_stacked_is_read_only(self):
+        f = GainMatrix.from_stacked([[1.0, 2.0, 3.0]]).stacked()
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0] = 5.0
+
+    def test_does_not_follow_writes_to_its_source(self):
+        source = np.array([[1.0, 2.0, 3.0]])
+        gains = GainMatrix.from_stacked(source)
+        source[0, 0] = 5.0
+        np.testing.assert_array_equal(gains.stacked(), [[1.0, 2.0, 3.0]])
 
 
 class TestVectorShapes:

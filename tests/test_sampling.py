@@ -31,6 +31,19 @@ def msd_config(n_data=64, n_phys=128, seed=0):
     )
 
 
+class TestBox:
+    @pytest.mark.parametrize("lo, hi", [([0.0, 1.0], [1.0, 1.0]), ([0.0, 2.0], [1.0, 1.0]),
+                                        ([0.0], [1.0, 2.0])],
+                             ids=["equal", "reversed", "shapes"])
+    def test_rejects_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="lower < upper"):
+            Box(lo, hi)
+
+    def test_infinite_side_is_a_one_sided_box(self):
+        box = Box([-np.inf], [1.0])
+        assert np.clip(5.0, box.lower, box.upper)[0] == 1.0
+
+
 class TestLhs:
     def test_one_point_per_stratum_1d(self):
         rng = np.random.default_rng(0)

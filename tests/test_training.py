@@ -64,7 +64,7 @@ def one_row_l_phys(model, rhs, t, x, u):
     data = DataSet(t=np.array([0.1]), x0=np.zeros((1, 2)), xf=np.zeros((1, 2)),
                    u=np.zeros((1, 1)))
     phys = PhysSet(t=np.array([t]), x=np.atleast_2d(x), u=np.atleast_2d(u))
-    return loss(model, data, phys, rhs).l_phys
+    return loss(model.net, model.params, data, phys, rhs).l_phys
 
 
 class TestPhysicsResidual:
@@ -107,13 +107,13 @@ class TestLoss:
         data, phys = small_sets()
         preds = model.predict(data.t, data.x0, data.u)
         exact = DataSet(t=data.t, x0=data.x0, xf=preds, u=data.u)
-        rep = loss(model, exact, phys, MSD_RHS)
+        rep = loss(model.net, model.params, exact, phys, MSD_RHS)
         assert rep.l_data == pytest.approx(0.0, abs=1e-28)
 
     def test_hand_computed_two_samples(self):
         model = msd_model(seed=1)
         data, phys = small_sets(n_data=2, n_phys=2)
-        rep = loss(model, data, phys, MSD_RHS)
+        rep = loss(model.net, model.params, data, phys, MSD_RHS)
         preds = model.predict(data.t, data.x0, data.u)
         by_hand = 0.5 * sum(np.sum((preds[i] - data.xf[i]) ** 2) for i in range(2))
         assert rep.l_data == pytest.approx(by_hand, rel=1e-12)
@@ -123,11 +123,11 @@ class TestLoss:
     def test_permutation_invariance(self):
         model = msd_model(seed=4)
         data, phys = small_sets(n_data=16, n_phys=16)
-        rep = loss(model, data, phys, MSD_RHS)
+        rep = loss(model.net, model.params, data, phys, MSD_RHS)
         perm = np.random.default_rng(0).permutation(16)
         data_p = DataSet(t=data.t[perm], x0=data.x0[perm], xf=data.xf[perm], u=data.u[perm])
         phys_p = PhysSet(t=phys.t[perm], x=phys.x[perm], u=phys.u[perm])
-        rep_p = loss(model, data_p, phys_p, MSD_RHS)
+        rep_p = loss(model.net, model.params, data_p, phys_p, MSD_RHS)
         assert rep_p.l_total == pytest.approx(rep.l_total, rel=1e-12)
 
 
@@ -142,10 +142,8 @@ class TestLossGradient:
             pp, pm = model.params.copy(), model.params.copy()
             pp[i] += h
             pm[i] -= h
-            mp = PinnModel(net=model.net, params=pp, dt=model.dt, eps=model.eps)
-            mm = PinnModel(net=model.net, params=pm, dt=model.dt, eps=model.eps)
-            fd[i] = (loss(mp, data, phys, MSD_RHS).l_total
-                     - loss(mm, data, phys, MSD_RHS).l_total) / (2 * h)
+            fd[i] = (loss(model.net, pp, data, phys, MSD_RHS).l_total
+                     - loss(model.net, pm, data, phys, MSD_RHS).l_total) / (2 * h)
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
