@@ -18,7 +18,7 @@ measurement, is the fixed linear map
 where A carries e_int over and puts -e_prop / dt into e_deri, P takes the
 last prediction into e_prop and e_deri (the latter over dt) and the
 trapezoid sum into e_int, and c_j = B (r_j, r_{j+1}) holds the references.
-A, P and B depend only on (n, dt, n_quad) and are built once. No cost reads
+``Window`` builds A, P, B and every c_j once per segment. No cost reads
 E_H, so only the H-1 steps that form E_1..E_{H-1} are unrolled. The reverse
 sweep is that map's discrete adjoint. With lambda_j = dJ/dE_j, it starts at
 the last scored stage, whose input cotangent cu_{H-1} is dt R u_{H-1}, from
@@ -49,7 +49,6 @@ barrier weight grows from 1e-4 to 1e3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,74 +156,83 @@ def _project(f, bounds, plant, n):
     return f
 
 
-@lru_cache(maxsize=8)
-def _error_maps(n: int, dt: float, n_quad: int):
-    """Read-only (taus, A, P, B): the nodes and maps of E' = A E + B (r_j, r_{j+1}) - P vec(V).
+class Window:
+    """One segment's lookahead window less F, built and checked once.
 
-    vec(V) is the (n_quad + 1) x n prediction block flattened row by row.
-    Built once per (n, dt, n_quad); see the module docstring.
+    refs has H+1 rows of width n, of which the window reads r_0..r_{H-1}. It
+    holds the quadrature nodes ``taus``, the maps ``a`` and ``p`` (vec(V)
+    flattens the prediction block row by row), the reference drive ``c`` (row
+    j is c_j = B (r_j, r_{j+1})), E_0, x_0 and the input box.
+    ``window_cost_and_grad`` reads them for each F and writes none of them.
     """
-    taus, w = quadrature_nodes(dt, n_quad)
-    eye = np.eye(n)
-    end = np.zeros(n_quad + 1)
-    end[-1] = 1.0
-    a = np.zeros((3 * n, 3 * n))
-    a[n : 2 * n, n : 2 * n] = eye
-    a[2 * n :, :n] = -eye / dt
-    p = np.vstack([np.kron(end, eye), np.kron(w, eye), np.kron(end, eye) / dt])
-    b = np.zeros((3 * n, 2 * n))
-    b[n : 2 * n, :n] = w.sum() * eye
-    b[:n, n:] = eye
-    b[2 * n :, n:] = eye / dt
-    for arr in (a, p, b):
-        arr.flags.writeable = False
-    return taus, a, p, b
+
+    def __init__(self, model, x0, errors0: ErrorState, refs, weights: CostWeights,
+                 dt: float, n_quad: int, input_bounds=None):
+        refs = np.atleast_2d(np.asarray(refs, dtype=float))
+        self.horizon = refs.shape[0] - 1
+        if self.horizon < 1:
+            raise ValueError("need at least a 1-step window")
+        n = errors0.e_prop.shape[0]
+        if refs.shape[1] != n:
+            raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
+        if weights.q.shape != (n, n):
+            raise ValueError(f"q has shape {weights.q.shape}, the state needs ({n}, {n})")
+        m = weights.r.shape[0]
+        if input_bounds is not None and input_bounds.lower.shape != (m,):
+            raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
+                             f"r has {m} inputs")
+        self.model, self.q, self.r, self.dt, self.n = model, weights.q, weights.r, dt, n
+        self.taus, w = quadrature_nodes(dt, n_quad)
+        eye = np.eye(n)
+        end = np.zeros(n_quad + 1)
+        end[-1] = 1.0
+        self.a = np.zeros((3 * n, 3 * n))
+        self.a[n : 2 * n, n : 2 * n] = eye
+        self.a[2 * n :, :n] = -eye / dt
+        self.p = np.vstack([np.kron(end, eye), np.kron(w, eye), np.kron(end, eye) / dt])
+        b = np.zeros((3 * n, 2 * n))
+        b[n : 2 * n, :n] = w.sum() * eye
+        b[:n, n:] = eye
+        b[2 * n :, n:] = eye / dt
+        self.c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
+        self.e0 = errors0.stacked()
+        self.x0 = np.asarray(x0, dtype=float)
+        # no box is (-inf, inf), since the network rejects non-finite inputs
+        self.lower, self.upper = (-np.inf, np.inf) if input_bounds is None else (
+            input_bounds.lower, input_bounds.upper)
 
 
-def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
-                         weights: CostWeights, dt: float, n_quad: int, input_bounds=None):
+def window_cost_and_grad(window: Window, f: np.ndarray):
     """Tracking cost of the lookahead window and its gradient w.r.t. F.
 
-    refs has H+1 rows of width n, of which the window reads r_0..r_{H-1}:
-    it scores stages 0..H-1 and so unrolls the surrogate H-1 steps with F
+    Scores stages 0..H-1 and so unrolls the surrogate H-1 steps with F
     constant. Returns ((dt/2) sum_{j<H} (e_pj^T Q e_pj + u_j^T R u_j), its
     gradient); the gain regularizer is the caller's (``optimize_segment``).
     """
-    refs = np.atleast_2d(np.asarray(refs, dtype=float))
-    horizon = refs.shape[0] - 1
-    if horizon < 1:
-        raise ValueError("need at least a 1-step window")
-    n = errors0.e_prop.shape[0]
-    if refs.shape[1] != n:
-        raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
-    taus, a, p, b = _error_maps(n, dt, n_quad)
-    q, r = weights.q, weights.r
+    model, horizon, n, dt = window.model, window.horizon, window.n, window.dt
+    a, p, c, lower, upper = window.a, window.p, window.c, window.lower, window.upper
 
-    # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its clip into
-    # the input box; no box is (-inf, inf), since the network rejects non-finite inputs
-    lower, upper = (-np.inf, np.inf) if input_bounds is None else (
-        input_bounds.lower, input_bounds.upper)
+    # forward sweep: row j of e is E_j, rows of u_raw and u are F E_j and its box clip
     e = np.empty((horizon, 3 * n))
-    e[0] = errors0.stacked()
-    c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
+    e[0] = window.e0
     u_raw = np.empty((horizon, f.shape[0]))
     u = np.empty_like(u_raw)
     tapes = []
-    x = np.asarray(x0, dtype=float)
+    x = window.x0
     for j in range(horizon):
         np.matmul(f, e[j], out=u_raw[j])
         np.minimum(np.maximum(u_raw[j], lower, out=u[j]), upper, out=u[j])
         if j == horizon - 1:
             break
-        values, tape = model.predict_with_tape(taus, x, u[j])
+        values, tape = model.predict_with_tape(window.taus, x, u[j])
         tapes.append(tape)
         e[j + 1] = a @ e[j] + c[j] - p @ values.reshape(-1)
         x = values[-1]
 
     # costs, and the direct cotangents dt Q e_prop_j and dt R u_j of the stage costs
     e_props = e[:, :n]
-    cep_direct = dt * (e_props @ q.T)
-    cu_direct = dt * (u @ r.T)
+    cep_direct = dt * (e_props @ window.q.T)
+    cu_direct = dt * (u @ window.r.T)
     quad_cost = 0.5 * ((cep_direct * e_props).sum() + (cu_direct * u).sum())
 
     # reverse sweep, the adjoint of the recursion: lam is dJ/dE_j and cx is dJ/dx_j;
@@ -236,7 +244,7 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     for j in range(horizon - 1, 0, -1):
         lam = a.T @ lam + f.T @ cu_raw[j]
         lam[:n] += cep_direct[j]
-        c_values = (p.T @ -lam).reshape(n_quad + 1, n)
+        c_values = (p.T @ -lam).reshape(-1, n)
         c_values[-1] += cx
         cx, cu = model.predict_vjp(tapes[j - 1], c_values)
         cu_raw[j - 1] = np.where(active[j - 1], cu + cu_direct[j - 1], 0.0)
@@ -297,13 +305,13 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     start = (x_k, errors_k.stacked(), refs, f)
     if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in start):
         raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
+    window = Window(model, x_k, errors_k, refs, weights, model.dt, n_quad, input_bounds)
     state = AdamState.zeros(f.shape)
     best_cost = np.inf
     best_f = f
     converged = False
     for it in range(max_iters + 1):
-        quad, grad_quad = window_cost_and_grad(model, x_k, errors_k, refs, f, weights,
-                                               model.dt, n_quad, input_bounds=input_bounds)
+        quad, grad_quad = window_cost_and_grad(window, f)
         rho = _barrier_rho(it, max_iters) if barrier else None
         theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
         plain = quad + weights.mu * float((f * f).sum())

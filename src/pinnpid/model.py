@@ -31,6 +31,8 @@ class PinnModel:
             raise ValueError("parameter vector does not match the network spec")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite model parameters")
+        if not (0 < self.dt < np.inf and 0 < self.eps < np.inf):
+            raise ValueError(f"dt and eps must be finite and positive, got {self.dt}, {self.eps}")
         horizon = self.dt + self.eps
         t_hi = self.net.scaling.upper[0]
         if not np.isclose(horizon, t_hi):

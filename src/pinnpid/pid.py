@@ -10,7 +10,6 @@ surrogate prediction, and the derivative error by a backward difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,21 +101,21 @@ def control_input(gains: GainMatrix, errors: ErrorState, input_bounds=None) -> n
         raise ValueError("gain and error dimensions disagree")
     u = f @ e
     if input_bounds is not None:
+        if input_bounds.lower.shape != u.shape:
+            raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
+                             f"F has {u.shape[0]} rows")
         u = np.clip(u, input_bounds.lower, input_bounds.upper)
     return u
 
 
-@lru_cache(maxsize=8)
 def quadrature_nodes(dt: float, n_quad: int):
-    """Read-only (taus, trapezoid weights) over one interval, built once per (dt, n_quad)."""
+    """(taus, trapezoid weights) over one interval, new arrays on every call."""
     if n_quad < 2:
         raise ValueError("need at least 2 quadrature panels")
     taus = np.linspace(0.0, dt, n_quad + 1)
     weights = np.full(n_quad + 1, dt / n_quad)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    taus.flags.writeable = False
-    weights.flags.writeable = False
     return taus, weights
 
 

@@ -17,6 +17,7 @@ from pinnpid.gainopt import (
     CostWeights,
     InfeasibleGainError,
     SegmentDiverged,
+    Window,
     msd_stability_value,
     optimize_segment,
     regularizer,
@@ -110,8 +111,8 @@ def regularized_window(model, x0, errors0, refs, f, weights, dt, n_quad, input_b
                        kind="norm", plant=None, rho=None):
     """(plain cost, total cost, gradient of the total): the window's tracking cost and
     gradient with mu times the regularizer added the way ``optimize_segment`` adds it."""
-    quad, grad = window_cost_and_grad(model, x0, errors0, refs, f, weights, dt, n_quad,
-                                      input_bounds=input_bounds)
+    quad, grad = window_cost_and_grad(
+        Window(model, x0, errors0, refs, weights, dt, n_quad, input_bounds), f)
     theta, theta_grad = regularizer(f, kind, plant=plant, rho=rho, n=errors0.e_prop.shape[0])
     return (quad + weights.mu * float((f * f).sum()), quad + weights.mu * theta,
             weights.mu * theta_grad + grad)
@@ -125,7 +126,7 @@ class TestStageCost:
         w = CostWeights(q=np.eye(2), r=np.eye(1))
         zeros = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
         cost, grad = window_cost_and_grad(
-            model, np.zeros(2), zeros, np.zeros((2, 2)), np.zeros((1, 6)), w, model.dt, 10
+            Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, model.dt, 10), np.zeros((1, 6))
         )
         assert cost == 0.0
         assert np.array_equal(grad, np.zeros((1, 6)))
@@ -246,17 +247,16 @@ class TestWindowGradient:
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
-        cost, grad = window_cost_and_grad(
-            model, x0, e0, refs, f, weights, model.dt, 10
-        )
+        window = Window(model, x0, e0, refs, weights, model.dt, 10)
+        cost, grad = window_cost_and_grad(window, f)
         fd = np.zeros_like(f)
         h = 1e-6
         for i in range(f.shape[1]):
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10)[0]
-            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10)[0]
+            cp = window_cost_and_grad(window, fp)[0]
+            cm = window_cost_and_grad(window, fm)[0]
             fd[0, i] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -270,15 +270,16 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.2, 0.0]] * 3)
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
-        cost, grad = window_cost_and_grad(model, x0, e0, refs, f, weights, model.dt, 10)
+        window = Window(model, x0, e0, refs, weights, model.dt, 10)
+        cost, grad = window_cost_and_grad(window, f)
         h = 1e-6
         fd = np.zeros_like(f)
         for i in range(f.shape[1]):
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10)[0]
-            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10)[0]
+            cp = window_cost_and_grad(window, fp)[0]
+            cm = window_cost_and_grad(window, fm)[0]
             fd[0, i] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
@@ -330,21 +331,20 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2, 0.0, 0.1])
         refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
         spy = InputSpy(model)
-        cost, grad = window_cost_and_grad(spy, x0, e0, refs, f, weights, model.dt, 10,
-                                          input_bounds=box)
+        cost, grad = window_cost_and_grad(
+            Window(spy, x0, e0, refs, weights, model.dt, 10, box), f)
         if box is not None:
             saturated = [np.any(np.abs(u) == 0.8) for u in spy.inputs]
             assert any(saturated) and not all(saturated)
+        window = Window(model, x0, e0, refs, weights, model.dt, 10, box)
         h = 1e-6
         fd = np.zeros_like(f)
         for idx in np.ndindex(f.shape):
             fp, fm = f.copy(), f.copy()
             fp[idx] += h
             fm[idx] -= h
-            cp = window_cost_and_grad(model, x0, e0, refs, fp, weights, model.dt, 10,
-                                      input_bounds=box)[0]
-            cm = window_cost_and_grad(model, x0, e0, refs, fm, weights, model.dt, 10,
-                                      input_bounds=box)[0]
+            cp = window_cost_and_grad(window, fp)[0]
+            cm = window_cost_and_grad(window, fm)[0]
             fd[idx] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
@@ -354,10 +354,25 @@ class TestWindowGradient:
         model = load_model(FIXTURE)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
-        f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
         with pytest.raises(ValueError, match="width"):
-            window_cost_and_grad(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5),
-                                 f, weights, model.dt, 10)
+            Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights,
+                   model.dt, 10)
+
+    @pytest.mark.parametrize("q, r, box, message", [
+        (np.eye(3), [[0.01]], None, r"q has shape \(3, 3\), the state needs \(2, 2\)"),
+        (np.eye(2), np.diag([0.01, 0.02]), Box([-1.0], [1.0]),
+         "input box has width 1, r has 2 inputs"),
+        (np.eye(2), [[0.01]], Box([-1.0, -1.0], [1.0, 1.0]),
+         "input box has width 2, r has 1 inputs"),
+    ], ids=["q", "narrow_box", "wide_box"])
+    def test_rejects_weights_or_box_of_another_width(self, q, r, box, message):
+        # a wrong q used to surface as a bare matmul error inside the first window, and a
+        # 1-wide box clipped both inputs of a 2-input F by its one bound
+        model = LinearSurrogate()
+        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        with pytest.raises(ValueError, match=message):
+            Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r),
+                   model.dt, 10, box)
 
     def test_saturated_channel_blocks_gradient(self):
         model = LinearSurrogate()
@@ -366,8 +381,7 @@ class TestWindowGradient:
         refs = np.zeros((3, 2))
         f = np.array([[4.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         _, grad = window_cost_and_grad(
-            model, np.zeros(2), e0, refs, f, weights, model.dt, 10,
-            input_bounds=Box([-1.0], [1.0]),
+            Window(model, np.zeros(2), e0, refs, weights, model.dt, 10, Box([-1.0], [1.0])), f
         )
         # no tracking path reaches the saturated proportional entry
         assert grad[0, 0] == 0.0
@@ -406,6 +420,32 @@ class TestStackedWindow:
             checked += 1
         assert checked == 200
 
+    def test_one_window_serves_every_gain_matrix(self):
+        # a segment scores up to max_iters + 1 gain matrices on one Window: each result
+        # equals a fresh Window's bit for bit, and no array the Window holds is written
+        model = load_model(FIXTURE)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        x0 = np.array([0.1, -0.2])
+        refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
+        args = (model, x0, e0, refs, weights, model.dt, 10, Box([-1.0], [1.0]))
+        window = Window(*args)
+        held = {name: value.copy() for name, value in vars(window).items()
+                if isinstance(value, np.ndarray)}
+        assert {"taus", "a", "p", "c", "e0", "x0", "lower", "upper"} <= set(held)
+        params = model.params.copy()
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            f = np.zeros((1, 6))
+            f[0, [0, 2, 4]] = rng.uniform(0.0, 5.0, 3)
+            cost, grad = window_cost_and_grad(window, f)
+            fresh_cost, fresh_grad = window_cost_and_grad(Window(*args), f)
+            assert cost == fresh_cost
+            assert np.array_equal(grad, fresh_grad)
+            for name, value in held.items():
+                assert np.array_equal(getattr(window, name), value), name
+        assert np.array_equal(model.params, params)
+
     def test_error_recursion_matches_controller(self):
         # the inputs F E_j the window feeds the surrogate, with E_j from the fixed
         # linear error map, against F E_j with E_j from successive pid.error_update
@@ -422,7 +462,7 @@ class TestStackedWindow:
                 refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
                 f = rng.uniform(-3.0, 3.0, (1, 6))
                 spy = InputSpy(model)
-                window_cost_and_grad(spy, x, errors, refs, f, weights, model.dt, 10)
+                window_cost_and_grad(Window(spy, x, errors, refs, weights, model.dt, 10), f)
                 assert len(spy.inputs) == horizon - 1
                 for j, u in enumerate(spy.inputs):
                     e = errors.stacked()
@@ -442,8 +482,10 @@ class TestStackedWindow:
         e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
         spy = InputSpy(model)
-        window_cost_and_grad(spy, np.array([0.1, -0.2]), e0, np.full((horizon + 1, 2), 0.5), f,
-                             weights, model.dt, 10, input_bounds=Box([-1.0], [1.0]))
+        refs = np.full((horizon + 1, 2), 0.5)
+        window_cost_and_grad(
+            Window(spy, np.array([0.1, -0.2]), e0, refs, weights, model.dt, 10, Box([-1.0], [1.0])),
+            f)
         assert len(spy.inputs) == horizon - 1
         assert spy.vjp_calls == horizon - 1
 
@@ -597,21 +639,23 @@ class TestOptimizeSegment:
             kw = dict(regularizer_kind="barrier", plant=MSD, input_bounds=Box([-1.0], [1.0]),
                       max_iters=30, tol=0.0)
         window = gainopt.window_cost_and_grad
-        calls = [0]
+        windows = []
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return window(*args, **kwargs)
+        def counting(shared, f):
+            windows.append(shared)
+            return window(shared, f)
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
         res = optimize_segment(model, x0, e0, refs, weights, AdamConfig(), msd_bounds(), **kw)
         assert res.converged == (stop == "converged")
         if stop == "max_iters":
             assert res.iterations == 30
-        assert calls[0] == res.iterations + 1
+        # every call scores the one Window that the segment built
+        assert len(windows) == res.iterations + 1
+        assert all(w is windows[0] for w in windows)
         f = res.gains.stacked()
-        quad, _ = window(model, x0, e0, refs, f, weights, model.dt, 10,
-                         input_bounds=kw.get("input_bounds"))
+        quad, _ = window(Window(model, x0, e0, refs, weights, model.dt, 10,
+                                kw.get("input_bounds")), f)
         assert res.cost == quad + weights.mu * float((f * f).sum())
 
     def test_non_finite_step_raises(self):
@@ -667,9 +711,9 @@ class TestSegmentFeasibility:
         window = gainopt.window_cost_and_grad
         seen = []
 
-        def recording(model, x0, errors0, refs, f, *args, **kwargs):
+        def recording(shared, f):
             seen.append(f.copy())
-            return window(model, x0, errors0, refs, f, *args, **kwargs)
+            return window(shared, f)
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", recording)
         model = LinearSurrogate()

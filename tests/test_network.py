@@ -111,6 +111,20 @@ class TestSpec:
         with pytest.raises(ValueError, match=match):
             FeedforwardNet(NetworkSpec(widths), scaling, 2, 1)
 
+    @pytest.mark.parametrize("dt, eps, match", [
+        (-0.1, 0.35, "finite and positive"),
+        (0.3, -0.05, "finite and positive"),
+        (0.0, 0.25, "finite and positive"),
+        (np.nan, 0.25, "finite and positive"),
+        (0.2, np.inf, "finite and positive"),
+        (0.2, 0.1, "trained time horizon"),
+    ], ids=["negative_dt", "negative_eps", "zero_dt", "nan_dt", "inf_eps", "wrong_sum"])
+    def test_model_rejects_horizon(self, dt, eps, match):
+        # the first three summed to the trained 0.25 s and used to construct
+        net = make_net((4, 8, 2), 2, 1)
+        with pytest.raises(ValueError, match=match):
+            PinnModel(net=net, params=net.init_params(0), dt=dt, eps=eps)
+
 
 class TestForward:
     def test_zero_params_give_zero_output(self):
@@ -570,6 +584,18 @@ class TestSerialization:
         path = tmp_path / "inf.txt"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("horizon", ["-0.1 0.35", "0.3 -0.05", "0.0 0.25"],
+                             ids=["negative_dt", "negative_eps", "zero_dt"])
+    def test_rejects_non_positive_horizon(self, tmp_path, horizon):
+        # each sums to the fixture's trained 0.25 s
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        assert lines[3] == "HORIZON 0.2 0.05\n"
+        lines[3] = f"HORIZON {horizon}\n"
+        path = tmp_path / "horizon.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="dt and eps must be finite and positive"):
             load_model(path)
 
     def test_rejects_bad_header(self, tmp_path):

@@ -82,6 +82,13 @@ class TestControlInput:
         with pytest.raises(ValueError):
             control_input(gains, ErrorState([0.1], [0.0], [0.0]))
 
+    def test_rejects_box_of_another_width(self):
+        # a 1-wide box used to clip both inputs of a 2-input F by its one bound
+        gains = GainMatrix.from_stacked(np.ones((2, 6)))
+        e = ErrorState([0.5, 0.0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="input box has width 1, F has 2 rows"):
+            control_input(gains, e, Box([-0.5], [0.5]))
+
 
 class TestErrorInit:
     def test_all_zero(self):
