@@ -7,17 +7,4 @@ time-varying PID law and error recursion (`pid`), segment-wise gain
 optimization (`gainopt`) and the Adam update both optimizers share (`adam`).
 """
 
-from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec, glorot_params
-from pinnpid.model import PinnModel, load_model, save_model
-
-__all__ = [
-    "FeedforwardNet",
-    "InputScaling",
-    "NetworkSpec",
-    "glorot_params",
-    "PinnModel",
-    "load_model",
-    "save_model",
-]
-
 __version__ = "0.1.0"

@@ -82,6 +82,9 @@ class CostWeights:
     def __post_init__(self):
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
         self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
+        for name, arr in (("q", self.q), ("r", self.r)):
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValueError(f"{name} must be square, got shape {arr.shape}")
         if not (np.isfinite(self.q).all() and np.isfinite(self.r).all()):
             raise ValueError("q and r must be finite")
         if not np.allclose(self.q, self.q.T) or np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
@@ -274,9 +277,10 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     and every step pass through ``_project``; under the barrier a start whose
     clipped g is not positive is first moved to the box centre.
 
-    The barrier raises ValueError before the first window unless ``bounds``
-    pins every gain to 0 except the three that g reads; otherwise g would
-    not see the gains the search moves.
+    ValueError comes before the first window unless the gain box has shape
+    (rows of r, 3n) and a given ``init_gains`` that shape too, and under the
+    barrier unless ``bounds`` pins every gain to 0 except the three that g
+    reads; otherwise g would not see the gains the search moves.
 
     Failure contract: a non-finite entry in the starting point (``x_k``,
     ``errors_k``, ``refs`` or the projected start gains) raises
@@ -297,6 +301,12 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
                          "alone; the bounds must pin every other gain to 0")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    box = (weights.r.shape[0], 3 * n)  # F's shape: one row per input of r
+    if bounds.lower.shape != box:
+        raise ValueError(f"gain box has shape {bounds.lower.shape}, r and the state need {box}")
+    if init_gains is not None and init_gains.stacked().shape != box:
+        raise ValueError(f"init_gains has shape {init_gains.stacked().shape}, "
+                         f"the gain box {box}")
     cut = plant if barrier else None  # the plant whose K^i cut _project applies
     f = bounds.center() if init_gains is None else _project(init_gains.stacked(), bounds, None, n)
     if barrier and msd_stability_value(plant, f, n) <= 0:

@@ -9,7 +9,7 @@ float precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,15 +18,18 @@ from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 MODEL_HEADER = "PINNMODEL 1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PinnModel:
+    """Frozen; ``layers`` is ``net.unpack(params)``, built once after the checks."""
+
     net: FeedforwardNet
     params: np.ndarray
     dt: float
     eps: float
+    layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=float)
+        object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
         if self.params.shape != (self.net.n_params,):
             raise ValueError("parameter vector does not match the network spec")
         if not np.all(np.isfinite(self.params)):
@@ -37,6 +40,7 @@ class PinnModel:
         t_hi = self.net.scaling.upper[0]
         if not np.isclose(horizon, t_hi):
             raise ValueError("dt + eps must equal the trained time horizon")
+        object.__setattr__(self, "layers", self.net.unpack(self.params))
 
     @property
     def n(self) -> int:
@@ -50,23 +54,23 @@ class PinnModel:
 
     def predict(self, taus, x, u) -> np.ndarray:
         """States at elapsed times ``taus`` from (x, u); shape (len(taus), n)."""
-        return self.net.forward_raw(self.params, self.net.stack_rows(taus, x, u))[0]
+        return self.net.forward_raw(self.layers, self.net.stack_rows(taus, x, u))[0]
 
     def predict_with_tape(self, taus, x, u):
         rows = self.net.stack_rows(taus, x, u)
-        values, _, tape = self.net.forward_raw(self.params, rows)
+        values, _, tape = self.net.forward_raw(self.layers, rows)
         return values, tape
 
     def predict_vjp(self, tape, cotangents):
         """Pull a per-tau cotangent batch back to (x, u), summed over taus."""
-        _, c_scaled = self.net.backward_raw(self.params, tape, cotangents, want_grads=False)
+        _, c_scaled = self.net.backward_raw(self.layers, tape, cotangents, want_grads=False)
         c_raw = (c_scaled * self.net.scaling.slope).sum(axis=0)
         return c_raw[1 : 1 + self.n], c_raw[1 + self.n :]
 
     def time_derivative(self, t, x, u) -> np.ndarray:
         """d phi/dt at one elapsed time ``t`` from (x, u); shape (n,)."""
         rows = self.net.stack_rows([t], x, u)
-        return self.net.forward_raw(self.params, rows, self.net.time_tangent_rows(1))[1][0]
+        return self.net.forward_raw(self.layers, rows, self.net.time_tangent_rows(1))[1][0]
 
 
 def save_model(model: PinnModel, path) -> None:

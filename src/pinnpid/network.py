@@ -3,7 +3,8 @@
 The network maps a stacked input row (t, x, u) through an affine [-1, 1]
 rescaling, a stack of tanh hidden layers and a linear output layer. All
 derivative passes needed downstream are implemented directly on that
-structure, on batches of rows assembled by ``stack_rows``:
+structure, on batches of rows assembled by ``stack_rows``, through the
+``layers`` that ``unpack`` makes of a flat parameter vector:
 
 - ``forward_raw``, the one forward entry: values and the tape the reverse
   sweep reads, optionally with forward mode along the time coordinate
@@ -17,7 +18,7 @@ structure, on batches of rows assembled by ``stack_rows``:
   accumulation, which the gain optimizer's pullbacks never read.
 
 Everything operates on float64 and is pure: identical arguments give
-bit-identical results.
+bit-identical results, and no pass writes an attribute of the net.
 
 Each pass keeps only the row-sized arrays that are read again later. In the
 forward pass a layer's pre-activation ``a = z W^T + b`` is formed in the
@@ -135,15 +136,6 @@ def _out(buffers, name, layer, shape):
     return arr
 
 
-def glorot_params(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform weights, zero biases, packed into one flat vector."""
-    params = np.zeros(spec.param_count())
-    for w_sl, _, (rows, cols) in spec.param_slices():
-        limit = np.sqrt(6.0 / (rows + cols))
-        params[w_sl] = rng.uniform(-limit, limit, size=rows * cols)
-    return params
-
-
 class FeedforwardNet:
     """A tanh MLP over ``[t, x, u]`` rows with analytic derivative passes.
 
@@ -165,8 +157,6 @@ class FeedforwardNet:
         self.n_input = n_input
         self._slices = spec.param_slices()
         self.n_params = spec.param_count()
-        self._unpacked_for = None
-        self._unpacked = None
 
     # -- assembly -----------------------------------------------------------
 
@@ -193,30 +183,30 @@ class FeedforwardNet:
             raise ValueError("non-finite network input")
         return rows
 
-    def unpack(self, params: np.ndarray):
-        """Per layer (weight, bias) views into the flat parameter vector.
-
-        The views of the last float64 array passed in are kept with a strong
-        reference to it and returned again for that same array; being views,
-        they follow in-place writes to it.
-        """
+    def unpack(self, params: np.ndarray) -> tuple:
+        """The ``layers`` the passes take: per layer a (weight, bias) pair of
+        views into the flat vector, so they follow in-place writes to it. A
+        new tuple on every call; a caller that evaluates one vector many
+        times unpacks it once and passes the same tuple to every pass."""
         arr = np.asarray(params, dtype=float)
         if arr.shape != (self.n_params,):
             raise ValueError(f"parameter vector must have length {self.n_params}")
-        if arr is self._unpacked_for:
-            return self._unpacked
-        layers = [(arr[w_sl].reshape(shape), arr[b_sl]) for w_sl, b_sl, shape in self._slices]
-        if arr is params:
-            self._unpacked_for, self._unpacked = arr, layers
-        return layers
+        return tuple((arr[w_sl].reshape(shape), arr[b_sl]) for w_sl, b_sl, shape in self._slices)
 
     def init_params(self, seed: int) -> np.ndarray:
-        return glorot_params(self.spec, np.random.default_rng(seed))
+        """Glorot-uniform weights, zero biases, packed into one flat vector."""
+        rng = np.random.default_rng(seed)
+        params = np.zeros(self.n_params)
+        for w_sl, _, (rows, cols) in self._slices:
+            limit = np.sqrt(6.0 / (rows + cols))
+            params[w_sl] = rng.uniform(-limit, limit, size=rows * cols)
+        return params
 
     # -- forward ------------------------------------------------------------
 
-    def forward_raw(self, params, raw_rows, tangent_rows=None, *, buffers=None):
-        """Evaluate the net on raw (unscaled) rows, optionally with a tangent pass.
+    def forward_raw(self, layers, raw_rows, tangent_rows=None, *, buffers=None):
+        """Evaluate the net with ``layers`` (see ``unpack``) on raw (unscaled)
+        rows, optionally with a tangent pass.
 
         Returns (values, tangents, tape); tangents is None when no tangent was
         requested. The tape holds per layer the activations, tanh derivatives
@@ -227,7 +217,6 @@ class FeedforwardNet:
         docstring) every returned array, tape included, lives in the dict
         and is overwritten by its next pass.
         """
-        layers = self.unpack(params)
         n = raw_rows.shape[0]
         z = self.scaling.encode(raw_rows, out=_out(buffers, "z", 0, raw_rows.shape))
         zdot = None
@@ -264,9 +253,10 @@ class FeedforwardNet:
 
     # -- derivative passes ----------------------------------------------------
 
-    def backward_raw(self, params, tape, cot_values, cot_tangents=None, want_grads=True, *,
+    def backward_raw(self, layers, tape, cot_values, cot_tangents=None, want_grads=True, *,
                      buffers=None):
-        """Reverse sweep. Returns (param grads, input-value cotangent rows).
+        """Reverse sweep through ``layers`` (see ``unpack``). Returns (param
+        grads, input-value cotangent rows); the grads are one flat vector.
 
         ``cot_values`` pairs with the value output, ``cot_tangents`` with the
         tangent output of a dual forward pass; weight gradients then include
@@ -281,10 +271,9 @@ class FeedforwardNet:
         docstring); the parameter gradient is always a fresh array. The dict
         may be the one the tape's forward pass used: the keys do not collide.
         """
-        layers = self.unpack(params)
         zs, gs, adots, zdots = tape
         if want_grads:
-            grads = np.zeros_like(np.asarray(params, dtype=float))
+            grads = np.zeros(self.n_params)
             gview = [
                 (grads[w_sl].reshape(shape), grads[b_sl])
                 for w_sl, b_sl, shape in self._slices

@@ -111,21 +111,21 @@ def fd_state_jacobian(rhs, x, u):
     return jac
 
 
-def _forward(net, params, data: DataSet, phys: PhysSet, rhs, buffers=None):
-    """Data pass and dual physics pass: (l_data, l_phys) and what the reverse
-    sweeps read, (data residual, tape, physics residual, predicted states,
-    inputs, tape). ``buffers`` is as in ``loss_and_grad``."""
+def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers=None):
+    """Data pass and dual physics pass through ``layers``: (l_data, l_phys)
+    and what the reverse sweeps read, (data residual, tape, physics residual,
+    predicted states, inputs, tape). ``buffers`` is as in ``loss_and_grad``."""
     buf_d = buf_p = None
     if buffers is not None:
         buf_d = buffers.setdefault("data", {})
         buf_p = buffers.setdefault("phys", {})
     rows_d = net.stack_rows(data.t, data.x0, data.u)
-    preds, _, tape_d = net.forward_raw(params, rows_d, buffers=buf_d)
+    preds, _, tape_d = net.forward_raw(layers, rows_d, buffers=buf_d)
     res_d = preds - data.xf
     l_data = float(np.mean(np.sum(res_d**2, axis=1)))
     rows_p = net.stack_rows(phys.t, phys.x, phys.u)
     values, rates, tape_p = net.forward_raw(
-        params, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
+        layers, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
     )
     u2 = np.atleast_2d(phys.u)
     residual = rates - rhs(values, u2)
@@ -134,7 +134,7 @@ def _forward(net, params, data: DataSet, phys: PhysSet, rhs, buffers=None):
 
 
 def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int = 0) -> LossReport:
-    l_data, l_phys, *_ = _forward(net, params, data, phys, rhs)
+    l_data, l_phys, *_ = _forward(net, net.unpack(params), data, phys, rhs)
     return LossReport(iteration, l_data, l_phys, l_data + LAMBDA_PHYS * l_phys)
 
 
@@ -145,15 +145,16 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers=Non
     physics pass each keep their row-sized arrays in a sub-dict of it (see
     the ``network`` module docstring). Nothing returned aliases a buffer.
     """
+    layers = net.unpack(params)
     l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p = _forward(
-        net, params, data, phys, rhs, buffers
+        net, layers, data, phys, rhs, buffers
     )
     buf_d, buf_p = (None, None) if buffers is None else (buffers["data"], buffers["phys"])
-    grad_d, _ = net.backward_raw(params, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
+    grad_d, _ = net.backward_raw(layers, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
     cot_rate = (2.0 / residual.shape[0]) * residual
     jac = fd_state_jacobian(rhs, values, u2)
     cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
-    grad_p, _ = net.backward_raw(params, tape_p, cot_value, cot_rate, buffers=buf_p)
+    grad_p, _ = net.backward_raw(layers, tape_p, cot_value, cot_rate, buffers=buf_p)
     l_total = l_data + LAMBDA_PHYS * l_phys
     return l_data, l_phys, l_total, grad_d + LAMBDA_PHYS * grad_p
 

@@ -1,8 +1,10 @@
 """Gain optimizer checks: hand costs, Adam trace, projection, window gradient,
 and a dense grid-search oracle on a linear stand-in surrogate."""
 
+import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -169,6 +171,15 @@ class TestStageCost:
         with pytest.raises(ValueError, match="q and r must be finite"):
             CostWeights(q=q, r=r)
 
+    @pytest.mark.parametrize("q, r, name, shape", [
+        (np.ones((2, 3)), [[0.01]], "q", (2, 3)),
+        (np.eye(2), np.ones((1, 2)), "r", (1, 2)),
+    ], ids=["q_2x3", "r_1x2"])
+    def test_cost_weights_reject_non_square(self, q, r, name, shape):
+        message = f"{name} must be square, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CostWeights(q=q, r=r)
+
 
 class TestAdam:
     def test_one_function_under_each_callers_name(self):
@@ -264,7 +275,7 @@ class TestWindowGradient:
         from tests.test_pid import toy_model
 
         model = toy_model(seed=6)
-        model.params = model.params * 0.5
+        model = dataclasses.replace(model, params=model.params * 0.5)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.3, 0.0], [0.1, 0.0], [0.2, -0.1])
         x0 = np.array([0.1, -0.2])
@@ -288,7 +299,7 @@ class TestWindowGradient:
         from tests.test_pid import toy_model
 
         model = toy_model(seed=6)
-        model.params = model.params * 0.5
+        model = dataclasses.replace(model, params=model.params * 0.5)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
         x0 = np.array([0.1, -0.2])
@@ -497,7 +508,7 @@ class TestNetworkWindowIsFinite:
 
     def test_predictions_bounded_and_cost_and_gradient_finite(self):
         model = load_model(FIXTURE)
-        w_last, b_last = model.net.unpack(model.params)[-1]
+        w_last, b_last = model.layers[-1]
         bound = np.abs(w_last).sum(axis=1) + np.abs(b_last)
         lo, hi = model.net.scaling.lower[1:3], model.net.scaling.upper[1:3]
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
@@ -686,6 +697,28 @@ class TestOptimizeSegment:
         with pytest.raises(ValueError, match="max_iters"):
             optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
                              AdamConfig(), msd_bounds(), max_iters=-1)
+
+    @pytest.mark.parametrize("m, r, box, init, match", [
+        (2, [[0.01]], (2, 6), None, r"gain box has shape \(2, 6\), r and the state need \(1, 6\)"),
+        (1, [[0.01]], (1, 9), None, r"gain box has shape \(1, 9\), r and the state need \(1, 6\)"),
+        (2, np.diag([0.01, 0.02]), (2, 6), (1, 6),
+         r"init_gains has shape \(1, 6\), the gain box \(2, 6\)"),
+    ], ids=["two_input_box_one_input_r", "nine_wide_box", "one_row_warm_start_on_two_input_box"])
+    def test_rejects_box_or_warm_start_of_another_shape(self, monkeypatch, m, r, box, init,
+                                                        match):
+        # each used to reach the first window: the first two failed there with a bare
+        # matmul error, the third was broadcast into both rows of F
+        monkeypatch.setattr(gainopt, "window_cost_and_grad",
+                            lambda *args, **kwargs: pytest.fail("a window ran"))
+        a, b = msd_state_space(MSD)
+        model = LinearSurrogate(ab=(a, np.tile(b, (1, m))))  # an m-input stand-in
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
+        init_gains = None if init is None else GainMatrix.from_stacked(np.ones(init))
+        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match=match):
+            optimize_segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights,
+                             AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
+                             max_iters=2, init_gains=init_gains)
 
     @pytest.mark.parametrize("bad", ["init_gains", "x_k", "errors_k", "refs"])
     def test_non_finite_start_on_network_surrogate_raises(self, bad):

@@ -1,5 +1,6 @@
 """Derivative and serialization checks for the feedforward network."""
 
+import dataclasses
 from functools import partial
 from pathlib import Path
 
@@ -45,18 +46,20 @@ def hand_forward(net, params, t, x, u):
 
 def forward1(net, params, t, x, u):
     """phi-hat(t, x, u) for one sample, through the batched pass."""
-    return net.forward_raw(params, net.stack_rows([t], x, u))[0][0]
+    return net.forward_raw(net.unpack(params), net.stack_rows([t], x, u))[0][0]
 
 
 def time_derivative1(net, params, t, x, u):
-    return net.forward_raw(params, net.stack_rows([t], x, u), net.time_tangent_rows(1))[1][0]
+    return net.forward_raw(net.unpack(params), net.stack_rows([t], x, u),
+                           net.time_tangent_rows(1))[1][0]
 
 
 def param_grad(net, params, rows, cot, cot_t=None):
     """Parameter gradient of sum(cot * phi) (+ sum(cot_t * d phi/dt) with cot_t)."""
     tangents = None if cot_t is None else net.time_tangent_rows(rows.shape[0])
-    _, _, tape = net.forward_raw(params, rows, tangents)
-    grads, _ = net.backward_raw(params, tape, cot, cot_t)
+    layers = net.unpack(params)
+    _, _, tape = net.forward_raw(layers, rows, tangents)
+    grads, _ = net.backward_raw(layers, tape, cot, cot_t)
     return grads
 
 
@@ -130,7 +133,7 @@ class TestForward:
     def test_zero_params_give_zero_output(self):
         net = make_net([4, 8, 2], 2, 1)
         rows = net.stack_rows([0.1, 0.2], [0.3, -0.2], [0.5])
-        out, _, _ = net.forward_raw(np.zeros(net.spec.param_count()), rows)
+        out, _, _ = net.forward_raw(net.unpack(np.zeros(net.n_params)), rows)
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_odd_symmetry_with_zero_biases(self):
@@ -164,13 +167,14 @@ class TestForward:
     def test_rejects_nonfinite_input(self):
         net = make_net([4, 8, 2], 2, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            net.forward_raw(np.zeros(net.spec.param_count()),
+            net.forward_raw(net.unpack(np.zeros(net.n_params)),
                             net.stack_rows([np.nan], [0.0, 0.0], [0.0]))
 
     def test_rejects_dimension_mismatch(self):
         net = make_net([4, 8, 2], 2, 1)
         with pytest.raises(ValueError):
-            net.forward_raw(np.zeros(net.spec.param_count()), net.stack_rows([0.0], [0.0], [0.0]))
+            net.forward_raw(net.unpack(np.zeros(net.n_params)),
+                            net.stack_rows([0.0], [0.0], [0.0]))
 
 
 class TestGradParams:
@@ -293,7 +297,8 @@ class TestDualReverse:
         ct = rng.standard_normal(net.spec.output_dim)
 
         def scalar(p):
-            val, rate, _ = net.forward_raw(p, net.stack_rows([t], x, u), net.time_tangent_rows(1))
+            val, rate, _ = net.forward_raw(net.unpack(p), net.stack_rows([t], x, u),
+                                           net.time_tangent_rows(1))
             return float(cv @ val[0] + ct @ rate[0])
 
         g = param_grad(net, params, net.stack_rows([t], x, u), cv[None], ct[None])
@@ -338,9 +343,10 @@ class TestInputCotangentOnly:
         rng = np.random.default_rng(41)
         for _ in range(5):
             net, params, rows, cot = self.batch(rng)
-            _, _, tape = net.forward_raw(params, rows)
-            grads, full = net.backward_raw(params, tape, cot)
-            none, fast = net.backward_raw(params, tape, cot, want_grads=False)
+            layers = net.unpack(params)
+            _, _, tape = net.forward_raw(layers, rows)
+            grads, full = net.backward_raw(layers, tape, cot)
+            none, fast = net.backward_raw(layers, tape, cot, want_grads=False)
             assert none is None and grads.shape == params.shape
             assert np.array_equal(fast, full)
 
@@ -349,20 +355,25 @@ class TestInputCotangentOnly:
         for _ in range(5):
             net, params, rows, cot = self.batch(rng)
             cot_t = rng.standard_normal(cot.shape)
-            _, _, tape = net.forward_raw(params, rows, net.time_tangent_rows(rows.shape[0]))
-            _, full = net.backward_raw(params, tape, cot, cot_t)
-            none, fast = net.backward_raw(params, tape, cot, cot_t, want_grads=False)
+            layers = net.unpack(params)
+            _, _, tape = net.forward_raw(layers, rows, net.time_tangent_rows(rows.shape[0]))
+            _, full = net.backward_raw(layers, tape, cot, cot_t)
+            none, fast = net.backward_raw(layers, tape, cot, cot_t, want_grads=False)
             assert none is None
             assert np.array_equal(fast, full)
 
 
-class TestUnpackCache:
+class TestUnpack:
+    """``unpack`` is pure: views into the vector it is given, built afresh on each call."""
+
     def test_in_place_write_changes_next_output(self):
         net, params, t, x, u = random_net(np.random.default_rng(51))
-        before = forward1(net, params, t, x, u)
+        layers = net.unpack(params)
+        rows = net.stack_rows([t], x, u)
+        before = net.forward_raw(layers, rows)[0][0]
         w_sl, b_sl, _ = net.spec.param_slices()[-1]
         params[b_sl] += 1.0
-        after = forward1(net, params, t, x, u)
+        after = net.forward_raw(layers, rows)[0][0]
         np.testing.assert_allclose(after, before + 1.0, rtol=0, atol=1e-12)
         assert np.array_equal(after, forward1(net, params.copy(), t, x, u))
 
@@ -375,6 +386,18 @@ class TestUnpackCache:
             assert np.shares_memory(w1, params) and not np.shares_memory(w2, params)
             assert np.shares_memory(b2, other) and np.array_equal(b2, b1 + 1.0)
 
+    def test_same_vector_twice_gives_equal_new_views_and_keeps_nothing(self):
+        net, params, _, _, _ = random_net(np.random.default_rng(59))
+        attributes = dict(vars(net))
+        first = net.unpack(params)
+        second = net.unpack(params)
+        assert first is not second and isinstance(first, tuple)
+        for (w1, b1), (w2, b2) in zip(first, second):
+            assert w1 is not w2 and np.array_equal(w1, w2) and np.array_equal(b1, b2)
+            assert np.shares_memory(w2, params) and np.shares_memory(b2, params)
+        assert vars(net).keys() == attributes.keys()
+        assert all(vars(net)[k] is v for k, v in attributes.items())
+
     def test_wrong_length_raises(self):
         net, params, t, x, u = random_net(np.random.default_rng(57))
         forward1(net, params, t, x, u)
@@ -383,11 +406,45 @@ class TestUnpackCache:
                 net.unpack(bad)
 
 
-def run_passes(forward, backward, net, params, raw, cot, cot_t, dual, want_grads, buffers):
-    """Forward then backward; every array produced, copied out of the buffers."""
+class TestFrozenModel:
+    def test_rejects_attribute_assignment(self):
+        net, params, _, _, _ = random_net(np.random.default_rng(63))
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        for name, value in (("params", params * 0.5), ("layers", ()), ("dt", 0.1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+        assert model.params is params and model.dt == 0.2
+
+    def test_layers_share_memory_with_params(self):
+        net, params, t, x, u = random_net(np.random.default_rng(65))
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        assert len(model.layers) == len(net.spec.layer_widths) - 1
+        for (w, b), (w_sl, b_sl, shape) in zip(model.layers, net.spec.param_slices()):
+            assert np.shares_memory(w, model.params) and np.shares_memory(b, model.params)
+            assert np.array_equal(w, params[w_sl].reshape(shape))
+            assert np.array_equal(b, params[b_sl])
+        assert np.array_equal(model.predict([t], x, u)[0], forward1(net, params, t, x, u))
+
+    def test_replace_runs_the_checks_and_rebuilds_layers(self):
+        net, params, _, _, _ = random_net(np.random.default_rng(67))
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        halved = dataclasses.replace(model, params=model.params * 0.5)
+        assert np.shares_memory(halved.layers[0][0], halved.params)
+        assert not np.shares_memory(halved.layers[0][0], model.params)
+        bad = params.copy()
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite model parameters"):
+            dataclasses.replace(model, params=bad)
+
+
+def run_passes(forward, backward, net, weights, raw, cot, cot_t, dual, want_grads, buffers):
+    """Forward then backward; every array produced, copied out of the buffers.
+
+    ``weights`` is what the passes take first: ``net.unpack(params)`` for the
+    network's own, the flat vector for the frozen ones."""
     tangents = net.time_tangent_rows(raw.shape[0]) if dual else None
-    values, rates, tape = forward(params, raw, tangents, buffers=buffers)
-    grads, cz = backward(params, tape, cot, cot_t if dual else None, want_grads, buffers=buffers)
+    values, rates, tape = forward(weights, raw, tangents, buffers=buffers)
+    grads, cz = backward(weights, tape, cot, cot_t if dual else None, want_grads, buffers=buffers)
     out = [values, rates, cz, grads] + [a for part in tape for a in part]
     return [None if a is None else a.copy() for a in out]
 
@@ -405,7 +462,7 @@ class TestBufferedPasses:
         return net, params, net.stack_rows(t, x, u), cot
 
     def passes(self, net, params, rows, cot, dual, want_grads, buffers=None):
-        return run_passes(net.forward_raw, net.backward_raw, net, params, rows, cot,
+        return run_passes(net.forward_raw, net.backward_raw, net, net.unpack(params), rows, cot,
                           0.5 * cot[:, ::-1], dual, want_grads, buffers)
 
     def assert_same(self, got, want):
@@ -429,11 +486,11 @@ class TestBufferedPasses:
         net, params, rows_a, cot_a = self.batch(rng)
         _, _, rows_b, cot_b = self.batch(rng, net=net, params=params)
         buffers = {}
-        first, _, _ = net.forward_raw(params, rows_a, buffers=buffers)
+        first, _, _ = net.forward_raw(net.unpack(params), rows_a, buffers=buffers)
         self.passes(net, params, rows_a, cot_a, True, True, buffers)
         got = self.passes(net, params, rows_b, cot_b, True, True, buffers)
         self.assert_same(got, self.passes(net, params, rows_b, cot_b, True, True))
-        second, _, _ = net.forward_raw(params, rows_b, buffers=buffers)
+        second, _, _ = net.forward_raw(net.unpack(params), rows_b, buffers=buffers)
         assert second is first  # the aliasing rule: a buffered result is overwritten
 
     def test_changed_row_count_reallocates(self):
@@ -473,14 +530,15 @@ class TestPassesMatchFrozenReference:
         net, params, raw, cot, cot_t = wide_batch(widths, rows)
         ref_forward = partial(reference_network.forward_raw, net)
         ref_backward = partial(reference_network.backward_raw, net)
+        layers = net.unpack(params)
         for dual in (False, True):
             for want_grads in (True, False):
-                args = (net, params, raw, cot, cot_t, dual, want_grads)
-                want = run_passes(ref_forward, ref_backward, *args, None)
+                args = (raw, cot, cot_t, dual, want_grads)
+                want = run_passes(ref_forward, ref_backward, net, params, *args, None)
                 buffers = {}
                 # the second buffered call runs on the arrays the first one left
                 for bufs in (None, buffers, buffers):
-                    got = run_passes(net.forward_raw, net.backward_raw, *args, bufs)
+                    got = run_passes(net.forward_raw, net.backward_raw, net, layers, *args, bufs)
                     assert len(got) == len(want)
                     for a, b in zip(got, want):
                         assert (a is None and b is None) or np.array_equal(a, b)
@@ -495,12 +553,23 @@ class TestPassesWriteOnlyTheirOwnArrays:
         tangents = net.time_tangent_rows(raw.shape[0]) if dual else None
         inputs = [raw, cot, cot_t] + ([tangents] if dual else [])
         inputs_before = [a.copy() for a in inputs]
-        _, _, tape = net.forward_raw(params, raw, tangents, buffers=buffers)
+        layers = net.unpack(params)
+        _, _, tape = net.forward_raw(layers, raw, tangents, buffers=buffers)
         kept = [a for part in tape for a in part if a is not None]
         kept_before = [a.copy() for a in kept]
-        net.backward_raw(params, tape, cot, cot_t if dual else None, buffers=buffers)
+        net.backward_raw(layers, tape, cot, cot_t if dual else None, buffers=buffers)
         for a, b in zip(inputs + kept, inputs_before + kept_before):
             assert np.array_equal(a, b)
+
+    def test_buffered_dual_passes_write_no_attribute_of_the_net(self):
+        net, params, raw, cot, cot_t = wide_batch((4, 16, 32, 8, 2), 50)
+        attributes = dict(vars(net))
+        buffers = {}
+        for _ in range(2):
+            run_passes(net.forward_raw, net.backward_raw, net, net.unpack(params), raw, cot,
+                       cot_t, True, True, buffers)
+        assert vars(net).keys() == attributes.keys()
+        assert all(vars(net)[k] is v for k, v in attributes.items())
 
     @pytest.mark.parametrize("dual, hidden_arrays", [(False, 6), (True, 13)])
     @pytest.mark.parametrize("widths", [(4, 32, 32, 2), (7, 32, 32, 4)])
@@ -508,8 +577,8 @@ class TestPassesWriteOnlyTheirOwnArrays:
         # the counts stated in the network module docstring
         net, params, raw, cot, cot_t = wide_batch(widths, 40)
         buffers = {}
-        run_passes(net.forward_raw, net.backward_raw, net, params, raw, cot, cot_t, dual, True,
-                   buffers)
+        run_passes(net.forward_raw, net.backward_raw, net, net.unpack(params), raw, cot, cot_t,
+                   dual, True, buffers)
         assert all(a.shape[0] == 40 for a in buffers.values())
         widths_kept = [a.shape[1] for a in buffers.values()]
         assert widths_kept.count(32) == hidden_arrays

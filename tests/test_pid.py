@@ -1,5 +1,7 @@
 """PID law and error-recursion checks against hand values and quadrature oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,8 @@ class TestErrorUpdate:
 
     def test_quadrature_refinement(self):
         model = toy_model(seed=9)
-        model.params = model.params * 0.5  # curvature of a trained-scale surrogate
+        # curvature of a trained-scale surrogate
+        model = dataclasses.replace(model, params=model.params * 0.5)
         x = np.array([0.4, -0.3])
         u = np.array([0.2])
         ref = np.array([0.1, 0.0])
