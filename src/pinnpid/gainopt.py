@@ -59,6 +59,7 @@ from pinnpid.plants import MsdParams
 BARRIER_G_MIN = 1e-6
 RHO_START = 1e4
 RHO_END = 1e-3
+PSD_RTOL = 1e-12  # q's most negative eigenvalue, relative to its largest magnitude
 
 
 class InfeasibleGainError(ValueError):
@@ -87,9 +88,16 @@ class CostWeights:
                 raise ValueError(f"{name} must be square, got shape {arr.shape}")
         if not (np.isfinite(self.q).all() and np.isfinite(self.r).all()):
             raise ValueError("q and r must be finite")
-        if not np.allclose(self.q, self.q.T) or np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
+        # symmetric within np.allclose(a, a.T)'s tolerances; each keeps its symmetric
+        # part (halved first, so that no entry overflows), since dt Q e is the gradient
+        # of (dt/2) e^T Q e only for a symmetric Q
+        q, r = self.q, self.r
+        q_sym, r_sym = ((abs(a - a.T) <= 1e-8 + 1e-5 * abs(a.T)).all() for a in (q, r))
+        self.q, self.r = 0.5 * q + 0.5 * q.T, 0.5 * r + 0.5 * r.T
+        eig_q = np.linalg.eigvalsh(self.q)  # ascending; its rounding grows with |lambda|max
+        if not q_sym or eig_q[0] < -PSD_RTOL * max(-eig_q[0], eig_q[-1]):
             raise ValueError("q must be symmetric positive semidefinite")
-        if not np.allclose(self.r, self.r.T) or np.min(np.linalg.eigvalsh(self.r)) <= 0:
+        if not r_sym or np.linalg.eigvalsh(self.r)[0] <= 0:
             raise ValueError("r must be symmetric positive definite")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ValueError("mu must be positive")

@@ -31,6 +31,7 @@ from pinnpid.pid import (
     GainBounds,
     GainMatrix,
     diagonal_gain_bounds,
+    error_init,
     error_update,
     quadrature_nodes,
 )
@@ -39,6 +40,7 @@ from pinnpid.sampling import Box
 from tests.reference_window import window_cost_and_grad as reference_window
 
 MSD = MsdParams()
+ROT = np.array([[0.6, -0.8], [0.8, 0.6]])  # a rotation, so that q is not diagonal
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
 
 
@@ -180,6 +182,39 @@ class TestStageCost:
         with pytest.raises(ValueError, match=re.escape(message)):
             CostWeights(q=q, r=r)
 
+    @pytest.mark.parametrize("q, r, message", [
+        ([[1.0, 0.5], [0.4, 1.0]], [[0.01]], "q must be symmetric positive semidefinite"),
+        ([[1.0, 0.0], [0.0, -0.5]], [[0.01]], "q must be symmetric positive semidefinite"),
+        # smallest eigenvalue -1e-6 |lambda|max, at three scales
+        *[(ROT @ np.diag([s, -1e-6 * s]) @ ROT.T, [[0.01]],
+           "q must be symmetric positive semidefinite") for s in (1e-7, 1.0, 1e8)],
+        (np.eye(2), [[1.0, 0.5], [0.4, 1.0]], "r must be symmetric positive definite"),
+        (np.eye(2), [[1.0, 0.0], [0.0, 0.0]], "r must be symmetric positive definite"),
+    ], ids=["asymmetric_q", "indefinite_q", "slightly_indefinite_q_1e-7",
+            "slightly_indefinite_q_1", "slightly_indefinite_q_1e8", "asymmetric_r",
+            "semidefinite_r"])
+    def test_cost_weights_reject(self, q, r, message):
+        with pytest.raises(ValueError, match=message):
+            CostWeights(q=q, r=r)
+
+    def test_cost_weights_accept_rank_one_q_of_any_scale(self):
+        # v v^T is PSD, but its zero eigenvalue comes out of eigvalsh as about
+        # -eps |v|^2; an absolute floor of -1e-12 refused 567 of these 2,000
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            v = rng.standard_normal(2) * rng.uniform(1, 1e4)
+            CostWeights(q=np.outer(v, v), r=[[0.01]])
+
+    def test_cost_weights_keep_the_symmetric_part(self):
+        q = np.array([[2.0, 1.0], [1.0 + 1e-5, 1.0]])  # symmetric within np.allclose
+        r = np.array([[0.02, 1e-9], [0.0, 0.01]])
+        w = CostWeights(q=q, r=r)
+        np.testing.assert_array_equal(w.q, [[2.0, 1.0 + 0.5e-5], [1.0 + 0.5e-5, 1.0]])
+        assert np.array_equal(w.q, w.q.T) and np.array_equal(w.r, w.r.T)
+        # an exactly symmetric matrix keeps its bits
+        exact = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]])
+        assert np.array_equal(exact.q, np.diag([1000.0, 1.0])) and exact.r[0, 0] == 0.01
+
 
 class TestAdam:
     def test_one_function_under_each_callers_name(self):
@@ -293,6 +328,32 @@ class TestWindowGradient:
             cm = window_cost_and_grad(window, fm)[0]
             fd[0, i] = (cp - cm) / (2 * h)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
+
+    def test_nearly_symmetric_q_through_fixture_matches_finite_differences(self):
+        # q is symmetric only within np.allclose; the window's dt Q e matches the
+        # cost (dt/2) e^T Q e only with Q's symmetric part (7.3e-6 relative without it)
+        model = load_model(FIXTURE)
+        weights = CostWeights(q=[[2.0, 1.0], [1.0 + 1e-5, 1.0]], r=[[0.01]])
+        x0 = np.array([0.6, -0.3])
+        refs = np.array([[-0.5, 0.0]] * 3 + [[0.5, 0.0]] * 3)
+        e0 = error_init(model, x0, refs[0], refs[0], model.dt)
+        window = Window(model, x0, e0, refs, weights, model.dt, 10)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            f = np.zeros((1, 6))
+            f[0, [0, 2, 4]] = rng.uniform(0.0, 1.0, 3)
+            _, grad = window_cost_and_grad(window, f)
+            fd = np.zeros_like(f)
+            h = 1e-6
+            for i in range(f.shape[1]):
+                fp, fm = f.copy(), f.copy()
+                fp[0, i] += h
+                fm[0, i] -= h
+                cp = window_cost_and_grad(window, fp)[0]
+                cm = window_cost_and_grad(window, fm)[0]
+                fd[0, i] = (cp - cm) / (2 * h)
+            # central differences of a cost near 0.6 carry about 1e-10 of rounding
+            assert np.max(np.abs(grad - fd)) < 1e-7 * np.max(np.abs(fd))
 
     def test_barrier_and_input_box_through_network_surrogate(self):
         # the closed loop's configuration: barrier regularizer, input box, H = 5

@@ -1,6 +1,7 @@
 """Derivative and serialization checks for the feedforward network."""
 
 import dataclasses
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -127,6 +128,29 @@ class TestSpec:
         net = make_net((4, 8, 2), 2, 1)
         with pytest.raises(ValueError, match=match):
             PinnModel(net=net, params=net.init_params(0), dt=dt, eps=eps)
+
+    def test_model_horizon_check_is_np_isclose(self):
+        # dt + eps against the trained horizon t_hi: gaps of 0 and 1e-9, and the
+        # bound 1e-8 + 1e-5 t_hi on either side, each give or take an ulp or two
+        dt, eps = 0.2, 0.05
+        horizon = dt + eps
+        edges = [horizon, horizon + 1e-9, horizon - 1e-9,
+                 (horizon + 1e-8) / (1 - 1e-5), (horizon - 1e-8) / (1 + 1e-5)]
+        t_his = [t + k * np.spacing(t) for t in edges for k in (-2, -1, 0, 1, 2)]
+        outcomes = []
+        for t_hi in t_his:
+            net = make_net((4, 8, 2), 2, 1, t_hi=t_hi)
+            try:
+                PinnModel(net=net, params=net.init_params(0), dt=dt, eps=eps)
+                accepted = True
+            except ValueError as exc:
+                assert "trained time horizon" in str(exc)
+                accepted = False
+            outcomes.append(accepted)
+            assert accepted == bool(np.isclose(horizon, t_hi)), t_hi
+        assert all(outcomes[:15])
+        for side in (outcomes[15:20], outcomes[20:]):  # each bound is crossed
+            assert any(side) and not all(side)
 
 
 class TestForward:
@@ -644,6 +668,56 @@ class TestSerialization:
         assert np.array_equal(
             loaded.predict(np.array([0.1]), x, u), model.predict(np.array([0.1]), x, u)
         )
+
+    def test_round_trip_is_bit_exact_on_random_bit_patterns(self, tmp_path):
+        # ~10^4 finite doubles from random bit patterns, with the extremes added:
+        # +-0, the smallest and largest subnormals, the smallest normal, the largest
+        net = make_net((4, 97, 97, 2), 2, 1)
+        rng = np.random.default_rng(7)
+        params = rng.integers(0, 2**64, net.n_params, dtype=np.uint64).view(np.float64)
+        tiny = np.finfo(float).tiny
+        extremes = [0.0, 5e-324, tiny - 5e-324, tiny, np.finfo(float).max]
+        params[: 2 * len(extremes)] = extremes + [-v for v in extremes]
+        params[~np.isfinite(params)] = 1.0
+        assert net.n_params > 10_000 and np.any(params == 0) and np.signbit(params[5])
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        path = tmp_path / "bits.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.params.view(np.uint64), params.view(np.uint64))
+
+    def test_fixture_round_trips_byte_for_byte(self, tmp_path):
+        path = tmp_path / "again.txt"
+        save_model(load_model(FIXTURE), path)
+        assert path.read_bytes() == FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize("line, match", [
+        ("0.1 0.2", "could not convert string to float"),
+        ("0.1x", "could not convert string to float"),
+        ("1e999", "non-finite model parameters"),
+    ], ids=["two_numbers", "non_numeric", "overflow"])
+    def test_rejects_malformed_parameter_line(self, tmp_path, line, match):
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        lines[10] = line + "\n"
+        path = tmp_path / "bad_param.txt"
+        path.write_text("".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                load_model(path)
+
+    def test_loads_blank_lines_whitespace_and_crlf(self, tmp_path):
+        lines = FIXTURE.read_text().splitlines()
+        padded = [f" \t{line}  " for line in lines]
+        for k in (1, 4, 10, len(padded)):  # blank lines inside, between the parts, at the end
+            padded.insert(k, "   ")
+        path = tmp_path / "crlf.txt"
+        path.write_bytes("\r\n".join(padded).encode())
+        loaded, fixture = load_model(path), load_model(FIXTURE)
+        assert np.array_equal(loaded.params.view(np.uint64), fixture.params.view(np.uint64))
+        assert (loaded.dt, loaded.eps, loaded.net.spec) == (fixture.dt, fixture.eps, fixture.net.spec)
+        np.testing.assert_array_equal(loaded.net.scaling.lower, fixture.net.scaling.lower)
+        np.testing.assert_array_equal(loaded.net.scaling.upper, fixture.net.scaling.upper)
 
     def test_rejects_non_finite_scaling(self, tmp_path):
         lines = FIXTURE.read_text().splitlines(keepends=True)
