@@ -35,15 +35,16 @@ active mask, the direct cotangents and that sum are each one array
 operation per window.
 
 F is one m x 3n array throughout, and one function, ``_project``, takes
-the warm start and every iterate into the gain box. The regularizer is
-either the squared gain norm or, for the mass-spring-damper plant, the norm
-plus a logarithmic barrier on the algebraic stability value
-g = (K^d + D)(K^p + K) - M K^i, weighted 1/rho. g reads K^p, K^i and K^d of
-input 0 on state coordinate 0 alone (``scalar_gains``), so a barrier search
-needs bounds that pin every other gain to 0. The barrier parameter rho
-follows one fixed schedule: a linear ramp from ``RHO_START`` = 1e4 at the
-first iteration to ``RHO_END`` = 1e-3 at the last of ``max_iters``, so the
-barrier weight grows from 1e-4 to 1e3.
+the start and every iterate into the gain box. The regularizer Theta is
+the squared gain norm or, given the mass-spring-damper plant, the norm plus
+a logarithmic barrier on the algebraic stability value
+g = (K^d + D)(K^p + K) - M K^i, weighted 1/rho; ``regularizer`` returns
+only its gradient. g reads K^p, K^i and K^d of input 0 on state coordinate
+0 alone (``scalar_gains``), so a barrier search needs bounds that pin every
+other gain to 0. The barrier parameter rho follows one fixed schedule: a
+linear ramp from ``RHO_START`` = 1e4 at the first iteration to ``RHO_END``
+= 1e-3 at the last of ``max_iters``, so the barrier weight grows from 1e-4
+to 1e3.
 """
 
 from __future__ import annotations
@@ -121,33 +122,25 @@ def msd_stability_value(plant: MsdParams, f: np.ndarray, n: int) -> float:
     return (kd + plant.damping) * (kp + plant.stiffness) - plant.mass * ki
 
 
-def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
-    """Theta(F) and its gradient; kind is 'norm' or 'barrier'."""
-    theta = float((f * f).sum())
+def regularizer(f: np.ndarray, plant, rho: float, n: int) -> np.ndarray:
+    """Gradient of Theta(F): 2F, plus that of the barrier -log(g) / rho given the plant."""
     grad = 2.0 * f
-    if kind == "norm":
-        return theta, grad
-    if kind != "barrier":
-        raise ValueError(f"unknown regularizer kind '{kind}'")
-    if plant is None or rho is None or n is None:
-        raise ValueError("barrier regularizer needs the plant, rho and state width")
+    if plant is None:
+        return grad
     g = msd_stability_value(plant, f, n)
     if g <= 0:
         raise InfeasibleGainError(f"stability value g = {g:.3g} is not positive")
-    kp, ki, kd = scalar_gains(f, n)
-    theta -= np.log(g) / rho
+    kp, _, kd = scalar_gains(f, n)
     coeff = -1.0 / (rho * g)
     grad[0, 0] += coeff * (kd + plant.damping)
-    grad[0, n] += coeff * (-plant.mass)
+    grad[0, n] -= coeff * plant.mass
     grad[0, 2 * n] += coeff * (kp + plant.stiffness)
-    return theta, grad
+    return grad
 
 
 def _barrier_reads_every_gain(bounds: GainBounds, n: int) -> bool:
     """Whether the box pins every entry of F to 0 except the three that
     ``scalar_gains`` reads, so that g covers every gain the search can move."""
-    if bounds.lower.shape[1] != 3 * n:
-        return False
     unread = (bounds.lower != 0) | (bounds.upper != 0)
     unread[0, [0, n, 2 * n]] = False
     return not unread.any()
@@ -173,17 +166,17 @@ class Window:
     refs has H+1 rows of width n, of which the window reads r_0..r_{H-1}. It
     holds the quadrature nodes ``taus``, the maps ``a`` and ``p`` (vec(V)
     flattens the prediction block row by row), the reference drive ``c`` (row
-    j is c_j = B (r_j, r_{j+1})), E_0, x_0 and the input box.
-    ``window_cost_and_grad`` reads them for each F and writes none of them.
+    j is c_j = B (r_j, r_{j+1})), E_0, x_0, the input box and the model's
+    step dt. ``window_cost_and_grad`` reads them for each F and writes none of them.
     """
 
     def __init__(self, model, x0, errors0: ErrorState, refs, weights: CostWeights,
-                 dt: float, n_quad: int, input_bounds=None):
+                 n_quad: int, input_bounds=None):
         refs = np.atleast_2d(np.asarray(refs, dtype=float))
         self.horizon = refs.shape[0] - 1
         if self.horizon < 1:
             raise ValueError("need at least a 1-step window")
-        n = errors0.e_prop.shape[0]
+        dt, n = model.dt, errors0.e_prop.shape[0]
         if refs.shape[1] != n:
             raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
         if weights.q.shape != (n, n):
@@ -279,16 +272,18 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     Iterates until the max-norm gain change drops below ``tol`` (tol = 0
     disables early stopping) or ``max_iters`` is hit; one more window then
     scores the final iterate without stepping, so a segment makes
-    ``iterations + 1`` window evaluations, each plus mu Theta(F) from
-    ``regularizer``. Ranking uses the barrier-free cost (mu ||F||^2 in place
+    ``iterations + 1`` window evaluations, each gradient plus mu times
+    ``regularizer``'s. Ranking uses the barrier-free cost (mu ||F||^2 in place
     of mu Theta) so iterates stay comparable across the rho ramp. The start
-    and every step pass through ``_project``; under the barrier a start whose
-    clipped g is not positive is first moved to the box centre.
+    (``init_gains`` or the box centre) and every step pass through
+    ``_project``, which under the barrier cuts K^i until g >= BARRIER_G_MIN.
 
-    ValueError comes before the first window unless the gain box has shape
+    ValueError comes before the first window unless ``regularizer_kind`` is
+    "barrier" with a ``plant`` or "norm" without one, the gain box has shape
     (rows of r, 3n) and a given ``init_gains`` that shape too, and under the
     barrier unless ``bounds`` pins every gain to 0 except the three that g
-    reads; otherwise g would not see the gains the search moves.
+    reads, so that g sees every gain the search moves. So does
+    InfeasibleGainError for a start that no K^i in the box makes feasible.
 
     Failure contract: a non-finite entry in the starting point (``x_k``,
     ``errors_k``, ``refs`` or the projected start gains) raises
@@ -301,12 +296,9 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     recover; the caller does, for example by holding the previous gains.
     """
     n = errors_k.e_prop.shape[0]
-    barrier = regularizer_kind == "barrier"
-    if barrier and plant is None:
-        raise ValueError("barrier regularizer needs the plant parameters")
-    if barrier and not _barrier_reads_every_gain(bounds, n):
-        raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
-                         "alone; the bounds must pin every other gain to 0")
+    if (regularizer_kind, plant is None) not in (("barrier", False), ("norm", True)):
+        raise ValueError(f"regularizer_kind must be 'barrier' with a plant or 'norm' without "
+                         f"one, got {regularizer_kind!r} with plant {plant!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     box = (weights.r.shape[0], 3 * n)  # F's shape: one row per input of r
@@ -315,25 +307,22 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     if init_gains is not None and init_gains.stacked().shape != box:
         raise ValueError(f"init_gains has shape {init_gains.stacked().shape}, "
                          f"the gain box {box}")
-    cut = plant if barrier else None  # the plant whose K^i cut _project applies
-    f = bounds.center() if init_gains is None else _project(init_gains.stacked(), bounds, None, n)
-    if barrier and msd_stability_value(plant, f, n) <= 0:
-        f = bounds.center()
-    f = _project(f, bounds, cut, n)
+    if plant is not None and not _barrier_reads_every_gain(bounds, n):
+        raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
+                         "alone; the bounds must pin every other gain to 0")
+    f = _project(bounds.center() if init_gains is None else init_gains.stacked(), bounds, plant, n)
     start = (x_k, errors_k.stacked(), refs, f)
     if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in start):
         raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
-    window = Window(model, x_k, errors_k, refs, weights, model.dt, n_quad, input_bounds)
+    window = Window(model, x_k, errors_k, refs, weights, n_quad, input_bounds)
     state = AdamState.zeros(f.shape)
     best_cost = np.inf
     best_f = f
     converged = False
     for it in range(max_iters + 1):
         quad, grad_quad = window_cost_and_grad(window, f)
-        rho = _barrier_rho(it, max_iters) if barrier else None
-        theta, theta_grad = regularizer(f, regularizer_kind, plant=plant, rho=rho, n=n)
         plain = quad + weights.mu * float((f * f).sum())
-        grad = weights.mu * theta_grad + grad_quad
+        grad = weights.mu * regularizer(f, plant, _barrier_rho(it, max_iters), n) + grad_quad
         if not np.isfinite(plain) or not np.all(np.isfinite(grad)):
             raise SegmentDiverged(f"non-finite window cost or gradient at iteration {it}, "
                                   f"gains {f.tolist()}")
@@ -342,7 +331,7 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         if converged or it == max_iters:  # the final iterate is scored, never stepped from
             break
         f_new, state = adam_step(state, grad, f, adam)
-        f_new = _project(f_new, bounds, cut, n)
+        f_new = _project(f_new, bounds, plant, n)
         converged = float(np.max(np.abs(f_new - f))) < tol
         f = f_new
     return SegmentResult(gains=GainMatrix.from_stacked(best_f), cost=best_cost,

@@ -12,11 +12,12 @@ layout, which round-trips every finite double bit for bit:
     <layer widths, input layer first>
     <t_lo t_hi, x_lo (n), x_hi (n), u_lo (m), u_hi (m): the input scaling>
     HORIZON <dt> <eps>
-    <one parameter per line, in FeedforwardNet.param_slices order>
+    <one parameter per line, in NetworkSpec.param_slices order>
 
-Blank lines and whitespace around a line are ignored. Loading is bound by
-Python's decimal parser, about 0.2 us per parameter on a 2-core Xeon
-(0.25 ms of the 0.4 ms load of a 1,282-parameter model).
+Blank lines and whitespace around a line are ignored; a non-ASCII or "_"
+character is refused. Loading is bound by Python's decimal parser, about
+0.2 us per parameter on a 2-core Xeon (0.25 ms of the 0.4 ms load of a
+1,282-parameter model).
 """
 
 from __future__ import annotations
@@ -108,7 +109,11 @@ def save_model(model: PinnModel, path) -> None:
 
 def load_model(path) -> PinnModel:
     with open(path) as fh:
-        lines = [line for line in map(str.strip, fh.read().split("\n")) if line]
+        text = fh.read()
+    # float() and int() also read "0.1_5", "3_2" and non-ASCII digits, which no saved file has
+    if not text.isascii() or "_" in text:
+        raise ValueError("model file holds a non-ASCII character or '_'")
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
     if not lines or lines[0] != MODEL_HEADER:
         raise ValueError(f"not a model file (expected '{MODEL_HEADER}' header)")
     if len(lines) < 4:

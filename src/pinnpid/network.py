@@ -4,7 +4,8 @@ The network maps a stacked input row (t, x, u) through an affine [-1, 1]
 rescaling, a stack of tanh hidden layers and a linear output layer. All
 derivative passes needed downstream are implemented directly on that
 structure, on batches of rows assembled by ``stack_rows``, through the
-``layers`` that ``unpack`` makes of a flat parameter vector:
+``layers`` that ``unpack`` makes of a flat parameter vector (``unpack`` is
+also how ``init_params`` and the parameter gradient walk that layout):
 
 - ``forward_raw``, the one forward entry: values and the tape the reverse
   sweep reads, optionally with forward mode along the time coordinate
@@ -75,10 +76,6 @@ class NetworkSpec:
     @property
     def output_dim(self) -> int:
         return self.layer_widths[-1]
-
-    def param_count(self) -> int:
-        ws = self.layer_widths
-        return sum(ws[i] * ws[i + 1] + ws[i + 1] for i in range(len(ws) - 1))
 
     def param_slices(self):
         """Per layer: (weight slice, bias slice, (rows, cols)) into the flat vector."""
@@ -156,7 +153,7 @@ class FeedforwardNet:
         self.n_state = n_state
         self.n_input = n_input
         self._slices = spec.param_slices()
-        self.n_params = spec.param_count()
+        self.n_params = self._slices[-1][1].stop  # the end of the last bias
 
     # -- assembly -----------------------------------------------------------
 
@@ -197,9 +194,9 @@ class FeedforwardNet:
         """Glorot-uniform weights, zero biases, packed into one flat vector."""
         rng = np.random.default_rng(seed)
         params = np.zeros(self.n_params)
-        for w_sl, _, (rows, cols) in self._slices:
-            limit = np.sqrt(6.0 / (rows + cols))
-            params[w_sl] = rng.uniform(-limit, limit, size=rows * cols)
+        for w, _ in self.unpack(params):
+            limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         return params
 
     # -- forward ------------------------------------------------------------
@@ -272,14 +269,8 @@ class FeedforwardNet:
         may be the one the tape's forward pass used: the keys do not collide.
         """
         zs, gs, adots, zdots = tape
-        if want_grads:
-            grads = np.zeros(self.n_params)
-            gview = [
-                (grads[w_sl].reshape(shape), grads[b_sl])
-                for w_sl, b_sl, shape in self._slices
-            ]
-        else:
-            grads = None
+        grads = np.zeros(self.n_params) if want_grads else None
+        gview = self.unpack(grads) if want_grads else None
         cz = np.asarray(cot_values, dtype=float)
         czdot = cot_tangents
         n = cz.shape[0]

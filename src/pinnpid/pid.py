@@ -22,6 +22,8 @@ class GainMatrix:
 
     def __post_init__(self):
         f = np.array(self.f, dtype=float, ndmin=2)
+        if f.ndim != 2:
+            raise ValueError(f"stacked gain matrix must be 2-D, got shape {f.shape}")
         if f.shape[1] % 3:
             raise ValueError("stacked gain width must be a multiple of 3")
         f.flags.writeable = False

@@ -86,8 +86,10 @@ class PhysSet:
 
 def lhs_sample(lower, upper, n: int, rng: np.random.Generator) -> np.ndarray:
     """Latin hypercube: one point per stratum per dimension, strata permuted
-    independently, uniform offset within each stratum."""
+    independently, uniform offset within each stratum, over a finite box."""
     box = Box(lower, upper)
+    if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
+        raise ValueError("Latin hypercube needs a finite box")
     if n < 1:
         raise ValueError("need n >= 1 samples")
     d = box.dim

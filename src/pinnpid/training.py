@@ -68,6 +68,10 @@ class TrainConfig:
 
 @dataclass
 class LossReport:
+    """One iteration's losses and, where taken, validation rollout MSE. An Adam
+    report holds the losses of the parameters before its step and the ``val_mse``
+    of those after it; an L-BFGS report scores one accepted iterate for both."""
+
     iteration: int
     l_data: float
     l_phys: float
@@ -207,7 +211,8 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that
     both stages fit; a set with a non-finite row raises ValueError. The
     best-validation parameter vector (self-loop rollout MSE) is restored
-    before returning.
+    before returning. Adam reports hold the losses before each step and the
+    ``val_mse`` after it; L-BFGS reports score each accepted iterate for both.
     """
     net = model.net
     params = model.params.copy()

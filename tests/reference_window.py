@@ -2,14 +2,38 @@
 
 It advances e_prop, e_int and e_deri as three vectors per lookahead step and
 runs the reverse sweep through each of them, where the library applies the
-fixed linear error map to one stacked array. Keep it as it is: it is the
-reference that the stacked window is compared against.
+fixed linear error map to one stacked array. Its ``regularizer`` returns
+Theta(F) with its gradient, where the library's returns the gradient alone.
+Keep both as they are: they are the reference that the stacked window and
+the library's regularizer are compared against.
 """
 
 import numpy as np
 
-from pinnpid.gainopt import CostWeights, regularizer
+from pinnpid.gainopt import CostWeights, InfeasibleGainError, msd_stability_value, scalar_gains
 from pinnpid.pid import ErrorState, quadrature_nodes
+
+
+def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
+    """Theta(F) and its gradient; kind is 'norm' or 'barrier'."""
+    theta = float((f * f).sum())
+    grad = 2.0 * f
+    if kind == "norm":
+        return theta, grad
+    if kind != "barrier":
+        raise ValueError(f"unknown regularizer kind '{kind}'")
+    if plant is None or rho is None or n is None:
+        raise ValueError("barrier regularizer needs the plant, rho and state width")
+    g = msd_stability_value(plant, f, n)
+    if g <= 0:
+        raise InfeasibleGainError(f"stability value g = {g:.3g} is not positive")
+    kp, ki, kd = scalar_gains(f, n)
+    theta -= np.log(g) / rho
+    coeff = -1.0 / (rho * g)
+    grad[0, 0] += coeff * (kd + plant.damping)
+    grad[0, n] += coeff * (-plant.mass)
+    grad[0, 2 * n] += coeff * (kp + plant.stiffness)
+    return theta, grad
 
 
 def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,

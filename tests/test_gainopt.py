@@ -37,6 +37,7 @@ from pinnpid.pid import (
 )
 from pinnpid.plants import MsdParams, msd_state_space
 from pinnpid.sampling import Box
+from tests.reference_window import regularizer as reference_regularizer
 from tests.reference_window import window_cost_and_grad as reference_window
 
 MSD = MsdParams()
@@ -111,15 +112,18 @@ def msd_bounds(lo=0.0, hi=5.0):
     return diagonal_gain_bounds(2, 1, (lo, hi), (lo, hi), (lo, hi), coords=[0])
 
 
-def regularized_window(model, x0, errors0, refs, f, weights, dt, n_quad, input_bounds=None,
+def regularized_window(model, x0, errors0, refs, f, weights, n_quad, input_bounds=None,
                        kind="norm", plant=None, rho=None):
     """(plain cost, total cost, gradient of the total): the window's tracking cost and
-    gradient with mu times the regularizer added the way ``optimize_segment`` adds it."""
+    gradient with mu times the regularizer's gradient added the way ``optimize_segment``
+    adds it. The library's regularizer returns the gradient alone, so Theta comes from
+    the frozen one in reference_window.py."""
+    n = errors0.e_prop.shape[0]
     quad, grad = window_cost_and_grad(
-        Window(model, x0, errors0, refs, weights, dt, n_quad, input_bounds), f)
-    theta, theta_grad = regularizer(f, kind, plant=plant, rho=rho, n=errors0.e_prop.shape[0])
+        Window(model, x0, errors0, refs, weights, n_quad, input_bounds), f)
+    theta, _ = reference_regularizer(f, kind, plant=plant, rho=rho, n=n)
     return (quad + weights.mu * float((f * f).sum()), quad + weights.mu * theta,
-            weights.mu * theta_grad + grad)
+            weights.mu * regularizer(f, plant, rho, n) + grad)
 
 
 class TestStageCost:
@@ -130,7 +134,7 @@ class TestStageCost:
         w = CostWeights(q=np.eye(2), r=np.eye(1))
         zeros = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
         cost, grad = window_cost_and_grad(
-            Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, model.dt, 10), np.zeros((1, 6))
+            Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, 10), np.zeros((1, 6))
         )
         assert cost == 0.0
         assert np.array_equal(grad, np.zeros((1, 6)))
@@ -143,22 +147,38 @@ class TestStageCost:
         e0 = ErrorState([0.1, 0.0], [0.38, 0.0], [0.0, 0.0])
         f = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
         plain, total, _ = regularized_window(
-            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, model.dt, 10, kind="norm"
+            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, 10, kind="norm"
         )
         assert plain == pytest.approx(4.88025, abs=1e-12)
         assert total == plain
 
-    def test_hand_value_barrier_theta(self):
+    def test_hand_value_barrier_gradient(self):
+        # g = (1.2 + 0.5)(1.2 + 1) - 1.0 = 2.74; the barrier adds -(dg/dF) / (rho g) to 2F
         g = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
-        theta, _ = regularizer(g, "barrier", plant=MSD, rho=1.0, n=2)
-        assert theta == pytest.approx(3.88 - np.log(2.74), abs=1e-12)
-        assert theta == pytest.approx(2.872, abs=5e-4)
+        grad = regularizer(g, MSD, 1.0, 2)
+        np.testing.assert_allclose(
+            grad, [[2.4 - 1.7 / 2.74, 0.0, 2.0 + 1.0 / 2.74, 0.0, 2.4 - 2.2 / 2.74, 0.0]],
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, [[1.7796, 0.0, 2.3650, 0.0, 1.5971, 0.0]], atol=5e-5)
+        # the same F without a plant: the norm's gradient alone
+        assert np.array_equal(regularizer(g, None, 1.0, 2), 2.0 * g)
+
+    def test_gradient_matches_frozen_regularizer_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            f = np.zeros((1, 6))
+            f[0, [0, 2, 4]] = rng.uniform(0.0, 5.0, 3)
+            f = gainopt._project(f, msd_bounds(), MSD, 2)
+            rho = rng.uniform(RHO_END, RHO_START)
+            for kind, plant in (("norm", None), ("barrier", MSD)):
+                _, frozen = reference_regularizer(f, kind, plant=plant, rho=rho, n=2)
+                assert np.array_equal(regularizer(f, plant, rho, 2), frozen)
 
     def test_barrier_rejects_nonpositive_g(self):
         g = np.array([[0.0, 0.0, 4.0, 0.0, 0.0, 0.0]])  # g = 0.5*1 - 4 = -3.5
         assert msd_stability_value(MSD, g, 2) == pytest.approx(-3.5)
         with pytest.raises(InfeasibleGainError):
-            regularizer(g, "barrier", plant=MSD, rho=1.0, n=2)
+            regularizer(g, MSD, 1.0, 2)
         # so must the weight on the regularizer; NaN passed `mu <= 0`
         for mu in (0.0, np.nan):
             with pytest.raises(ValueError, match="mu"):
@@ -293,7 +313,7 @@ class TestWindowGradient:
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
-        window = Window(model, x0, e0, refs, weights, model.dt, 10)
+        window = Window(model, x0, e0, refs, weights, 10)
         cost, grad = window_cost_and_grad(window, f)
         fd = np.zeros_like(f)
         h = 1e-6
@@ -316,7 +336,7 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.2, 0.0]] * 3)
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
-        window = Window(model, x0, e0, refs, weights, model.dt, 10)
+        window = Window(model, x0, e0, refs, weights, 10)
         cost, grad = window_cost_and_grad(window, f)
         h = 1e-6
         fd = np.zeros_like(f)
@@ -337,7 +357,7 @@ class TestWindowGradient:
         x0 = np.array([0.6, -0.3])
         refs = np.array([[-0.5, 0.0]] * 3 + [[0.5, 0.0]] * 3)
         e0 = error_init(model, x0, refs[0], refs[0], model.dt)
-        window = Window(model, x0, e0, refs, weights, model.dt, 10)
+        window = Window(model, x0, e0, refs, weights, 10)
         rng = np.random.default_rng(1)
         for _ in range(3):
             f = np.zeros((1, 6))
@@ -368,7 +388,7 @@ class TestWindowGradient:
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
         kw = dict(input_bounds=Box([-1.0], [1.0]), kind="barrier", plant=MSD, rho=0.5)
         spy = InputSpy(model)
-        _, cost, grad = regularized_window(spy, x0, e0, refs, f, weights, model.dt, 10, **kw)
+        _, cost, grad = regularized_window(spy, x0, e0, refs, f, weights, 10, **kw)
         saturated = [abs(u[0]) == 1.0 for u in spy.inputs]
         assert any(saturated) and not all(saturated)
         assert msd_stability_value(MSD, f, 2) > 0
@@ -378,8 +398,8 @@ class TestWindowGradient:
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = regularized_window(model, x0, e0, refs, fp, weights, model.dt, 10, **kw)[1]
-            cm = regularized_window(model, x0, e0, refs, fm, weights, model.dt, 10, **kw)[1]
+            cp = regularized_window(model, x0, e0, refs, fp, weights, 10, **kw)[1]
+            cm = regularized_window(model, x0, e0, refs, fm, weights, 10, **kw)[1]
             fd[0, i] = (cp - cm) / (2 * h)
         # the cost is about 190, so rounding alone puts ~2e-8 into each difference
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
@@ -404,11 +424,11 @@ class TestWindowGradient:
         refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
         spy = InputSpy(model)
         cost, grad = window_cost_and_grad(
-            Window(spy, x0, e0, refs, weights, model.dt, 10, box), f)
+            Window(spy, x0, e0, refs, weights, 10, box), f)
         if box is not None:
             saturated = [np.any(np.abs(u) == 0.8) for u in spy.inputs]
             assert any(saturated) and not all(saturated)
-        window = Window(model, x0, e0, refs, weights, model.dt, 10, box)
+        window = Window(model, x0, e0, refs, weights, 10, box)
         h = 1e-6
         fd = np.zeros_like(f)
         for idx in np.ndindex(f.shape):
@@ -427,8 +447,7 @@ class TestWindowGradient:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
         with pytest.raises(ValueError, match="width"):
-            Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights,
-                   model.dt, 10)
+            Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights, 10)
 
     @pytest.mark.parametrize("q, r, box, message", [
         (np.eye(3), [[0.01]], None, r"q has shape \(3, 3\), the state needs \(2, 2\)"),
@@ -443,8 +462,7 @@ class TestWindowGradient:
         model = LinearSurrogate()
         e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
         with pytest.raises(ValueError, match=message):
-            Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r),
-                   model.dt, 10, box)
+            Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r), 10, box)
 
     def test_saturated_channel_blocks_gradient(self):
         model = LinearSurrogate()
@@ -453,7 +471,7 @@ class TestWindowGradient:
         refs = np.zeros((3, 2))
         f = np.array([[4.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         _, grad = window_cost_and_grad(
-            Window(model, np.zeros(2), e0, refs, weights, model.dt, 10, Box([-1.0], [1.0])), f
+            Window(model, np.zeros(2), e0, refs, weights, 10, Box([-1.0], [1.0])), f
         )
         # no tracking path reaches the saturated proportional entry
         assert grad[0, 0] == 0.0
@@ -482,7 +500,7 @@ class TestStackedWindow:
             # keep the stability value g positive for the barrier
             f[0, 2] = min(ki, 0.9 * (kd + MSD.damping) * (kp + MSD.stiffness) / MSD.mass)
             plant, rho = (MSD, rng.uniform(0.01, 10.0)) if kind == "barrier" else (None, None)
-            new = regularized_window(model, x0, e0, refs, f, weights, model.dt, 10,
+            new = regularized_window(model, x0, e0, refs, f, weights, 10,
                                      input_bounds=box, kind=kind, plant=plant, rho=rho)
             old = reference_window(model, x0, e0, refs, f, ref_weights, model.dt, 10,
                                    input_bounds=box, regularizer_kind=kind, plant=plant, rho=rho)
@@ -500,7 +518,7 @@ class TestStackedWindow:
         e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
-        args = (model, x0, e0, refs, weights, model.dt, 10, Box([-1.0], [1.0]))
+        args = (model, x0, e0, refs, weights, 10, Box([-1.0], [1.0]))
         window = Window(*args)
         held = {name: value.copy() for name, value in vars(window).items()
                 if isinstance(value, np.ndarray)}
@@ -534,7 +552,7 @@ class TestStackedWindow:
                 refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
                 f = rng.uniform(-3.0, 3.0, (1, 6))
                 spy = InputSpy(model)
-                window_cost_and_grad(Window(spy, x, errors, refs, weights, model.dt, 10), f)
+                window_cost_and_grad(Window(spy, x, errors, refs, weights, 10), f)
                 assert len(spy.inputs) == horizon - 1
                 for j, u in enumerate(spy.inputs):
                     e = errors.stacked()
@@ -556,7 +574,7 @@ class TestStackedWindow:
         spy = InputSpy(model)
         refs = np.full((horizon + 1, 2), 0.5)
         window_cost_and_grad(
-            Window(spy, np.array([0.1, -0.2]), e0, refs, weights, model.dt, 10, Box([-1.0], [1.0])),
+            Window(spy, np.array([0.1, -0.2]), e0, refs, weights, 10, Box([-1.0], [1.0])),
             f)
         assert len(spy.inputs) == horizon - 1
         assert spy.vjp_calls == horizon - 1
@@ -592,7 +610,7 @@ class TestNetworkWindowIsFinite:
                                 rng.uniform(-10.0, 10.0, 2))
                 spy = InputSpy(model)
                 plain, total, grad = regularized_window(
-                    spy, x0, e0, refs, f, weights, model.dt, 10, input_bounds=input_bounds,
+                    spy, x0, e0, refs, f, weights, 10, input_bounds=input_bounds,
                     kind=kind, plant=plant, rho=rho)
                 assert np.isfinite(plain) and np.isfinite(total) and np.all(np.isfinite(grad))
                 assert len(spy.predictions) == horizon - 1
@@ -726,7 +744,7 @@ class TestOptimizeSegment:
         assert len(windows) == res.iterations + 1
         assert all(w is windows[0] for w in windows)
         f = res.gains.stacked()
-        quad, _ = window(Window(model, x0, e0, refs, weights, model.dt, 10,
+        quad, _ = window(Window(model, x0, e0, refs, weights, 10,
                                 kw.get("input_bounds")), f)
         assert res.cost == quad + weights.mu * float((f * f).sum())
 
@@ -798,8 +816,8 @@ class TestOptimizeSegment:
 
 
 class TestSegmentFeasibility:
-    """Where the barrier segment starts: the box centre in place of an unstable warm
-    start, the K^i cut below g = BARRIER_G_MIN, and the error when no cut is left."""
+    """Where the barrier segment starts: the K^i cut below g = BARRIER_G_MIN that every
+    iterate gets, applied to the start too, and the error when no cut is left."""
 
     def first_window_gains(self, monkeypatch, bounds, init=None):
         window = gainopt.window_cost_and_grad
@@ -826,30 +844,65 @@ class TestSegmentFeasibility:
         with pytest.raises(InfeasibleGainError, match="inside the gain box"):
             self.first_window_gains(monkeypatch, bounds)
 
-    @pytest.mark.parametrize("bounds", [
-        diagonal_gain_bounds(2, 1, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), coords=[1]),
-        diagonal_gain_bounds(2, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0)),
-        GainBounds(msd_bounds().lower + [[0, 0.5, 0, 0, 0, 0]],
-                   msd_bounds().upper + [[0, 0.5, 0, 0, 0, 0]]),
+    @pytest.mark.parametrize("bounds, r", [
+        (diagonal_gain_bounds(2, 1, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), coords=[1]), [[0.01]]),
+        (diagonal_gain_bounds(2, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0)), np.diag([0.01, 0.02])),
+        (GainBounds(msd_bounds().lower + [[0, 0.5, 0, 0, 0, 0]],
+                    msd_bounds().upper + [[0, 0.5, 0, 0, 0, 0]]), [[0.01]]),
     ], ids=["velocity_channel", "two_inputs", "pinned_velocity_gain"])
-    def test_barrier_rejects_bounds_it_does_not_read(self, monkeypatch, bounds):
+    def test_barrier_rejects_bounds_it_does_not_read(self, monkeypatch, bounds, r):
         # on velocity_channel g reads three entries pinned to 0, so it is D K = 0.5 at
-        # every gain the box allows; the segment refuses before its first window
+        # every gain the box allows; the segment refuses before its first window. r has a
+        # row per row of the box, so the box's shape passes and the pins are what refuse
         monkeypatch.setattr(gainopt, "window_cost_and_grad",
                             lambda *args, **kwargs: pytest.fail("a window ran"))
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
         e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="pin every other gain to 0"):
             optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
                              weights, AdamConfig(), bounds, regularizer_kind="barrier",
                              plant=MSD, max_iters=2, tol=0.0)
 
-    def test_unstable_warm_start_starts_at_box_centre(self, monkeypatch):
-        bounds = msd_bounds()
+    def test_unstable_warm_start_gets_the_ki_cut(self, monkeypatch):
+        # g = 0.5 - K^i: the cut keeps K^p and K^d and lowers K^i until g = BARRIER_G_MIN
         start = np.array([[0.0, 0.0, 5.0, 0.0, 0.0, 0.0]])
         assert msd_stability_value(MSD, start, 2) < 0
-        first = self.first_window_gains(monkeypatch, bounds, (0.0, 5.0, 0.0))
-        assert np.array_equal(first, bounds.center())
+        first = self.first_window_gains(monkeypatch, msd_bounds(), (0.0, 5.0, 0.0))
+        np.testing.assert_array_equal(first[0, [0, 1, 3, 4, 5]], 0.0)
+        assert first[0, 2] == pytest.approx(0.499999, abs=1e-15)
+        assert msd_stability_value(MSD, first, 2) == pytest.approx(gainopt.BARRIER_G_MIN,
+                                                                   abs=1e-15)
+
+    def test_unrestorable_warm_start_raises_before_a_window(self, monkeypatch):
+        # K^p = -1 cancels the stiffness, so g = -K^i, which no K^i in [0, 5] makes
+        # positive; the box centre would be stable, but the start is not moved there
+        monkeypatch.setattr(gainopt, "window_cost_and_grad",
+                            lambda *args, **kwargs: pytest.fail("a window ran"))
+        bounds = diagonal_gain_bounds(2, 1, (-1.0, 5.0), (0.0, 5.0), (0.0, 5.0), coords=[0])
+        assert msd_stability_value(MSD, bounds.center(), 2) > 0
+        with pytest.raises(InfeasibleGainError, match="inside the gain box"):
+            self.first_window_gains(monkeypatch, bounds, (-1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("kind, plant", [("barier", None), ("norm", MSD), ("barrier", None)],
+                             ids=["unknown_kind", "plant_under_norm", "barrier_without_plant"])
+    def test_kind_and_plant_checked_before_a_window(self, monkeypatch, kind, plant):
+        # an unknown kind used to fail only after the first window, and a plant passed
+        # with "norm" was ignored
+        window = gainopt.window_cost_and_grad
+        calls = []
+
+        def counting(shared, f):
+            calls.append(f)
+            return window(shared, f)
+
+        monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="regularizer_kind must be 'barrier' with a plant"):
+            optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), weights,
+                             AdamConfig(), msd_bounds(), regularizer_kind=kind, plant=plant,
+                             max_iters=2, tol=0.0)
+        assert calls == []
 
     def test_barely_stable_warm_start_is_cut_to_g_min(self, monkeypatch):
         start = np.array([[0.0, 0.0, 0.4999995, 0.0, 0.0, 0.0]])

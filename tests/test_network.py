@@ -84,8 +84,8 @@ def central_fd(f, v0, h=1e-5):
 
 class TestSpec:
     def test_param_count(self):
-        spec = NetworkSpec((4, 32, 32, 32, 2))
-        assert spec.param_count() == 4 * 32 + 32 + 2 * (32 * 32 + 32) + 32 * 2 + 2
+        net = make_net((4, 32, 32, 32, 2), 2, 1)
+        assert net.n_params == 4 * 32 + 32 + 2 * (32 * 32 + 32) + 32 * 2 + 2
 
     def test_rejects_no_hidden_layer(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ class TestForward:
     def test_matches_hand_rolled_oracle(self):
         rng = np.random.default_rng(11)
         net = make_net([4, 2, 2, 1], 1, 2)  # the one output is the one state
-        params = rng.standard_normal(net.spec.param_count())
+        params = rng.standard_normal(net.n_params)
         t, x, u = 0.07, rng.uniform(-0.9, 0.9, 1), rng.uniform(-0.9, 0.9, 2)
         np.testing.assert_allclose(
             forward1(net, params, t, x, u), hand_forward(net, params, t, x, u), atol=1e-12
@@ -234,7 +234,7 @@ class TestGradParams:
 class TestTimeDerivative:
     def test_zero_params(self):
         net = make_net([4, 8, 2], 2, 1)
-        rate = time_derivative1(net, np.zeros(net.spec.param_count()), 0.1, [0.2, 0.1], [0.0])
+        rate = time_derivative1(net, np.zeros(net.n_params), 0.1, [0.2, 0.1], [0.0])
         assert np.array_equal(rate, np.zeros(2))
 
     def test_matches_finite_differences(self):
@@ -248,7 +248,7 @@ class TestTimeDerivative:
     def test_identity_readout_of_time_gives_scaling_slope(self):
         # single hidden unit wired (almost) linearly: output = w_out * tanh(w_t * t_scaled)
         net = make_net([4, 1, 1], 1, 2, t_hi=0.5)
-        params = np.zeros(net.spec.param_count())
+        params = np.zeros(net.n_params)
         layers = net.spec.param_slices()
         w1 = np.zeros((1, 4))
         w1[0, 0] = 1e-4  # stay in tanh's linear regime
@@ -705,6 +705,21 @@ class TestSerialization:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
                 load_model(path)
+
+    @pytest.mark.parametrize("index, line", [
+        (10, "0.1_5"),
+        (10, "\u0661.5"),
+        (1, "4 3_2 32 2"),
+    ], ids=["separator_in_parameter", "arabic_indic_digit", "separator_in_widths"])
+    def test_rejects_tokens_save_model_never_writes(self, tmp_path, index, line):
+        # float() and int() read these as 0.15, 1.5 and 32
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        assert lines[1] == "4 32 32 2\n"
+        lines[index] = line + "\n"
+        path = tmp_path / "bad_token.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="non-ASCII character or '_'"):
+            load_model(path)
 
     def test_loads_blank_lines_whitespace_and_crlf(self, tmp_path):
         lines = FIXTURE.read_text().splitlines()

@@ -25,7 +25,7 @@ def toy_model(seed=0, n=2, m=1, dt=0.2, eps=0.05):
     lo = np.concatenate([[0.0], -2 * np.ones(n), -np.ones(m)])
     hi = np.concatenate([[dt + eps], 2 * np.ones(n), np.ones(m)])
     net = FeedforwardNet(NetworkSpec(widths), InputScaling(lo, hi), n, m)
-    params = net.init_params(seed) if seed is not None else np.zeros(net.spec.param_count())
+    params = net.init_params(seed) if seed is not None else np.zeros(net.n_params)
     return PinnModel(net=net, params=params, dt=dt, eps=eps)
 
 
@@ -236,6 +236,12 @@ class TestGainMatrix:
     def test_rejects_width_not_a_multiple_of_3(self):
         with pytest.raises(ValueError, match="multiple of 3"):
             GainMatrix.from_stacked(np.ones((1, 4)))
+
+    def test_rejects_more_than_two_dimensions(self):
+        # a (1, 3, 3) array passed the width check, and control_input then returned a
+        # (1, 3) input for a 1-vector error state
+        with pytest.raises(ValueError, match=r"must be 2-D, got shape \(1, 3, 3\)"):
+            GainMatrix(np.zeros((1, 3, 3)))
 
     def test_stacked_is_read_only(self):
         f = GainMatrix.from_stacked([[1.0, 2.0, 3.0]]).stacked()

@@ -1,5 +1,6 @@
 """Stratification, determinism and oracle-consistency of the training sets."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,18 @@ class TestLhs:
         for j in range(3):
             strata = np.floor((pts[:, j] - lo[j]) / (hi[j] - lo[j]) * n).astype(int)
             assert sorted(strata) == list(range(n))
+
+    @pytest.mark.parametrize("lo, hi", [([-1.0], [np.inf]), ([-np.inf], [1.0])],
+                             ids=["inf_upper", "inf_lower"])
+    def test_rejects_a_box_that_is_not_finite(self, lo, hi):
+        # an infinite upper bound gave rows of inf, an infinite lower one NaN with a
+        # RuntimeWarning; a data set config with such an input box gave NaN collocation rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite box"):
+                lhs_sample([0.0] + lo, [1.0] + hi, 8, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="finite box"):
+                build_phys_set(replace(msd_config(), input_box=Box(lo, hi)))
 
     def test_same_seed_same_points(self):
         a = lhs_sample([0.0, 0.0], [1.0, 1.0], 32, np.random.default_rng(9))

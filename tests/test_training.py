@@ -48,7 +48,7 @@ def msd_model(widths=(4, 16, 16, 2), seed=0, dt=0.2, eps=0.05):
     lo = np.concatenate([[0.0], STATE_BOX.lower, INPUT_BOX.lower])
     hi = np.concatenate([[dt + eps], STATE_BOX.upper, INPUT_BOX.upper])
     net = FeedforwardNet(NetworkSpec(widths), InputScaling(lo, hi), 2, 1)
-    params = net.init_params(seed) if seed is not None else np.zeros(net.spec.param_count())
+    params = net.init_params(seed) if seed is not None else np.zeros(net.n_params)
     return PinnModel(net=net, params=params, dt=dt, eps=eps)
 
 
