@@ -5,6 +5,8 @@ self-loop under u = F E with the gain matrix held constant, sum the
 quadratic costs of stages 0..H-1 plus a gain regularizer, and descend with
 Adam while projecting onto the feasible gain box. ``window_cost_and_grad``
 returns the stage costs' sum and gradient; ``optimize_segment`` adds the rest.
+n and m are the model's state and input widths (``model.n``, ``model.m``),
+and every input is checked against them once, before the first window.
 
 The window keeps its error states as one stacked H x 3n array, row j
 holding E_j = (e_prop, e_int, e_deri), next to H x m arrays of the raw
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pinnpid.adam import AdamConfig, AdamState, adam_step
-from pinnpid.pid import ErrorState, GainBounds, GainMatrix, quadrature_nodes
+from pinnpid.pid import GainBounds, GainMatrix, quadrature_nodes
 from pinnpid.plants import MsdParams
 
 BARRIER_G_MIN = 1e-6
@@ -163,29 +165,37 @@ def _project(f, bounds, plant, n):
 class Window:
     """One segment's lookahead window less F, built and checked once.
 
-    refs has H+1 rows of width n, of which the window reads r_0..r_{H-1}. It
-    holds the quadrature nodes ``taus``, the maps ``a`` and ``p`` (vec(V)
-    flattens the prediction block row by row), the reference drive ``c`` (row
-    j is c_j = B (r_j, r_{j+1})), E_0, x_0, the input box and the model's
-    step dt. ``window_cost_and_grad`` reads them for each F and writes none of them.
+    n and m are the model's state and input widths: x0 has shape (n,), E_0
+    (3n,), refs H+1 rows of width n, of which the window reads r_0..r_{H-1},
+    q (n, n), r (m, m) and the input box (m,); ValueError names an input of
+    another shape. It holds the quadrature nodes ``taus``, the maps ``a`` and
+    ``p`` (vec(V) flattens the prediction block row by row), the reference
+    drive ``c`` (row j is c_j = B (r_j, r_{j+1})), the references, E_0, x_0,
+    the input box and the model's step dt. ``window_cost_and_grad`` reads them
+    for each F and writes none of them.
     """
 
-    def __init__(self, model, x0, errors0: ErrorState, refs, weights: CostWeights,
+    def __init__(self, model, x0, errors0, refs, weights: CostWeights,
                  n_quad: int, input_bounds=None):
         refs = np.atleast_2d(np.asarray(refs, dtype=float))
         self.horizon = refs.shape[0] - 1
         if self.horizon < 1:
             raise ValueError("need at least a 1-step window")
-        dt, n = model.dt, errors0.e_prop.shape[0]
+        dt, n, m = model.dt, model.n, model.m
+        self.x0 = np.asarray(x0, dtype=float)
+        self.e0 = np.asarray(errors0, dtype=float)
+        for name, shape, need in (("x0", self.x0.shape, (n,)),
+                                  ("errors0", self.e0.shape, (3 * n,)),
+                                  ("q", weights.q.shape, (n, n)), ("r", weights.r.shape, (m, m))):
+            if shape != need:
+                raise ValueError(f"{name} has shape {shape}, the model needs {need}")
         if refs.shape[1] != n:
-            raise ValueError(f"references have width {refs.shape[1]}, the state has {n}")
-        if weights.q.shape != (n, n):
-            raise ValueError(f"q has shape {weights.q.shape}, the state needs ({n}, {n})")
-        m = weights.r.shape[0]
+            raise ValueError(f"references have width {refs.shape[1]}, the model's state has {n}")
         if input_bounds is not None and input_bounds.lower.shape != (m,):
             raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
-                             f"r has {m} inputs")
-        self.model, self.q, self.r, self.dt, self.n = model, weights.q, weights.r, dt, n
+                             f"the model has {m} inputs")
+        self.model, self.q, self.r, self.dt, self.n, self.refs = (
+            model, weights.q, weights.r, dt, n, refs)
         self.taus, w = quadrature_nodes(dt, n_quad)
         eye = np.eye(n)
         end = np.zeros(n_quad + 1)
@@ -199,8 +209,6 @@ class Window:
         b[:n, n:] = eye
         b[2 * n :, n:] = eye / dt
         self.c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
-        self.e0 = errors0.stacked()
-        self.x0 = np.asarray(x0, dtype=float)
         # no box is (-inf, inf), since the network rejects non-finite inputs
         self.lower, self.upper = (-np.inf, np.inf) if input_bounds is None else (
             input_bounds.lower, input_bounds.upper)
@@ -263,7 +271,7 @@ class SegmentResult:
     converged: bool
 
 
-def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeights,
+def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights,
                      adam: AdamConfig, bounds: GainBounds, regularizer_kind: str = "norm",
                      plant=None, input_bounds=None, n_quad: int = 10, max_iters: int = 200,
                      tol: float = 1e-6, init_gains: GainMatrix | None = None) -> SegmentResult:
@@ -278,11 +286,13 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     (``init_gains`` or the box centre) and every step pass through
     ``_project``, which under the barrier cuts K^i until g >= BARRIER_G_MIN.
 
-    ValueError comes before the first window unless ``regularizer_kind`` is
-    "barrier" with a ``plant`` or "norm" without one, the gain box has shape
-    (rows of r, 3n) and a given ``init_gains`` that shape too, and under the
-    barrier unless ``bounds`` pins every gain to 0 except the three that g
-    reads, so that g sees every gain the search moves. So does
+    n and m are the model's state and input widths. ValueError comes before
+    the first window unless ``regularizer_kind`` is "barrier" with a
+    ``plant`` or "norm" without one, the ``Window`` accepts x_k (n,),
+    ``errors_k`` (3n,), the references, the weights and the input box, the
+    gain box has shape (m, 3n) and a given ``init_gains`` that shape too, and
+    under the barrier unless ``bounds`` pins every gain to 0 except the three
+    that g reads, so that g sees every gain the search moves. So does
     InfeasibleGainError for a start that no K^i in the box makes feasible.
 
     Failure contract: a non-finite entry in the starting point (``x_k``,
@@ -295,15 +305,16 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
     gains in the box with g >= BARRIER_G_MIN / 2. The segment does not
     recover; the caller does, for example by holding the previous gains.
     """
-    n = errors_k.e_prop.shape[0]
+    n = model.n
     if (regularizer_kind, plant is None) not in (("barrier", False), ("norm", True)):
         raise ValueError(f"regularizer_kind must be 'barrier' with a plant or 'norm' without "
                          f"one, got {regularizer_kind!r} with plant {plant!r}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    box = (weights.r.shape[0], 3 * n)  # F's shape: one row per input of r
+    window = Window(model, x_k, errors_k, refs, weights, n_quad, input_bounds)
+    box = (model.m, 3 * n)  # F's shape
     if bounds.lower.shape != box:
-        raise ValueError(f"gain box has shape {bounds.lower.shape}, r and the state need {box}")
+        raise ValueError(f"gain box has shape {bounds.lower.shape}, the model needs {box}")
     if init_gains is not None and init_gains.stacked().shape != box:
         raise ValueError(f"init_gains has shape {init_gains.stacked().shape}, "
                          f"the gain box {box}")
@@ -311,10 +322,8 @@ def optimize_segment(model, x_k, errors_k: ErrorState, refs, weights: CostWeight
         raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
                          "alone; the bounds must pin every other gain to 0")
     f = _project(bounds.center() if init_gains is None else init_gains.stacked(), bounds, plant, n)
-    start = (x_k, errors_k.stacked(), refs, f)
-    if not all(np.isfinite(np.asarray(a, dtype=float)).all() for a in start):
+    if not all(np.isfinite(a).all() for a in (window.x0, window.e0, window.refs, f)):
         raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
-    window = Window(model, x_k, errors_k, refs, weights, n_quad, input_bounds)
     state = AdamState.zeros(f.shape)
     best_cost = np.inf
     best_f = f

@@ -86,21 +86,20 @@ class PinnModel:
         return self.net.forward_raw(self.layers, rows, self.net.time_tangent_rows(1))[1][0]
 
 
+def _scaling_order(n: int, m: int) -> np.ndarray:
+    """Indices into ``concatenate([lower, upper])`` of the scaling line's values:
+    t, x and u in turn, each block's lower bounds before its upper ones."""
+    d = 1 + n + m
+    blocks = (np.arange(1), np.arange(1, 1 + n), np.arange(1 + n, d))
+    return np.concatenate([i for block in blocks for i in (block, block + d)])
+
+
 def save_model(model: PinnModel, path) -> None:
-    spec = model.net.spec
     scaling = model.net.scaling
     lines = [MODEL_HEADER]
-    lines.append(" ".join(str(w) for w in spec.layer_widths))
-    n, m = model.n, model.m
-    blocks = [
-        [scaling.lower[0]],
-        [scaling.upper[0]],
-        scaling.lower[1 : 1 + n],
-        scaling.upper[1 : 1 + n],
-        scaling.lower[1 + n :],
-        scaling.upper[1 + n :],
-    ]
-    lines.append(" ".join(repr(float(v)) for block in blocks for v in block))
+    lines.append(" ".join(str(w) for w in model.net.spec.layer_widths))
+    bounds = np.concatenate([scaling.lower, scaling.upper])[_scaling_order(model.n, model.m)]
+    lines.append(" ".join(repr(float(v)) for v in bounds))
     lines.append(f"HORIZON {model.dt!r} {model.eps!r}")
     lines.extend(repr(float(v)) for v in model.params)
     with open(path, "w") as fh:
@@ -127,13 +126,9 @@ def load_model(path) -> PinnModel:
     bounds = np.array([float(v) for v in lines[2].split()])
     if bounds.shape[0] != 2 * spec.input_dim:
         raise ValueError("scaling line does not match the input width")
-    t_lo, t_hi = bounds[0], bounds[1]
-    x_lo, x_hi = bounds[2 : 2 + n], bounds[2 + n : 2 + 2 * n]
-    u_lo, u_hi = bounds[2 + 2 * n : 2 + 2 * n + m], bounds[2 + 2 * n + m :]
-    scaling = InputScaling(
-        np.concatenate([[t_lo], x_lo, u_lo]),
-        np.concatenate([[t_hi], x_hi, u_hi]),
-    )
+    lower_upper = np.empty_like(bounds)
+    lower_upper[_scaling_order(n, m)] = bounds
+    scaling = InputScaling(*lower_upper.reshape(2, -1))
     horizon_parts = lines[3].split()
     if horizon_parts[0] != "HORIZON" or len(horizon_parts) != 3:
         raise ValueError("missing HORIZON line in model file")

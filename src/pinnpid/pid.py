@@ -1,10 +1,11 @@
 """Time-varying PID law and the surrogate-driven discrete error recursion.
 
-The gain matrix F = [K^p, K^i, K^d] (m x 3n) is one read-only array; the
-error state stacks the matching error vectors E = (e_prop, e_int, e_deri).
-Across one sampling interval the proportional error is taken from the
-measured state, the integral error advances by trapezoid quadrature of the
-surrogate prediction, and the derivative error by a backward difference.
+The gain matrix F = [K^p, K^i, K^d] (m x 3n) is one read-only array, and
+the error state is one (3n,) vector E = (e_prop, e_int, e_deri), so that
+u = F E. Across one sampling interval the proportional error is taken from
+the measured state, the integral error advances by trapezoid quadrature of
+the surrogate prediction, and the derivative error by a backward
+difference. Both steps run at the surrogate's own step ``model.dt``.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ class GainMatrix:
     @classmethod
     def from_stacked(cls, f: np.ndarray) -> "GainMatrix":
         return cls(f)
-
-
-@dataclass
-class ErrorState:
-    """Proportional, integral and derivative errors, three vectors of one shape (n,)."""
-
-    e_prop: np.ndarray
-    e_int: np.ndarray
-    e_deri: np.ndarray
-
-    def __post_init__(self):
-        self.e_prop, self.e_int, self.e_deri = _vectors(
-            e_prop=self.e_prop, e_int=self.e_int, e_deri=self.e_deri)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.e_prop, self.e_int, self.e_deri])
 
 
 @dataclass(frozen=True)
@@ -95,13 +80,13 @@ def diagonal_gain_bounds(n_state, n_input, kp_range, ki_range, kd_range,
     return GainBounds(lo, hi)
 
 
-def control_input(gains: GainMatrix, errors: ErrorState, input_bounds=None) -> np.ndarray:
+def control_input(gains: GainMatrix, errors, input_bounds=None) -> np.ndarray:
     """u = F E, then clipped into the input box when bounds are given."""
     f = gains.stacked()
-    e = errors.stacked()
-    if f.shape[1] != e.shape[0]:
-        raise ValueError("gain and error dimensions disagree")
-    u = f @ e
+    errors = np.asarray(errors, dtype=float)
+    if errors.shape != (f.shape[1],):
+        raise ValueError(f"errors has shape {errors.shape}, F needs ({f.shape[1]},)")
+    u = f @ errors
     if input_bounds is not None:
         if input_bounds.lower.shape != u.shape:
             raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
@@ -131,40 +116,37 @@ def _vectors(**named) -> list[np.ndarray]:
     return arrays
 
 
-def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> ErrorState:
-    """First error state: zero integral, derivative from the reference rate
+def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> np.ndarray:
+    """First error state E_0: zero integral, derivative from the reference rate
     minus the surrogate's initial time derivative, evaluated at a zero input
-    (which breaks the u_0 circularity). The references need the state's shape (n,)."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive")
+    (which breaks the u_0 circularity). The references need the state's shape
+    (n,), and dt must be ``model.dt``."""
+    if dt != model.dt:  # the step the surrogate was trained for
+        raise ValueError(f"dt is {dt}, the surrogate steps {model.dt}")
     x0, x_ref_0, x_ref_init = _vectors(x0=x0, x_ref_0=x_ref_0, x_ref_init=x_ref_init)
     rate = model.time_derivative(0.0, x0, np.zeros(model.m))
-    return ErrorState(
-        e_prop=x_ref_0 - x0,
-        e_int=np.zeros_like(x0),
-        e_deri=(x_ref_0 - x_ref_init) / dt - rate,
-    )
+    return np.concatenate([x_ref_0 - x0, np.zeros_like(x0), (x_ref_0 - x_ref_init) / dt - rate])
 
 
-def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors: ErrorState,
-                 dt: float, n_quad: int = 10, *, x_meas_next) -> ErrorState:
-    """Advance the error state across one interval.
+def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors,
+                 dt: float, n_quad: int = 10, *, x_meas_next) -> np.ndarray:
+    """Advance the error state E across one interval.
 
     e_prop comes from the measurement ``x_meas_next``; e_int integrates the
     reference minus the surrogate's prediction from (x_k, u_k) over [0, dt].
-    The references, the measurement and the errors need the state's shape (n,).
+    The references and the measurement need the state's shape (n,), the
+    errors (3n,), and dt must be ``model.dt``.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive")
-    x_k, x_ref_k, x_ref_next, x_meas_next, _ = _vectors(
-        x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next, x_meas_next=x_meas_next,
-        errors=errors.e_prop)
+    if dt != model.dt:  # the step the surrogate was trained for
+        raise ValueError(f"dt is {dt}, the surrogate steps {model.dt}")
+    x_k, x_ref_k, x_ref_next, x_meas_next = _vectors(
+        x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next, x_meas_next=x_meas_next)
+    n = x_k.shape[0]
+    errors = np.asarray(errors, dtype=float)
+    if errors.shape != (3 * n,):
+        raise ValueError(f"errors has shape {errors.shape}, x_k needs ({3 * n},)")
     taus, weights = quadrature_nodes(dt, n_quad)
     values = model.predict(taus, x_k, np.asarray(u_k, dtype=float))
     increment = weights @ (x_ref_k - values)
     e_prop = x_ref_next - x_meas_next
-    return ErrorState(
-        e_prop=e_prop,
-        e_int=errors.e_int + increment,
-        e_deri=(e_prop - errors.e_prop) / dt,
-    )
+    return np.concatenate([e_prop, errors[n : 2 * n] + increment, (e_prop - errors[:n]) / dt])

@@ -179,8 +179,13 @@ def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps, seed) ->
     """Random ZOH trajectories integrated finely enough to serve as truth.
 
     All trajectories are integrated together as one batch, with
-    ``VALIDATION_SUBSTEPS`` RK4 steps per dt.
+    ``VALIDATION_SUBSTEPS`` RK4 steps per dt. ValueError comes before any draw
+    unless the input box is finite and each trajectory takes a step.
     """
+    if not (np.isfinite(input_box.lower).all() and np.isfinite(input_box.upper).all()):
+        raise ValueError("validation inputs need a finite input box")
+    if n_steps < 1:
+        raise ValueError(f"validation needs n_steps >= 1, got {n_steps}")
     rng = np.random.default_rng(seed)
     x0 = lhs_sample(state_box.lower, state_box.upper, n_traj, rng)
     u_seq = rng.uniform(
@@ -192,7 +197,9 @@ def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps, seed) ->
 
 
 def validate(model, vset: ValidationSet) -> ValidationReport:
-    """Recurrent self-loop errors per state coordinate."""
+    """Recurrent self-loop errors per state coordinate; ``vset.dt`` must be ``model.dt``."""
+    if vset.dt != model.dt:  # the step the surrogate was trained for
+        raise ValueError(f"validation set steps {vset.dt}, the surrogate {model.dt}")
     n_traj, n_steps = vset.u_seq.shape[:2]
     taus = np.full(n_traj, vset.dt)
     roll_err = []
@@ -209,7 +216,9 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     """Minimize the composite loss; returns (trained model, LossReport history).
 
     ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that
-    both stages fit; a set with a non-finite row raises ValueError. The
+    both stages fit; a set with a non-finite row raises ValueError, and so
+    does a ``validation`` set whose dt is not ``model.dt``, before the first
+    iteration. The
     best-validation parameter vector (self-loop rollout MSE) is restored
     before returning. Adam reports hold the losses before each step and the
     ``val_mse`` after it; L-BFGS reports score each accepted iterate for both.
@@ -220,6 +229,8 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
     _check_finite_sets(data, phys)
+    if validation is not None and validation.dt != model.dt:  # else validate refuses it late
+        raise ValueError(f"validation set steps {validation.dt}, the surrogate {model.dt}")
     buffers = {}  # row-sized arrays of both passes, reused by every iteration
 
     def evaluate(pvec, stage):

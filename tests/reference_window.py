@@ -1,17 +1,18 @@
 """Frozen step-by-step window, the oracle for ``gainopt.window_cost_and_grad``.
 
-It advances e_prop, e_int and e_deri as three vectors per lookahead step and
-runs the reverse sweep through each of them, where the library applies the
-fixed linear error map to one stacked array. Its ``regularizer`` returns
-Theta(F) with its gradient, where the library's returns the gradient alone.
-Keep both as they are: they are the reference that the stacked window and
-the library's regularizer are compared against.
+It splits E_0 = (e_prop, e_int, e_deri) into its three parts, advances them
+as three vectors per lookahead step and runs the reverse sweep through each
+of them, where the library applies the fixed linear error map to one stacked
+array. Its ``regularizer`` returns Theta(F) with its gradient, where the
+library's returns the gradient alone. Keep both as they are: they are the
+reference that the stacked window and the library's regularizer are
+compared against.
 """
 
 import numpy as np
 
 from pinnpid.gainopt import CostWeights, InfeasibleGainError, msd_stability_value, scalar_gains
-from pinnpid.pid import ErrorState, quadrature_nodes
+from pinnpid.pid import quadrature_nodes
 
 
 def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
@@ -36,7 +37,7 @@ def regularizer(f: np.ndarray, kind: str, plant=None, rho=None, n=None):
     return theta, grad
 
 
-def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
+def window_cost_and_grad(model, x0, errors0, refs, f: np.ndarray,
                          weights: CostWeights, dt: float, n_quad: int,
                          input_bounds=None, regularizer_kind: str = "norm",
                          plant=None, rho=None):
@@ -45,18 +46,18 @@ def window_cost_and_grad(model, x0, errors0: ErrorState, refs, f: np.ndarray,
     horizon = refs.shape[0] - 1
     if horizon < 1:
         raise ValueError("need at least a 1-step window")
-    n = errors0.e_prop.shape[0]
+    e_prop, e_int, e_deri = np.split(np.asarray(errors0, dtype=float), 3)
+    n = e_prop.shape[0]
     taus, w_quad = quadrature_nodes(dt, n_quad)
     q, r, q_t = weights.q, weights.r, weights.q_terminal
 
     # forward sweep, caching what the reverse pass needs
-    e_props = [errors0.e_prop]
+    e_props = [e_prop]
     e_stacks = []
     us = []
     actives = []
     tapes = []
     x = np.asarray(x0, dtype=float)
-    e_prop, e_int, e_deri = errors0.e_prop, errors0.e_int, errors0.e_deri
     quad_cost = 0.0
     for j in range(horizon):
         e_stack = np.concatenate([e_prop, e_int, e_deri])

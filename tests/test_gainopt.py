@@ -27,7 +27,6 @@ from pinnpid.gainopt import (
 )
 from pinnpid.model import load_model
 from pinnpid.pid import (
-    ErrorState,
     GainBounds,
     GainMatrix,
     diagonal_gain_bounds,
@@ -92,7 +91,7 @@ class InputSpy:
 
     def __init__(self, model):
         self.model = model
-        self.dt = model.dt
+        self.dt, self.n, self.m = model.dt, model.n, model.m
         self.inputs = []
         self.predictions = []
         self.vjp_calls = 0
@@ -108,6 +107,12 @@ class InputSpy:
         return self.model.predict_vjp(tape, cotangents)
 
 
+def msd_inputs(m):
+    """An m-input linear stand-in: the MSD with its one input column repeated m times."""
+    a, b = msd_state_space(MSD)
+    return LinearSurrogate(ab=(a, np.tile(b, (1, m))))
+
+
 def msd_bounds(lo=0.0, hi=5.0):
     return diagonal_gain_bounds(2, 1, (lo, hi), (lo, hi), (lo, hi), coords=[0])
 
@@ -118,7 +123,7 @@ def regularized_window(model, x0, errors0, refs, f, weights, n_quad, input_bound
     gradient with mu times the regularizer's gradient added the way ``optimize_segment``
     adds it. The library's regularizer returns the gradient alone, so Theta comes from
     the frozen one in reference_window.py."""
-    n = errors0.e_prop.shape[0]
+    n = model.n
     quad, grad = window_cost_and_grad(
         Window(model, x0, errors0, refs, weights, n_quad, input_bounds), f)
     theta, _ = reference_regularizer(f, kind, plant=plant, rho=rho, n=n)
@@ -132,7 +137,7 @@ class TestStageCost:
     def test_zero(self):
         model = LinearSurrogate()
         w = CostWeights(q=np.eye(2), r=np.eye(1))
-        zeros = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = np.zeros(6)
         cost, grad = window_cost_and_grad(
             Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, 10), np.zeros((1, 6))
         )
@@ -144,7 +149,7 @@ class TestStageCost:
         # J = 0.5 (1000 * 0.1^2 + 0.01 * 0.5^2) 0.2 + (1.2^2 + 1.0^2 + 1.2^2) = 4.88025
         model = LinearSurrogate()
         w = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.1, 0.0], [0.38, 0.0], [0.0, 0.0])
+        e0 = np.array([0.1, 0.0, 0.38, 0.0, 0.0, 0.0])
         f = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
         plain, total, _ = regularized_window(
             model, np.zeros(2), e0, np.zeros((2, 2)), f, w, 10, kind="norm"
@@ -309,7 +314,7 @@ class TestWindowGradient:
     def test_matches_finite_differences(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.5, -0.1], [0.2, 0.0], [-0.4, 0.1])
+        e0 = np.array([0.5, -0.1, 0.2, 0.0, -0.4, 0.1])
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
@@ -332,7 +337,7 @@ class TestWindowGradient:
         model = toy_model(seed=6)
         model = dataclasses.replace(model, params=model.params * 0.5)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.3, 0.0], [0.1, 0.0], [0.2, -0.1])
+        e0 = np.array([0.3, 0.0, 0.1, 0.0, 0.2, -0.1])
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.2, 0.0]] * 3)
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
@@ -382,7 +387,7 @@ class TestWindowGradient:
         model = toy_model(seed=6)
         model = dataclasses.replace(model, params=model.params * 0.5)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
@@ -419,7 +424,7 @@ class TestWindowGradient:
         f[0, [0, 4, 8]] = [1.5, 0.3, 0.8]
         f[1, [1, 5, 9]] = [2.0, 0.4, 0.6]
         assert np.array_equal(gainopt._project(f, bounds, None, 4), f)
-        e0 = ErrorState([0.4, -0.3, 0.0, 0.0], [0.1, 0.05, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1])
+        e0 = np.array([0.4, -0.3, 0.0, 0.0, 0.1, 0.05, 0.0, 0.0, 0.2, -0.1, 0.0, 0.1])
         x0 = np.array([0.1, -0.2, 0.0, 0.1])
         refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
         spy = InputSpy(model)
@@ -445,29 +450,29 @@ class TestWindowGradient:
         # a (6, 1) reference would broadcast against the 2-state predictions
         model = load_model(FIXTURE)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         with pytest.raises(ValueError, match="width"):
             Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights, 10)
 
     @pytest.mark.parametrize("q, r, box, message", [
-        (np.eye(3), [[0.01]], None, r"q has shape \(3, 3\), the state needs \(2, 2\)"),
+        (np.eye(3), [[0.01]], None, r"q has shape \(3, 3\), the model needs \(2, 2\)"),
         (np.eye(2), np.diag([0.01, 0.02]), Box([-1.0], [1.0]),
-         "input box has width 1, r has 2 inputs"),
+         "input box has width 1, the model has 2 inputs"),
         (np.eye(2), [[0.01]], Box([-1.0, -1.0], [1.0, 1.0]),
-         "input box has width 2, r has 1 inputs"),
+         "input box has width 2, the model has 1 inputs"),
     ], ids=["q", "narrow_box", "wide_box"])
     def test_rejects_weights_or_box_of_another_width(self, q, r, box, message):
         # a wrong q used to surface as a bare matmul error inside the first window, and a
         # 1-wide box clipped both inputs of a 2-input F by its one bound
-        model = LinearSurrogate()
-        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        model = msd_inputs(len(r))
+        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         with pytest.raises(ValueError, match=message):
             Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r), 10, box)
 
     def test_saturated_channel_blocks_gradient(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.eye(2), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([5.0, 0.0], [0.0, 0.0], [0.0, 0.0])  # huge error saturates u
+        e0 = np.array([5.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # huge error saturates u
         refs = np.zeros((3, 2))
         f = np.array([[4.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         _, grad = window_cost_and_grad(
@@ -492,8 +497,8 @@ class TestStackedWindow:
         checked = 0
         for model, horizon, kind, box, _ in cases:
             x0 = rng.uniform([-1.0, -0.5], [1.0, 0.5])
-            e0 = ErrorState(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2),
-                            rng.uniform(-2, 2, 2))
+            e0 = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2),
+                                 rng.uniform(-2, 2, 2)])
             refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
             f = rng.uniform(0.0, 3.0, (1, 6))
             kp, ki, kd = f[0, 0], f[0, 2], f[0, 4]
@@ -515,7 +520,7 @@ class TestStackedWindow:
         # equals a fresh Window's bit for bit, and no array the Window holds is written
         model = load_model(FIXTURE)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
         args = (model, x0, e0, refs, weights, 10, Box([-1.0], [1.0]))
@@ -547,17 +552,17 @@ class TestStackedWindow:
             for _ in range(50):
                 horizon = int(rng.integers(1, 6))
                 x = rng.uniform([-1.0, -0.5], [1.0, 0.5])
-                errors = ErrorState(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2),
-                                    rng.uniform(-2, 2, 2))
+                errors = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2),
+                                         rng.uniform(-2, 2, 2)])
                 refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
                 f = rng.uniform(-3.0, 3.0, (1, 6))
                 spy = InputSpy(model)
                 window_cost_and_grad(Window(spy, x, errors, refs, weights, 10), f)
                 assert len(spy.inputs) == horizon - 1
                 for j, u in enumerate(spy.inputs):
-                    e = errors.stacked()
                     # relative to the size of the terms of the product F E_j
-                    assert np.max(np.abs(u - f @ e)) <= 1e-12 * np.max(np.abs(f) @ np.abs(e))
+                    assert np.max(np.abs(u - f @ errors)) <= 1e-12 * np.max(
+                        np.abs(f) @ np.abs(errors))
                     x_next = model.predict(taus, x, u)[-1]
                     errors = error_update(model, refs[j], refs[j + 1], x, u, errors,
                                           model.dt, 10, x_meas_next=x_next)
@@ -569,7 +574,7 @@ class TestStackedWindow:
         # no cost reads the state after the last scored stage
         model = load_model(FIXTURE)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
         spy = InputSpy(model)
         refs = np.full((horizon + 1, 2), 0.5)
@@ -606,8 +611,8 @@ class TestNetworkWindowIsFinite:
                 x0 = rng.uniform(lo, hi)
                 refs = np.column_stack([rng.uniform(lo[0], hi[0], horizon + 1),
                                         np.zeros(horizon + 1)])
-                e0 = ErrorState(refs[0] - x0, rng.uniform(-2.0, 2.0, 2),
-                                rng.uniform(-10.0, 10.0, 2))
+                e0 = np.concatenate([refs[0] - x0, rng.uniform(-2.0, 2.0, 2),
+                                     rng.uniform(-10.0, 10.0, 2)])
                 spy = InputSpy(model)
                 plain, total, grad = regularized_window(
                     spy, x0, e0, refs, f, weights, 10, input_bounds=input_bounds,
@@ -622,7 +627,7 @@ class TestOptimizeSegment:
     def test_regularizer_drives_gains_to_zero(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
+        e0 = np.zeros(6)
         refs = np.zeros((6, 2))
         res = optimize_segment(
             model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
@@ -635,10 +640,10 @@ class TestOptimizeSegment:
         # position at stage 2, which Q weights most, so the optimum is inside the box
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.5, 0.0], [0.3, 0.0], [0.2, 0.0])
+        e0 = np.array([0.5, 0.0, 0.3, 0.0, 0.2, 0.0])
         x0 = np.array([-0.2, 0.0])
         ref = np.array([0.3, 0.0])
-        refs = np.array([x0 + e0.e_prop, ref, ref, ref])  # stages 0, 1 and 2
+        refs = np.array([x0 + e0[:2], ref, ref, ref])  # stages 0, 1 and 2
         res = optimize_segment(
             model, x0, e0, refs, weights, AdamConfig(), msd_bounds(),
             max_iters=6000, tol=1e-10,
@@ -647,7 +652,7 @@ class TestOptimizeSegment:
         grid = np.arange(0.0, 5.0 + 1e-9, 0.05)
         kp, ki, kd = np.meshgrid(grid, grid, grid, indexing="ij")
         cost = weights.mu * (kp**2 + ki**2 + kd**2)
-        x, e_prop, e_int, e_deri = x0, e0.e_prop, e0.e_int, e0.e_deri
+        x, e_prop, e_int, e_deri = x0, e0[:2], e0[2:4], e0[4:]
         for j in range(3):
             u = kp * e_prop[..., 0] + ki * e_int[..., 0] + kd * e_deri[..., 0]
             cost = cost + 0.5 * (np.einsum("...i,ij,...j->...", e_prop, weights.q, e_prop)
@@ -669,7 +674,7 @@ class TestOptimizeSegment:
     def test_barrier_keeps_stability_value_positive(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.8, 0.0], [2.0, 0.0], [0.0, 0.0])  # pushes ki hard
+        e0 = np.array([0.8, 0.0, 2.0, 0.0, 0.0, 0.0])  # pushes ki hard
         refs = np.array([[0.8, 0.0]] * 6)
         res = optimize_segment(
             model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
@@ -680,7 +685,7 @@ class TestOptimizeSegment:
     def test_deterministic(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.4, 0.1], [0.0, 0.0], [0.1, 0.0])
+        e0 = np.array([0.4, 0.1, 0.0, 0.0, 0.1, 0.0])
         refs = np.array([[0.2, 0.0]] * 4)
         kw = dict(max_iters=500, tol=1e-8)
         a = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
@@ -693,7 +698,7 @@ class TestOptimizeSegment:
         start = [[1.0, 0.0, 0.5, 0.0, 0.2, 0.0]]
         source = np.array(start)
         init = GainMatrix.from_stacked(source)
-        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         res = optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
                                CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]]), AdamConfig(),
                                msd_bounds(), regularizer_kind="barrier", plant=MSD,
@@ -706,7 +711,7 @@ class TestOptimizeSegment:
     def test_convergence_before_max_iters(self):
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.4, 0.0], [0.0, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         refs = np.array([[0.2, 0.0]] * 4)
         res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
                                msd_bounds(), max_iters=20000, tol=1e-6)
@@ -719,12 +724,12 @@ class TestOptimizeSegment:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         if stop == "converged":
             model, x0 = LinearSurrogate(), np.zeros(2)
-            e0 = ErrorState([0.4, 0.0], [0.0, 0.0], [0.0, 0.0])
+            e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
             refs = np.array([[0.2, 0.0]] * 4)
             kw = dict(max_iters=20000, tol=1e-6)
         else:
             model, x0 = load_model(FIXTURE), np.array([0.1, -0.2])
-            e0 = ErrorState([0.6, 0.0], [0.1, 0.0], [0.2, -0.1])
+            e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
             refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
             kw = dict(regularizer_kind="barrier", plant=MSD, input_bounds=Box([-1.0], [1.0]),
                       max_iters=30, tol=0.0)
@@ -753,33 +758,33 @@ class TestOptimizeSegment:
         # the segment names the first iterate with a non-finite window and does not recover
         model = CliffSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
+        e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         refs = np.array([[0.1, 0.0]] * 3)
         with pytest.raises(SegmentDiverged, match=r"at iteration [1-9]\d*, gains \[\[") as info:
             optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
                              msd_bounds(), max_iters=200, tol=0.0)
         f = np.array(json.loads(str(info.value).split("gains ")[1]))
-        assert abs(f[0] @ e0.stacked()) < 0.2
+        assert abs(f[0] @ e0) < 0.2
 
     def test_non_finite_start_raises(self):
         # 5-step window: u falls below 0.2 inside the window already at the box centre
         model = CliffSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.1, 0.0], [0.0, 0.0], [0.0, 0.0])
+        e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(SegmentDiverged, match="at iteration 0,"):
             optimize_segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
                              AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)
 
     def test_negative_max_iters_rejected(self):
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.4, 0.0], [0.0, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="max_iters"):
             optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
                              AdamConfig(), msd_bounds(), max_iters=-1)
 
     @pytest.mark.parametrize("m, r, box, init, match", [
-        (2, [[0.01]], (2, 6), None, r"gain box has shape \(2, 6\), r and the state need \(1, 6\)"),
-        (1, [[0.01]], (1, 9), None, r"gain box has shape \(1, 9\), r and the state need \(1, 6\)"),
+        (2, [[0.01]], (2, 6), None, r"r has shape \(1, 1\), the model needs \(2, 2\)"),
+        (1, [[0.01]], (1, 9), None, r"gain box has shape \(1, 9\), the model needs \(1, 6\)"),
         (2, np.diag([0.01, 0.02]), (2, 6), (1, 6),
          r"init_gains has shape \(1, 6\), the gain box \(2, 6\)"),
     ], ids=["two_input_box_one_input_r", "nine_wide_box", "one_row_warm_start_on_two_input_box"])
@@ -789,15 +794,40 @@ class TestOptimizeSegment:
         # matmul error, the third was broadcast into both rows of F
         monkeypatch.setattr(gainopt, "window_cost_and_grad",
                             lambda *args, **kwargs: pytest.fail("a window ran"))
-        a, b = msd_state_space(MSD)
-        model = LinearSurrogate(ab=(a, np.tile(b, (1, m))))  # an m-input stand-in
+        model = msd_inputs(m)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
         init_gains = None if init is None else GainMatrix.from_stacked(np.ones(init))
-        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=match):
             optimize_segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights,
                              AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
                              max_iters=2, init_gains=init_gains)
+
+    @pytest.mark.parametrize("x_k, errors_k, refs, q, r, box, input_box, match", [
+        (np.zeros(2), np.full(9, 0.1), np.full((6, 3), 0.3), np.eye(3), [[0.01]], (1, 9), None,
+         r"errors0 has shape \(9,\), the model needs \(6,\)"),
+        (np.zeros(3), np.full(6, 0.1), np.full((6, 2), 0.3), np.eye(2), [[0.01]], (1, 6), None,
+         r"x0 has shape \(3,\), the model needs \(2,\)"),
+        (np.zeros(2), np.full(6, 0.1), np.full((6, 2), 0.3), np.eye(2), np.diag([0.01, 0.02]),
+         (2, 6), Box([-1.0, -1.0], [1.0, 1.0]), r"r has shape \(2, 2\), the model needs \(1, 1\)"),
+    ], ids=["three_state_errors", "three_wide_x_k", "two_input_r"])
+    def test_widths_checked_against_the_model_before_a_window(
+            self, monkeypatch, x_k, errors_k, refs, q, r, box, input_box, match):
+        # the widths used to be read off the error state and r, so each of these passed
+        # every check and failed inside the first window with a bare NumPy message
+        window = gainopt.window_cost_and_grad
+        calls = []
+
+        def counting(shared, f):
+            calls.append(f)
+            return window(shared, f)
+
+        monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
+        with pytest.raises(ValueError, match=match):
+            optimize_segment(load_model(FIXTURE), x_k, errors_k, refs, CostWeights(q=q, r=r),
+                             AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
+                             input_bounds=input_box, max_iters=2)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", ["init_gains", "x_k", "errors_k", "refs"])
     def test_non_finite_start_on_network_surrogate_raises(self, bad):
@@ -808,7 +838,7 @@ class TestOptimizeSegment:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         with pytest.raises(SegmentDiverged, match="non-finite"):
             optimize_segment(load_model(FIXTURE), start["x_k"],
-                             ErrorState(start["errors_k"], np.zeros(2), np.zeros(2)),
+                             np.concatenate([start["errors_k"], np.zeros(4)]),
                              start["refs"], weights, AdamConfig(), msd_bounds(),
                              regularizer_kind="barrier", plant=MSD,
                              input_bounds=Box([-1.0], [1.0]),
@@ -830,7 +860,7 @@ class TestSegmentFeasibility:
         monkeypatch.setattr(gainopt, "window_cost_and_grad", recording)
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         init_gains = None if init is None else GainMatrix.from_stacked(
             np.array([[init[0], 0.0, init[1], 0.0, init[2], 0.0]]))
         optimize_segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights, AdamConfig(),
@@ -852,14 +882,14 @@ class TestSegmentFeasibility:
     ], ids=["velocity_channel", "two_inputs", "pinned_velocity_gain"])
     def test_barrier_rejects_bounds_it_does_not_read(self, monkeypatch, bounds, r):
         # on velocity_channel g reads three entries pinned to 0, so it is D K = 0.5 at
-        # every gain the box allows; the segment refuses before its first window. r has a
-        # row per row of the box, so the box's shape passes and the pins are what refuse
+        # every gain the box allows; the segment refuses before its first window. The model
+        # has an input per row of the box, so the box's shape passes and the pins refuse
         monkeypatch.setattr(gainopt, "window_cost_and_grad",
                             lambda *args, **kwargs: pytest.fail("a window ran"))
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
-        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="pin every other gain to 0"):
-            optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
+            optimize_segment(msd_inputs(len(r)), np.zeros(2), e0, np.full((4, 2), 0.3),
                              weights, AdamConfig(), bounds, regularizer_kind="barrier",
                              plant=MSD, max_iters=2, tol=0.0)
 
@@ -897,7 +927,7 @@ class TestSegmentFeasibility:
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = ErrorState([0.4, 0.0], [0.1, 0.0], [0.0, 0.0])
+        e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="regularizer_kind must be 'barrier' with a plant"):
             optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), weights,
                              AdamConfig(), msd_bounds(), regularizer_kind=kind, plant=plant,

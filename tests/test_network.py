@@ -686,6 +686,24 @@ class TestSerialization:
         loaded = load_model(path)
         assert np.array_equal(loaded.params.view(np.uint64), params.view(np.uint64))
 
+    def test_arm_shaped_round_trip(self, tmp_path):
+        # n = 4, m = 2: the t, x and u blocks of the scaling line all differ in width, and
+        # every bound differs, so a block read from the wrong place shows
+        lo = np.array([0.0, -3.1, -3.2, -2.5, -2.6, -0.5, -0.7])
+        hi = np.array([0.25, 3.3, 3.4, 2.7, 2.8, 0.6, 0.8])
+        net = FeedforwardNet(NetworkSpec((7, 8, 4)), InputScaling(lo, hi), 4, 2)
+        model = PinnModel(net=net, params=net.init_params(3), dt=0.2, eps=0.05)
+        path = tmp_path / "arm.txt"
+        save_model(model, path)
+        line = [float(v) for v in path.read_text().splitlines()[2].split()]
+        assert line == [0.0, 0.25, -3.1, -3.2, -2.5, -2.6, 3.3, 3.4, 2.7, 2.8,
+                        -0.5, -0.7, 0.6, 0.8]
+        loaded = load_model(path)
+        assert np.array_equal(loaded.net.scaling.lower, lo)
+        assert np.array_equal(loaded.net.scaling.upper, hi)
+        assert (loaded.n, loaded.m) == (4, 2)
+        assert np.array_equal(loaded.params, model.params)
+
     def test_fixture_round_trips_byte_for_byte(self, tmp_path):
         path = tmp_path / "again.txt"
         save_model(load_model(FIXTURE), path)

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pinnpid.gainopt import CostWeights, Window
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.model import PinnModel
 from pinnpid.pid import (
-    ErrorState,
     GainBounds,
     GainMatrix,
     control_input,
@@ -47,34 +47,25 @@ class ReferenceModel:
 class TestControlInput:
     def test_zero_errors(self):
         gains = GainMatrix.from_stacked(np.ones((1, 6)))
-        e = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        assert np.array_equal(control_input(gains, e), np.zeros(1))
+        assert np.array_equal(control_input(gains, np.zeros(6)), np.zeros(1))
 
     def test_hand_dot_product_1d(self):
         gains = GainMatrix.from_stacked([[2.0, 0.5, 0.1]])
-        e = ErrorState([0.3], [0.2], [-1.0])
-        u = control_input(gains, e)
+        u = control_input(gains, [0.3, 0.2, -1.0])
         assert u[0] == pytest.approx(0.6)
 
     def test_saturation(self):
         gains = GainMatrix.from_stacked([[1.7, 0.0, 0.0]])
-        e = ErrorState([1.0], [0.0], [0.0])
-        u = control_input(gains, e, Box([-1.0], [1.0]))
+        u = control_input(gains, [1.0, 0.0, 0.0], Box([-1.0], [1.0]))
         assert u[0] == 1.0
 
     def test_linearity_before_saturation(self):
         rng = np.random.default_rng(8)
         gains = GainMatrix.from_stacked(np.hstack(rng.standard_normal((3, 2, 3))))
-        e1 = ErrorState(*rng.standard_normal((3, 3)))
-        e2 = ErrorState(*rng.standard_normal((3, 3)))
+        e1, e2 = rng.standard_normal((2, 9))
         a, b = 0.3, -1.2
-        combo = ErrorState(
-            a * e1.e_prop + b * e2.e_prop,
-            a * e1.e_int + b * e2.e_int,
-            a * e1.e_deri + b * e2.e_deri,
-        )
         np.testing.assert_allclose(
-            control_input(gains, combo),
+            control_input(gains, a * e1 + b * e2),
             a * control_input(gains, e1) + b * control_input(gains, e2),
             atol=1e-12,
         )
@@ -82,12 +73,12 @@ class TestControlInput:
     def test_dimension_mismatch(self):
         gains = GainMatrix.from_stacked(np.ones((1, 6)))
         with pytest.raises(ValueError):
-            control_input(gains, ErrorState([0.1], [0.0], [0.0]))
+            control_input(gains, [0.1, 0.0, 0.0])
 
     def test_rejects_box_of_another_width(self):
         # a 1-wide box used to clip both inputs of a 2-input F by its one bound
         gains = GainMatrix.from_stacked(np.ones((2, 6)))
-        e = ErrorState([0.5, 0.0], [0.0, 0.0], [0.0, 0.0])
+        e = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="input box has width 1, F has 2 rows"):
             control_input(gains, e, Box([-0.5], [0.5]))
 
@@ -96,14 +87,14 @@ class TestErrorInit:
     def test_all_zero(self):
         model = toy_model(seed=None)  # zero parameters
         e = error_init(model, np.zeros(2), np.zeros(2), np.zeros(2), 0.2)
-        assert np.array_equal(e.stacked(), np.zeros(6))
+        assert np.array_equal(e, np.zeros(6))
 
     def test_reference_rate_term(self):
         model = toy_model(seed=None)
         e = error_init(model, np.zeros(2), np.array([0.3, 0.0]), np.zeros(2), 0.2)
-        np.testing.assert_allclose(e.e_deri, [1.5, 0.0])
-        np.testing.assert_allclose(e.e_prop, [0.3, 0.0])
-        assert np.array_equal(e.e_int, np.zeros(2))
+        np.testing.assert_allclose(e[4:], [1.5, 0.0])
+        np.testing.assert_allclose(e[:2], [0.3, 0.0])
+        assert np.array_equal(e[2:4], np.zeros(2))
 
     def test_rate_term_matches_finite_differences(self):
         model = toy_model(seed=4)
@@ -112,26 +103,24 @@ class TestErrorInit:
         h = 1e-6
         u0 = np.zeros(1)
         fd = (model.predict(np.array([h]), x0, u0)[0] - model.predict(np.array([0.0]), x0, u0)[0]) / h
-        np.testing.assert_allclose(e.e_deri, -fd, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(e[4:], -fd, rtol=1e-4, atol=1e-6)
 
 
 class TestErrorUpdate:
     def test_exact_model_tracks_reference(self):
         ref = np.array([0.4, 0.0])
         model = ReferenceModel(ref)
-        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        e1 = error_update(model, ref, ref, ref, np.zeros(1), e0, 0.2, x_meas_next=ref)
-        assert np.allclose(e1.e_prop, 0.0)
-        assert np.allclose(e1.e_int, 0.0)
+        e1 = error_update(model, ref, ref, ref, np.zeros(1), np.zeros(6), 0.2, x_meas_next=ref)
+        assert np.allclose(e1[:2], 0.0)
+        assert np.allclose(e1[2:4], 0.0)
 
     def test_constant_integrand_is_exact(self):
         # model predicts 0, reference constant c: increment must be exactly c*dt
         model = ReferenceModel(np.zeros(2))
         c = np.array([0.7, -0.2])
-        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
-        e1 = error_update(model, c, c, np.zeros(2), np.zeros(1), e0, 0.2, n_quad=7,
+        e1 = error_update(model, c, c, np.zeros(2), np.zeros(1), np.zeros(6), 0.2, n_quad=7,
                           x_meas_next=np.zeros(2))
-        np.testing.assert_allclose(e1.e_int, c * 0.2, rtol=1e-14)
+        np.testing.assert_allclose(e1[2:4], c * 0.2, rtol=1e-14)
 
     def test_quadrature_refinement(self):
         model = toy_model(seed=9)
@@ -140,46 +129,56 @@ class TestErrorUpdate:
         x = np.array([0.4, -0.3])
         u = np.array([0.2])
         ref = np.array([0.1, 0.0])
-        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
+        e0 = np.zeros(6)
         coarse = error_update(model, ref, ref, x, u, e0, 0.2, n_quad=10, x_meas_next=x)
         fine = error_update(model, ref, ref, x, u, e0, 0.2, n_quad=1000, x_meas_next=x)
-        assert np.max(np.abs(coarse.e_int - fine.e_int)) < 1e-4 * 0.2
+        assert np.max(np.abs(coarse[2:4] - fine[2:4])) < 1e-4 * 0.2
 
     def test_telescoping_derivative_identity(self):
         model = toy_model(seed=2)
         rng = np.random.default_rng(0)
         dt = 0.2
-        e = ErrorState(rng.standard_normal(2), np.zeros(2), np.zeros(2))
-        e0_prop = e.e_prop.copy()
+        e = np.concatenate([rng.standard_normal(2), np.zeros(4)])
+        e0_prop = e[:2].copy()
         total = np.zeros(2)
         x = np.array([0.1, 0.2])
         for k in range(6):
             ref = rng.standard_normal(2) * 0.3
             e = error_update(model, ref, ref, x, np.array([0.1]), e, dt,
                              x_meas_next=rng.standard_normal(2) * 0.3)
-            total += e.e_deri * dt
-        np.testing.assert_allclose(total, e.e_prop - e0_prop, atol=1e-12)
+            total += e[4:] * dt
+        np.testing.assert_allclose(total, e[:2] - e0_prop, atol=1e-12)
 
     def test_measured_state_overrides_prediction(self):
         model = toy_model(seed=3)
-        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
         ref = np.array([0.2, 0.0])
         meas = np.array([0.15, 0.05])
-        e1 = error_update(model, ref, ref, np.zeros(2), np.zeros(1), e0, 0.2,
+        e1 = error_update(model, ref, ref, np.zeros(2), np.zeros(1), np.zeros(6), 0.2,
                           x_meas_next=meas)
-        np.testing.assert_allclose(e1.e_prop, ref - meas)
+        np.testing.assert_allclose(e1[:2], ref - meas)
 
     @pytest.mark.parametrize("dt", [0.0, -0.2, np.nan])
     def test_rejects_nonpositive_dt(self, dt):
         # dt = 0 divided by zero in e_deri, dt < 0 flipped its sign, and NaN
         # passed `dt <= 0` into a NaN e_deri
         model = toy_model(seed=3)
-        e0 = ErrorState([0.1, 0.0], np.zeros(2), np.zeros(2))
+        e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="dt"):
             error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), e0, dt,
                          x_meas_next=np.zeros(2))
         with pytest.raises(ValueError, match="dt"):
             error_init(model, np.zeros(2), np.zeros(2), np.zeros(2), dt)
+
+    @pytest.mark.parametrize("dt", [0.5, np.nextafter(0.2, 1.0)], ids=["past_horizon", "one_ulp"])
+    def test_rejects_a_dt_other_than_the_surrogates(self, dt):
+        # both used to run: 0.5 evaluated the network at tau = 0.5, past its trained
+        # horizon dt + eps = 0.25
+        model = toy_model(seed=3)
+        with pytest.raises(ValueError, match=r"dt is .*, the surrogate steps 0\.2"):
+            error_init(model, np.zeros(2), np.zeros(2), np.zeros(2), dt)
+        with pytest.raises(ValueError, match=r"dt is .*, the surrogate steps 0\.2"):
+            error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), np.zeros(6),
+                         dt, x_meas_next=np.zeros(2))
 
 
 class TestQuadrature:
@@ -266,15 +265,25 @@ class TestVectorShapes:
         (0.5, 0.0, 0.0),
     ], ids=["e_int_width_1", "e_deri_width_3", "columns", "scalars"])
     def test_error_state_rejects(self, parts):
+        # the parts of a malformed state, stacked; none is a (6,) vector
+        errors = np.hstack(parts)
+        assert errors.shape != (6,)
+        model = toy_model(seed=3)
         with pytest.raises(ValueError, match="shape"):
-            ErrorState(*parts)
+            error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), errors, 0.2,
+                         x_meas_next=np.zeros(2))
+        with pytest.raises(ValueError, match="shape"):
+            control_input(GainMatrix.from_stacked(np.ones((1, 6))), errors)
+        with pytest.raises(ValueError, match="shape"):
+            Window(model, np.zeros(2), errors, np.zeros((3, 2)), CostWeights(np.eye(2), [[0.01]]),
+                   10)
 
     def test_error_update_rejects_errors_of_another_width(self):
-        # a 1-entry error state would broadcast into both entries of e_deri
+        # the error state of a 1-entry state would broadcast into both entries of e_deri
         model = toy_model(seed=3)
         with pytest.raises(ValueError, match="errors"):
             error_update(model, np.array([0.2, 0.0]), np.array([0.2, 0.0]), np.zeros(2),
-                         np.zeros(1), ErrorState([0.5], [0.0], [0.0]), 0.2,
+                         np.zeros(1), [0.5, 0.0, 0.0], 0.2,
                          x_meas_next=np.array([0.15, 0.05]))
 
     @pytest.mark.parametrize("arg", ["x_ref_0", "x_ref_init"])
@@ -290,7 +299,7 @@ class TestVectorShapes:
     @pytest.mark.parametrize("bad", [[0.3], [[0.3], [0.0]]], ids=["width_1", "column"])
     def test_error_update_rejects(self, arg, bad):
         model = toy_model(seed=3)
-        e0 = ErrorState(np.zeros(2), np.zeros(2), np.zeros(2))
+        e0 = np.zeros(6)
         args = dict(x_ref_k=np.array([0.2, 0.0]), x_ref_next=np.array([0.2, 0.0]),
                     x_meas_next=np.array([0.15, 0.05]))
         args[arg] = bad

@@ -8,7 +8,9 @@ record must be set by name, as a keyword argument or a string dict key, in
 method must be set, by keyword or by position, by some call of that name in
 ``src/`` or ``bench/``. Test files do not count as callers. Every public
 exception class must be the expected exception of some ``pytest.raises``
-under ``tests/``, so each failure path has a test that forces it.
+under ``tests/``, so each failure path has a test that forces it. The count
+of settable options must equal ``OPTIONS``, so that a new or removed option
+shows up as a change to this file.
 """
 
 import ast
@@ -22,6 +24,10 @@ PACKAGE = ROOT / "src" / "pinnpid"
 # Configuration records, by module file; a field nothing sets is an option with one value.
 CONFIGS = {"training.py": "TrainConfig", "gainopt.py": "CostWeights",
            "sampling.py": "DatasetConfig"}
+
+# Settable options: the defaulted parameters of public functions and methods, __init__
+# included, plus the defaulted fields of public dataclasses other than field(init=False).
+OPTIONS = 47
 
 # Kept without a caller, with the reason.
 ALLOWED = {
@@ -65,9 +71,10 @@ def names_set_by_callers():
     return names
 
 
-def defaulted_parameters():
+def defaulted_parameters(init=False):
     """(qualified name, bare name, positional index or None, parameter) of every
-    defaulted parameter of a public function or method; the index skips self/cls."""
+    defaulted parameter of a public function or method, and of ``__init__`` when
+    ``init`` is true; the index skips self/cls."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             members = [(node, 0)] if isinstance(node, ast.FunctionDef) else []
@@ -76,7 +83,8 @@ def defaulted_parameters():
                                            for d in item.decorator_list) else 1)
                            for item in node.body if isinstance(item, ast.FunctionDef)]
             for fn, skip in members:
-                if fn.name.startswith("_") or node.name.startswith("_"):
+                public = not fn.name.startswith("_") or (init and fn.name == "__init__")
+                if not public or node.name.startswith("_"):
                     continue
                 qualified = fn.name if fn is node else f"{node.name}.{fn.name}"
                 positional = [*fn.args.posonlyargs, *fn.args.args]
@@ -145,6 +153,35 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     unset = [f"{qualified}.{param}" for qualified, name, index, param in params
              if not any(sets_parameter(call, index, param) for call in calls.get(name, []))]
     assert not unset, "a default no call in src/ or bench/ overrides: " + ", ".join(unset)
+
+
+def defaulted_fields():
+    """(class, field) of every defaulted field of a public dataclass, less those
+    declared ``field(init=False)``, which no caller can set."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_") or not any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.AnnAssign) or item.value is None:
+                    continue
+                value = item.value
+                if isinstance(value, ast.Call) and any(
+                        k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords):
+                    continue
+                yield node.name, item.target.id
+
+
+def test_settable_options_are_counted():
+    options = ([f"{qualified}.{param}" for qualified, _, _, param in defaulted_parameters(True)]
+               + [f"{cls}.{name}" for cls, name in defaulted_fields()])
+    assert len(options) == len(set(options))
+    assert len(options) == OPTIONS, (
+        f"{len(options)} settable options, OPTIONS records {OPTIONS}: set OPTIONS to the new "
+        f"count and give it, with the reason for the change, in CHANGES.md ({sorted(options)})")
 
 
 def exception_classes():

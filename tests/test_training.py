@@ -1,5 +1,6 @@
 """Loss, residual and trainer checks, with finite-difference gradient oracles."""
 
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -216,6 +217,8 @@ class TestValidation:
         vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=3, n_steps=5, seed=1)
 
         class OracleModel:
+            dt = 0.2
+
             def predict(self, taus, x, u):
                 _, states = simulate_zoh(MSD_RHS, x, [u], float(np.max(taus)),
                                          training.VALIDATION_SUBSTEPS)
@@ -247,6 +250,28 @@ class TestValidation:
                 np.testing.assert_array_equal(vset.truth[i], states[::substeps])
             else:
                 np.testing.assert_allclose(vset.truth[i], states[::substeps], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("input_box, n_steps, match", [
+        (Box([-1.0], [np.inf]), 5, "finite input box"),
+        (Box([-np.inf], [1.0]), 5, "finite input box"),
+        (INPUT_BOX, 0, "n_steps >= 1"),
+    ], ids=["inf_upper", "inf_lower", "no_steps"])
+    def test_make_validation_set_rejects_a_set_it_cannot_build(self, input_box, n_steps,
+                                                               match):
+        # an infinite input bound raised OverflowError from the input draw, and n_steps = 0
+        # built a set that validate failed to score ("need at least one array to concatenate")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                make_validation_set(MSD_RHS, STATE_BOX, input_box, 0.2, n_traj=3,
+                                    n_steps=n_steps, seed=1)
+
+    def test_validate_rejects_a_dt_other_than_the_surrogates(self):
+        # a set at dt = 0.5 rolled the network out at tau = 0.5, past its trained horizon
+        # dt + eps = 0.25
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.5, n_traj=2, n_steps=2, seed=2)
+        with pytest.raises(ValueError, match="validation set steps 0.5, the surrogate 0.2"):
+            validate(msd_model(seed=8), vset)
 
     def test_reports_per_coordinate(self):
         model = msd_model(seed=8)
@@ -325,6 +350,17 @@ class TestTrain:
         match = ("data set has 2 rows", "collocation set has 1 rows")[bad_set]
         with pytest.raises(ValueError, match=match):
             train(model, MSD_RHS, lambda k: tuple(sets), TrainConfig(iterations=4, val_interval=0))
+
+    def test_validation_set_of_another_dt_rejected_before_an_iteration(self, monkeypatch):
+        # validate refuses such a set, but only at the first validation, after
+        # val_interval iterations
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        data, phys = small_sets()
+        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.5, n_traj=2, n_steps=2, seed=2)
+        with pytest.raises(ValueError, match="validation set steps 0.5, the surrogate 0.2"):
+            train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
+                  TrainConfig(iterations=4, val_interval=2), validation=vset)
 
     @pytest.mark.parametrize("fields", [
         dict(iterations=-5, val_interval=0), dict(lbfgs_iterations=-3), dict(val_interval=-5),
