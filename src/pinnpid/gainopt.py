@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pinnpid.adam import AdamConfig, AdamState, adam_step
-from pinnpid.pid import GainBounds, GainMatrix, quadrature_nodes
+from pinnpid.pid import GainBounds, GainMatrix, check_shapes, quadrature_nodes
 from pinnpid.plants import MsdParams
 
 BARRIER_G_MIN = 1e-6
@@ -167,12 +167,12 @@ class Window:
 
     n and m are the model's state and input widths: x0 has shape (n,), E_0
     (3n,), refs H+1 rows of width n, of which the window reads r_0..r_{H-1},
-    q (n, n), r (m, m) and the input box (m,); ValueError names an input of
-    another shape. It holds the quadrature nodes ``taus``, the maps ``a`` and
-    ``p`` (vec(V) flattens the prediction block row by row), the reference
-    drive ``c`` (row j is c_j = B (r_j, r_{j+1})), the references, E_0, x_0,
-    the input box and the model's step dt. ``window_cost_and_grad`` reads them
-    for each F and writes none of them.
+    q (n, n), r (m, m) and the input box (m,); ``pid.check_shapes`` names the
+    first input of another shape. It holds the quadrature nodes ``taus``, the
+    maps ``a`` and ``p`` (vec(V) flattens the prediction block row by row), the
+    reference drive ``c`` (row j is c_j = B (r_j, r_{j+1})), the references,
+    E_0, x_0, the input box and the model's step dt. ``window_cost_and_grad``
+    reads them for each F and writes none of them.
     """
 
     def __init__(self, model, x0, errors0, refs, weights: CostWeights,
@@ -182,18 +182,11 @@ class Window:
         if self.horizon < 1:
             raise ValueError("need at least a 1-step window")
         dt, n, m = model.dt, model.n, model.m
-        self.x0 = np.asarray(x0, dtype=float)
-        self.e0 = np.asarray(errors0, dtype=float)
-        for name, shape, need in (("x0", self.x0.shape, (n,)),
-                                  ("errors0", self.e0.shape, (3 * n,)),
-                                  ("q", weights.q.shape, (n, n)), ("r", weights.r.shape, (m, m))):
-            if shape != need:
-                raise ValueError(f"{name} has shape {shape}, the model needs {need}")
-        if refs.shape[1] != n:
-            raise ValueError(f"references have width {refs.shape[1]}, the model's state has {n}")
-        if input_bounds is not None and input_bounds.lower.shape != (m,):
-            raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
-                             f"the model has {m} inputs")
+        self.x0, self.e0, _, _, _ = check_shapes(
+            x0=(x0, (n,)), errors0=(errors0, (3 * n,)), q=(weights.q, (n, n)),
+            r=(weights.r, (m, m)), refs=(refs, (self.horizon + 1, n)))
+        if input_bounds is not None:
+            check_shapes(input_bounds=(input_bounds.lower, (m,)))
         self.model, self.q, self.r, self.dt, self.n, self.refs = (
             model, weights.q, weights.r, dt, n, refs)
         self.taus, w = quadrature_nodes(dt, n_quad)
@@ -313,15 +306,12 @@ def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights,
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     window = Window(model, x_k, errors_k, refs, weights, n_quad, input_bounds)
     box = (model.m, 3 * n)  # F's shape
-    if bounds.lower.shape != box:
-        raise ValueError(f"gain box has shape {bounds.lower.shape}, the model needs {box}")
-    if init_gains is not None and init_gains.stacked().shape != box:
-        raise ValueError(f"init_gains has shape {init_gains.stacked().shape}, "
-                         f"the gain box {box}")
+    start = bounds.center() if init_gains is None else init_gains.stacked()
+    check_shapes(bounds=(bounds.lower, box), init_gains=(start, box))
     if plant is not None and not _barrier_reads_every_gain(bounds, n):
         raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
                          "alone; the bounds must pin every other gain to 0")
-    f = _project(bounds.center() if init_gains is None else init_gains.stacked(), bounds, plant, n)
+    f = _project(start, bounds, plant, n)
     if not all(np.isfinite(a).all() for a in (window.x0, window.e0, window.refs, f)):
         raise SegmentDiverged(f"non-finite state, error, reference or starting gains {f.tolist()}")
     state = AdamState.zeros(f.shape)

@@ -33,7 +33,7 @@ MODEL_HEADER = "PINNMODEL 1"
 
 @dataclass(frozen=True)
 class PinnModel:
-    """Frozen; ``layers`` is ``net.unpack(params)``, built once after the checks."""
+    """Frozen; ``params`` is a copy, and ``layers`` is ``net.unpack(params)``, built once."""
 
     net: FeedforwardNet
     params: np.ndarray
@@ -42,7 +42,7 @@ class PinnModel:
     layers: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
+        object.__setattr__(self, "params", np.array(self.params, dtype=float))
         if self.params.shape != (self.net.n_params,):
             raise ValueError("parameter vector does not match the network spec")
         if not np.all(np.isfinite(self.params)):

@@ -94,15 +94,15 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class InputScaling:
-    """Per-coordinate affine map of raw inputs onto [-1, 1], from finite bounds."""
+    """Per-coordinate affine map of raw inputs onto [-1, 1], from copies of finite bounds."""
 
     lower: np.ndarray
     upper: np.ndarray
     slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:

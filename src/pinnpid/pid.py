@@ -40,14 +40,14 @@ class GainMatrix:
 
 @dataclass(frozen=True)
 class GainBounds:
-    """Per-entry finite box on the stacked gain matrix (lower <= upper, equality pins)."""
+    """Per-entry finite box on the stacked gain matrix, copied (lower <= upper, equality pins)."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_2d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_2d(np.asarray(self.upper, dtype=float))
+        lo = np.atleast_2d(np.array(self.lower, dtype=float))
+        hi = np.atleast_2d(np.array(self.upper, dtype=float))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or not np.all(lo <= hi):
@@ -95,6 +95,18 @@ def control_input(gains: GainMatrix, errors, input_bounds=None) -> np.ndarray:
     return u
 
 
+def check_shapes(**named) -> list[np.ndarray]:
+    """Each value of ``name=(value, shape)`` as a float array, in order;
+    ValueError names the first whose shape is not its ``shape``."""
+    arrays = []
+    for name, (value, shape) in named.items():
+        arr = np.asarray(value, dtype=float)
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, the model needs {shape}")
+        arrays.append(arr)
+    return arrays
+
+
 def quadrature_nodes(dt: float, n_quad: int):
     """(taus, trapezoid weights) over one interval, new arrays on every call."""
     if n_quad < 2:
@@ -106,24 +118,16 @@ def quadrature_nodes(dt: float, n_quad: int):
     return taus, weights
 
 
-def _vectors(**named) -> list[np.ndarray]:
-    """The arguments as float arrays; ValueError names one not of the first's shape (n,)."""
-    arrays = [np.asarray(v, dtype=float) for v in named.values()]
-    for name, arr in zip(named, arrays):
-        if arr.ndim != 1 or arr.shape != arrays[0].shape:
-            raise ValueError(f"{name} has shape {arr.shape}, "
-                             f"{next(iter(named))} has shape {arrays[0].shape}")
-    return arrays
-
-
 def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> np.ndarray:
     """First error state E_0: zero integral, derivative from the reference rate
     minus the surrogate's initial time derivative, evaluated at a zero input
-    (which breaks the u_0 circularity). The references need the state's shape
-    (n,), and dt must be ``model.dt``."""
+    (which breaks the u_0 circularity). The state and the references need the
+    shape (``model.n``,), and dt must be ``model.dt``."""
     if dt != model.dt:  # the step the surrogate was trained for
         raise ValueError(f"dt is {dt}, the surrogate steps {model.dt}")
-    x0, x_ref_0, x_ref_init = _vectors(x0=x0, x_ref_0=x_ref_0, x_ref_init=x_ref_init)
+    vector = (model.n,)
+    x0, x_ref_0, x_ref_init = check_shapes(x0=(x0, vector), x_ref_0=(x_ref_0, vector),
+                                           x_ref_init=(x_ref_init, vector))
     rate = model.time_derivative(0.0, x0, np.zeros(model.m))
     return np.concatenate([x_ref_0 - x0, np.zeros_like(x0), (x_ref_0 - x_ref_init) / dt - rate])
 
@@ -134,19 +138,17 @@ def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors,
 
     e_prop comes from the measurement ``x_meas_next``; e_int integrates the
     reference minus the surrogate's prediction from (x_k, u_k) over [0, dt].
-    The references and the measurement need the state's shape (n,), the
-    errors (3n,), and dt must be ``model.dt``.
+    With n = ``model.n`` and m = ``model.m``, the state, the references and the
+    measurement need the shape (n,), u_k (m,) and the errors (3n,); dt must be ``model.dt``.
     """
     if dt != model.dt:  # the step the surrogate was trained for
         raise ValueError(f"dt is {dt}, the surrogate steps {model.dt}")
-    x_k, x_ref_k, x_ref_next, x_meas_next = _vectors(
-        x_k=x_k, x_ref_k=x_ref_k, x_ref_next=x_ref_next, x_meas_next=x_meas_next)
-    n = x_k.shape[0]
-    errors = np.asarray(errors, dtype=float)
-    if errors.shape != (3 * n,):
-        raise ValueError(f"errors has shape {errors.shape}, x_k needs ({3 * n},)")
+    n = model.n
+    x_k, u_k, errors, x_ref_k, x_ref_next, x_meas_next = check_shapes(
+        x_k=(x_k, (n,)), u_k=(u_k, (model.m,)), errors=(errors, (3 * n,)),
+        x_ref_k=(x_ref_k, (n,)), x_ref_next=(x_ref_next, (n,)), x_meas_next=(x_meas_next, (n,)))
     taus, weights = quadrature_nodes(dt, n_quad)
-    values = model.predict(taus, x_k, np.asarray(u_k, dtype=float))
+    values = model.predict(taus, x_k, u_k)
     increment = weights @ (x_ref_k - values)
     e_prop = x_ref_next - x_meas_next
     return np.concatenate([e_prop, errors[n : 2 * n] + increment, (e_prop - errors[:n]) / dt])

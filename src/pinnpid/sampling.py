@@ -22,14 +22,14 @@ from pinnpid.plants import RolloutDiverged, rk4_advance
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box; lower < upper componentwise."""
+    """Axis-aligned box; lower < upper componentwise, held as copies."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.atleast_1d(np.array(self.lower, dtype=float))
+        hi = np.atleast_1d(np.array(self.upper, dtype=float))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or not np.all(lo < hi):
@@ -72,7 +72,7 @@ class DataSet:
     x0: np.ndarray
     xf: np.ndarray
     u: np.ndarray
-    n_resampled: int = 0
+    n_resampled = 0
 
 
 @dataclass
@@ -109,10 +109,14 @@ def integrate_batch(rhs, x0, u, t_final, horizon: float) -> np.ndarray:
     """Integrate all samples simultaneously, each to its own final time.
 
     Every row takes ``ORACLE_STEPS`` RK4 steps of size ``t_final / ORACLE_STEPS``;
-    ``horizon`` does not change the step count. Floating-point warnings are
-    silenced: a non-finite result raises :class:`RolloutDiverged` naming how
-    many rows diverged.
+    ``horizon`` does not change the step count. A final time that is negative
+    or not finite raises ValueError before the first step. Floating-point
+    warnings are silenced: a non-finite result raises :class:`RolloutDiverged`
+    naming how many rows diverged.
     """
+    bad = int(np.sum(~((0 <= t_final) & (t_final < np.inf))))
+    if bad:
+        raise ValueError(f"{bad} of {len(t_final)} final times are negative or not finite")
     h = (t_final / ORACLE_STEPS)[:, None]
     x = np.array(x0, dtype=float)
     with np.errstate(all="ignore"):

@@ -451,15 +451,16 @@ class TestWindowGradient:
         model = load_model(FIXTURE)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ValueError, match=rf"refs has shape \(6, {width}\), "
+                                             r"the model needs \(6, 2\)"):
             Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights, 10)
 
     @pytest.mark.parametrize("q, r, box, message", [
         (np.eye(3), [[0.01]], None, r"q has shape \(3, 3\), the model needs \(2, 2\)"),
         (np.eye(2), np.diag([0.01, 0.02]), Box([-1.0], [1.0]),
-         "input box has width 1, the model has 2 inputs"),
+         r"input_bounds has shape \(1,\), the model needs \(2,\)"),
         (np.eye(2), [[0.01]], Box([-1.0, -1.0], [1.0, 1.0]),
-         "input box has width 2, the model has 1 inputs"),
+         r"input_bounds has shape \(2,\), the model needs \(1,\)"),
     ], ids=["q", "narrow_box", "wide_box"])
     def test_rejects_weights_or_box_of_another_width(self, q, r, box, message):
         # a wrong q used to surface as a bare matmul error inside the first window, and a
@@ -784,9 +785,9 @@ class TestOptimizeSegment:
 
     @pytest.mark.parametrize("m, r, box, init, match", [
         (2, [[0.01]], (2, 6), None, r"r has shape \(1, 1\), the model needs \(2, 2\)"),
-        (1, [[0.01]], (1, 9), None, r"gain box has shape \(1, 9\), the model needs \(1, 6\)"),
+        (1, [[0.01]], (1, 9), None, r"bounds has shape \(1, 9\), the model needs \(1, 6\)"),
         (2, np.diag([0.01, 0.02]), (2, 6), (1, 6),
-         r"init_gains has shape \(1, 6\), the gain box \(2, 6\)"),
+         r"init_gains has shape \(1, 6\), the model needs \(2, 6\)"),
     ], ids=["two_input_box_one_input_r", "nine_wide_box", "one_row_warm_start_on_two_input_box"])
     def test_rejects_box_or_warm_start_of_another_shape(self, monkeypatch, m, r, box, init,
                                                         match):

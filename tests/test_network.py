@@ -105,6 +105,14 @@ class TestSpec:
         with pytest.raises(ValueError, match=match):
             InputScaling(lo, hi)
 
+    def test_scaling_does_not_follow_writes_to_its_source(self):
+        # the scaling used to alias its bounds, so this write moved lower but not slope
+        lo, hi = np.array([0.0, -1.0]), np.array([1.0, 1.0])
+        scaling = InputScaling(lo, hi)
+        lo[1] = -3.0
+        assert np.array_equal(scaling.lower, [0.0, -1.0])
+        assert np.array_equal(scaling.encode(np.array([0.5, 0.0])), [0.0, 0.0])
+
     @pytest.mark.parametrize("widths, n_scaled, match", [
         ((5, 8, 2), 5, "input width"),
         ((4, 8, 2), 3, "scaling dimension"),
@@ -437,7 +445,16 @@ class TestFrozenModel:
         for name, value in (("params", params * 0.5), ("layers", ()), ("dt", 0.1)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(model, name, value)
-        assert model.params is params and model.dt == 0.2
+        assert np.array_equal(model.params, params) and model.dt == 0.2
+
+    def test_does_not_follow_writes_to_its_source(self):
+        # the model used to alias the caller's vector, so this write reached predict
+        net, params, t, x, u = random_net(np.random.default_rng(64))
+        model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)
+        before = model.predict([t], x, u)
+        params[0] = np.nan
+        assert np.isfinite(model.params).all()
+        assert np.array_equal(model.predict([t], x, u), before)
 
     def test_layers_share_memory_with_params(self):
         net, params, t, x, u = random_net(np.random.default_rng(65))

@@ -34,6 +34,7 @@ class ReferenceModel:
 
     def __init__(self, ref, m=1, dt=0.2):
         self.ref = np.asarray(ref, dtype=float)
+        self.n = self.ref.shape[0]
         self.m = m
         self.dt = dt
 
@@ -42,6 +43,22 @@ class ReferenceModel:
 
     def time_derivative(self, t, x, u):
         return np.zeros_like(self.ref)
+
+
+class PredictionSpy:
+    """A surrogate that records every prediction it is asked for."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, []
+        self.n, self.m, self.dt = model.n, model.m, model.dt
+
+    def predict(self, *args):
+        self.calls.append("predict")
+        return self.model.predict(*args)
+
+    def time_derivative(self, *args):
+        self.calls.append("time_derivative")
+        return self.model.time_derivative(*args)
 
 
 class TestControlInput:
@@ -230,6 +247,15 @@ class TestBounds:
         with pytest.raises(ValueError, match=match):
             GainBounds(lo, hi)
 
+    def test_gain_bounds_do_not_follow_writes_to_their_source(self):
+        # the box used to alias its arguments, so this write left lower > upper
+        lo, hi = np.zeros((1, 3)), np.ones((1, 3))
+        bounds = GainBounds(lo, hi)
+        lo[0, 0] = 2.0
+        hi[0, 1] = -1.0
+        assert np.array_equal(bounds.lower, np.zeros((1, 3)))
+        assert np.array_equal(bounds.upper, np.ones((1, 3)))
+
 
 class TestGainMatrix:
     def test_rejects_width_not_a_multiple_of_3(self):
@@ -305,3 +331,26 @@ class TestVectorShapes:
         args[arg] = bad
         with pytest.raises(ValueError, match=arg):
             error_update(model, x_k=np.zeros(2), u_k=np.zeros(1), errors=e0, dt=0.2, **args)
+
+    def test_error_init_checks_x0_against_the_model(self):
+        # x0 set the width the references were checked against, so a 3-wide state with
+        # 3-wide references reached the network's generic batch-shape message
+        spy = PredictionSpy(toy_model(seed=4))
+        with pytest.raises(ValueError, match=r"^x0 has shape \(3,\), the model needs \(2,\)$"):
+            error_init(spy, np.zeros(3), np.zeros(3), np.zeros(3), 0.2)
+        assert spy.calls == []
+
+    @pytest.mark.parametrize("arg, bad, match", [
+        ("x_k", np.zeros(3), r"^x_k has shape \(3,\), the model needs \(2,\)$"),
+        ("u_k", np.zeros(2), r"^u_k has shape \(2,\), the model needs \(1,\)$"),
+    ], ids=["three_wide_x_k", "two_wide_u_k"])
+    def test_error_update_checks_state_and_input_against_the_model(self, arg, bad, match):
+        # n was read off x_k, and u_k was not checked: each reached the network
+        spy = PredictionSpy(toy_model(seed=3))
+        n = bad.shape[0] if arg == "x_k" else 2
+        args = dict(x_ref_k=np.zeros(n), x_ref_next=np.zeros(n), x_k=np.zeros(n),
+                    u_k=np.zeros(1), errors=np.zeros(3 * n), x_meas_next=np.zeros(n))
+        args[arg] = bad
+        with pytest.raises(ValueError, match=match):
+            error_update(spy, dt=0.2, **args)
+        assert spy.calls == []

@@ -40,6 +40,13 @@ class TestBox:
         with pytest.raises(ValueError, match="lower < upper"):
             Box(lo, hi)
 
+    def test_does_not_follow_writes_to_its_source(self):
+        # the box used to alias its bounds, so this write left lower > upper
+        lo, hi = np.array([0.0, -1.0]), np.array([1.0, 1.0])
+        box = Box(lo, hi)
+        lo[0] = 2.0
+        assert np.array_equal(box.lower, [0.0, -1.0]) and np.all(box.lower < box.upper)
+
     def test_infinite_side_is_a_one_sided_box(self):
         box = Box([-np.inf], [1.0])
         assert np.clip(5.0, box.lower, box.upper)[0] == 1.0
@@ -177,6 +184,22 @@ class TestResample:
         cfg = msd_config(n_data=8)
         with pytest.raises(RolloutDiverged, match="^8 of 8 rows"):
             build_data_set(lambda x, u: np.full_like(x, np.inf), cfg)
+
+
+class TestFinalTimes:
+    @pytest.mark.parametrize("t_bad", [-1.0, np.nan, np.inf])
+    def test_rejects_a_final_time_that_is_not_a_time(self, t_bad):
+        # -1 integrated backwards (e ~ 2.718 on xdot = -x from 1), and NaN was reported
+        # as a diverged rollout
+        rhs = counting(lambda x, u: -x)
+        with pytest.raises(ValueError, match="^1 of 2 final times are negative or not finite$"):
+            integrate_batch(rhs, np.ones((2, 1)), np.zeros((2, 1)), np.array([0.1, t_bad]), 0.25)
+        assert rhs.rows == 0
+
+    def test_zero_final_time_returns_the_start(self):
+        x0 = np.array([[1.0], [2.0]])
+        x = integrate_batch(lambda x, u: -x, x0, np.zeros((2, 1)), np.zeros(2), 0.25)
+        assert np.array_equal(x, x0)
 
 
 class TestPhysSet:
