@@ -37,9 +37,9 @@ active mask, the direct cotangents and that sum are each one array
 operation per window.
 
 F is one m x 3n array throughout, and one function, ``_project``, takes
-the start and every iterate into the gain box. The regularizer Theta is
-the squared gain norm or, given the mass-spring-damper plant, the norm plus
-a logarithmic barrier on the algebraic stability value
+the caller's warm start and every iterate into the gain box. The
+regularizer Theta is the squared gain norm or, given the mass-spring-damper
+plant, the norm plus a logarithmic barrier on the algebraic stability value
 g = (K^d + D)(K^p + K) - M K^i, weighted 1/rho; ``regularizer`` returns
 only its gradient. g reads K^p, K^i and K^d of input 0 on state coordinate
 0 alone (``scalar_gains``), so a barrier search needs bounds that pin every
@@ -175,20 +175,19 @@ class Window:
     reads them for each F and writes none of them.
     """
 
-    def __init__(self, model, x0, errors0, refs, weights: CostWeights,
-                 n_quad: int, input_bounds=None):
+    def __init__(self, model, x0, errors0, refs, weights: CostWeights, n_quad: int,
+                 input_bounds):
         refs = np.atleast_2d(np.asarray(refs, dtype=float))
         self.horizon = refs.shape[0] - 1
         if self.horizon < 1:
             raise ValueError("need at least a 1-step window")
         dt, n, m = model.dt, model.n, model.m
-        self.x0, self.e0, _, _, _ = check_shapes(
+        self.x0, self.e0, _, _, _, self.lower = check_shapes(
             x0=(x0, (n,)), errors0=(errors0, (3 * n,)), q=(weights.q, (n, n)),
-            r=(weights.r, (m, m)), refs=(refs, (self.horizon + 1, n)))
-        if input_bounds is not None:
-            check_shapes(input_bounds=(input_bounds.lower, (m,)))
-        self.model, self.q, self.r, self.dt, self.n, self.refs = (
-            model, weights.q, weights.r, dt, n, refs)
+            r=(weights.r, (m, m)), refs=(refs, (self.horizon + 1, n)),
+            input_bounds=(input_bounds.lower, (m,)))
+        self.model, self.q, self.r, self.dt, self.n, self.refs, self.upper = (
+            model, weights.q, weights.r, dt, n, refs, input_bounds.upper)
         self.taus, w = quadrature_nodes(dt, n_quad)
         eye = np.eye(n)
         end = np.zeros(n_quad + 1)
@@ -202,9 +201,6 @@ class Window:
         b[:n, n:] = eye
         b[2 * n :, n:] = eye / dt
         self.c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
-        # no box is (-inf, inf), since the network rejects non-finite inputs
-        self.lower, self.upper = (-np.inf, np.inf) if input_bounds is None else (
-            input_bounds.lower, input_bounds.upper)
 
 
 def window_cost_and_grad(window: Window, f: np.ndarray):
@@ -264,10 +260,10 @@ class SegmentResult:
     converged: bool
 
 
-def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights,
-                     adam: AdamConfig, bounds: GainBounds, regularizer_kind: str = "norm",
-                     plant=None, input_bounds=None, n_quad: int = 10, max_iters: int = 200,
-                     tol: float = 1e-6, init_gains: GainMatrix | None = None) -> SegmentResult:
+def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights, adam: AdamConfig,
+                     bounds: GainBounds, *, regularizer_kind: str, plant, input_bounds,
+                     n_quad: int, max_iters: int, tol: float,
+                     init_gains: GainMatrix) -> SegmentResult:
     """Projected Adam on the lookahead window; returns the best iterate.
 
     Iterates until the max-norm gain change drops below ``tol`` (tol = 0
@@ -275,15 +271,15 @@ def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights,
     scores the final iterate without stepping, so a segment makes
     ``iterations + 1`` window evaluations, each gradient plus mu times
     ``regularizer``'s. Ranking uses the barrier-free cost (mu ||F||^2 in place
-    of mu Theta) so iterates stay comparable across the rho ramp. The start
-    (``init_gains`` or the box centre) and every step pass through
-    ``_project``, which under the barrier cuts K^i until g >= BARRIER_G_MIN.
+    of mu Theta) so iterates stay comparable across the rho ramp. The warm
+    start ``init_gains`` and every step pass through ``_project``, which
+    under the barrier cuts K^i until g >= BARRIER_G_MIN.
 
     n and m are the model's state and input widths. ValueError comes before
     the first window unless ``regularizer_kind`` is "barrier" with a
     ``plant`` or "norm" without one, the ``Window`` accepts x_k (n,),
     ``errors_k`` (3n,), the references, the weights and the input box, the
-    gain box has shape (m, 3n) and a given ``init_gains`` that shape too, and
+    gain box has shape (m, 3n) and ``init_gains`` that shape too, and
     under the barrier unless ``bounds`` pins every gain to 0 except the three
     that g reads, so that g sees every gain the search moves. So does
     InfeasibleGainError for a start that no K^i in the box makes feasible.
@@ -306,8 +302,7 @@ def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights,
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     window = Window(model, x_k, errors_k, refs, weights, n_quad, input_bounds)
     box = (model.m, 3 * n)  # F's shape
-    start = bounds.center() if init_gains is None else init_gains.stacked()
-    check_shapes(bounds=(bounds.lower, box), init_gains=(start, box))
+    _, start = check_shapes(bounds=(bounds.lower, box), init_gains=(init_gains.stacked(), box))
     if plant is not None and not _barrier_reads_every_gain(bounds, n):
         raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
                          "alone; the bounds must pin every other gain to 0")

@@ -33,7 +33,7 @@ MODEL_HEADER = "PINNMODEL 1"
 
 @dataclass(frozen=True)
 class PinnModel:
-    """Frozen; ``params`` is a copy, and ``layers`` is ``net.unpack(params)``, built once."""
+    """Frozen; ``params`` is a read-only copy, and ``layers`` its ``net.unpack``, built once."""
 
     net: FeedforwardNet
     params: np.ndarray
@@ -43,12 +43,16 @@ class PinnModel:
 
     def __post_init__(self):
         object.__setattr__(self, "params", np.array(self.params, dtype=float))
+        self.params.flags.writeable = False  # and so are the layers, its views
         if self.params.shape != (self.net.n_params,):
             raise ValueError("parameter vector does not match the network spec")
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite model parameters")
         if not (0 < self.dt < np.inf and 0 < self.eps < np.inf):
             raise ValueError(f"dt and eps must be finite and positive, got {self.dt}, {self.eps}")
+        # every interval reads tau = 0, which must encode to -1, the trained range's lower end
+        if float(self.net.scaling.lower[0]) != 0.0:
+            raise ValueError("the time scaling must start at 0")
         # np.isclose's test with its default tolerances, on Python floats
         t_hi = float(self.net.scaling.upper[0])
         if not abs(self.dt + self.eps - t_hi) <= 1e-8 + 1e-5 * abs(t_hi):

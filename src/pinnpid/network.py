@@ -112,8 +112,9 @@ class InputScaling:
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("scaling bounds must be finite")
         object.__setattr__(self, "slope", 2.0 / (hi - lo))
+        lo.flags.writeable = hi.flags.writeable = self.slope.flags.writeable = False
 
-    def encode(self, raw: np.ndarray, out=None) -> np.ndarray:
+    def encode(self, raw: np.ndarray, out) -> np.ndarray:
         z = np.subtract(raw, self.lower, out=out)
         z *= self.slope
         z -= 1.0

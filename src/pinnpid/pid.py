@@ -48,6 +48,7 @@ class GainBounds:
     def __post_init__(self):
         lo = np.atleast_2d(np.array(self.lower, dtype=float))
         hi = np.atleast_2d(np.array(self.upper, dtype=float))
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or not np.all(lo <= hi):
@@ -60,14 +61,14 @@ class GainBounds:
 
 
 def diagonal_gain_bounds(n_state, n_input, kp_range, ki_range, kd_range,
-                         coords=None) -> GainBounds:
+                         coords) -> GainBounds:
     """Bounds realizing per-channel scalar gains on selected state coordinates.
 
-    Channel i acts on coordinate coords[i] (default i), one in [0, n_state);
-    every other entry is pinned to zero. This encodes gain sets given as one
-    interval per PID term per channel.
+    Channel i acts on coordinate coords[i], one in [0, n_state); every other
+    entry is pinned to zero. This encodes gain sets given as one interval per
+    PID term per channel.
     """
-    coords = list(range(n_input)) if coords is None else list(coords)
+    coords = list(coords)
     if len(coords) != n_input or not all(0 <= j < n_state for j in coords):
         raise ValueError(f"coords {coords} must name one coordinate in [0, {n_state}) "
                          f"for each of the {n_input} input channels")
@@ -80,19 +81,17 @@ def diagonal_gain_bounds(n_state, n_input, kp_range, ki_range, kd_range,
     return GainBounds(lo, hi)
 
 
-def control_input(gains: GainMatrix, errors, input_bounds=None) -> np.ndarray:
-    """u = F E, then clipped into the input box when bounds are given."""
+def control_input(gains: GainMatrix, errors, input_bounds) -> np.ndarray:
+    """u = F E, clipped into the input box."""
     f = gains.stacked()
     errors = np.asarray(errors, dtype=float)
     if errors.shape != (f.shape[1],):
         raise ValueError(f"errors has shape {errors.shape}, F needs ({f.shape[1]},)")
     u = f @ errors
-    if input_bounds is not None:
-        if input_bounds.lower.shape != u.shape:
-            raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
-                             f"F has {u.shape[0]} rows")
-        u = np.clip(u, input_bounds.lower, input_bounds.upper)
-    return u
+    if input_bounds.lower.shape != u.shape:
+        raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
+                         f"F has {u.shape[0]} rows")
+    return np.clip(u, input_bounds.lower, input_bounds.upper)
 
 
 def check_shapes(**named) -> list[np.ndarray]:
@@ -133,7 +132,7 @@ def error_init(model, x0, x_ref_0, x_ref_init, dt: float) -> np.ndarray:
 
 
 def error_update(model, x_ref_k, x_ref_next, x_k, u_k, errors,
-                 dt: float, n_quad: int = 10, *, x_meas_next) -> np.ndarray:
+                 dt: float, n_quad: int, *, x_meas_next) -> np.ndarray:
     """Advance the error state E across one interval.
 
     e_prop comes from the measurement ``x_meas_next``; e_int integrates the

@@ -82,15 +82,13 @@ def manipulator_inertia(p: ManipulatorParams, beta):
     return cb, d12, d22
 
 
-def manipulator_gravity(p: ManipulatorParams, q, out=None) -> np.ndarray:
+def manipulator_gravity(p: ManipulatorParams, q, out) -> np.ndarray:
     """Gravity vector g(q), upright-zero convention: g(0) = 0.
 
-    Written into ``out`` (the shape of ``q``) when given; ``manipulator_rhs``
+    Written into ``out`` (the shape of ``q``) and returned; ``manipulator_rhs``
     passes its acceleration columns.
     """
     q = np.asarray(q, dtype=float)
-    if out is None:
-        out = np.empty(q.shape)
     # g1 = -(m1 lc1 + m2 l1) g sin(alpha) - m2 lc2 g sin(alpha + beta) and
     # g2 = -m2 lc2 g sin(alpha + beta) share the sine of alpha + beta
     s = np.sin(q[..., 0] + q[..., 1])

@@ -30,6 +30,7 @@ class Box:
     def __post_init__(self):
         lo = np.atleast_1d(np.array(self.lower, dtype=float))
         hi = np.atleast_1d(np.array(self.upper, dtype=float))
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or not np.all(lo < hi):

@@ -17,6 +17,7 @@ Both stages share one path in ``train``: an evaluation that raises
 :class:`TrainingDiverged` on a non-finite loss or gradient, a record step
 that validates every ``val_interval``-th report and appends it, and a score
 step that keeps the best-validation parameters, for the final iterate too.
+Validation always runs, since ``train`` requires a validation set.
 """
 
 from __future__ import annotations
@@ -51,18 +52,18 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     iterations: int = 10000
     optimizer: str = "adam"  # "adam-then-lbfgs" iff lbfgs_iterations > 0
-    val_interval: int = 250  # 0 disables validation during training
+    val_interval: int = 250  # validate every val_interval-th report
     lbfgs_iterations: int = 0  # L-BFGS runs iff this is positive
 
     def __post_init__(self):
-        for name in ("iterations", "val_interval", "lbfgs_iterations"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
+        for name, least in (("iterations", 0), ("val_interval", 1), ("lbfgs_iterations", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         expected = "adam-then-lbfgs" if self.lbfgs_iterations > 0 else "adam"
         if self.optimizer != expected:
             raise ValueError(f"optimizer '{self.optimizer}' with lbfgs_iterations = "
                              f"{self.lbfgs_iterations}; expected '{expected}'")
-        if self.val_interval and self.iterations % self.val_interval:
+        if self.iterations % self.val_interval:
             raise ValueError("validation interval must divide total iterations")
 
 
@@ -115,14 +116,11 @@ def fd_state_jacobian(rhs, x, u):
     return jac
 
 
-def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers=None):
+def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers):
     """Data pass and dual physics pass through ``layers``: (l_data, l_phys)
     and what the reverse sweeps read, (data residual, tape, physics residual,
     predicted states, inputs, tape). ``buffers`` is as in ``loss_and_grad``."""
-    buf_d = buf_p = None
-    if buffers is not None:
-        buf_d = buffers.setdefault("data", {})
-        buf_p = buffers.setdefault("phys", {})
+    buf_d, buf_p = buffers.setdefault("data", {}), buffers.setdefault("phys", {})
     rows_d = net.stack_rows(data.t, data.x0, data.u)
     preds, _, tape_d = net.forward_raw(layers, rows_d, buffers=buf_d)
     res_d = preds - data.xf
@@ -137,12 +135,14 @@ def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers=None):
     return l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p
 
 
-def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int = 0) -> LossReport:
-    l_data, l_phys, *_ = _forward(net, net.unpack(params), data, phys, rhs)
+def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int, *, buffers):
+    """The composite loss as the report of ``iteration`` (floats only); ``buffers``
+    is as in ``loss_and_grad``."""
+    l_data, l_phys, *_ = _forward(net, net.unpack(params), data, phys, rhs, buffers)
     return LossReport(iteration, l_data, l_phys, l_data + LAMBDA_PHYS * l_phys)
 
 
-def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers=None):
+def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers):
     """One fused evaluation of the composite loss and its parameter gradient.
 
     ``buffers`` is a dict the caller keeps across calls; the data and the
@@ -153,7 +153,7 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers=Non
     l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p = _forward(
         net, layers, data, phys, rhs, buffers
     )
-    buf_d, buf_p = (None, None) if buffers is None else (buffers["data"], buffers["phys"])
+    buf_d, buf_p = buffers["data"], buffers["phys"]
     grad_d, _ = net.backward_raw(layers, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
     cot_rate = (2.0 / residual.shape[0]) * residual
     jac = fd_state_jacobian(rhs, values, u2)
@@ -212,16 +212,17 @@ def validate(model, vset: ValidationSet) -> ValidationReport:
 
 
 def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
-          validation: ValidationSet | None = None):
+          validation: ValidationSet):
     """Minimize the composite loss; returns (trained model, LossReport history).
 
     ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that
     both stages fit; a set with a non-finite row raises ValueError, and so
     does a ``validation`` set whose dt is not ``model.dt``, before the first
-    iteration. The
-    best-validation parameter vector (self-loop rollout MSE) is restored
-    before returning. Adam reports hold the losses before each step and the
-    ``val_mse`` after it; L-BFGS reports score each accepted iterate for both.
+    iteration. Every ``config.val_interval``-th report and the final iterate
+    are validated, and the best-validation parameter vector (self-loop
+    rollout MSE) is returned. Adam reports hold the losses before each step
+    and the ``val_mse`` after it; L-BFGS reports score each accepted iterate
+    for both.
     """
     net = model.net
     params = model.params.copy()
@@ -229,7 +230,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
     _check_finite_sets(data, phys)
-    if validation is not None and validation.dt != model.dt:  # else validate refuses it late
+    if validation.dt != model.dt:  # else validate refuses it late
         raise ValueError(f"validation set steps {validation.dt}, the surrogate {model.dt}")
     buffers = {}  # row-sized arrays of both passes, reused by every iteration
 
@@ -251,9 +252,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
         return mse
 
     def record(pvec, report):
-        if validation is not None and config.val_interval and (
-            (report.iteration + 1) % config.val_interval == 0
-        ):
+        if (report.iteration + 1) % config.val_interval == 0:
             report.val_mse = score(pvec)
         history.append(report)
 
@@ -271,16 +270,15 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
             return l_total, grad
 
         def callback(pvec):
-            record(pvec, loss(net, pvec, data, phys, rhs, len(history)))
+            record(pvec, loss(net, pvec, data, phys, rhs, len(history), buffers=buffers))
 
         params = scipy.optimize.minimize(
             objective, params, jac=True, method="L-BFGS-B",
             options={"maxiter": config.lbfgs_iterations}, callback=callback,
         ).x
 
-    if validation is not None:
-        score(params)
-        params = best[1]
+    score(params)
+    params = best[1]
 
     trained = PinnModel(net=net, params=params, dt=model.dt, eps=model.eps)
     return trained, history

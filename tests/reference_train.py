@@ -89,7 +89,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
             return l_total, grad
 
         def callback(pvec):
-            l_rep = loss(net, pvec, data, phys, rhs, it_counter[0])
+            l_rep = loss(net, pvec, data, phys, rhs, it_counter[0], buffers={})
             if validation is not None and config.val_interval and (
                 (it_counter[0] + 1) % config.val_interval == 0
             ):

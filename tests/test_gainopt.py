@@ -37,6 +37,7 @@ from pinnpid.pid import (
 from pinnpid.plants import MsdParams, msd_state_space
 from pinnpid.sampling import Box
 from tests.reference_window import regularizer as reference_regularizer
+from tests.test_pid import unbounded
 from tests.reference_window import window_cost_and_grad as reference_window
 
 MSD = MsdParams()
@@ -117,7 +118,21 @@ def msd_bounds(lo=0.0, hi=5.0):
     return diagonal_gain_bounds(2, 1, (lo, hi), (lo, hi), (lo, hi), coords=[0])
 
 
-def regularized_window(model, x0, errors0, refs, f, weights, n_quad, input_bounds=None,
+UNBOUNDED = unbounded()
+
+
+def segment(model, x_k, errors_k, refs, weights, adam, bounds, **settings):
+    """``optimize_segment`` with the norm regularizer, an input box that clips
+    nothing, n_quad = 10, max_iters = 200, tol = 1e-6 and a start at the centre
+    of the gain box, each unless ``settings`` sets it."""
+    defaults = dict(regularizer_kind="norm", plant=None, input_bounds=unbounded(model.m),
+                    n_quad=10, max_iters=200, tol=1e-6,
+                    init_gains=GainMatrix.from_stacked(bounds.center()))
+    return optimize_segment(model, x_k, errors_k, refs, weights, adam, bounds,
+                            **(defaults | settings))
+
+
+def regularized_window(model, x0, errors0, refs, f, weights, n_quad, input_bounds,
                        kind="norm", plant=None, rho=None):
     """(plain cost, total cost, gradient of the total): the window's tracking cost and
     gradient with mu times the regularizer's gradient added the way ``optimize_segment``
@@ -139,7 +154,8 @@ class TestStageCost:
         w = CostWeights(q=np.eye(2), r=np.eye(1))
         zeros = np.zeros(6)
         cost, grad = window_cost_and_grad(
-            Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, 10), np.zeros((1, 6))
+            Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, 10, UNBOUNDED),
+            np.zeros((1, 6))
         )
         assert cost == 0.0
         assert np.array_equal(grad, np.zeros((1, 6)))
@@ -152,7 +168,7 @@ class TestStageCost:
         e0 = np.array([0.1, 0.0, 0.38, 0.0, 0.0, 0.0])
         f = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
         plain, total, _ = regularized_window(
-            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, 10, kind="norm"
+            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, 10, UNBOUNDED, kind="norm"
         )
         assert plain == pytest.approx(4.88025, abs=1e-12)
         assert total == plain
@@ -318,7 +334,7 @@ class TestWindowGradient:
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
-        window = Window(model, x0, e0, refs, weights, 10)
+        window = Window(model, x0, e0, refs, weights, 10, UNBOUNDED)
         cost, grad = window_cost_and_grad(window, f)
         fd = np.zeros_like(f)
         h = 1e-6
@@ -341,7 +357,7 @@ class TestWindowGradient:
         x0 = np.array([0.1, -0.2])
         refs = np.array([[0.2, 0.0]] * 3)
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
-        window = Window(model, x0, e0, refs, weights, 10)
+        window = Window(model, x0, e0, refs, weights, 10, UNBOUNDED)
         cost, grad = window_cost_and_grad(window, f)
         h = 1e-6
         fd = np.zeros_like(f)
@@ -362,7 +378,7 @@ class TestWindowGradient:
         x0 = np.array([0.6, -0.3])
         refs = np.array([[-0.5, 0.0]] * 3 + [[0.5, 0.0]] * 3)
         e0 = error_init(model, x0, refs[0], refs[0], model.dt)
-        window = Window(model, x0, e0, refs, weights, 10)
+        window = Window(model, x0, e0, refs, weights, 10, UNBOUNDED)
         rng = np.random.default_rng(1)
         for _ in range(3):
             f = np.zeros((1, 6))
@@ -409,9 +425,8 @@ class TestWindowGradient:
         # the cost is about 190, so rounding alone puts ~2e-8 into each difference
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
-    @pytest.mark.parametrize("box", [None, Box([-0.8, -0.8], [0.8, 0.8])],
-                             ids=["no_box", "box"])
-    def test_two_inputs_match_finite_differences(self, box):
+    @pytest.mark.parametrize("clip", [False, True], ids=["no_box", "box"])
+    def test_two_inputs_match_finite_differences(self, clip):
         # 4-state, 2-input linear stand-in with an arm-shaped F: channel i acts on coordinate i
         a = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                       [-2.0, 0.5, -0.4, 0.0], [0.3, -1.5, 0.0, -0.6]])
@@ -419,7 +434,8 @@ class TestWindowGradient:
         model = LinearSurrogate(ab=(a, b))
         weights = CostWeights(q=np.diag([100.0, 50.0, 1.0, 1.0]), r=np.diag([0.01, 0.02]),
                               mu=1.0)
-        bounds = diagonal_gain_bounds(4, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0))
+        bounds = diagonal_gain_bounds(4, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), [0, 1])
+        box = Box([-0.8, -0.8], [0.8, 0.8]) if clip else unbounded(2)
         f = np.zeros((2, 12))
         f[0, [0, 4, 8]] = [1.5, 0.3, 0.8]
         f[1, [1, 5, 9]] = [2.0, 0.4, 0.6]
@@ -430,7 +446,7 @@ class TestWindowGradient:
         spy = InputSpy(model)
         cost, grad = window_cost_and_grad(
             Window(spy, x0, e0, refs, weights, 10, box), f)
-        if box is not None:
+        if clip:
             saturated = [np.any(np.abs(u) == 0.8) for u in spy.inputs]
             assert any(saturated) and not all(saturated)
         window = Window(model, x0, e0, refs, weights, 10, box)
@@ -453,10 +469,11 @@ class TestWindowGradient:
         e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         with pytest.raises(ValueError, match=rf"refs has shape \(6, {width}\), "
                                              r"the model needs \(6, 2\)"):
-            Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights, 10)
+            Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights, 10,
+                   UNBOUNDED)
 
     @pytest.mark.parametrize("q, r, box, message", [
-        (np.eye(3), [[0.01]], None, r"q has shape \(3, 3\), the model needs \(2, 2\)"),
+        (np.eye(3), [[0.01]], UNBOUNDED, r"q has shape \(3, 3\), the model needs \(2, 2\)"),
         (np.eye(2), np.diag([0.01, 0.02]), Box([-1.0], [1.0]),
          r"input_bounds has shape \(1,\), the model needs \(2,\)"),
         (np.eye(2), [[0.01]], Box([-1.0, -1.0], [1.0, 1.0]),
@@ -488,7 +505,8 @@ class TestStackedWindow:
 
     def test_matches_step_by_step_window(self):
         # 2 models x H = 1..5 x 2 regularizers x with and without an input box x 5 draws;
-        # the reference also takes a terminal weight on e_prop_H, here zero
+        # the reference also takes a terminal weight on e_prop_H, here zero. Without a box
+        # the library is given one that clips nothing, and the frozen window None
         rng = np.random.default_rng(7)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         ref_weights = SimpleNamespace(q=weights.q, r=weights.r, mu=weights.mu,
@@ -507,7 +525,8 @@ class TestStackedWindow:
             f[0, 2] = min(ki, 0.9 * (kd + MSD.damping) * (kp + MSD.stiffness) / MSD.mass)
             plant, rho = (MSD, rng.uniform(0.01, 10.0)) if kind == "barrier" else (None, None)
             new = regularized_window(model, x0, e0, refs, f, weights, 10,
-                                     input_bounds=box, kind=kind, plant=plant, rho=rho)
+                                     UNBOUNDED if box is None else box,
+                                     kind=kind, plant=plant, rho=rho)
             old = reference_window(model, x0, e0, refs, f, ref_weights, model.dt, 10,
                                    input_bounds=box, regularizer_kind=kind, plant=plant, rho=rho)
             for a, b in zip(new[:2], old[:2]):
@@ -545,7 +564,7 @@ class TestStackedWindow:
     def test_error_recursion_matches_controller(self):
         # the inputs F E_j the window feeds the surrogate, with E_j from the fixed
         # linear error map, against F E_j with E_j from successive pid.error_update
-        # calls along the same inputs; no box, so each input is F E_j itself
+        # calls along the same inputs; a box that clips nothing, so each input is F E_j
         rng = np.random.default_rng(11)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         for model in (LinearSurrogate(), load_model(FIXTURE)):
@@ -558,7 +577,7 @@ class TestStackedWindow:
                 refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
                 f = rng.uniform(-3.0, 3.0, (1, 6))
                 spy = InputSpy(model)
-                window_cost_and_grad(Window(spy, x, errors, refs, weights, 10), f)
+                window_cost_and_grad(Window(spy, x, errors, refs, weights, 10, UNBOUNDED), f)
                 assert len(spy.inputs) == horizon - 1
                 for j, u in enumerate(spy.inputs):
                     # relative to the size of the terms of the product F E_j
@@ -600,7 +619,8 @@ class TestNetworkWindowIsFinite:
         bounds = msd_bounds()
         corners = list(itertools.product((0.0, 5.0), repeat=3))
         rng = np.random.default_rng(0)
-        configs = itertools.product(range(1, 6), (None, Box([-1.0], [1.0])), ("norm", "barrier"))
+        configs = itertools.product(range(1, 6), (UNBOUNDED, Box([-1.0], [1.0])),
+                                    ("norm", "barrier"))
         for horizon, input_bounds, kind in configs:
             for trial in range(16):
                 kp, ki, kd = corners[trial] if trial < 8 else rng.uniform(0.0, 5.0, 3)
@@ -630,7 +650,7 @@ class TestOptimizeSegment:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.zeros(6)
         refs = np.zeros((6, 2))
-        res = optimize_segment(
+        res = segment(
             model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
             max_iters=3000, tol=1e-9,
         )
@@ -645,7 +665,7 @@ class TestOptimizeSegment:
         x0 = np.array([-0.2, 0.0])
         ref = np.array([0.3, 0.0])
         refs = np.array([x0 + e0[:2], ref, ref, ref])  # stages 0, 1 and 2
-        res = optimize_segment(
+        res = segment(
             model, x0, e0, refs, weights, AdamConfig(), msd_bounds(),
             max_iters=6000, tol=1e-10,
         )
@@ -677,7 +697,7 @@ class TestOptimizeSegment:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.8, 0.0, 2.0, 0.0, 0.0, 0.0])  # pushes ki hard
         refs = np.array([[0.8, 0.0]] * 6)
-        res = optimize_segment(
+        res = segment(
             model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
             regularizer_kind="barrier", plant=MSD, max_iters=400, tol=0.0,
         )
@@ -689,10 +709,10 @@ class TestOptimizeSegment:
         e0 = np.array([0.4, 0.1, 0.0, 0.0, 0.1, 0.0])
         refs = np.array([[0.2, 0.0]] * 4)
         kw = dict(max_iters=500, tol=1e-8)
-        a = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
-                             msd_bounds(), **kw)
-        b = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
-                             msd_bounds(), **kw)
+        a = segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
+                    msd_bounds(), **kw)
+        b = segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
+                    msd_bounds(), **kw)
         assert np.array_equal(a.gains.stacked(), b.gains.stacked())
 
     def test_leaves_init_gains_unchanged(self):
@@ -700,10 +720,10 @@ class TestOptimizeSegment:
         source = np.array(start)
         init = GainMatrix.from_stacked(source)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
-        res = optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
-                               CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]]), AdamConfig(),
-                               msd_bounds(), regularizer_kind="barrier", plant=MSD,
-                               max_iters=20, tol=0.0, init_gains=init)
+        res = segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
+                      CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]]), AdamConfig(),
+                      msd_bounds(), regularizer_kind="barrier", plant=MSD,
+                      max_iters=20, tol=0.0, init_gains=init)
         np.testing.assert_array_equal(init.stacked(), start)
         np.testing.assert_array_equal(source, start)
         assert not np.array_equal(res.gains.stacked(), start)  # the search did move
@@ -714,8 +734,8 @@ class TestOptimizeSegment:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         refs = np.array([[0.2, 0.0]] * 4)
-        res = optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
-                               msd_bounds(), max_iters=20000, tol=1e-6)
+        res = segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
+                      msd_bounds(), max_iters=20000, tol=1e-6)
         assert res.converged and res.iterations < 20000
 
     @pytest.mark.parametrize("stop", ["converged", "max_iters"])
@@ -727,7 +747,7 @@ class TestOptimizeSegment:
             model, x0 = LinearSurrogate(), np.zeros(2)
             e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
             refs = np.array([[0.2, 0.0]] * 4)
-            kw = dict(max_iters=20000, tol=1e-6)
+            kw = dict(input_bounds=UNBOUNDED, max_iters=20000, tol=1e-6)
         else:
             model, x0 = load_model(FIXTURE), np.array([0.1, -0.2])
             e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
@@ -742,7 +762,7 @@ class TestOptimizeSegment:
             return window(shared, f)
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
-        res = optimize_segment(model, x0, e0, refs, weights, AdamConfig(), msd_bounds(), **kw)
+        res = segment(model, x0, e0, refs, weights, AdamConfig(), msd_bounds(), **kw)
         assert res.converged == (stop == "converged")
         if stop == "max_iters":
             assert res.iterations == 30
@@ -750,8 +770,7 @@ class TestOptimizeSegment:
         assert len(windows) == res.iterations + 1
         assert all(w is windows[0] for w in windows)
         f = res.gains.stacked()
-        quad, _ = window(Window(model, x0, e0, refs, weights, 10,
-                                kw.get("input_bounds")), f)
+        quad, _ = window(Window(model, x0, e0, refs, weights, 10, kw["input_bounds"]), f)
         assert res.cost == quad + weights.mu * float((f * f).sum())
 
     def test_non_finite_step_raises(self):
@@ -762,8 +781,8 @@ class TestOptimizeSegment:
         e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         refs = np.array([[0.1, 0.0]] * 3)
         with pytest.raises(SegmentDiverged, match=r"at iteration [1-9]\d*, gains \[\[") as info:
-            optimize_segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
-                             msd_bounds(), max_iters=200, tol=0.0)
+            segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
+                    msd_bounds(), max_iters=200, tol=0.0)
         f = np.array(json.loads(str(info.value).split("gains ")[1]))
         assert abs(f[0] @ e0) < 0.2
 
@@ -773,15 +792,15 @@ class TestOptimizeSegment:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(SegmentDiverged, match="at iteration 0,"):
-            optimize_segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
-                             AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)
+            segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
+                    AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)
 
     def test_negative_max_iters_rejected(self):
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="max_iters"):
-            optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
-                             AdamConfig(), msd_bounds(), max_iters=-1)
+            segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
+                    AdamConfig(), msd_bounds(), max_iters=-1)
 
     @pytest.mark.parametrize("m, r, box, init, match", [
         (2, [[0.01]], (2, 6), None, r"r has shape \(1, 1\), the model needs \(2, 2\)"),
@@ -797,18 +816,18 @@ class TestOptimizeSegment:
                             lambda *args, **kwargs: pytest.fail("a window ran"))
         model = msd_inputs(m)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
-        init_gains = None if init is None else GainMatrix.from_stacked(np.ones(init))
+        start = {} if init is None else {"init_gains": GainMatrix.from_stacked(np.ones(init))}
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=match):
-            optimize_segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights,
-                             AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
-                             max_iters=2, init_gains=init_gains)
+            segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights,
+                    AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
+                    max_iters=2, **start)
 
     @pytest.mark.parametrize("x_k, errors_k, refs, q, r, box, input_box, match", [
-        (np.zeros(2), np.full(9, 0.1), np.full((6, 3), 0.3), np.eye(3), [[0.01]], (1, 9), None,
-         r"errors0 has shape \(9,\), the model needs \(6,\)"),
-        (np.zeros(3), np.full(6, 0.1), np.full((6, 2), 0.3), np.eye(2), [[0.01]], (1, 6), None,
-         r"x0 has shape \(3,\), the model needs \(2,\)"),
+        (np.zeros(2), np.full(9, 0.1), np.full((6, 3), 0.3), np.eye(3), [[0.01]], (1, 9),
+         Box([-1.0], [1.0]), r"errors0 has shape \(9,\), the model needs \(6,\)"),
+        (np.zeros(3), np.full(6, 0.1), np.full((6, 2), 0.3), np.eye(2), [[0.01]], (1, 6),
+         Box([-1.0], [1.0]), r"x0 has shape \(3,\), the model needs \(2,\)"),
         (np.zeros(2), np.full(6, 0.1), np.full((6, 2), 0.3), np.eye(2), np.diag([0.01, 0.02]),
          (2, 6), Box([-1.0, -1.0], [1.0, 1.0]), r"r has shape \(2, 2\), the model needs \(1, 1\)"),
     ], ids=["three_state_errors", "three_wide_x_k", "two_input_r"])
@@ -825,9 +844,9 @@ class TestOptimizeSegment:
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
         with pytest.raises(ValueError, match=match):
-            optimize_segment(load_model(FIXTURE), x_k, errors_k, refs, CostWeights(q=q, r=r),
-                             AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
-                             input_bounds=input_box, max_iters=2)
+            segment(load_model(FIXTURE), x_k, errors_k, refs, CostWeights(q=q, r=r),
+                    AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
+                    input_bounds=input_box, max_iters=2)
         assert calls == []
 
     @pytest.mark.parametrize("bad", ["init_gains", "x_k", "errors_k", "refs"])
@@ -838,12 +857,12 @@ class TestOptimizeSegment:
         start[bad].flat[0] = np.nan
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         with pytest.raises(SegmentDiverged, match="non-finite"):
-            optimize_segment(load_model(FIXTURE), start["x_k"],
-                             np.concatenate([start["errors_k"], np.zeros(4)]),
-                             start["refs"], weights, AdamConfig(), msd_bounds(),
-                             regularizer_kind="barrier", plant=MSD,
-                             input_bounds=Box([-1.0], [1.0]),
-                             init_gains=GainMatrix.from_stacked(start["init_gains"]))
+            segment(load_model(FIXTURE), start["x_k"],
+                    np.concatenate([start["errors_k"], np.zeros(4)]),
+                    start["refs"], weights, AdamConfig(), msd_bounds(),
+                    regularizer_kind="barrier", plant=MSD,
+                    input_bounds=Box([-1.0], [1.0]),
+                    init_gains=GainMatrix.from_stacked(start["init_gains"]))
 
 
 class TestSegmentFeasibility:
@@ -862,11 +881,11 @@ class TestSegmentFeasibility:
         model = LinearSurrogate()
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
-        init_gains = None if init is None else GainMatrix.from_stacked(
-            np.array([[init[0], 0.0, init[1], 0.0, init[2], 0.0]]))
-        optimize_segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights, AdamConfig(),
-                         bounds, regularizer_kind="barrier", plant=MSD, max_iters=2, tol=0.0,
-                         init_gains=init_gains)
+        start = {} if init is None else {"init_gains": GainMatrix.from_stacked(
+            np.array([[init[0], 0.0, init[1], 0.0, init[2], 0.0]]))}
+        segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights, AdamConfig(),
+                bounds, regularizer_kind="barrier", plant=MSD, max_iters=2, tol=0.0,
+                **start)
         return seen[0]
 
     def test_box_without_a_stable_gain_raises(self, monkeypatch):
@@ -877,7 +896,8 @@ class TestSegmentFeasibility:
 
     @pytest.mark.parametrize("bounds, r", [
         (diagonal_gain_bounds(2, 1, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), coords=[1]), [[0.01]]),
-        (diagonal_gain_bounds(2, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0)), np.diag([0.01, 0.02])),
+        (diagonal_gain_bounds(2, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), [0, 1]),
+         np.diag([0.01, 0.02])),
         (GainBounds(msd_bounds().lower + [[0, 0.5, 0, 0, 0, 0]],
                     msd_bounds().upper + [[0, 0.5, 0, 0, 0, 0]]), [[0.01]]),
     ], ids=["velocity_channel", "two_inputs", "pinned_velocity_gain"])
@@ -890,9 +910,9 @@ class TestSegmentFeasibility:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="pin every other gain to 0"):
-            optimize_segment(msd_inputs(len(r)), np.zeros(2), e0, np.full((4, 2), 0.3),
-                             weights, AdamConfig(), bounds, regularizer_kind="barrier",
-                             plant=MSD, max_iters=2, tol=0.0)
+            segment(msd_inputs(len(r)), np.zeros(2), e0, np.full((4, 2), 0.3),
+                    weights, AdamConfig(), bounds, regularizer_kind="barrier",
+                    plant=MSD, max_iters=2, tol=0.0)
 
     def test_unstable_warm_start_gets_the_ki_cut(self, monkeypatch):
         # g = 0.5 - K^i: the cut keeps K^p and K^d and lowers K^i until g = BARRIER_G_MIN
@@ -930,9 +950,9 @@ class TestSegmentFeasibility:
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="regularizer_kind must be 'barrier' with a plant"):
-            optimize_segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), weights,
-                             AdamConfig(), msd_bounds(), regularizer_kind=kind, plant=plant,
-                             max_iters=2, tol=0.0)
+            segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), weights,
+                    AdamConfig(), msd_bounds(), regularizer_kind=kind, plant=plant,
+                    max_iters=2, tol=0.0)
         assert calls == []
 
     def test_barely_stable_warm_start_is_cut_to_g_min(self, monkeypatch):

@@ -111,7 +111,15 @@ class TestSpec:
         scaling = InputScaling(lo, hi)
         lo[1] = -3.0
         assert np.array_equal(scaling.lower, [0.0, -1.0])
-        assert np.array_equal(scaling.encode(np.array([0.5, 0.0])), [0.0, 0.0])
+        assert np.array_equal(scaling.encode(np.array([0.5, 0.0]), None), [0.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["lower", "upper", "slope"])
+    def test_scaling_arrays_are_read_only(self, name):
+        # a write to lower used to leave slope as it was, so encode mapped no box at all
+        scaling = InputScaling([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(scaling, name)[1] = -3.0
+        assert np.array_equal(scaling.slope, [2.0, 2.0])
 
     @pytest.mark.parametrize("widths, n_scaled, match", [
         ((5, 8, 2), 5, "input width"),
@@ -136,6 +144,15 @@ class TestSpec:
         net = make_net((4, 8, 2), 2, 1)
         with pytest.raises(ValueError, match=match):
             PinnModel(net=net, params=net.init_params(0), dt=dt, eps=eps)
+
+    @pytest.mark.parametrize("t_lo", [0.1, -0.1, 1e-300], ids=["late", "early", "tiny"])
+    def test_model_rejects_time_scaling_that_does_not_start_at_0(self, t_lo):
+        # t_lo = 0.1 used to be accepted, and tau = 0 encoded to -2.33, outside [-1, 1]
+        lo = np.array([t_lo, -1.0, -1.0, -1.0])
+        hi = np.array([0.25, 1.0, 1.0, 1.0])
+        net = FeedforwardNet(NetworkSpec((4, 8, 2)), InputScaling(lo, hi), 2, 1)
+        with pytest.raises(ValueError, match="time scaling must start at 0"):
+            PinnModel(net=net, params=net.init_params(0), dt=0.2, eps=0.05)
 
     def test_model_horizon_check_is_np_isclose(self):
         # dt + eps against the trained horizon t_hi: gaps of 0 and 1e-9, and the
@@ -455,6 +472,15 @@ class TestFrozenModel:
         params[0] = np.nan
         assert np.isfinite(model.params).all()
         assert np.array_equal(model.predict([t], x, u), before)
+
+    def test_params_and_layers_are_read_only(self):
+        # the fixture's params used to be writeable, so a NaN written there reached predict
+        model = load_model(FIXTURE)
+        (w, b), *_ = model.layers
+        for arr in (model.params, w, b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = np.nan
+        assert np.isfinite(model.params).all()
 
     def test_layers_share_memory_with_params(self):
         net, params, t, x, u = random_net(np.random.default_rng(65))
@@ -777,6 +803,17 @@ class TestSerialization:
         path = tmp_path / "inf.txt"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="finite"):
+            load_model(path)
+
+    def test_rejects_time_scaling_that_does_not_start_at_0(self, tmp_path):
+        lines = FIXTURE.read_text().splitlines(keepends=True)
+        bounds = lines[2].split()
+        assert float(bounds[0]) == 0.0
+        bounds[0] = "0.1"  # t_lo, still below t_hi
+        lines[2] = " ".join(bounds) + "\n"
+        path = tmp_path / "t_lo.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="time scaling must start at 0"):
             load_model(path)
 
     @pytest.mark.parametrize("horizon", ["-0.1 0.35", "0.3 -0.05", "0.0 0.25"],

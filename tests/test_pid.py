@@ -20,6 +20,11 @@ from pinnpid.pid import (
 from pinnpid.sampling import Box
 
 
+def unbounded(m=1):
+    """An input box that clips nothing."""
+    return Box(np.full(m, -np.inf), np.full(m, np.inf))
+
+
 def toy_model(seed=0, n=2, m=1, dt=0.2, eps=0.05):
     widths = (1 + n + m, 8, 8, n)
     lo = np.concatenate([[0.0], -2 * np.ones(n), -np.ones(m)])
@@ -64,11 +69,11 @@ class PredictionSpy:
 class TestControlInput:
     def test_zero_errors(self):
         gains = GainMatrix.from_stacked(np.ones((1, 6)))
-        assert np.array_equal(control_input(gains, np.zeros(6)), np.zeros(1))
+        assert np.array_equal(control_input(gains, np.zeros(6), unbounded()), np.zeros(1))
 
     def test_hand_dot_product_1d(self):
         gains = GainMatrix.from_stacked([[2.0, 0.5, 0.1]])
-        u = control_input(gains, [0.3, 0.2, -1.0])
+        u = control_input(gains, [0.3, 0.2, -1.0], unbounded())
         assert u[0] == pytest.approx(0.6)
 
     def test_saturation(self):
@@ -81,16 +86,17 @@ class TestControlInput:
         gains = GainMatrix.from_stacked(np.hstack(rng.standard_normal((3, 2, 3))))
         e1, e2 = rng.standard_normal((2, 9))
         a, b = 0.3, -1.2
+        box = unbounded(2)
         np.testing.assert_allclose(
-            control_input(gains, a * e1 + b * e2),
-            a * control_input(gains, e1) + b * control_input(gains, e2),
+            control_input(gains, a * e1 + b * e2, box),
+            a * control_input(gains, e1, box) + b * control_input(gains, e2, box),
             atol=1e-12,
         )
 
     def test_dimension_mismatch(self):
         gains = GainMatrix.from_stacked(np.ones((1, 6)))
         with pytest.raises(ValueError):
-            control_input(gains, [0.1, 0.0, 0.0])
+            control_input(gains, [0.1, 0.0, 0.0], Box([-1.0], [1.0]))
 
     def test_rejects_box_of_another_width(self):
         # a 1-wide box used to clip both inputs of a 2-input F by its one bound
@@ -127,7 +133,8 @@ class TestErrorUpdate:
     def test_exact_model_tracks_reference(self):
         ref = np.array([0.4, 0.0])
         model = ReferenceModel(ref)
-        e1 = error_update(model, ref, ref, ref, np.zeros(1), np.zeros(6), 0.2, x_meas_next=ref)
+        e1 = error_update(model, ref, ref, ref, np.zeros(1), np.zeros(6), 0.2, 10,
+                          x_meas_next=ref)
         assert np.allclose(e1[:2], 0.0)
         assert np.allclose(e1[2:4], 0.0)
 
@@ -161,7 +168,7 @@ class TestErrorUpdate:
         x = np.array([0.1, 0.2])
         for k in range(6):
             ref = rng.standard_normal(2) * 0.3
-            e = error_update(model, ref, ref, x, np.array([0.1]), e, dt,
+            e = error_update(model, ref, ref, x, np.array([0.1]), e, dt, 10,
                              x_meas_next=rng.standard_normal(2) * 0.3)
             total += e[4:] * dt
         np.testing.assert_allclose(total, e[:2] - e0_prop, atol=1e-12)
@@ -170,7 +177,7 @@ class TestErrorUpdate:
         model = toy_model(seed=3)
         ref = np.array([0.2, 0.0])
         meas = np.array([0.15, 0.05])
-        e1 = error_update(model, ref, ref, np.zeros(2), np.zeros(1), np.zeros(6), 0.2,
+        e1 = error_update(model, ref, ref, np.zeros(2), np.zeros(1), np.zeros(6), 0.2, 10,
                           x_meas_next=meas)
         np.testing.assert_allclose(e1[:2], ref - meas)
 
@@ -181,7 +188,7 @@ class TestErrorUpdate:
         model = toy_model(seed=3)
         e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="dt"):
-            error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), e0, dt,
+            error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), e0, dt, 10,
                          x_meas_next=np.zeros(2))
         with pytest.raises(ValueError, match="dt"):
             error_init(model, np.zeros(2), np.zeros(2), np.zeros(2), dt)
@@ -195,7 +202,7 @@ class TestErrorUpdate:
             error_init(model, np.zeros(2), np.zeros(2), np.zeros(2), dt)
         with pytest.raises(ValueError, match=r"dt is .*, the surrogate steps 0\.2"):
             error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), np.zeros(6),
-                         dt, x_meas_next=np.zeros(2))
+                         dt, 10, x_meas_next=np.zeros(2))
 
 
 class TestQuadrature:
@@ -222,7 +229,7 @@ class TestQuadrature:
 
 class TestBounds:
     def test_diagonal_bounds_pin_off_structure(self):
-        b = diagonal_gain_bounds(4, 2, (0.0, 3.0), (-3.0, 3.0), (0.0, 3.0))
+        b = diagonal_gain_bounds(4, 2, (0.0, 3.0), (-3.0, 3.0), (0.0, 3.0), [0, 1])
         assert b.lower.shape == (2, 12)
         assert b.upper[0, 0] == 3.0 and b.lower[0, 0] == 0.0
         assert b.lower[0, 4] == -3.0  # integral block, coordinate 0
@@ -255,6 +262,14 @@ class TestBounds:
         hi[0, 1] = -1.0
         assert np.array_equal(bounds.lower, np.zeros((1, 3)))
         assert np.array_equal(bounds.upper, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_gain_bounds_are_read_only(self, name):
+        # a write through the record used to get past its lower <= upper check
+        bounds = diagonal_gain_bounds(2, 1, (0.0, 3.0), (0.0, 2.0), (0.0, 1.0), [0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(bounds, name)[0, 0] = -1.0
+        assert bounds.lower[0, 0] == 0.0 and bounds.upper[0, 0] == 3.0
 
 
 class TestGainMatrix:
@@ -297,19 +312,20 @@ class TestVectorShapes:
         model = toy_model(seed=3)
         with pytest.raises(ValueError, match="shape"):
             error_update(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(1), errors, 0.2,
-                         x_meas_next=np.zeros(2))
+                         10, x_meas_next=np.zeros(2))
+        box = Box([-1.0], [1.0])
         with pytest.raises(ValueError, match="shape"):
-            control_input(GainMatrix.from_stacked(np.ones((1, 6))), errors)
+            control_input(GainMatrix.from_stacked(np.ones((1, 6))), errors, box)
         with pytest.raises(ValueError, match="shape"):
             Window(model, np.zeros(2), errors, np.zeros((3, 2)), CostWeights(np.eye(2), [[0.01]]),
-                   10)
+                   10, box)
 
     def test_error_update_rejects_errors_of_another_width(self):
         # the error state of a 1-entry state would broadcast into both entries of e_deri
         model = toy_model(seed=3)
         with pytest.raises(ValueError, match="errors"):
             error_update(model, np.array([0.2, 0.0]), np.array([0.2, 0.0]), np.zeros(2),
-                         np.zeros(1), [0.5, 0.0, 0.0], 0.2,
+                         np.zeros(1), [0.5, 0.0, 0.0], 0.2, 10,
                          x_meas_next=np.array([0.15, 0.05]))
 
     @pytest.mark.parametrize("arg", ["x_ref_0", "x_ref_init"])
@@ -330,7 +346,8 @@ class TestVectorShapes:
                     x_meas_next=np.array([0.15, 0.05]))
         args[arg] = bad
         with pytest.raises(ValueError, match=arg):
-            error_update(model, x_k=np.zeros(2), u_k=np.zeros(1), errors=e0, dt=0.2, **args)
+            error_update(model, x_k=np.zeros(2), u_k=np.zeros(1), errors=e0, dt=0.2, n_quad=10,
+                         **args)
 
     def test_error_init_checks_x0_against_the_model(self):
         # x0 set the width the references were checked against, so a 3-wide state with
@@ -352,5 +369,5 @@ class TestVectorShapes:
                     u_k=np.zeros(1), errors=np.zeros(3 * n), x_meas_next=np.zeros(n))
         args[arg] = bad
         with pytest.raises(ValueError, match=match):
-            error_update(spy, dt=0.2, **args)
+            error_update(spy, dt=0.2, n_quad=10, **args)
         assert spy.calls == []

@@ -26,6 +26,13 @@ MANIP = ManipulatorParams()
 MSD = MsdParams()
 
 
+def gravity(p, q):
+    """g(q) written into a new array of q's shape, and that array returned."""
+    out = np.empty(np.shape(q))
+    assert manipulator_gravity(p, q, out) is out
+    return out
+
+
 def euler_lagrange():
     """Symbolic Euler-Lagrange terms of the arm: the symbols (a, b, da, db),
     the inertia D(q) and the rest h(q, qdot) of D(q) qddot + h(q, qdot) = tau."""
@@ -130,7 +137,7 @@ class TestManipulator:
             x = np.array([0.3, beta, da, db])
             d11, d12, d22 = manipulator_inertia(p, beta)
             d_mat = np.array([[d11, d12], [d12, d22]])
-            g = manipulator_gravity(p, x[:2])
+            g = gravity(p, x[:2])
             acc = manipulator_rhs(p, x, np.zeros(2))[2:]
             np.testing.assert_allclose(d_mat @ acc + c_mat @ qd + g, 0.0, atol=1e-10)
 
@@ -233,7 +240,7 @@ class TestArmKernelMatchesFrozenReference:
         assert got.shape == x.shape
         np.testing.assert_array_equal(got, reference_plants.manipulator_rhs(MANIP, x, u))
         np.testing.assert_array_equal(
-            manipulator_gravity(MANIP, x[..., :2]),
+            gravity(MANIP, x[..., :2]),
             reference_plants.manipulator_gravity(MANIP, x[..., :2]),
         )
         for got_d, ref_d in zip(manipulator_inertia(MANIP, x[..., 1]),
@@ -265,7 +272,7 @@ class TestGravityCompensation:
     """The torque that holds the arm at rest at q is the gravity vector g(q)."""
 
     def test_upright_needs_no_input(self):
-        np.testing.assert_array_equal(manipulator_gravity(MANIP, np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(gravity(MANIP, np.zeros(2)), np.zeros(2))
 
     def test_both_links_horizontal_hand_value(self):
         # alpha = pi/2, beta = 0: g = -[(m1 lc1 + m2 l1) g + m2 lc2 g, m2 lc2 g]
@@ -277,7 +284,7 @@ class TestGravityCompensation:
                 p.m2 * p.lc2 * p.gravity,
             ]
         )
-        np.testing.assert_allclose(manipulator_gravity(p, q), expect, rtol=1e-14)
+        np.testing.assert_allclose(gravity(p, q), expect, rtol=1e-14)
 
 
 class TestMsd:

@@ -47,6 +47,14 @@ class TestBox:
         lo[0] = 2.0
         assert np.array_equal(box.lower, [0.0, -1.0]) and np.all(box.lower < box.upper)
 
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_bounds_are_read_only(self, name):
+        # a write through the box used to get past its lower < upper check
+        box = Box([0.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(box, name)[0] = 2.0
+        assert np.all(box.lower < box.upper)
+
     def test_infinite_side_is_a_one_sided_box(self):
         box = Box([-np.inf], [1.0])
         assert np.clip(5.0, box.lower, box.upper)[0] == 1.0

@@ -6,12 +6,17 @@ other than its own ``def``/``class`` line. Every field of a configuration
 record must be set by name, as a keyword argument or a string dict key, in
 ``src/`` or ``bench/``. Every defaulted parameter of a public function or
 method must be set, by keyword or by position, by some call of that name in
-``src/`` or ``bench/``. Test files do not count as callers. Every public
+``src/`` or ``bench/``, and left unset by another: a default that every such
+call overrides is a second copy of the callers' value, or a path that only
+tests take, so the parameter must have no default. An ``__init__`` counts
+under its class name, and ``OVERRIDDEN`` lists the exceptions with the
+reason. Test files do not count as callers. Every public
 exception class must be the expected exception of some ``pytest.raises``
 under ``tests/``, so each failure path has a test that forces it. The count
 of settable options must equal ``OPTIONS``, so that a new or removed option
 shows up as a change to this file. A name kept in ``ALLOWED`` without a caller
-must still have none, so that the list of exceptions cannot go stale.
+must still have none, and a default kept in ``OVERRIDDEN`` must still be
+overridden by every call, so that neither list of exceptions can go stale.
 """
 
 import ast
@@ -28,12 +33,18 @@ CONFIGS = {"training.py": "TrainConfig", "gainopt.py": "CostWeights",
 
 # Settable options: the defaulted parameters of public functions and methods, __init__
 # included, plus the defaulted fields of public dataclasses other than field(init=False).
-OPTIONS = 46
+OPTIONS = 30
 
 # Kept without a caller, with the reason.
 ALLOWED = {
     "manipulator_energy": "test oracle: energy conservation checks manipulator_rhs",
     "msd_state_space": "test oracle: the exact linear surrogate and Jacobian in the tests",
+}
+
+# Defaults that every call in src/ and bench/ overrides, kept with the reason.
+OVERRIDDEN = {
+    "TrainingDiverged.__init__.iteration": "bench/test_bench.py raises it with a message alone",
+    "TrainingDiverged.__init__.last_report": "bench/test_bench.py raises it with a message alone",
 }
 
 
@@ -97,11 +108,12 @@ def defaulted_parameters(init=False):
                         yield qualified, fn.name, None, arg.arg
 
 
-def calls_by_name():
-    """Every call in src/ and bench/, keyed by the called name (``f(...)``, ``x.f(...)``)."""
+def calls_by_name(sources=None):
+    """Every call in ``sources`` (default: the files of src/ and bench/), keyed by
+    the called name (``f(...)``, ``x.f(...)``)."""
     calls = {}
-    for f in caller_files():
-        for node in ast.walk(ast.parse(f.read_text())):
+    for source in [f.read_text() for f in caller_files()] if sources is None else sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -117,6 +129,18 @@ def sets_parameter(call, index, param):
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
     return index is not None and len(call.args) > index
+
+
+def always_overridden(params, calls):
+    """``qualified.param`` of each of ``params`` (as ``defaulted_parameters`` yields
+    them) that some call sets and every call sets; an ``__init__``'s calls are
+    those of its class."""
+    found = []
+    for qualified, name, index, param in params:
+        callers = calls.get(qualified.split(".")[0] if name == "__init__" else name, [])
+        if callers and all(sets_parameter(call, index, param) for call in callers):
+            found.append(f"{qualified}.{param}")
+    return found
 
 
 def has_caller(name, lines):
@@ -173,6 +197,23 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not unset, "a default no call in src/ or bench/ overrides: " + ", ".join(unset)
 
 
+def test_no_default_is_overridden_by_every_call():
+    found = always_overridden(defaulted_parameters(init=True), calls_by_name())
+    stale = sorted(set(OVERRIDDEN) - set(found))
+    assert not stale, "kept in OVERRIDDEN, but some call takes the default: " + ", ".join(stale)
+    kept = [name for name in found if name not in OVERRIDDEN]
+    assert not kept, "a default every call in src/ or bench/ overrides: " + ", ".join(kept)
+
+
+def test_a_default_that_every_call_overrides_is_named():
+    params = [("f", "f", 1, "b"), ("f", "f", None, "c"), ("C.__init__", "__init__", 0, "x")]
+    every = calls_by_name(["f(1, 2)", "f(1, b=3, c=4)", "C(5)", "g(x=1)"])
+    assert always_overridden(params, every) == ["f.b", "C.__init__.x"]
+    some = calls_by_name(["f(1)", "f(1, b=3, c=4)", "C()", "x.C(5)"])
+    assert always_overridden(params, some) == []
+    assert always_overridden(params, {}) == []  # no call: the test above names those
+
+
 def defaulted_fields():
     """(class, field) of every defaulted field of a public dataclass, less those
     declared ``field(init=False)``, which no caller can set."""
@@ -193,9 +234,15 @@ def defaulted_fields():
                 yield node.name, item.target.id
 
 
+def settable_options():
+    """``qualified.param`` of every defaulted parameter, ``__init__`` included, and
+    ``class.field`` of every defaulted field that a caller can set."""
+    return ([f"{qualified}.{param}" for qualified, _, _, param in defaulted_parameters(True)]
+            + [f"{cls}.{name}" for cls, name in defaulted_fields()])
+
+
 def test_settable_options_are_counted():
-    options = ([f"{qualified}.{param}" for qualified, _, _, param in defaulted_parameters(True)]
-               + [f"{cls}.{name}" for cls, name in defaulted_fields()])
+    options = settable_options()
     assert len(options) == len(set(options))
     assert len(options) == OPTIONS, (
         f"{len(options)} settable options, OPTIONS records {OPTIONS}: set OPTIONS to the new "

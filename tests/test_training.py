@@ -59,13 +59,18 @@ def small_sets(n_data=8, n_phys=8, seed=0):
     return build_data_set(MSD_RHS, cfg), build_phys_set(cfg)
 
 
+def small_vset():
+    """A two-trajectory, three-step validation set at the models' dt."""
+    return make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3, seed=8)
+
+
 def one_row_l_phys(model, rhs, t, x, u):
     """The physics term of ``loss`` on the one collocation row (t, x, u): the
     squared norm of that row's residual d phi/dt - rhs(phi, u)."""
     data = DataSet(t=np.array([0.1]), x0=np.zeros((1, 2)), xf=np.zeros((1, 2)),
                    u=np.zeros((1, 1)))
     phys = PhysSet(t=np.array([t]), x=np.atleast_2d(x), u=np.atleast_2d(u))
-    return loss(model.net, model.params, data, phys, rhs).l_phys
+    return loss(model.net, model.params, data, phys, rhs, 0, buffers={}).l_phys
 
 
 class TestPhysicsResidual:
@@ -108,13 +113,13 @@ class TestLoss:
         data, phys = small_sets()
         preds = model.predict(data.t, data.x0, data.u)
         exact = DataSet(t=data.t, x0=data.x0, xf=preds, u=data.u)
-        rep = loss(model.net, model.params, exact, phys, MSD_RHS)
+        rep = loss(model.net, model.params, exact, phys, MSD_RHS, 0, buffers={})
         assert rep.l_data == pytest.approx(0.0, abs=1e-28)
 
     def test_hand_computed_two_samples(self):
         model = msd_model(seed=1)
         data, phys = small_sets(n_data=2, n_phys=2)
-        rep = loss(model.net, model.params, data, phys, MSD_RHS)
+        rep = loss(model.net, model.params, data, phys, MSD_RHS, 0, buffers={})
         preds = model.predict(data.t, data.x0, data.u)
         by_hand = 0.5 * sum(np.sum((preds[i] - data.xf[i]) ** 2) for i in range(2))
         assert rep.l_data == pytest.approx(by_hand, rel=1e-12)
@@ -124,11 +129,11 @@ class TestLoss:
     def test_permutation_invariance(self):
         model = msd_model(seed=4)
         data, phys = small_sets(n_data=16, n_phys=16)
-        rep = loss(model.net, model.params, data, phys, MSD_RHS)
+        rep = loss(model.net, model.params, data, phys, MSD_RHS, 0, buffers={})
         perm = np.random.default_rng(0).permutation(16)
         data_p = DataSet(t=data.t[perm], x0=data.x0[perm], xf=data.xf[perm], u=data.u[perm])
         phys_p = PhysSet(t=phys.t[perm], x=phys.x[perm], u=phys.u[perm])
-        rep_p = loss(model.net, model.params, data_p, phys_p, MSD_RHS)
+        rep_p = loss(model.net, model.params, data_p, phys_p, MSD_RHS, 0, buffers={})
         assert rep_p.l_total == pytest.approx(rep.l_total, rel=1e-12)
 
 
@@ -136,26 +141,29 @@ class TestLossGradient:
     def test_matches_finite_differences(self):
         model = msd_model(widths=(4, 6, 2), seed=11)
         data, phys = small_sets(n_data=8, n_phys=8)
-        *_, grad = loss_and_grad(model.net, model.params, data, phys, MSD_RHS)
+        *_, grad = loss_and_grad(model.net, model.params, data, phys, MSD_RHS, buffers={})
+        buffers = {}  # shared by every loss call, as in train's L-BFGS callback
         h = 1e-6
         fd = np.zeros_like(model.params)
         for i in range(model.params.size):
             pp, pm = model.params.copy(), model.params.copy()
             pp[i] += h
             pm[i] -= h
-            fd[i] = (loss(model.net, pp, data, phys, MSD_RHS).l_total
-                     - loss(model.net, pm, data, phys, MSD_RHS).l_total) / (2 * h)
+            fd[i] = (loss(model.net, pp, data, phys, MSD_RHS, 0, buffers=buffers).l_total
+                     - loss(model.net, pm, data, phys, MSD_RHS, 0, buffers=buffers).l_total
+                     ) / (2 * h)
         scale = np.maximum(np.abs(fd), 1e-4)
         assert np.max(np.abs(grad - fd) / scale) < 1e-4
 
     def test_buffered_call_matches_unbuffered(self):
         # one dict through two set sizes: the data rows shrink and the collocation
-        # rows grow, so the second size reallocates the arrays of both passes
+        # rows grow, so the second size reallocates the arrays of both passes; a fresh
+        # dict allocates every array, as a pass without buffers does
         model = msd_model(seed=12)
         buffers = {}
         for n_data, n_phys, seed in ((24, 40, 2), (16, 72, 6)):
             data, phys = small_sets(n_data=n_data, n_phys=n_phys, seed=seed)
-            want = loss_and_grad(model.net, model.params, data, phys, MSD_RHS)
+            want = loss_and_grad(model.net, model.params, data, phys, MSD_RHS, buffers={})
             for params in (model.params + 0.01, model.params):
                 got = loss_and_grad(model.net, params, data, phys, MSD_RHS, buffers=buffers)
             assert got[:3] == want[:3]
@@ -164,6 +172,24 @@ class TestLossGradient:
             assert set(buffers) == {"data", "phys"} and kept
             assert {a.shape[0] for a in buffers["data"].values()} == {n_data}
             assert not any(np.shares_memory(got[3], a) for a in kept)
+
+    def test_loss_reuses_the_buffers_of_loss_and_grad(self):
+        # train's L-BFGS callback hands loss the dict that loss_and_grad fills, so the
+        # forward passes of both write the same arrays and allocate none
+        model = msd_model(seed=12)
+        data, phys = small_sets(n_data=24, n_phys=40, seed=2)
+        buffers = {}
+        loss_and_grad(model.net, model.params, data, phys, MSD_RHS, buffers=buffers)
+        held = lambda: {(part, key): arr for part, sub in buffers.items()
+                        for key, arr in sub.items()}
+        before = held()
+        params = model.params + 0.01
+        got = loss(model.net, params, data, phys, MSD_RHS, 7, buffers=buffers)
+        want = loss(model.net, params, data, phys, MSD_RHS, 7, buffers={})
+        assert astuple(got) == astuple(want)
+        after = held()
+        assert after.keys() == before.keys()
+        assert all(after[key] is arr for key, arr in before.items())
 
     def test_fd_jacobian_matches_linear_plant(self):
         a_mat, _ = msd_state_space(MSD)
@@ -285,8 +311,8 @@ class TestTrain:
     def test_zero_iterations_returns_model_unchanged(self):
         model = msd_model(seed=6)
         data, phys = small_sets()
-        cfg = TrainConfig(iterations=0, val_interval=0)
-        trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg)
+        cfg = TrainConfig(iterations=0, val_interval=1)
+        trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg, small_vset())
         assert np.array_equal(trained.params, model.params)
         assert history == []
 
@@ -295,8 +321,8 @@ class TestTrain:
         cfg_data = DatasetConfig(n_data=256, n_phys=512, dt=0.2, eps=0.05,
                                  state_box=STATE_BOX, input_box=INPUT_BOX, seed=3)
         sets = (build_data_set(MSD_RHS, cfg_data), build_phys_set(cfg_data))
-        cfg = TrainConfig(iterations=1500, val_interval=0)
-        trained, history = train(model, MSD_RHS, lambda k: sets, cfg)
+        cfg = TrainConfig(iterations=1500, val_interval=1500)
+        trained, history = train(model, MSD_RHS, lambda k: sets, cfg, small_vset())
         first = np.mean([h.l_total for h in history[:100]])
         last = np.mean([h.l_total for h in history[-100:]])
         assert last < first / 20
@@ -310,25 +336,26 @@ class TestTrain:
         model = msd_model(widths=(4, 8, 2), seed=1)
         data, phys = small_sets(n_data=64, n_phys=64, seed=9)
         cfg = TrainConfig(iterations=200, optimizer="adam-then-lbfgs",
-                          lbfgs_iterations=150, val_interval=0)
-        trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg)
+                          lbfgs_iterations=150, val_interval=200)
+        trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg, small_vset())
         adam_end = history[199].l_total
         assert history[-1].l_total < adam_end
 
     def test_buffers_change_no_bit_of_training(self, monkeypatch):
-        # Adam, then L-BFGS; the reference run's loss_and_grad drops the buffers it
-        # is handed
+        # Adam, then L-BFGS; in the reference run loss_and_grad and loss each swap the
+        # trainer's buffers for a fresh dict on every call, so every array is allocated
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
         sets = small_sets(n_data=48, n_phys=64, seed=5)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3, seed=8)
+        vset = small_vset()
         cfg = TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=20,
                           lbfgs_iterations=30)
         runs = []
         for drop in (False, True):
             if drop:
-                buffered = training.loss_and_grad
-                monkeypatch.setattr(training, "loss_and_grad",
-                                    lambda *a, buffers=None, **k: buffered(*a, **k))
+                for name in ("loss_and_grad", "loss"):
+                    buffered = getattr(training, name)
+                    monkeypatch.setattr(training, name, lambda *a, buffers, fn=buffered, **k:
+                                        fn(*a, buffers={}, **k))
             trained, history = train(model, MSD_RHS, lambda k: sets, cfg, validation=vset)
             runs.append((trained.params, [(h.l_data, h.l_phys, h.val_mse) for h in history]))
         assert len(runs[0][1]) > 40
@@ -349,7 +376,8 @@ class TestTrain:
                          PhysSet(t=phys.t, x=phys.x, u=bad_u))[bad_set]
         match = ("data set has 2 rows", "collocation set has 1 rows")[bad_set]
         with pytest.raises(ValueError, match=match):
-            train(model, MSD_RHS, lambda k: tuple(sets), TrainConfig(iterations=4, val_interval=0))
+            train(model, MSD_RHS, lambda k: tuple(sets), TrainConfig(iterations=4, val_interval=2),
+                  small_vset())
 
     def test_validation_set_of_another_dt_rejected_before_an_iteration(self, monkeypatch):
         # validate refuses such a set, but only at the first validation, after
@@ -362,14 +390,16 @@ class TestTrain:
             train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
                   TrainConfig(iterations=4, val_interval=2), validation=vset)
 
-    @pytest.mark.parametrize("fields", [
-        dict(iterations=-5, val_interval=0), dict(lbfgs_iterations=-3), dict(val_interval=-5),
-    ], ids=["iterations", "lbfgs_iterations", "val_interval"])
-    def test_config_rejects_negative_counts(self, fields):
-        # each was accepted without a word: no Adam step, no L-BFGS stage, and
-        # validation on a sign-flipped modulus
-        name = next(iter(fields))
-        with pytest.raises(ValueError, match=rf"^{name} must not be negative"):
+    @pytest.mark.parametrize("fields, message", [
+        (dict(iterations=-5), "iterations must be at least 0, got -5"),
+        (dict(lbfgs_iterations=-3), "lbfgs_iterations must be at least 0, got -3"),
+        (dict(val_interval=-5), "val_interval must be at least 1, got -5"),
+        (dict(iterations=4, val_interval=0), "val_interval must be at least 1, got 0"),
+    ], ids=["iterations", "lbfgs_iterations", "val_interval", "val_interval_0"])
+    def test_config_rejects_negative_counts(self, fields, message):
+        # each was accepted without a word: no Adam step, no L-BFGS stage, validation
+        # on a sign-flipped modulus, and (0) a second switch that turned validation off
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             TrainConfig(**fields)
 
     @pytest.mark.parametrize("stage", ["adam", "lbfgs"])
@@ -386,12 +416,12 @@ class TestTrain:
             monkeypatch.setattr(training, "fd_state_jacobian",
                                 lambda rhs, x, u: np.full(x.shape + (x.shape[-1],), np.nan))
         if stage == "adam":
-            cfg = TrainConfig(iterations=4, val_interval=0)
+            cfg = TrainConfig(iterations=4, val_interval=4)
         else:
             cfg = TrainConfig(iterations=0, optimizer="adam-then-lbfgs", lbfgs_iterations=5,
-                              val_interval=0)
+                              val_interval=5)
         with pytest.raises(training.TrainingDiverged) as info:
-            train(model, rhs, lambda k: (data, phys), cfg)
+            train(model, rhs, lambda k: (data, phys), cfg, small_vset())
         assert info.value.iteration == 0
         assert info.value.last_report is None
 
@@ -401,7 +431,7 @@ class TestTrain:
         model = msd_model(widths=(4, 8, 2), seed=1)
         data, phys = small_sets()
         _, adam_history = train(model, MSD_RHS, lambda k: (data, phys),
-                                TrainConfig(iterations=2, val_interval=0))
+                                TrainConfig(iterations=2, val_interval=2), small_vset())
         steps = []
         adam_step = training.adam_step
 
@@ -412,9 +442,9 @@ class TestTrain:
         monkeypatch.setattr(training, "adam_step", counting_adam_step)
         rhs = lambda x, u: MSD_RHS(x, u) if len(steps) < 2 else np.full(np.shape(x), np.nan)
         cfg = TrainConfig(iterations=2, optimizer="adam-then-lbfgs", lbfgs_iterations=5,
-                          val_interval=0)
+                          val_interval=2)
         with pytest.raises(training.TrainingDiverged, match="L-BFGS") as info:
-            train(model, rhs, lambda k: (data, phys), cfg)
+            train(model, rhs, lambda k: (data, phys), cfg, small_vset())
         assert info.value.iteration == 2
         assert info.value.last_report == adam_history[-1]
 
@@ -449,7 +479,7 @@ class TestTrainMatchesReference:
         """(params, history) of train and of the reference, or the TrainingDiverged of each."""
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
         sets = small_sets(n_data=48, n_phys=64, seed=5)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3, seed=8)
+        vset = small_vset()
         out = []
         for fn in (train, reference_train):
             try:
@@ -464,7 +494,7 @@ class TestTrainMatchesReference:
         TrainConfig(iterations=40, val_interval=10),
         TrainConfig(iterations=40, optimizer="adam-then-lbfgs", val_interval=10,
                     lbfgs_iterations=30),
-        TrainConfig(iterations=0, optimizer="adam-then-lbfgs", val_interval=0,
+        TrainConfig(iterations=0, optimizer="adam-then-lbfgs", val_interval=4,
                     lbfgs_iterations=12),
     ], ids=["adam", "adam_then_lbfgs", "no_adam"])
     def test_history_and_parameters(self, cfg):
@@ -490,7 +520,7 @@ class TestTrainMatchesReference:
         assert validated[:4] == [9, 19, 29, 39] and validated[-1] >= 49
 
     def test_zero_iterations_with_validation_returns_start(self):
-        cfg = TrainConfig(iterations=0, val_interval=0)
+        cfg = TrainConfig(iterations=0, val_interval=1)
         (got_params, got), (want_params, want) = self.runs(cfg)
         assert got == want == []
         assert got_params.tobytes() == want_params.tobytes() == msd_model(
