@@ -81,7 +81,7 @@ class CostWeights:
 
     q: np.ndarray
     r: np.ndarray
-    mu: float = 1.0
+    mu: float
 
     def __post_init__(self):
         self.q = np.atleast_2d(np.asarray(self.q, dtype=float))

@@ -49,7 +49,7 @@ class DatasetConfig:
     eps: float
     state_box: Box
     input_box: Box
-    seed: int = 0
+    seed: int
 
     def __post_init__(self):
         if self.n_data < 1 or self.n_phys < 1:

@@ -22,7 +22,7 @@ Validation always runs, since ``train`` requires a validation set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -50,9 +50,9 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    iterations: int = 10000
+    iterations: int
+    val_interval: int  # validate every val_interval-th report
     optimizer: str = "adam"  # "adam-then-lbfgs" iff lbfgs_iterations > 0
-    val_interval: int = 250  # validate every val_interval-th report
     lbfgs_iterations: int = 0  # L-BFGS runs iff this is positive
 
     def __post_init__(self):
@@ -77,7 +77,7 @@ class LossReport:
     l_data: float
     l_phys: float
     l_total: float
-    val_mse: float | None = None
+    val_mse: float | None = field(default=None, init=False)
 
 
 @dataclass

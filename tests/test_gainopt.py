@@ -151,7 +151,7 @@ class TestStageCost:
 
     def test_zero(self):
         model = LinearSurrogate()
-        w = CostWeights(q=np.eye(2), r=np.eye(1))
+        w = CostWeights(q=np.eye(2), r=np.eye(1), mu=1.0)
         zeros = np.zeros(6)
         cost, grad = window_cost_and_grad(
             Window(model, np.zeros(2), zeros, np.zeros((2, 2)), w, 10, UNBOUNDED),
@@ -212,7 +212,7 @@ class TestStageCost:
     ], ids=["inf_q", "inf_r", "nan_q"])
     def test_cost_weights_reject_non_finite(self, q, r):
         with pytest.raises(ValueError, match="q and r must be finite"):
-            CostWeights(q=q, r=r)
+            CostWeights(q=q, r=r, mu=1.0)
 
     @pytest.mark.parametrize("q, r, name, shape", [
         (np.ones((2, 3)), [[0.01]], "q", (2, 3)),
@@ -221,7 +221,7 @@ class TestStageCost:
     def test_cost_weights_reject_non_square(self, q, r, name, shape):
         message = f"{name} must be square, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            CostWeights(q=q, r=r)
+            CostWeights(q=q, r=r, mu=1.0)
 
     @pytest.mark.parametrize("q, r, message", [
         ([[1.0, 0.5], [0.4, 1.0]], [[0.01]], "q must be symmetric positive semidefinite"),
@@ -236,7 +236,7 @@ class TestStageCost:
             "semidefinite_r"])
     def test_cost_weights_reject(self, q, r, message):
         with pytest.raises(ValueError, match=message):
-            CostWeights(q=q, r=r)
+            CostWeights(q=q, r=r, mu=1.0)
 
     def test_cost_weights_accept_rank_one_q_of_any_scale(self):
         # v v^T is PSD, but its zero eigenvalue comes out of eigvalsh as about
@@ -244,16 +244,16 @@ class TestStageCost:
         rng = np.random.default_rng(0)
         for _ in range(2000):
             v = rng.standard_normal(2) * rng.uniform(1, 1e4)
-            CostWeights(q=np.outer(v, v), r=[[0.01]])
+            CostWeights(q=np.outer(v, v), r=[[0.01]], mu=1.0)
 
     def test_cost_weights_keep_the_symmetric_part(self):
         q = np.array([[2.0, 1.0], [1.0 + 1e-5, 1.0]])  # symmetric within np.allclose
         r = np.array([[0.02, 1e-9], [0.0, 0.01]])
-        w = CostWeights(q=q, r=r)
+        w = CostWeights(q=q, r=r, mu=1.0)
         np.testing.assert_array_equal(w.q, [[2.0, 1.0 + 0.5e-5], [1.0 + 0.5e-5, 1.0]])
         assert np.array_equal(w.q, w.q.T) and np.array_equal(w.r, w.r.T)
         # an exactly symmetric matrix keeps its bits
-        exact = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]])
+        exact = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         assert np.array_equal(exact.q, np.diag([1000.0, 1.0])) and exact.r[0, 0] == 0.01
 
 
@@ -374,7 +374,7 @@ class TestWindowGradient:
         # q is symmetric only within np.allclose; the window's dt Q e matches the
         # cost (dt/2) e^T Q e only with Q's symmetric part (7.3e-6 relative without it)
         model = load_model(FIXTURE)
-        weights = CostWeights(q=[[2.0, 1.0], [1.0 + 1e-5, 1.0]], r=[[0.01]])
+        weights = CostWeights(q=[[2.0, 1.0], [1.0 + 1e-5, 1.0]], r=[[0.01]], mu=1.0)
         x0 = np.array([0.6, -0.3])
         refs = np.array([[-0.5, 0.0]] * 3 + [[0.5, 0.0]] * 3)
         e0 = error_init(model, x0, refs[0], refs[0], model.dt)
@@ -485,7 +485,8 @@ class TestWindowGradient:
         model = msd_inputs(len(r))
         e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         with pytest.raises(ValueError, match=message):
-            Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r), 10, box)
+            Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r, mu=1.0),
+                   10, box)
 
     def test_saturated_channel_blocks_gradient(self):
         model = LinearSurrogate()
@@ -721,7 +722,7 @@ class TestOptimizeSegment:
         init = GainMatrix.from_stacked(source)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         res = segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
-                      CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]]), AdamConfig(),
+                      CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0), AdamConfig(),
                       msd_bounds(), regularizer_kind="barrier", plant=MSD,
                       max_iters=20, tol=0.0, init_gains=init)
         np.testing.assert_array_equal(init.stacked(), start)
@@ -844,7 +845,7 @@ class TestOptimizeSegment:
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
         with pytest.raises(ValueError, match=match):
-            segment(load_model(FIXTURE), x_k, errors_k, refs, CostWeights(q=q, r=r),
+            segment(load_model(FIXTURE), x_k, errors_k, refs, CostWeights(q=q, r=r, mu=1.0),
                     AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
                     input_bounds=input_box, max_iters=2)
         assert calls == []

@@ -317,8 +317,8 @@ class TestVectorShapes:
         with pytest.raises(ValueError, match="shape"):
             control_input(GainMatrix.from_stacked(np.ones((1, 6))), errors, box)
         with pytest.raises(ValueError, match="shape"):
-            Window(model, np.zeros(2), errors, np.zeros((3, 2)), CostWeights(np.eye(2), [[0.01]]),
-                   10, box)
+            Window(model, np.zeros(2), errors, np.zeros((3, 2)),
+                   CostWeights(np.eye(2), [[0.01]], mu=1.0), 10, box)
 
     def test_error_update_rejects_errors_of_another_width(self):
         # the error state of a 1-entry state would broadcast into both entries of e_deri

@@ -113,6 +113,7 @@ class TestDataSet:
             eps=0.05,
             state_box=Box([-np.pi, -np.pi, -2.5, -2.5], [np.pi, np.pi, 2.5, 2.5]),
             input_box=Box([-0.5, -0.5], [0.5, 0.5]),
+            seed=0,
         )
         assert cfg.horizon == pytest.approx(0.250)
         # NaN passed `dt <= 0` and made every sample time NaN

@@ -1,39 +1,55 @@
-"""Every public name in ``pinnpid`` has a caller in the library or the benchmark.
+"""Every public name in ``pinnpid`` has a caller, and every settable option is set
+by some caller and left at its default by another.
 
-A public module-level function or class, or a public method or property of
-such a class, must appear as a whole word in ``src/`` or ``bench/`` somewhere
-other than its own ``def``/``class`` line. Every field of a configuration
-record must be set by name, as a keyword argument or a string dict key, in
-``src/`` or ``bench/``. Every defaulted parameter of a public function or
-method must be set, by keyword or by position, by some call of that name in
-``src/`` or ``bench/``, and left unset by another: a default that every such
-call overrides is a second copy of the callers' value, or a path that only
-tests take, so the parameter must have no default. An ``__init__`` counts
-under its class name, and ``OVERRIDDEN`` lists the exceptions with the
-reason. Test files do not count as callers. Every public
-exception class must be the expected exception of some ``pytest.raises``
-under ``tests/``, so each failure path has a test that forces it. The count
-of settable options must equal ``OPTIONS``, so that a new or removed option
-shows up as a change to this file. A name kept in ``ALLOWED`` without a caller
-must still have none, and a default kept in ``OVERRIDDEN`` must still be
-overridden by every call, so that neither list of exceptions can go stale.
+Callers are the files of ``src/`` and ``bench/`` other than ``test_*`` files. A
+public module-level function or class, or a public method or property of such a
+class, must be referenced by their code: as a name, an attribute, an imported
+name, or a string constant equal to the name (the benchmark's trace hooks name
+their targets as strings). A docstring or comment that mentions it does not count.
+
+A settable option is a defaulted parameter of a public function or method, a
+public class's ``__init__`` included; the fields of a public dataclass, less those
+declared ``field(init=False)``, are the parameters of its ``__init__``. Each must
+be set, by keyword or by position, by some call and left unset by another. A
+default that no call sets is an option with one value; a default that every call
+sets is a second copy of the callers' value, or a path that only tests take. The
+calls of a function or method are those of its name; those of an ``__init__`` are
+those of its class, and ``cls(...)`` in one of the class's classmethods is one. A
+call ``f(**d)`` counts once for each non-empty dict literal of its file whose keys
+are all parameters of ``f``. Test files do not count as callers.
+
+``ALLOWED``, ``NOMINAL`` and ``OVERRIDDEN`` list the exceptions with the reason,
+and each fails once its entry is no longer needed, so none can go stale. Every
+public exception class must be the expected exception of some ``pytest.raises``
+under ``tests/``, so each failure path has a test that forces it. The settable
+options must equal ``OPTIONS``, so that a new, removed or swapped option shows up
+as a change to this file.
 """
 
 import ast
 import importlib
-import re
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pinnpid"
 
-# Configuration records, by module file; a field nothing sets is an option with one value.
-CONFIGS = {"training.py": "TrainConfig", "gainopt.py": "CostWeights",
-           "sampling.py": "DatasetConfig"}
-
-# Settable options: the defaulted parameters of public functions and methods, __init__
-# included, plus the defaulted fields of public dataclasses other than field(init=False).
-OPTIONS = 30
+# Settable options, sorted: the defaulted parameters of public functions and methods,
+# __init__ included, as function.parameter, and the defaulted fields of public
+# dataclasses that __init__ takes, as class.field.
+OPTIONS = [
+    "AdamConfig.alpha", "AdamState.iteration",
+    "FeedforwardNet.backward_raw.buffers", "FeedforwardNet.backward_raw.cot_tangents",
+    "FeedforwardNet.backward_raw.want_grads", "FeedforwardNet.forward_raw.buffers",
+    "FeedforwardNet.forward_raw.tangent_rows",
+    "ManipulatorParams.b_alpha", "ManipulatorParams.b_beta", "ManipulatorParams.gravity",
+    "ManipulatorParams.i1", "ManipulatorParams.i2", "ManipulatorParams.l1",
+    "ManipulatorParams.l2", "ManipulatorParams.lc1", "ManipulatorParams.lc2",
+    "ManipulatorParams.m1", "ManipulatorParams.m2",
+    "MsdParams.damping", "MsdParams.mass", "MsdParams.stiffness",
+    "TrainConfig.lbfgs_iterations", "TrainConfig.optimizer",
+    "TrainingDiverged.__init__.iteration", "TrainingDiverged.__init__.last_report",
+]
 
 # Kept without a caller, with the reason.
 ALLOWED = {
@@ -41,11 +57,28 @@ ALLOWED = {
     "msd_state_space": "test oracle: the exact linear surrogate and Jacobian in the tests",
 }
 
-# Defaults that every call in src/ and bench/ overrides, kept with the reason.
+# Records whose defaulted fields no call sets, with the reason.
+NOMINAL = {
+    "ManipulatorParams": "the nominal arm; the benchmark takes it at its defaults, and "
+                         "ROADMAP items 13 and 19 vary it",
+    "MsdParams": "the nominal spring-damper; the benchmark takes it at its defaults, and "
+                 "ROADMAP items 18 and 19 vary it",
+}
+
+# Defaults that every call overrides, with the reason.
 OVERRIDDEN = {
     "TrainingDiverged.__init__.iteration": "bench/test_bench.py raises it with a message alone",
     "TrainingDiverged.__init__.last_report": "bench/test_bench.py raises it with a message alone",
 }
+
+
+def package_sources():
+    return [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def caller_sources():
+    files = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").rglob("*.py"))]
+    return [f.read_text() for f in files if not f.name.startswith("test_")]
 
 
 def public_names():
@@ -61,192 +94,308 @@ def public_names():
                         yield path.name, f"{node.name}.{item.name}", item.name
 
 
-def caller_files():
-    files = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").rglob("*.py"))]
-    return [f for f in files if not f.name.startswith("test_")]
-
-
-def caller_lines():
-    return [line for f in caller_files() for line in f.read_text().splitlines()]
-
-
-def names_set_by_callers():
-    """Every keyword argument name and string dict key in src/ and bench/."""
+def references(sources):
+    """Every name that the code of ``sources`` refers to: each Name and Attribute, each
+    imported name, and each string constant. A comment is not code, and a docstring is
+    a string constant that never equals a bare name."""
     names = set()
-    for f in caller_files():
-        for node in ast.walk(ast.parse(f.read_text())):
-            if isinstance(node, ast.Call):
-                names.update(k.arg for k in node.keywords if k.arg)
-            elif isinstance(node, ast.Dict):
-                names.update(k.value for k in node.keys
-                             if isinstance(k, ast.Constant) and isinstance(k.value, str))
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
     return names
 
 
-def defaulted_parameters(init=False):
-    """(qualified name, bare name, positional index or None, parameter) of every
-    defaulted parameter of a public function or method, and of ``__init__`` when
-    ``init`` is true; the index skips self/cls."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            members = [(node, 0)] if isinstance(node, ast.FunctionDef) else []
-            if isinstance(node, ast.ClassDef):
-                members = [(item, 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                           for d in item.decorator_list) else 1)
-                           for item in node.body if isinstance(item, ast.FunctionDef)]
-            for fn, skip in members:
-                public = not fn.name.startswith("_") or (init and fn.name == "__init__")
-                if not public or node.name.startswith("_"):
-                    continue
-                qualified = fn.name if fn is node else f"{node.name}.{fn.name}"
-                positional = [*fn.args.posonlyargs, *fn.args.args]
-                first = len(positional) - len(fn.args.defaults)
-                for i, arg in enumerate(positional[first:], start=first):
-                    yield qualified, fn.name, i - skip, arg.arg
-                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-                    if default is not None:
-                        yield qualified, fn.name, None, arg.arg
+def stale_allowances(refs):
+    """The ALLOWED names among ``refs``, which have a caller, so need no exception."""
+    return [name for name in ALLOWED if name in refs]
+
+
+class Signature(NamedTuple):
+    """The parameters of one public function, method or class ``__init__``, less
+    self/cls; ``callee`` is the name its calls use, the class name for an ``__init__``."""
+    owner: str
+    callee: str
+    positional: list
+    keyword_only: list
+    defaults: list
+
+
+def decorated(node, name):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == name
+               for d in node.decorator_list)
+
+
+def function_signature(fn, owner, callee, skip):
+    positional = [a.arg for a in [*fn.args.posonlyargs, *fn.args.args]]
+    defaults = positional[len(positional) - len(fn.args.defaults):]
+    defaults += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return Signature(owner, callee, positional[skip:], [a.arg for a in fn.args.kwonlyargs],
+                     defaults)
+
+
+def dataclass_fields(node):
+    """(name, defaulted) of each field of a dataclass that its ``__init__`` takes."""
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            given = {k.arg: k.value for k in value.keywords}
+            if isinstance(given.get("init"), ast.Constant) and given["init"].value is False:
+                continue
+            yield item.target.id, "default" in given or "default_factory" in given
+        else:
+            yield item.target.id, value is not None
+
+
+def signatures(sources=None):
+    """The Signature of every public function and method and of every public class's
+    ``__init__``, a dataclass's from its fields, in ``sources`` (default: the package)."""
+    for source in package_sources() if sources is None else sources:
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield function_signature(node, node.name, node.name, 0)
+                continue
+            if decorated(node, "dataclass"):
+                fields = list(dataclass_fields(node))
+                yield Signature(node.name, node.name, [name for name, _ in fields], [],
+                                [name for name, defaulted in fields if defaulted])
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    yield function_signature(
+                        fn, f"{node.name}.{fn.name}",
+                        node.name if fn.name == "__init__" else fn.name,
+                        0 if decorated(fn, "staticmethod") else 1)
+
+
+def settable_options(sources=None):
+    """``owner.param`` of every defaulted parameter in ``signatures(sources)``."""
+    return [f"{sig.owner}.{param}" for sig in signatures(sources) for param in sig.defaults]
+
+
+def changed_options(options):
+    """(added, removed): the options missing from ``OPTIONS`` and those it has in excess."""
+    return sorted(set(options) - set(OPTIONS)), sorted(set(OPTIONS) - set(options))
 
 
 def calls_by_name(sources=None):
-    """Every call in ``sources`` (default: the files of src/ and bench/), keyed by
-    the called name (``f(...)``, ``x.f(...)``)."""
+    """Every call in ``sources`` (default: the callers), keyed by the called name
+    (``f(...)``, ``x.f(...)``, and the class for ``cls(...)`` in a classmethod), with
+    the key sets of the non-empty string-keyed dict literals of its file."""
     calls = {}
-    for source in [f.read_text() for f in caller_files()] if sources is None else sources:
-        for node in ast.walk(ast.parse(source)):
+    for source in caller_sources() if sources is None else sources:
+        tree = ast.parse(source)
+        dicts = [{k.value for k in node.keys} for node in ast.walk(tree)
+                 if isinstance(node, ast.Dict) and node.keys and all(
+                     isinstance(k, ast.Constant) and isinstance(k.value, str) for k in node.keys)]
+        constructs = {}
+        for cls in ast.walk(tree):
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else []:
+                if (isinstance(fn, ast.FunctionDef) and decorated(fn, "classmethod")
+                        and fn.args.args):
+                    first = fn.args.args[0].arg
+                    constructs.update((node, cls.name) for node in ast.walk(fn)
+                                      if isinstance(node, ast.Call)
+                                      and getattr(node.func, "id", None) == first)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                calls.setdefault(name, []).append(node)
+                name = constructs.get(node) or (
+                    func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+                calls.setdefault(name, []).append((node, dicts))
     return calls
 
 
-def sets_parameter(call, index, param):
-    """Whether the call passes ``param``: by keyword, at positional ``index``, or
-    through ``*args`` / ``**kwargs``."""
-    if any(k.arg in (param, None) for k in call.keywords):
-        return True
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    return index is not None and len(call.args) > index
+def passed_sets(sig, calls):
+    """The set of parameters of ``sig`` that each of its calls passes: by position
+    (all of them through ``*args``) and by keyword; a call with ``**d`` counts once for
+    each dict of its file whose keys are all parameters of ``sig``."""
+    params = {*sig.positional, *sig.keyword_only}
+    passed = []
+    for call, dicts in calls.get(sig.callee, []):
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        named = set(sig.positional if starred else sig.positional[:len(call.args)])
+        named.update(k.arg for k in call.keywords if k.arg)
+        if all(k.arg for k in call.keywords):
+            passed.append(named)
+        else:
+            passed += [named | keys for keys in dicts if keys <= params]
+    return passed
 
 
-def always_overridden(params, calls):
-    """``qualified.param`` of each of ``params`` (as ``defaulted_parameters`` yields
-    them) that some call sets and every call sets; an ``__init__``'s calls are
-    those of its class."""
-    found = []
-    for qualified, name, index, param in params:
-        callers = calls.get(qualified.split(".")[0] if name == "__init__" else name, [])
-        if callers and all(sets_parameter(call, index, param) for call in callers):
-            found.append(f"{qualified}.{param}")
-    return found
+def default_uses(sigs, calls):
+    """(option, calls that set it, calls) of every defaulted parameter of ``sigs``."""
+    for sig in sigs:
+        passed = passed_sets(sig, calls)
+        for param in sig.defaults:
+            yield f"{sig.owner}.{param}", sum(param in p for p in passed), len(passed)
 
 
-def has_caller(name, lines):
-    """Whether ``name`` appears as a whole word on a line other than its own def/class line."""
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-    return any(word.search(line) and not definition.match(line) for line in lines)
+def unset_defaults(uses):
+    """The options that no call sets, less the fields of the NOMINAL records."""
+    return [option for option, n_set, _ in uses
+            if n_set == 0 and option.rpartition(".")[0] not in NOMINAL]
 
 
-def stale_allowances(lines):
-    """The ALLOWED names that have a caller among ``lines``, so need no exception."""
-    return [name for name in ALLOWED if has_caller(name, lines)]
+def always_overridden(uses):
+    """The options that some call sets and every call sets."""
+    return [option for option, n_set, n_calls in uses if 0 < n_set == n_calls]
+
+
+def stale_nominal(uses):
+    """The NOMINAL records that have no defaulted field, or one that some call sets."""
+    unset = {}
+    for option, n_set, _ in uses:
+        owner = option.rpartition(".")[0]
+        if owner in NOMINAL:
+            unset[owner] = unset.get(owner, True) and n_set == 0
+    return [owner for owner in NOMINAL if not unset.get(owner, False)]
 
 
 def test_every_public_name_has_a_caller():
     names = list(public_names())
     assert set(ALLOWED) <= {bare for _, _, bare in names}
-    lines = caller_lines()
+    refs = references(caller_sources())
     unused = [f"{module}: {qualified}" for module, qualified, name in names
-              if name not in ALLOWED and not has_caller(name, lines)]
+              if name not in ALLOWED and name not in refs]
     assert not unused, "used nowhere in src/ or bench/: " + ", ".join(unused)
 
 
 def test_allowed_names_still_have_no_caller():
-    stale = stale_allowances(caller_lines())
+    stale = stale_allowances(references(caller_sources()))
     assert not stale, "allowed without a caller, but called in src/ or bench/: " + ", ".join(stale)
 
 
 def test_an_allowed_name_that_gains_a_caller_is_stale():
-    lines = ["def manipulator_energy(p, x):", "    e = manipulator_energy(ARM, x)"]
-    assert stale_allowances(lines) == ["manipulator_energy"]
-    assert stale_allowances(lines[:1]) == []
+    definition = "def manipulator_energy(p, x):\n    return 0.0\n"
+    assert stale_allowances(references([definition, "e = manipulator_energy(ARM, x)"])) == [
+        "manipulator_energy"]
+    assert stale_allowances(references([definition])) == []
 
 
-def test_every_config_field_is_set_by_a_caller():
-    set_names = names_set_by_callers()
-    unset, found = [], set()
-    for module, cls in CONFIGS.items():
-        for node in ast.parse((PACKAGE / module).read_text()).body:
-            if isinstance(node, ast.ClassDef) and node.name == cls:
-                found.add(cls)
-                unset += [f"{cls}.{item.target.id}" for item in node.body
-                          if isinstance(item, ast.AnnAssign) and item.target.id not in set_names]
-    assert found == set(CONFIGS.values())
-    assert not unset, "set nowhere in src/ or bench/: " + ", ".join(unset)
+def test_a_name_in_a_docstring_or_comment_has_no_caller():
+    prose = ('def f():\n    """Unlike manipulator_energy, f is no oracle."""\n'
+             "    return 0  # manipulator_energy(ARM, x) would be one\n")
+    assert "manipulator_energy" not in references([prose])
+    for code in ("e = manipulator_energy(ARM, x)", "e = plants.manipulator_energy",
+                 "from pinnpid.plants import manipulator_energy",
+                 'Hook("pinnpid.plants", "manipulator_energy", "plants.energy")'):
+        assert "manipulator_energy" in references([code])
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
-    calls = calls_by_name()
-    params = list(defaulted_parameters())
-    assert params
-    unset = [f"{qualified}.{param}" for qualified, name, index, param in params
-             if not any(sets_parameter(call, index, param) for call in calls.get(name, []))]
+    uses = list(default_uses(signatures(), calls_by_name()))
+    assert uses
+    stale = stale_nominal(uses)
+    assert not stale, "kept in NOMINAL, but a call sets a field or none has a default: " + (
+        ", ".join(stale))
+    unset = unset_defaults(uses)
     assert not unset, "a default no call in src/ or bench/ overrides: " + ", ".join(unset)
 
 
 def test_no_default_is_overridden_by_every_call():
-    found = always_overridden(defaulted_parameters(init=True), calls_by_name())
+    found = always_overridden(default_uses(signatures(), calls_by_name()))
     stale = sorted(set(OVERRIDDEN) - set(found))
     assert not stale, "kept in OVERRIDDEN, but some call takes the default: " + ", ".join(stale)
     kept = [name for name in found if name not in OVERRIDDEN]
     assert not kept, "a default every call in src/ or bench/ overrides: " + ", ".join(kept)
 
 
+def uses_of(library, callers):
+    """default_uses of the ``library`` source as called from ``callers``."""
+    return list(default_uses(signatures([library]), calls_by_name(callers)))
+
+
 def test_a_default_that_every_call_overrides_is_named():
-    params = [("f", "f", 1, "b"), ("f", "f", None, "c"), ("C.__init__", "__init__", 0, "x")]
-    every = calls_by_name(["f(1, 2)", "f(1, b=3, c=4)", "C(5)", "g(x=1)"])
-    assert always_overridden(params, every) == ["f.b", "C.__init__.x"]
-    some = calls_by_name(["f(1)", "f(1, b=3, c=4)", "C()", "x.C(5)"])
-    assert always_overridden(params, some) == []
-    assert always_overridden(params, {}) == []  # no call: the test above names those
+    library = ("def f(a, b=1, *, c=2):\n    pass\n"
+               "class C:\n    def __init__(self, x=0):\n        pass\n")
+    assert always_overridden(uses_of(library, ["f(1, 2)", "f(1, b=3, c=4)", "C(5)", "g(x=1)"])) == [
+        "f.b", "C.__init__.x"]
+    assert always_overridden(uses_of(library, ["f(1)", "f(1, b=3, c=4)", "C()", "x.C(5)"])) == []
+    assert always_overridden(uses_of(library, [])) == []  # no call: the test above names those
 
 
-def defaulted_fields():
-    """(class, field) of every defaulted field of a public dataclass, less those
-    declared ``field(init=False)``, which no caller can set."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, ast.ClassDef) or node.name.startswith("_") or not any(
-                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-                    for d in node.decorator_list):
-                continue
-            for item in node.body:
-                if not isinstance(item, ast.AnnAssign) or item.value is None:
-                    continue
-                value = item.value
-                if isinstance(value, ast.Call) and any(
-                        k.arg == "init" and isinstance(k.value, ast.Constant)
-                        and k.value.value is False for k in value.keywords):
-                    continue
-                yield node.name, item.target.id
+RECORD = """
+@dataclass
+class C:
+    a: int
+    b: int = 0
+    c: str = "x"
+    d: list = field(default_factory=list)
+    e: float | None = field(default=None, init=False)
+"""
 
 
-def settable_options():
-    """``qualified.param`` of every defaulted parameter, ``__init__`` included, and
-    ``class.field`` of every defaulted field that a caller can set."""
-    return ([f"{qualified}.{param}" for qualified, _, _, param in defaulted_parameters(True)]
-            + [f"{cls}.{name}" for cls, name in defaulted_fields()])
+def test_a_field_default_that_no_construction_sets_is_named():
+    assert settable_options([RECORD]) == ["C.b", "C.c", "C.d"]  # not C.e: init=False
+    uses = uses_of(RECORD, ["C(1, 2)", "C(a=1, b=3)"])
+    assert unset_defaults(uses) == ["C.c", "C.d"]
+    assert always_overridden(uses) == ["C.b"]
+
+
+def test_a_field_default_that_every_construction_sets_is_named():
+    uses = uses_of(RECORD, ["C(1, 2, 'y', [])", "x.C(a=1, b=3, c='z', d=[])"])
+    assert always_overridden(uses) == ["C.b", "C.c", "C.d"]
+    assert unset_defaults(uses) == []
+
+
+def test_a_double_star_call_counts_once_for_each_dict_of_its_file():
+    specs = "A = {'a': 1, 'b': 2}\nB = {'a': 1, 'b': 3, 'c': 'y'}\nZ = {'a': 1, 'z': 0}\nE = {}\n"
+    uses = uses_of(RECORD, [specs + "C(**spec)"])
+    assert uses == [("C.b", 2, 2), ("C.c", 1, 2), ("C.d", 0, 2)]
+    assert always_overridden(uses) == ["C.b"]
+    # a dict of another file is not read, so that call counts for nothing
+    assert uses_of(RECORD, [specs, "C(**spec)"]) == [("C.b", 0, 0), ("C.c", 0, 0), ("C.d", 0, 0)]
+    # a keyword beside ** is set in each reading
+    assert uses_of(RECORD, [specs + "C(d=[], **spec)"])[2] == ("C.d", 2, 2)
+
+
+def test_cls_in_a_classmethod_constructs_its_class():
+    library = RECORD + """
+    @classmethod
+    def empty(cls):
+        return cls(0)
+"""
+    uses = uses_of(library, [library, "C(1, 2, 'y', [])"])
+    assert uses == [("C.b", 1, 2), ("C.c", 1, 2), ("C.d", 1, 2)]
+    assert always_overridden(uses) == []
+    # the same call outside a classmethod constructs nothing of C
+    assert always_overridden(uses_of(library, ["def f(cls):\n    return cls(0)",
+                                               "C(1, 2, 'y', [])"])) == ["C.b", "C.c", "C.d"]
+
+
+def test_a_nominal_record_that_gains_a_setting_call_is_stale():
+    library = "@dataclass\nclass MsdParams:\n    mass: float = 1.0\n    damping: float = 0.5\n"
+    unset = uses_of(library, ["MsdParams()"])
+    assert stale_nominal(unset) == ["ManipulatorParams"]  # absent here: no defaulted field
+    assert unset_defaults(unset) == []
+    assert stale_nominal(uses_of(library, ["MsdParams()", "MsdParams(mass=2.0)"])) == [
+        "ManipulatorParams", "MsdParams"]
 
 
 def test_settable_options_are_counted():
     options = settable_options()
     assert len(options) == len(set(options))
-    assert len(options) == OPTIONS, (
-        f"{len(options)} settable options, OPTIONS records {OPTIONS}: set OPTIONS to the new "
-        f"count and give it, with the reason for the change, in CHANGES.md ({sorted(options)})")
+    added, removed = changed_options(options)
+    assert sorted(options) == OPTIONS, (
+        f"{len(options)} settable options, OPTIONS records {len(OPTIONS)}; added {added}, "
+        f"removed {removed}: update OPTIONS and give the change, with the reason, in CHANGES.md")
+
+
+def test_a_swapped_option_is_named():
+    assert OPTIONS == sorted(OPTIONS)
+    assert changed_options(OPTIONS) == ([], [])
+    assert changed_options([*OPTIONS[1:], "f.x"]) == (["f.x"], [OPTIONS[0]])
 
 
 def exception_classes():

@@ -400,7 +400,7 @@ class TestTrain:
         # each was accepted without a word: no Adam step, no L-BFGS stage, validation
         # on a sign-flipped modulus, and (0) a second switch that turned validation off
         with pytest.raises(ValueError, match=rf"^{message}$"):
-            TrainConfig(**fields)
+            TrainConfig(**{"iterations": 4, "val_interval": 2, **fields})
 
     @pytest.mark.parametrize("stage", ["adam", "lbfgs"])
     @pytest.mark.parametrize("fault", ["loss", "gradient"])
