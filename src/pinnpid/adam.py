@@ -17,7 +17,7 @@ BETA2 = 0.999
 EPS = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdamConfig:
     alpha: float = 1e-2
 
@@ -30,11 +30,11 @@ class AdamConfig:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    iteration: int = 0
+    iteration: int
 
     @classmethod
     def zeros(cls, shape) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape))
+        return cls(m=np.zeros(shape), v=np.zeros(shape), iteration=0)
 
 
 def adam_step(state: AdamState, grad: np.ndarray, f: np.ndarray, cfg: AdamConfig):

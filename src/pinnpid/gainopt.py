@@ -19,11 +19,12 @@ measurement, is the fixed linear map
 
 where A carries e_int over and puts -e_prop / dt into e_deri, P takes the
 last prediction into e_prop and e_deri (the latter over dt) and the
-trapezoid sum into e_int, and c_j = B (r_j, r_{j+1}) holds the references.
-``Window`` builds A, P, B and every c_j once per segment. No cost reads
-E_H, so only the H-1 steps that form E_1..E_{H-1} are unrolled. The reverse
-sweep is that map's discrete adjoint. With lambda_j = dJ/dE_j, it starts at
-the last scored stage, whose input cotangent cu_{H-1} is dt R u_{H-1}, from
+trapezoid sum, with weights w, into e_int, and c_j = (r_{j+1}, sum(w) r_j,
+r_{j+1} (1/dt)) holds the references. ``Window`` builds A, P and every c_j
+once per segment. No cost reads E_H, so only the H-1 steps that form
+E_1..E_{H-1} are unrolled. The reverse sweep is that map's discrete adjoint.
+With lambda_j = dJ/dE_j, it starts at the last scored stage, whose input
+cotangent cu_{H-1} is dt R u_{H-1}, from
 lambda_{H-1} = (dt Q e_prop_{H-1}, 0, 0) + F^T cu_{H-1}. Each earlier step
 pulls the cotangent -P^T lambda_{j+1} of V_j, plus dJ/dx_{j+1} on its last
 row, back through the network to (x_j, u_j); the input cotangent plus
@@ -74,33 +75,34 @@ class SegmentDiverged(RuntimeError):
     window cost or gradient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostWeights:
     """Window cost J(F) = (dt/2) sum_{j<H} (e_pj^T Q e_pj + u_j^T R u_j) + mu Theta(F),
-    with e_pj the proportional error and u_j the clipped input of stage j."""
+    with e_pj the proportional error and u_j the clipped input of stage j; q, r read-only."""
 
     q: np.ndarray
     r: np.ndarray
     mu: float
 
     def __post_init__(self):
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        self.r = np.atleast_2d(np.asarray(self.r, dtype=float))
-        for name, arr in (("q", self.q), ("r", self.r)):
+        q, r = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (self.q, self.r))
+        for name, arr in (("q", q), ("r", r)):
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise ValueError(f"{name} must be square, got shape {arr.shape}")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.r).all()):
+        if not (np.isfinite(q).all() and np.isfinite(r).all()):
             raise ValueError("q and r must be finite")
         # symmetric within np.allclose(a, a.T)'s tolerances; each keeps its symmetric
         # part (halved first, so that no entry overflows), since dt Q e is the gradient
         # of (dt/2) e^T Q e only for a symmetric Q
-        q, r = self.q, self.r
         q_sym, r_sym = ((abs(a - a.T) <= 1e-8 + 1e-5 * abs(a.T)).all() for a in (q, r))
-        self.q, self.r = 0.5 * q + 0.5 * q.T, 0.5 * r + 0.5 * r.T
-        eig_q = np.linalg.eigvalsh(self.q)  # ascending; its rounding grows with |lambda|max
+        q, r = 0.5 * q + 0.5 * q.T, 0.5 * r + 0.5 * r.T
+        q.flags.writeable = r.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        eig_q = np.linalg.eigvalsh(q)  # ascending; its rounding grows with |lambda|max
         if not q_sym or eig_q[0] < -PSD_RTOL * max(-eig_q[0], eig_q[-1]):
             raise ValueError("q must be symmetric positive semidefinite")
-        if not r_sym or np.linalg.eigvalsh(self.r)[0] <= 0:
+        if not r_sym or np.linalg.eigvalsh(r)[0] <= 0:
             raise ValueError("r must be symmetric positive definite")
         if not (np.isfinite(self.mu) and self.mu > 0):
             raise ValueError("mu must be positive")
@@ -170,9 +172,9 @@ class Window:
     q (n, n), r (m, m) and the input box (m,); ``pid.check_shapes`` names the
     first input of another shape. It holds the quadrature nodes ``taus``, the
     maps ``a`` and ``p`` (vec(V) flattens the prediction block row by row), the
-    reference drive ``c`` (row j is c_j = B (r_j, r_{j+1})), the references,
-    E_0, x_0, the input box and the model's step dt. ``window_cost_and_grad``
-    reads them for each F and writes none of them.
+    reference drive ``c`` (row j is c_j of the module docstring), the
+    references, E_0, x_0, the input box and the model's step dt.
+    ``window_cost_and_grad`` reads them for each F and writes none of them.
     """
 
     def __init__(self, model, x0, errors0, refs, weights: CostWeights, n_quad: int,
@@ -190,17 +192,12 @@ class Window:
             model, weights.q, weights.r, dt, n, refs, input_bounds.upper)
         self.taus, w = quadrature_nodes(dt, n_quad)
         eye = np.eye(n)
-        end = np.zeros(n_quad + 1)
-        end[-1] = 1.0
+        last = np.eye(n, (n_quad + 1) * n, n_quad * n)  # vec(V) -> V's last row
         self.a = np.zeros((3 * n, 3 * n))
         self.a[n : 2 * n, n : 2 * n] = eye
         self.a[2 * n :, :n] = -eye / dt
-        self.p = np.vstack([np.kron(end, eye), np.kron(w, eye), np.kron(end, eye) / dt])
-        b = np.zeros((3 * n, 2 * n))
-        b[n : 2 * n, :n] = w.sum() * eye
-        b[:n, n:] = eye
-        b[2 * n :, n:] = eye / dt
-        self.c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
+        self.p = np.vstack([last, np.kron(w, eye), last / dt])
+        self.c = np.concatenate((refs[1:-1], w.sum() * refs[:-2], refs[1:-1] * (1.0 / dt)), axis=1)
 
 
 def window_cost_and_grad(window: Window, f: np.ndarray):
@@ -266,7 +263,7 @@ def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights, adam: Ada
                      init_gains: GainMatrix) -> SegmentResult:
     """Projected Adam on the lookahead window; returns the best iterate.
 
-    Iterates until the max-norm gain change drops below ``tol`` (tol = 0
+    Iterates until the max-norm gain change drops below ``tol`` >= 0 (tol = 0
     disables early stopping) or ``max_iters`` is hit; one more window then
     scores the final iterate without stepping, so a segment makes
     ``iterations + 1`` window evaluations, each gradient plus mu times
@@ -298,11 +295,11 @@ def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights, adam: Ada
     if (regularizer_kind, plant is None) not in (("barrier", False), ("norm", True)):
         raise ValueError(f"regularizer_kind must be 'barrier' with a plant or 'norm' without "
                          f"one, got {regularizer_kind!r} with plant {plant!r}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if max_iters < 0 or not tol >= 0:  # a negative or NaN tol would never stop early
+        raise ValueError(f"max_iters and tol must be >= 0, got {max_iters} and {tol}")
     window = Window(model, x_k, errors_k, refs, weights, n_quad, input_bounds)
     box = (model.m, 3 * n)  # F's shape
-    _, start = check_shapes(bounds=(bounds.lower, box), init_gains=(init_gains.stacked(), box))
+    _, start = check_shapes(bounds=(bounds.lower, box), init_gains=(init_gains.f, box))
     if plant is not None and not _barrier_reads_every_gain(bounds, n):
         raise ValueError("the barrier reads K^p, K^i and K^d of input 0 on state coordinate 0 "
                          "alone; the bounds must pin every other gain to 0")
@@ -328,5 +325,4 @@ def optimize_segment(model, x_k, errors_k, refs, weights: CostWeights, adam: Ada
         f_new = _project(f_new, bounds, plant, n)
         converged = float(np.max(np.abs(f_new - f))) < tol
         f = f_new
-    return SegmentResult(gains=GainMatrix.from_stacked(best_f), cost=best_cost,
-                         iterations=it, converged=converged)
+    return SegmentResult(GainMatrix(best_f), best_cost, it, converged)

@@ -44,8 +44,7 @@ class PinnModel:
     def __post_init__(self):
         object.__setattr__(self, "params", np.array(self.params, dtype=float))
         self.params.flags.writeable = False  # and so are the layers, its views
-        if self.params.shape != (self.net.n_params,):
-            raise ValueError("parameter vector does not match the network spec")
+        object.__setattr__(self, "layers", self.net.unpack(self.params))  # checks the length
         if not np.all(np.isfinite(self.params)):
             raise ValueError("non-finite model parameters")
         if not (0 < self.dt < np.inf and 0 < self.eps < np.inf):
@@ -57,7 +56,6 @@ class PinnModel:
         t_hi = float(self.net.scaling.upper[0])
         if not abs(self.dt + self.eps - t_hi) <= 1e-8 + 1e-5 * abs(t_hi):
             raise ValueError("dt + eps must equal the trained time horizon")
-        object.__setattr__(self, "layers", self.net.unpack(self.params))
 
     @property
     def n(self) -> int:

@@ -83,7 +83,7 @@ def diagonal_gain_bounds(n_state, n_input, kp_range, ki_range, kd_range,
 
 def control_input(gains: GainMatrix, errors, input_bounds) -> np.ndarray:
     """u = F E, clipped into the input box."""
-    f = gains.stacked()
+    f = gains.f
     errors = np.asarray(errors, dtype=float)
     if errors.shape != (f.shape[1],):
         raise ValueError(f"errors has shape {errors.shape}, F needs ({f.shape[1]},)")

@@ -29,6 +29,7 @@ import scipy.optimize
 
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
+from pinnpid.pid import check_shapes
 from pinnpid.plants import simulate_zoh
 from pinnpid.sampling import DataSet, PhysSet, lhs_sample
 
@@ -48,7 +49,7 @@ class TrainingDiverged(RuntimeError):
         self.last_report = last_report
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     iterations: int
     val_interval: int  # validate every val_interval-th report
@@ -119,7 +120,7 @@ def fd_state_jacobian(rhs, x, u):
 def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers):
     """Data pass and dual physics pass through ``layers``: (l_data, l_phys)
     and what the reverse sweeps read, (data residual, tape, physics residual,
-    predicted states, inputs, tape). ``buffers`` is as in ``loss_and_grad``."""
+    predicted states, tape). ``buffers`` is as in ``loss_and_grad``."""
     buf_d, buf_p = buffers.setdefault("data", {}), buffers.setdefault("phys", {})
     rows_d = net.stack_rows(data.t, data.x0, data.u)
     preds, _, tape_d = net.forward_raw(layers, rows_d, buffers=buf_d)
@@ -129,10 +130,9 @@ def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers):
     values, rates, tape_p = net.forward_raw(
         layers, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
     )
-    u2 = np.atleast_2d(phys.u)
-    residual = rates - rhs(values, u2)
+    residual = rates - rhs(values, phys.u)
     l_phys = float(np.mean(np.sum(residual**2, axis=1)))
-    return l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p
+    return l_data, l_phys, res_d, tape_d, residual, values, tape_p
 
 
 def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int, *, buffers):
@@ -150,13 +150,13 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers):
     the ``network`` module docstring). Nothing returned aliases a buffer.
     """
     layers = net.unpack(params)
-    l_data, l_phys, res_d, tape_d, residual, values, u2, tape_p = _forward(
+    l_data, l_phys, res_d, tape_d, residual, values, tape_p = _forward(
         net, layers, data, phys, rhs, buffers
     )
     buf_d, buf_p = buffers["data"], buffers["phys"]
     grad_d, _ = net.backward_raw(layers, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
     cot_rate = (2.0 / residual.shape[0]) * residual
-    jac = fd_state_jacobian(rhs, values, u2)
+    jac = fd_state_jacobian(rhs, values, phys.u)
     cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
     grad_p, _ = net.backward_raw(layers, tape_p, cot_value, cot_rate, buffers=buf_p)
     l_total = l_data + LAMBDA_PHYS * l_phys
@@ -196,19 +196,26 @@ def make_validation_set(rhs, state_box, input_box, dt, n_traj, n_steps, seed) ->
     return ValidationSet(x0=x0, u_seq=u_seq, truth=truth, dt=dt)
 
 
-def validate(model, vset: ValidationSet) -> ValidationReport:
-    """Recurrent self-loop errors per state coordinate; ``vset.dt`` must be ``model.dt``."""
+def _check_validation_set(model, vset: ValidationSet) -> list[np.ndarray]:
+    """``vset``'s (u_seq, x0, truth) as float arrays, if ``validate`` accepts them."""
     if vset.dt != model.dt:  # the step the surrogate was trained for
         raise ValueError(f"validation set steps {vset.dt}, the surrogate {model.dt}")
-    n_traj, n_steps = vset.u_seq.shape[:2]
-    taus = np.full(n_traj, vset.dt)
+    n_traj, n_steps = (*np.shape(vset.u_seq), 0, 0)[:2]  # u_seq fails first unless 3-D
+    return check_shapes(u_seq=(vset.u_seq, (n_traj, n_steps, model.m)),
+                        x0=(vset.x0, (n_traj, model.n)),
+                        truth=(vset.truth, (n_traj, n_steps + 1, model.n)))
+
+
+def validate(model, vset: ValidationSet) -> ValidationReport:
+    """Recurrent self-loop errors per state coordinate; ValueError unless ``vset``
+    steps ``model.dt`` and its u_seq, x0, truth have shapes (N, S, m), (N, n), (N, S + 1, n)."""
+    u_seq, x_roll, truth = _check_validation_set(model, vset)
+    taus = np.full(x_roll.shape[0], vset.dt)
     roll_err = []
-    x_roll = vset.x0.copy()
-    for k in range(n_steps):
-        x_roll = model.predict(taus, x_roll, vset.u_seq[:, k, :])
-        roll_err.append(x_roll - vset.truth[:, k + 1, :])
-    roll = np.concatenate(roll_err, axis=0)
-    return ValidationReport(mse_rollout=np.mean(roll**2, axis=0))
+    for k in range(u_seq.shape[1]):
+        x_roll = model.predict(taus, x_roll, u_seq[:, k, :])
+        roll_err.append(x_roll - truth[:, k + 1, :])
+    return ValidationReport(mse_rollout=np.mean(np.concatenate(roll_err) ** 2, axis=0))
 
 
 def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
@@ -217,7 +224,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
 
     ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that
     both stages fit; a set with a non-finite row raises ValueError, and so
-    does a ``validation`` set whose dt is not ``model.dt``, before the first
+    does a ``validation`` set that ``validate`` refuses, before the first
     iteration. Every ``config.val_interval``-th report and the final iterate
     are validated, and the best-validation parameter vector (self-loop
     rollout MSE) is returned. Adam reports hold the losses before each step
@@ -230,8 +237,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
     _check_finite_sets(data, phys)
-    if validation.dt != model.dt:  # else validate refuses it late
-        raise ValueError(f"validation set steps {validation.dt}, the surrogate {model.dt}")
+    _check_validation_set(model, validation)  # else validate refuses it late
     buffers = {}  # row-sized arrays of both passes, reused by every iteration
 
     def evaluate(pvec, stage):

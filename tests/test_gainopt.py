@@ -256,6 +256,17 @@ class TestStageCost:
         exact = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         assert np.array_equal(exact.q, np.diag([1000.0, 1.0])) and exact.r[0, 0] == 0.01
 
+    def test_cost_weights_are_frozen_and_read_only(self):
+        # an assignment skipped every check: mu = -1 ran the search with a negative weight
+        w = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        for name, value in (("mu", -1.0), ("q", -np.eye(2)), ("r", [[-1.0]])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, value)
+        for arr in (w.q, w.r):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = -1.0
+        assert w.mu == 1.0 and w.q[0, 0] == 1000.0 and w.r[0, 0] == 0.01
+
 
 class TestAdam:
     def test_one_function_under_each_callers_name(self):
@@ -303,6 +314,12 @@ class TestAdam:
         # a NaN alpha surfaced as a non-finite network input, a negative one climbed
         with pytest.raises(ValueError, match="alpha"):
             AdamConfig(alpha=alpha)
+
+    def test_config_is_frozen(self):
+        cfg = AdamConfig(alpha=1e-2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alpha = -1.0
+        assert cfg.alpha == 1e-2
 
 
 class TestProjection:
@@ -562,6 +579,28 @@ class TestStackedWindow:
                 assert np.array_equal(getattr(window, name), value), name
         assert np.array_equal(model.params, params)
 
+    def test_reference_drive_and_selector_match_the_b_map_bit_for_bit(self):
+        # c_j and P's last-row selector, built straight from the rows, against their earlier
+        # form: c_j = B (r_j, r_{j+1}) with a 3n x 2n map B, and the selector kron(e_last, I)
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            n, horizon, n_quad = (int(rng.integers(lo, hi)) for lo, hi in ((1, 5), (2, 8), (2, 12)))
+            dt = float(rng.uniform(0.01, 1.0))
+            refs = rng.standard_normal((horizon + 1, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            weights = CostWeights(q=np.eye(n), r=[[0.01]], mu=1.0)
+            window = Window(SimpleNamespace(dt=dt, n=n, m=1), np.zeros(n), np.zeros(3 * n), refs,
+                            weights, n_quad, UNBOUNDED)
+            _, w = quadrature_nodes(dt, n_quad)
+            eye, end = np.eye(n), np.eye(n_quad + 1)[-1]
+            b = np.zeros((3 * n, 2 * n))
+            b[n : 2 * n, :n] = w.sum() * eye
+            b[:n, n:] = eye
+            b[2 * n :, n:] = eye / dt
+            c = np.concatenate((refs[:-2], refs[1:-1]), axis=1) @ b.T
+            p = np.vstack([np.kron(end, eye), np.kron(w, eye), np.kron(end, eye) / dt])
+            for new, old in ((window.c, c), (window.p, p)):
+                assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
     def test_error_recursion_matches_controller(self):
         # the inputs F E_j the window feeds the surrogate, with E_j from the fixed
         # linear error map, against F E_j with E_j from successive pid.error_update
@@ -802,6 +841,17 @@ class TestOptimizeSegment:
         with pytest.raises(ValueError, match="max_iters"):
             segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
                     AdamConfig(), msd_bounds(), max_iters=-1)
+
+    @pytest.mark.parametrize("tol", [-1e-6, np.nan])
+    def test_negative_or_nan_tol_rejected_before_a_window(self, tol, monkeypatch):
+        # either one turned early stopping off without a word
+        monkeypatch.setattr(gainopt, "window_cost_and_grad",
+                            lambda *args: pytest.fail("a window ran"))
+        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=rf"tol must be >= 0, got .*{tol}"):
+            segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
+                    AdamConfig(), msd_bounds(), tol=tol)
 
     @pytest.mark.parametrize("m, r, box, init, match", [
         (2, [[0.01]], (2, 6), None, r"r has shape \(1, 1\), the model needs \(2, 2\)"),

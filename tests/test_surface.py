@@ -38,7 +38,7 @@ PACKAGE = ROOT / "src" / "pinnpid"
 # __init__ included, as function.parameter, and the defaulted fields of public
 # dataclasses that __init__ takes, as class.field.
 OPTIONS = [
-    "AdamConfig.alpha", "AdamState.iteration",
+    "AdamConfig.alpha",
     "FeedforwardNet.backward_raw.buffers", "FeedforwardNet.backward_raw.cot_tangents",
     "FeedforwardNet.backward_raw.want_grads", "FeedforwardNet.forward_raw.buffers",
     "FeedforwardNet.forward_raw.tangent_rows",

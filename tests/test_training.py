@@ -1,7 +1,7 @@
 """Loss, residual and trainer checks, with finite-difference gradient oracles."""
 
 import warnings
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -243,7 +243,7 @@ class TestValidation:
         vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=3, n_steps=5, seed=1)
 
         class OracleModel:
-            dt = 0.2
+            dt, n, m = 0.2, 2, 1  # validate checks the set's widths against n and m
 
             def predict(self, taus, x, u):
                 _, states = simulate_zoh(MSD_RHS, x, [u], float(np.max(taus)),
@@ -389,6 +389,34 @@ class TestTrain:
         with pytest.raises(ValueError, match="validation set steps 0.5, the surrogate 0.2"):
             train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
                   TrainConfig(iterations=4, val_interval=2), validation=vset)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("u_seq", np.zeros((2, 3, 2)), r"u_seq has shape \(2, 3, 2\), the model needs \(2, 3, 1\)"),
+        ("u_seq", np.zeros((2, 3)), r"u_seq has shape \(2, 3\), the model needs \(2, 3, 1\)"),
+        ("x0", np.zeros((2, 3)), r"x0 has shape \(2, 3\), the model needs \(2, 2\)"),
+        ("x0", np.zeros((3, 2)), r"x0 has shape \(3, 2\), the model needs \(2, 2\)"),
+        ("truth", np.zeros((2, 3, 2)), r"truth has shape \(2, 3, 2\), the model needs \(2, 4, 2\)"),
+    ], ids=["two_inputs", "flat_inputs", "three_states", "three_starts", "truth_one_step_short"])
+    def test_mis_sized_validation_set_rejected_before_an_iteration(self, name, value, message,
+                                                                    monkeypatch):
+        # a set with a second input column passed the dt check and failed only at the first
+        # validation, val_interval iterations in, with "mismatched batch shapes for (t, x, u)"
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        data, phys = small_sets()
+        vset = replace(small_vset(), **{name: value})
+        with pytest.raises(ValueError, match=message):
+            train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
+                  TrainConfig(iterations=4, val_interval=2), validation=vset)
+        with pytest.raises(ValueError, match=message):
+            validate(msd_model(seed=1), vset)
+
+    def test_config_is_frozen(self):
+        # an assignment skipped every check: val_interval = 0 divided by zero inside train
+        cfg = TrainConfig(iterations=4, val_interval=2)
+        with pytest.raises(FrozenInstanceError):
+            cfg.val_interval = 0
+        assert cfg.val_interval == 2
 
     @pytest.mark.parametrize("fields, message", [
         (dict(iterations=-5), "iterations must be at least 0, got -5"),
