@@ -82,16 +82,11 @@ def diagonal_gain_bounds(n_state, n_input, kp_range, ki_range, kd_range,
 
 
 def control_input(gains: GainMatrix, errors, input_bounds) -> np.ndarray:
-    """u = F E, clipped into the input box."""
-    f = gains.f
-    errors = np.asarray(errors, dtype=float)
-    if errors.shape != (f.shape[1],):
-        raise ValueError(f"errors has shape {errors.shape}, F needs ({f.shape[1]},)")
-    u = f @ errors
-    if input_bounds.lower.shape != u.shape:
-        raise ValueError(f"input box has width {input_bounds.lower.shape[0]}, "
-                         f"F has {u.shape[0]} rows")
-    return np.clip(u, input_bounds.lower, input_bounds.upper)
+    """u = F E, clipped into the input box; for an m x 3n F, E has the shape
+    (3n,) and the box (m,), and ``check_shapes`` names the first that does not."""
+    errors, lower = check_shapes(errors=(errors, (gains.f.shape[1],)),
+                                 input_bounds=(input_bounds.lower, (gains.f.shape[0],)))
+    return np.clip(gains.f @ errors, lower, input_bounds.upper)
 
 
 def check_shapes(**named) -> list[np.ndarray]:

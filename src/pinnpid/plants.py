@@ -212,11 +212,11 @@ def rk4_step(rhs, x, u, h: float) -> np.ndarray:
 def simulate_zoh(rhs, x0, u_sequence, dt: float, substeps: int):
     """Hold each input for dt, integrating with ``substeps`` RK4 steps.
 
-    Returns (times, states) sampled at every substep boundary, so states has
-    ``len(u_sequence) * substeps + 1`` entries along its first axis. ``x0``
-    may carry a leading batch axis: from ``(B, n)`` initial states and
-    ``(B, m)`` inputs per entry of ``u_sequence``, ``states`` has shape
-    ``(len(u_sequence) * substeps + 1, B, n)``.
+    Returns (times, states) sampled at every substep boundary: times[k] is k·h
+    with h = dt / substeps, and states has ``len(u_sequence) * substeps + 1``
+    entries along its first axis. ``x0`` may carry a leading batch axis: from
+    ``(B, n)`` initial states and ``(B, m)`` inputs per entry of ``u_sequence``,
+    ``states`` has shape ``(len(u_sequence) * substeps + 1, B, n)``.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
@@ -224,14 +224,10 @@ def simulate_zoh(rhs, x0, u_sequence, dt: float, substeps: int):
         raise ValueError("dt must be positive")
     x = np.asarray(x0, dtype=float)
     h = dt / substeps
-    times = [0.0]
     states = [x]
-    t = 0.0
     for u in u_sequence:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         for _ in range(substeps):
             x = rk4_step(rhs, x, u, h)
-            t += h
-            times.append(t)
             states.append(x)
-    return np.array(times), np.array(states)
+    return h * np.arange(len(states)), np.array(states)

@@ -167,10 +167,7 @@ def _check_finite_sets(data: DataSet, phys: PhysSet) -> None:
     """Raise ValueError naming the set and its count of rows with a non-finite entry."""
     for name, columns in (("data set", (data.t, data.x0, data.xf, data.u)),
                           ("collocation set", (phys.t, phys.x, phys.u))):
-        bad = np.zeros(len(columns[0]), dtype=bool)
-        for col in columns:
-            finite = np.isfinite(col)
-            bad |= ~(finite if finite.ndim == 1 else finite.all(axis=1))
+        bad = ~np.isfinite(np.column_stack(columns)).all(axis=1)
         if bad.any():
             raise ValueError(f"{name} has {int(bad.sum())} rows with non-finite entries")
 
@@ -201,14 +198,16 @@ def _check_validation_set(model, vset: ValidationSet) -> list[np.ndarray]:
     if vset.dt != model.dt:  # the step the surrogate was trained for
         raise ValueError(f"validation set steps {vset.dt}, the surrogate {model.dt}")
     n_traj, n_steps = (*np.shape(vset.u_seq), 0, 0)[:2]  # u_seq fails first unless 3-D
+    if n_steps < 1:  # else the rollout has no error to average
+        raise ValueError(f"u_seq has shape {np.shape(vset.u_seq)}, validation needs a step")
     return check_shapes(u_seq=(vset.u_seq, (n_traj, n_steps, model.m)),
                         x0=(vset.x0, (n_traj, model.n)),
                         truth=(vset.truth, (n_traj, n_steps + 1, model.n)))
 
 
 def validate(model, vset: ValidationSet) -> ValidationReport:
-    """Recurrent self-loop errors per state coordinate; ValueError unless ``vset``
-    steps ``model.dt`` and its u_seq, x0, truth have shapes (N, S, m), (N, n), (N, S + 1, n)."""
+    """Recurrent self-loop errors per state coordinate; ValueError unless ``vset`` steps
+    ``model.dt`` and its u_seq, x0, truth have shapes (N, S, m), (N, n), (N, S + 1, n), S >= 1."""
     u_seq, x_roll, truth = _check_validation_set(model, vset)
     taus = np.full(x_roll.shape[0], vset.dt)
     roll_err = []
@@ -222,13 +221,13 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
           validation: ValidationSet):
     """Minimize the composite loss; returns (trained model, LossReport history).
 
-    ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that
-    both stages fit; a set with a non-finite row raises ValueError, and so
-    does a ``validation`` set that ``validate`` refuses, before the first
-    iteration. Every ``config.val_interval``-th report and the final iterate
-    are validated, and the best-validation parameter vector (self-loop
-    rollout MSE) is returned. Adam reports hold the losses before each step
-    and the ``val_mse`` after it; L-BFGS reports score each accepted iterate
+    ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that both
+    stages fit; labels ``xf`` of another shape than ``x0``, a set with a non-finite
+    row and a ``validation`` set that ``validate`` refuses each raise ValueError
+    before the first iteration. Every ``config.val_interval``-th report and the
+    final iterate are validated, and the best-validation parameter vector
+    (self-loop rollout MSE) is returned. Adam reports hold the losses before each
+    step and the ``val_mse`` after it; L-BFGS reports score each accepted iterate
     for both.
     """
     net = model.net
@@ -236,6 +235,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     history: list[LossReport] = []
     best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
+    check_shapes(xf=(data.xf, np.shape(data.x0)))  # else the labels broadcast in _forward
     _check_finite_sets(data, phys)
     _check_validation_set(model, validation)  # else validate refuses it late
     buffers = {}  # row-sized arrays of both passes, reused by every iteration

@@ -95,14 +95,15 @@ class TestControlInput:
 
     def test_dimension_mismatch(self):
         gains = GainMatrix.from_stacked(np.ones((1, 6)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^errors has shape \(3,\), the model needs \(6,\)$"):
             control_input(gains, [0.1, 0.0, 0.0], Box([-1.0], [1.0]))
 
     def test_rejects_box_of_another_width(self):
         # a 1-wide box used to clip both inputs of a 2-input F by its one bound
         gains = GainMatrix.from_stacked(np.ones((2, 6)))
         e = np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="input box has width 1, F has 2 rows"):
+        with pytest.raises(ValueError,
+                           match=r"^input_bounds has shape \(1,\), the model needs \(2,\)$"):
             control_input(gains, e, Box([-0.5], [0.5]))
 
 

@@ -350,6 +350,12 @@ class TestSimulateZoh:
         times, states = simulate_zoh(lambda x, u: -x, np.array([1.0]), [], 0.2, 10)
         assert states.shape == (1, 1) and times[0] == 0.0
 
+    def test_times_are_step_multiples(self):
+        # a running sum of h drifted off k·h: after 30 steps of 0.1 it read 3.0000000000000013
+        times, states = simulate_zoh(lambda x, u: -x, np.array([1.0]), [np.zeros(1)] * 3, 1.0, 10)
+        assert states.shape == (31, 1)
+        assert times.tolist() == [k * 0.1 for k in range(31)]
+
     def test_msd_free_response_decays(self):
         rhs = lambda x, u: msd_rhs(MSD, x, u)
         _, states = simulate_zoh(rhs, np.array([-0.7, 0.0]), [np.zeros(1)] * 150, 0.2, 10)

@@ -379,6 +379,17 @@ class TestTrain:
             train(model, MSD_RHS, lambda k: tuple(sets), TrainConfig(iterations=4, val_interval=2),
                   small_vset())
 
+    def test_labels_of_another_shape_rejected_before_an_iteration(self, monkeypatch):
+        # (N, 1) labels on a 2-state model broadcast against the (N, 2) predictions,
+        # and the fit ran on a data loss that compares every label with both states
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        data, phys = small_sets()
+        data = replace(data, xf=data.xf[:, :1])
+        with pytest.raises(ValueError, match=r"^xf has shape \(8, 1\), the model needs \(8, 2\)$"):
+            train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
+                  TrainConfig(iterations=4, val_interval=2), validation=small_vset())
+
     def test_validation_set_of_another_dt_rejected_before_an_iteration(self, monkeypatch):
         # validate refuses such a set, but only at the first validation, after
         # val_interval iterations
@@ -396,11 +407,14 @@ class TestTrain:
         ("x0", np.zeros((2, 3)), r"x0 has shape \(2, 3\), the model needs \(2, 2\)"),
         ("x0", np.zeros((3, 2)), r"x0 has shape \(3, 2\), the model needs \(2, 2\)"),
         ("truth", np.zeros((2, 3, 2)), r"truth has shape \(2, 3, 2\), the model needs \(2, 4, 2\)"),
-    ], ids=["two_inputs", "flat_inputs", "three_states", "three_starts", "truth_one_step_short"])
+        ("u_seq", np.zeros((2, 0, 1)), r"u_seq has shape \(2, 0, 1\), validation needs a step"),
+    ], ids=["two_inputs", "flat_inputs", "three_states", "three_starts", "truth_one_step_short",
+            "no_steps"])
     def test_mis_sized_validation_set_rejected_before_an_iteration(self, name, value, message,
                                                                     monkeypatch):
         # a set with a second input column passed the dt check and failed only at the first
-        # validation, val_interval iterations in, with "mismatched batch shapes for (t, x, u)"
+        # validation, val_interval iterations in, with "mismatched batch shapes for (t, x, u)";
+        # a set of no steps failed there with "need at least one array to concatenate"
         monkeypatch.setattr(training, "loss_and_grad",
                             lambda *args, **kwargs: pytest.fail("an iteration ran"))
         data, phys = small_sets()
