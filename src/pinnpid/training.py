@@ -198,16 +198,21 @@ def _check_validation_set(model, vset: ValidationSet) -> list[np.ndarray]:
     if vset.dt != model.dt:  # the step the surrogate was trained for
         raise ValueError(f"validation set steps {vset.dt}, the surrogate {model.dt}")
     n_traj, n_steps = (*np.shape(vset.u_seq), 0, 0)[:2]  # u_seq fails first unless 3-D
-    if n_steps < 1:  # else the rollout has no error to average
-        raise ValueError(f"u_seq has shape {np.shape(vset.u_seq)}, validation needs a step")
-    return check_shapes(u_seq=(vset.u_seq, (n_traj, n_steps, model.m)),
-                        x0=(vset.x0, (n_traj, model.n)),
-                        truth=(vset.truth, (n_traj, n_steps + 1, model.n)))
+    for size, what in ((n_steps, "a step"), (n_traj, "a trajectory")):
+        if size < 1:  # else the rollout has no error to average
+            raise ValueError(f"u_seq has shape {np.shape(vset.u_seq)}, validation needs {what}")
+    arrays = check_shapes(u_seq=(vset.u_seq, (n_traj, n_steps, model.m)),
+                          x0=(vset.x0, (n_traj, model.n)),
+                          truth=(vset.truth, (n_traj, n_steps + 1, model.n)))
+    for name, arr in zip(("u_seq", "x0", "truth"), arrays):
+        if not np.isfinite(arr).all():  # else every score is NaN and none is the best
+            raise ValueError(f"{name} has non-finite entries, validation cannot score them")
+    return arrays
 
 
 def validate(model, vset: ValidationSet) -> ValidationReport:
-    """Recurrent self-loop errors per state coordinate; ValueError unless ``vset`` steps
-    ``model.dt`` and its u_seq, x0, truth have shapes (N, S, m), (N, n), (N, S + 1, n), S >= 1."""
+    """Self-loop errors per state coordinate; ValueError unless ``vset`` steps ``model.dt``
+    and has finite u_seq, x0, truth of shapes (N, S, m), (N, n), (N, S + 1, n), N, S >= 1."""
     u_seq, x_roll, truth = _check_validation_set(model, vset)
     taus = np.full(x_roll.shape[0], vset.dt)
     roll_err = []
@@ -222,10 +227,10 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     """Minimize the composite loss; returns (trained model, LossReport history).
 
     ``data_generator(0)``, called once, supplies the (DataSet, PhysSet) that both
-    stages fit; labels ``xf`` of another shape than ``x0``, a set with a non-finite
-    row and a ``validation`` set that ``validate`` refuses each raise ValueError
-    before the first iteration. Every ``config.val_interval``-th report and the
-    final iterate are validated, and the best-validation parameter vector
+    stages fit; a column of another row count or width than the model's, a set with
+    a non-finite row and a ``validation`` set that ``validate`` refuses each raise
+    ValueError before the first iteration. Every ``config.val_interval``-th report
+    and the final iterate are validated, and the best-validation parameter vector
     (self-loop rollout MSE) is returned. Adam reports hold the losses before each
     step and the ``val_mse`` after it; L-BFGS reports score each accepted iterate
     for both.
@@ -235,7 +240,12 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     history: list[LossReport] = []
     best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
-    check_shapes(xf=(data.xf, np.shape(data.x0)))  # else the labels broadcast in _forward
+    rows = np.shape(data.x0)[:1]  # else a column broadcasts in _forward or fails unnamed
+    check_shapes(t=(data.t, rows), x0=(data.x0, (*rows, model.n)),
+                 xf=(data.xf, (*rows, model.n)), u=(data.u, (*rows, model.m)))
+    rows = np.shape(phys.x)[:1]  # its t and u named apart from the data set's
+    check_shapes(**{"phys.t": (phys.t, rows), "phys.x": (phys.x, (*rows, model.n)),
+                    "phys.u": (phys.u, (*rows, model.m))})
     _check_finite_sets(data, phys)
     _check_validation_set(model, validation)  # else validate refuses it late
     buffers = {}  # row-sized arrays of both passes, reused by every iteration

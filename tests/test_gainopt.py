@@ -5,7 +5,6 @@ import dataclasses
 import itertools
 import json
 import re
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +24,6 @@ from pinnpid.gainopt import (
     regularizer,
     window_cost_and_grad,
 )
-from pinnpid.model import load_model
 from pinnpid.pid import (
     GainBounds,
     GainMatrix,
@@ -34,90 +32,25 @@ from pinnpid.pid import (
     error_update,
     quadrature_nodes,
 )
-from pinnpid.plants import MsdParams, msd_state_space
 from pinnpid.sampling import Box
 from tests.reference_window import regularizer as reference_regularizer
-from tests.test_pid import unbounded
 from tests.reference_window import window_cost_and_grad as reference_window
+from tests.support import (
+    E0,
+    FIXTURE_MODEL,
+    MSD,
+    WEIGHTS,
+    X0,
+    CliffSurrogate,
+    LinearSurrogate,
+    Spy,
+    msd_bounds,
+    msd_inputs,
+    toy_model,
+    unbounded,
+)
 
-MSD = MsdParams()
 ROT = np.array([[0.6, -0.8], [0.8, 0.6]])  # a rotation, so that q is not diagonal
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
-
-
-class LinearSurrogate:
-    """Exact-derivative stand-in: phi(tau, x, u) = x + tau (A x + B u).
-
-    (A, B) is the MSD state space unless ``ab`` gives another pair.
-    """
-
-    def __init__(self, plant=MSD, dt=0.2, eps=0.05, ab=None):
-        self.a, self.b = msd_state_space(plant) if ab is None else ab
-        self.dt = dt
-        self.eps = eps
-        self.n = self.a.shape[0]
-        self.m = self.b.shape[1]
-
-    def predict(self, taus, x, u):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        rate = self.a @ x + self.b @ u
-        return x[None, :] + taus[:, None] * rate[None, :]
-
-    def predict_with_tape(self, taus, x, u):
-        return self.predict(taus, x, u), np.atleast_1d(np.asarray(taus, dtype=float))
-
-    def predict_vjp(self, tape, cotangents):
-        c = np.asarray(cotangents, dtype=float)
-        csum = c.sum(axis=0)
-        ctau = tape @ c
-        return csum + self.a.T @ ctau, self.b.T @ ctau
-
-    def time_derivative(self, t, x, u):
-        return self.a @ x + self.b @ u
-
-
-class CliffSurrogate(LinearSurrogate):
-    """Linear stand-in that returns NaN states once |u| drops below 0.2."""
-
-    def predict_with_tape(self, taus, x, u):
-        values, tape = super().predict_with_tape(taus, x, u)
-        if np.any(np.abs(u) < 0.2):
-            values = np.full_like(values, np.nan)
-        return values, tape
-
-
-class InputSpy:
-    """Wraps a model, records the (clipped) input vector and the predictions of
-    every window step and counts the reverse passes."""
-
-    def __init__(self, model):
-        self.model = model
-        self.dt, self.n, self.m = model.dt, model.n, model.m
-        self.inputs = []
-        self.predictions = []
-        self.vjp_calls = 0
-
-    def predict_with_tape(self, taus, x, u):
-        self.inputs.append(np.array(u, dtype=float))
-        values, tape = self.model.predict_with_tape(taus, x, u)
-        self.predictions.append(values.copy())
-        return values, tape
-
-    def predict_vjp(self, tape, cotangents):
-        self.vjp_calls += 1
-        return self.model.predict_vjp(tape, cotangents)
-
-
-def msd_inputs(m):
-    """An m-input linear stand-in: the MSD with its one input column repeated m times."""
-    a, b = msd_state_space(MSD)
-    return LinearSurrogate(ab=(a, np.tile(b, (1, m))))
-
-
-def msd_bounds(lo=0.0, hi=5.0):
-    return diagonal_gain_bounds(2, 1, (lo, hi), (lo, hi), (lo, hi), coords=[0])
-
-
 UNBOUNDED = unbounded()
 
 
@@ -164,11 +97,10 @@ class TestStageCost:
         # u = 1.2 * 0.1 + 1.0 * 0.38 = 0.5;
         # J = 0.5 (1000 * 0.1^2 + 0.01 * 0.5^2) 0.2 + (1.2^2 + 1.0^2 + 1.2^2) = 4.88025
         model = LinearSurrogate()
-        w = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.1, 0.0, 0.38, 0.0, 0.0, 0.0])
         f = np.array([[1.2, 0.0, 1.0, 0.0, 1.2, 0.0]])
         plain, total, _ = regularized_window(
-            model, np.zeros(2), e0, np.zeros((2, 2)), f, w, 10, UNBOUNDED, kind="norm"
+            model, np.zeros(2), e0, np.zeros((2, 2)), f, WEIGHTS, 10, UNBOUNDED, kind="norm"
         )
         assert plain == pytest.approx(4.88025, abs=1e-12)
         assert total == plain
@@ -253,19 +185,17 @@ class TestStageCost:
         np.testing.assert_array_equal(w.q, [[2.0, 1.0 + 0.5e-5], [1.0 + 0.5e-5, 1.0]])
         assert np.array_equal(w.q, w.q.T) and np.array_equal(w.r, w.r.T)
         # an exactly symmetric matrix keeps its bits
-        exact = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        assert np.array_equal(exact.q, np.diag([1000.0, 1.0])) and exact.r[0, 0] == 0.01
+        assert np.array_equal(WEIGHTS.q, np.diag([1000.0, 1.0])) and WEIGHTS.r[0, 0] == 0.01
 
     def test_cost_weights_are_frozen_and_read_only(self):
         # an assignment skipped every check: mu = -1 ran the search with a negative weight
-        w = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         for name, value in (("mu", -1.0), ("q", -np.eye(2)), ("r", [[-1.0]])):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(w, name, value)
-        for arr in (w.q, w.r):
+                setattr(WEIGHTS, name, value)
+        for arr in (WEIGHTS.q, WEIGHTS.r):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = -1.0
-        assert w.mu == 1.0 and w.q[0, 0] == 1000.0 and w.r[0, 0] == 0.01
+        assert WEIGHTS.mu == 1.0 and WEIGHTS.q[0, 0] == 1000.0 and WEIGHTS.r[0, 0] == 0.01
 
 
 class TestAdam:
@@ -346,12 +276,11 @@ class TestProjection:
 class TestWindowGradient:
     def test_matches_finite_differences(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.5, -0.1, 0.2, 0.0, -0.4, 0.1])
         x0 = np.array([-0.2, 0.1])
         refs = np.array([[0.3, 0.0]] * 4)
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
-        window = Window(model, x0, e0, refs, weights, 10, UNBOUNDED)
+        window = Window(model, x0, e0, refs, WEIGHTS, 10, UNBOUNDED)
         cost, grad = window_cost_and_grad(window, f)
         fd = np.zeros_like(f)
         h = 1e-6
@@ -365,16 +294,12 @@ class TestWindowGradient:
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     def test_gradient_through_network_surrogate(self):
-        from tests.test_pid import toy_model
-
         model = toy_model(seed=6)
         model = dataclasses.replace(model, params=model.params * 0.5)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.3, 0.0, 0.1, 0.0, 0.2, -0.1])
-        x0 = np.array([0.1, -0.2])
         refs = np.array([[0.2, 0.0]] * 3)
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
-        window = Window(model, x0, e0, refs, weights, 10, UNBOUNDED)
+        window = Window(model, X0, e0, refs, WEIGHTS, 10, UNBOUNDED)
         cost, grad = window_cost_and_grad(window, f)
         h = 1e-6
         fd = np.zeros_like(f)
@@ -390,12 +315,11 @@ class TestWindowGradient:
     def test_nearly_symmetric_q_through_fixture_matches_finite_differences(self):
         # q is symmetric only within np.allclose; the window's dt Q e matches the
         # cost (dt/2) e^T Q e only with Q's symmetric part (7.3e-6 relative without it)
-        model = load_model(FIXTURE)
         weights = CostWeights(q=[[2.0, 1.0], [1.0 + 1e-5, 1.0]], r=[[0.01]], mu=1.0)
         x0 = np.array([0.6, -0.3])
         refs = np.array([[-0.5, 0.0]] * 3 + [[0.5, 0.0]] * 3)
-        e0 = error_init(model, x0, refs[0], refs[0], model.dt)
-        window = Window(model, x0, e0, refs, weights, 10, UNBOUNDED)
+        e0 = error_init(FIXTURE_MODEL, x0, refs[0], refs[0], FIXTURE_MODEL.dt)
+        window = Window(FIXTURE_MODEL, x0, e0, refs, weights, 10, UNBOUNDED)
         rng = np.random.default_rng(1)
         for _ in range(3):
             f = np.zeros((1, 6))
@@ -415,18 +339,13 @@ class TestWindowGradient:
 
     def test_barrier_and_input_box_through_network_surrogate(self):
         # the closed loop's configuration: barrier regularizer, input box, H = 5
-        from tests.test_pid import toy_model
-
         model = toy_model(seed=6)
         model = dataclasses.replace(model, params=model.params * 0.5)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
-        x0 = np.array([0.1, -0.2])
         refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
         kw = dict(input_bounds=Box([-1.0], [1.0]), kind="barrier", plant=MSD, rho=0.5)
-        spy = InputSpy(model)
-        _, cost, grad = regularized_window(spy, x0, e0, refs, f, weights, 10, **kw)
+        spy = Spy(model)
+        _, cost, grad = regularized_window(spy, X0, E0, refs, f, WEIGHTS, 10, **kw)
         saturated = [abs(u[0]) == 1.0 for u in spy.inputs]
         assert any(saturated) and not all(saturated)
         assert msd_stability_value(MSD, f, 2) > 0
@@ -436,8 +355,8 @@ class TestWindowGradient:
             fp, fm = f.copy(), f.copy()
             fp[0, i] += h
             fm[0, i] -= h
-            cp = regularized_window(model, x0, e0, refs, fp, weights, 10, **kw)[1]
-            cm = regularized_window(model, x0, e0, refs, fm, weights, 10, **kw)[1]
+            cp = regularized_window(model, X0, E0, refs, fp, WEIGHTS, 10, **kw)[1]
+            cm = regularized_window(model, X0, E0, refs, fm, WEIGHTS, 10, **kw)[1]
             fd[0, i] = (cp - cm) / (2 * h)
         # the cost is about 190, so rounding alone puts ~2e-8 into each difference
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
@@ -460,7 +379,7 @@ class TestWindowGradient:
         e0 = np.array([0.4, -0.3, 0.0, 0.0, 0.1, 0.05, 0.0, 0.0, 0.2, -0.1, 0.0, 0.1])
         x0 = np.array([0.1, -0.2, 0.0, 0.1])
         refs = np.array([[0.5, -0.5, 0.0, 0.0]] * 3 + [[-0.2, 0.3, 0.0, 0.0]] * 3)
-        spy = InputSpy(model)
+        spy = Spy(model)
         cost, grad = window_cost_and_grad(
             Window(spy, x0, e0, refs, weights, 10, box), f)
         if clip:
@@ -481,13 +400,9 @@ class TestWindowGradient:
     @pytest.mark.parametrize("width", [1, 3])
     def test_rejects_reference_of_another_width(self, width):
         # a (6, 1) reference would broadcast against the 2-state predictions
-        model = load_model(FIXTURE)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         with pytest.raises(ValueError, match=rf"refs has shape \(6, {width}\), "
                                              r"the model needs \(6, 2\)"):
-            Window(model, np.array([0.1, -0.2]), e0, np.full((6, width), 0.5), weights, 10,
-                   UNBOUNDED)
+            Window(FIXTURE_MODEL, X0, E0, np.full((6, width), 0.5), WEIGHTS, 10, UNBOUNDED)
 
     @pytest.mark.parametrize("q, r, box, message", [
         (np.eye(3), [[0.01]], UNBOUNDED, r"q has shape \(3, 3\), the model needs \(2, 2\)"),
@@ -500,9 +415,8 @@ class TestWindowGradient:
         # a wrong q used to surface as a bare matmul error inside the first window, and a
         # 1-wide box clipped both inputs of a 2-input F by its one bound
         model = msd_inputs(len(r))
-        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         with pytest.raises(ValueError, match=message):
-            Window(model, np.zeros(2), e0, np.full((4, 2), 0.5), CostWeights(q=q, r=r, mu=1.0),
+            Window(model, np.zeros(2), E0, np.full((4, 2), 0.5), CostWeights(q=q, r=r, mu=1.0),
                    10, box)
 
     def test_saturated_channel_blocks_gradient(self):
@@ -526,10 +440,9 @@ class TestStackedWindow:
         # the reference also takes a terminal weight on e_prop_H, here zero. Without a box
         # the library is given one that clips nothing, and the frozen window None
         rng = np.random.default_rng(7)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        ref_weights = SimpleNamespace(q=weights.q, r=weights.r, mu=weights.mu,
+        ref_weights = SimpleNamespace(q=WEIGHTS.q, r=WEIGHTS.r, mu=WEIGHTS.mu,
                                       q_terminal=np.zeros((2, 2)))
-        cases = itertools.product((LinearSurrogate(), load_model(FIXTURE)), range(1, 6),
+        cases = itertools.product((LinearSurrogate(), FIXTURE_MODEL), range(1, 6),
                                   ("norm", "barrier"), (None, Box([-1.0], [1.0])), range(5))
         checked = 0
         for model, horizon, kind, box, _ in cases:
@@ -542,7 +455,7 @@ class TestStackedWindow:
             # keep the stability value g positive for the barrier
             f[0, 2] = min(ki, 0.9 * (kd + MSD.damping) * (kp + MSD.stiffness) / MSD.mass)
             plant, rho = (MSD, rng.uniform(0.01, 10.0)) if kind == "barrier" else (None, None)
-            new = regularized_window(model, x0, e0, refs, f, weights, 10,
+            new = regularized_window(model, x0, e0, refs, f, WEIGHTS, 10,
                                      UNBOUNDED if box is None else box,
                                      kind=kind, plant=plant, rho=rho)
             old = reference_window(model, x0, e0, refs, f, ref_weights, model.dt, 10,
@@ -556,17 +469,13 @@ class TestStackedWindow:
     def test_one_window_serves_every_gain_matrix(self):
         # a segment scores up to max_iters + 1 gain matrices on one Window: each result
         # equals a fresh Window's bit for bit, and no array the Window holds is written
-        model = load_model(FIXTURE)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
-        x0 = np.array([0.1, -0.2])
         refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
-        args = (model, x0, e0, refs, weights, 10, Box([-1.0], [1.0]))
+        args = (FIXTURE_MODEL, X0, E0, refs, WEIGHTS, 10, Box([-1.0], [1.0]))
         window = Window(*args)
         held = {name: value.copy() for name, value in vars(window).items()
                 if isinstance(value, np.ndarray)}
         assert {"taus", "a", "p", "c", "e0", "x0", "lower", "upper"} <= set(held)
-        params = model.params.copy()
+        params = FIXTURE_MODEL.params.copy()
         rng = np.random.default_rng(3)
         for _ in range(6):
             f = np.zeros((1, 6))
@@ -577,7 +486,7 @@ class TestStackedWindow:
             assert np.array_equal(grad, fresh_grad)
             for name, value in held.items():
                 assert np.array_equal(getattr(window, name), value), name
-        assert np.array_equal(model.params, params)
+        assert np.array_equal(FIXTURE_MODEL.params, params)
 
     def test_reference_drive_and_selector_match_the_b_map_bit_for_bit(self):
         # c_j and P's last-row selector, built straight from the rows, against their earlier
@@ -606,8 +515,7 @@ class TestStackedWindow:
         # linear error map, against F E_j with E_j from successive pid.error_update
         # calls along the same inputs; a box that clips nothing, so each input is F E_j
         rng = np.random.default_rng(11)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        for model in (LinearSurrogate(), load_model(FIXTURE)):
+        for model in (LinearSurrogate(), FIXTURE_MODEL):
             taus, _ = quadrature_nodes(model.dt, 10)
             for _ in range(50):
                 horizon = int(rng.integers(1, 6))
@@ -616,8 +524,8 @@ class TestStackedWindow:
                                          rng.uniform(-2, 2, 2)])
                 refs = rng.uniform(-0.7, 0.7, (horizon + 1, 2))
                 f = rng.uniform(-3.0, 3.0, (1, 6))
-                spy = InputSpy(model)
-                window_cost_and_grad(Window(spy, x, errors, refs, weights, 10, UNBOUNDED), f)
+                spy = Spy(model)
+                window_cost_and_grad(Window(spy, x, errors, refs, WEIGHTS, 10, UNBOUNDED), f)
                 assert len(spy.inputs) == horizon - 1
                 for j, u in enumerate(spy.inputs):
                     # relative to the size of the terms of the product F E_j
@@ -632,15 +540,10 @@ class TestStackedWindow:
     def test_unrolls_one_surrogate_step_fewer_than_it_scores(self, horizon):
         # stages 0..H-1 need the H-1 steps that form E_1..E_{H-1}, each pulled back once;
         # no cost reads the state after the last scored stage
-        model = load_model(FIXTURE)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
-        e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
         f = np.array([[1.2, 0.0, 0.4, 0.0, 0.3, 0.0]])
-        spy = InputSpy(model)
+        spy = Spy(FIXTURE_MODEL)
         refs = np.full((horizon + 1, 2), 0.5)
-        window_cost_and_grad(
-            Window(spy, np.array([0.1, -0.2]), e0, refs, weights, 10, Box([-1.0], [1.0])),
-            f)
+        window_cost_and_grad(Window(spy, X0, E0, refs, WEIGHTS, 10, Box([-1.0], [1.0])), f)
         assert len(spy.inputs) == horizon - 1
         assert spy.vjp_calls == horizon - 1
 
@@ -651,11 +554,9 @@ class TestNetworkWindowIsFinite:
     so wherever the segment can put F the window's cost and gradient are finite."""
 
     def test_predictions_bounded_and_cost_and_gradient_finite(self):
-        model = load_model(FIXTURE)
-        w_last, b_last = model.layers[-1]
+        w_last, b_last = FIXTURE_MODEL.layers[-1]
         bound = np.abs(w_last).sum(axis=1) + np.abs(b_last)
-        lo, hi = model.net.scaling.lower[1:3], model.net.scaling.upper[1:3]
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
+        lo, hi = FIXTURE_MODEL.net.scaling.lower[1:3], FIXTURE_MODEL.net.scaling.upper[1:3]
         bounds = msd_bounds()
         corners = list(itertools.product((0.0, 5.0), repeat=3))
         rng = np.random.default_rng(0)
@@ -674,9 +575,9 @@ class TestNetworkWindowIsFinite:
                                         np.zeros(horizon + 1)])
                 e0 = np.concatenate([refs[0] - x0, rng.uniform(-2.0, 2.0, 2),
                                      rng.uniform(-10.0, 10.0, 2)])
-                spy = InputSpy(model)
+                spy = Spy(FIXTURE_MODEL)
                 plain, total, grad = regularized_window(
-                    spy, x0, e0, refs, f, weights, 10, input_bounds=input_bounds,
+                    spy, x0, e0, refs, f, WEIGHTS, 10, input_bounds=input_bounds,
                     kind=kind, plant=plant, rho=rho)
                 assert np.isfinite(plain) and np.isfinite(total) and np.all(np.isfinite(grad))
                 assert len(spy.predictions) == horizon - 1
@@ -687,11 +588,10 @@ class TestNetworkWindowIsFinite:
 class TestOptimizeSegment:
     def test_regularizer_drives_gains_to_zero(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.zeros(6)
         refs = np.zeros((6, 2))
         res = segment(
-            model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
+            model, np.zeros(2), e0, refs, WEIGHTS, AdamConfig(), msd_bounds(),
             max_iters=3000, tol=1e-9,
         )
         assert np.max(np.abs(res.gains.stacked())) < 0.05
@@ -700,23 +600,22 @@ class TestOptimizeSegment:
         # 3-step window: the input of stage 0 moves the velocity at stage 1 and so the
         # position at stage 2, which Q weights most, so the optimum is inside the box
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.5, 0.0, 0.3, 0.0, 0.2, 0.0])
         x0 = np.array([-0.2, 0.0])
         ref = np.array([0.3, 0.0])
         refs = np.array([x0 + e0[:2], ref, ref, ref])  # stages 0, 1 and 2
         res = segment(
-            model, x0, e0, refs, weights, AdamConfig(), msd_bounds(),
+            model, x0, e0, refs, WEIGHTS, AdamConfig(), msd_bounds(),
             max_iters=6000, tol=1e-10,
         )
         # independent oracle: closed-form cost on a 0.05 grid over the box
         grid = np.arange(0.0, 5.0 + 1e-9, 0.05)
         kp, ki, kd = np.meshgrid(grid, grid, grid, indexing="ij")
-        cost = weights.mu * (kp**2 + ki**2 + kd**2)
+        cost = WEIGHTS.mu * (kp**2 + ki**2 + kd**2)
         x, e_prop, e_int, e_deri = x0, e0[:2], e0[2:4], e0[4:]
         for j in range(3):
             u = kp * e_prop[..., 0] + ki * e_int[..., 0] + kd * e_deri[..., 0]
-            cost = cost + 0.5 * (np.einsum("...i,ij,...j->...", e_prop, weights.q, e_prop)
+            cost = cost + 0.5 * (np.einsum("...i,ij,...j->...", e_prop, WEIGHTS.q, e_prop)
                                  + 0.01 * u**2) * model.dt
             # the next stage on the linear stand-in x(tau) = x + tau rate, whose
             # integral is exact
@@ -734,25 +633,21 @@ class TestOptimizeSegment:
 
     def test_barrier_keeps_stability_value_positive(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.8, 0.0, 2.0, 0.0, 0.0, 0.0])  # pushes ki hard
         refs = np.array([[0.8, 0.0]] * 6)
         res = segment(
-            model, np.zeros(2), e0, refs, weights, AdamConfig(), msd_bounds(),
+            model, np.zeros(2), e0, refs, WEIGHTS, AdamConfig(), msd_bounds(),
             regularizer_kind="barrier", plant=MSD, max_iters=400, tol=0.0,
         )
         assert msd_stability_value(MSD, res.gains.stacked(), 2) > 0
 
     def test_deterministic(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.1, 0.0, 0.0, 0.1, 0.0])
         refs = np.array([[0.2, 0.0]] * 4)
         kw = dict(max_iters=500, tol=1e-8)
-        a = segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
-                    msd_bounds(), **kw)
-        b = segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
-                    msd_bounds(), **kw)
+        a = segment(model, np.zeros(2), e0, refs, WEIGHTS, AdamConfig(), msd_bounds(), **kw)
+        b = segment(model, np.zeros(2), e0, refs, WEIGHTS, AdamConfig(), msd_bounds(), **kw)
         assert np.array_equal(a.gains.stacked(), b.gains.stacked())
 
     def test_leaves_init_gains_unchanged(self):
@@ -760,9 +655,8 @@ class TestOptimizeSegment:
         source = np.array(start)
         init = GainMatrix.from_stacked(source)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
-        res = segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3),
-                      CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0), AdamConfig(),
-                      msd_bounds(), regularizer_kind="barrier", plant=MSD,
+        res = segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), WEIGHTS,
+                      AdamConfig(), msd_bounds(), regularizer_kind="barrier", plant=MSD,
                       max_iters=20, tol=0.0, init_gains=init)
         np.testing.assert_array_equal(init.stacked(), start)
         np.testing.assert_array_equal(source, start)
@@ -771,10 +665,9 @@ class TestOptimizeSegment:
 
     def test_convergence_before_max_iters(self):
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         refs = np.array([[0.2, 0.0]] * 4)
-        res = segment(model, np.zeros(2), e0, refs, weights, AdamConfig(),
+        res = segment(model, np.zeros(2), e0, refs, WEIGHTS, AdamConfig(),
                       msd_bounds(), max_iters=20000, tol=1e-6)
         assert res.converged and res.iterations < 20000
 
@@ -782,15 +675,13 @@ class TestOptimizeSegment:
     def test_final_iterate_scored_by_one_more_window(self, stop, monkeypatch):
         # every iteration makes one window call, and one more scores the final iterate;
         # the returned cost is the plain window cost of the returned gains, bit for bit
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         if stop == "converged":
             model, x0 = LinearSurrogate(), np.zeros(2)
             e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
             refs = np.array([[0.2, 0.0]] * 4)
             kw = dict(input_bounds=UNBOUNDED, max_iters=20000, tol=1e-6)
         else:
-            model, x0 = load_model(FIXTURE), np.array([0.1, -0.2])
-            e0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])
+            model, x0, e0 = FIXTURE_MODEL, X0, E0
             refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
             kw = dict(regularizer_kind="barrier", plant=MSD, input_bounds=Box([-1.0], [1.0]),
                       max_iters=30, tol=0.0)
@@ -802,7 +693,7 @@ class TestOptimizeSegment:
             return window(shared, f)
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
-        res = segment(model, x0, e0, refs, weights, AdamConfig(), msd_bounds(), **kw)
+        res = segment(model, x0, e0, refs, WEIGHTS, AdamConfig(), msd_bounds(), **kw)
         assert res.converged == (stop == "converged")
         if stop == "max_iters":
             assert res.iterations == 30
@@ -810,18 +701,17 @@ class TestOptimizeSegment:
         assert len(windows) == res.iterations + 1
         assert all(w is windows[0] for w in windows)
         f = res.gains.stacked()
-        quad, _ = window(Window(model, x0, e0, refs, weights, 10, kw["input_bounds"]), f)
-        assert res.cost == quad + weights.mu * float((f * f).sum())
+        quad, _ = window(Window(model, x0, e0, refs, WEIGHTS, 10, kw["input_bounds"]), f)
+        assert res.cost == quad + WEIGHTS.mu * float((f * f).sum())
 
     def test_non_finite_step_raises(self):
         # 2-step window: the start (u = 0.25) is finite, Adam walks K^p over the cliff;
         # the segment names the first iterate with a non-finite window and does not recover
         model = CliffSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         refs = np.array([[0.1, 0.0]] * 3)
         with pytest.raises(SegmentDiverged, match=r"at iteration [1-9]\d*, gains \[\[") as info:
-            segment(model, np.zeros(2), e0, refs, weights, AdamConfig(alpha=0.5),
+            segment(model, np.zeros(2), e0, refs, WEIGHTS, AdamConfig(alpha=0.5),
                     msd_bounds(), max_iters=200, tol=0.0)
         f = np.array(json.loads(str(info.value).split("gains ")[1]))
         assert abs(f[0] @ e0) < 0.2
@@ -829,17 +719,15 @@ class TestOptimizeSegment:
     def test_non_finite_start_raises(self):
         # 5-step window: u falls below 0.2 inside the window already at the box centre
         model = CliffSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(SegmentDiverged, match="at iteration 0,"):
-            segment(model, np.zeros(2), e0, np.zeros((6, 2)), weights,
+            segment(model, np.zeros(2), e0, np.zeros((6, 2)), WEIGHTS,
                     AdamConfig(alpha=0.5), msd_bounds(), max_iters=200, tol=0.0)
 
     def test_negative_max_iters_rejected(self):
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="max_iters"):
-            segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
+            segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), WEIGHTS,
                     AdamConfig(), msd_bounds(), max_iters=-1)
 
     @pytest.mark.parametrize("tol", [-1e-6, np.nan])
@@ -847,10 +735,9 @@ class TestOptimizeSegment:
         # either one turned early stopping off without a word
         monkeypatch.setattr(gainopt, "window_cost_and_grad",
                             lambda *args: pytest.fail("a window ran"))
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=rf"tol must be >= 0, got .*{tol}"):
-            segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), weights,
+            segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), WEIGHTS,
                     AdamConfig(), msd_bounds(), tol=tol)
 
     @pytest.mark.parametrize("m, r, box, init, match", [
@@ -895,7 +782,7 @@ class TestOptimizeSegment:
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
         with pytest.raises(ValueError, match=match):
-            segment(load_model(FIXTURE), x_k, errors_k, refs, CostWeights(q=q, r=r, mu=1.0),
+            segment(FIXTURE_MODEL, x_k, errors_k, refs, CostWeights(q=q, r=r, mu=1.0),
                     AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
                     input_bounds=input_box, max_iters=2)
         assert calls == []
@@ -906,11 +793,10 @@ class TestOptimizeSegment:
         start = {"x_k": np.zeros(2), "errors_k": np.array([0.3, 0.0]),
                  "refs": np.full((6, 2), 0.3), "init_gains": np.ones((1, 6))}
         start[bad].flat[0] = np.nan
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         with pytest.raises(SegmentDiverged, match="non-finite"):
-            segment(load_model(FIXTURE), start["x_k"],
+            segment(FIXTURE_MODEL, start["x_k"],
                     np.concatenate([start["errors_k"], np.zeros(4)]),
-                    start["refs"], weights, AdamConfig(), msd_bounds(),
+                    start["refs"], WEIGHTS, AdamConfig(), msd_bounds(),
                     regularizer_kind="barrier", plant=MSD,
                     input_bounds=Box([-1.0], [1.0]),
                     init_gains=GainMatrix.from_stacked(start["init_gains"]))
@@ -930,11 +816,10 @@ class TestSegmentFeasibility:
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", recording)
         model = LinearSurrogate()
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         start = {} if init is None else {"init_gains": GainMatrix.from_stacked(
             np.array([[init[0], 0.0, init[1], 0.0, init[2], 0.0]]))}
-        segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), weights, AdamConfig(),
+        segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), WEIGHTS, AdamConfig(),
                 bounds, regularizer_kind="barrier", plant=MSD, max_iters=2, tol=0.0,
                 **start)
         return seen[0]
@@ -998,10 +883,9 @@ class TestSegmentFeasibility:
             return window(shared, f)
 
         monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
-        weights = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="regularizer_kind must be 'barrier' with a plant"):
-            segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), weights,
+            segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), WEIGHTS,
                     AdamConfig(), msd_bounds(), regularizer_kind=kind, plant=plant,
                     max_iters=2, tol=0.0)
         assert calls == []

@@ -3,7 +3,6 @@
 import dataclasses
 import warnings
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +10,7 @@ import pytest
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.model import PinnModel, load_model, save_model
 from tests import reference_network
-
-FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
+from tests.support import FIXTURE, FIXTURE_MODEL
 
 
 def make_net(widths, n_state, n_input, t_hi=0.25):
@@ -475,12 +473,11 @@ class TestFrozenModel:
 
     def test_params_and_layers_are_read_only(self):
         # the fixture's params used to be writeable, so a NaN written there reached predict
-        model = load_model(FIXTURE)
-        (w, b), *_ = model.layers
-        for arr in (model.params, w, b):
+        (w, b), *_ = FIXTURE_MODEL.layers
+        for arr in (FIXTURE_MODEL.params, w, b):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = np.nan
-        assert np.isfinite(model.params).all()
+        assert np.isfinite(FIXTURE_MODEL.params).all()
 
     def test_layers_share_memory_with_params(self):
         net, params, t, x, u = random_net(np.random.default_rng(65))

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from pinnpid.gainopt import CostWeights, Window
-from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
-from pinnpid.model import PinnModel
 from pinnpid.pid import (
     GainBounds,
     GainMatrix,
@@ -18,20 +16,7 @@ from pinnpid.pid import (
     quadrature_nodes,
 )
 from pinnpid.sampling import Box
-
-
-def unbounded(m=1):
-    """An input box that clips nothing."""
-    return Box(np.full(m, -np.inf), np.full(m, np.inf))
-
-
-def toy_model(seed=0, n=2, m=1, dt=0.2, eps=0.05):
-    widths = (1 + n + m, 8, 8, n)
-    lo = np.concatenate([[0.0], -2 * np.ones(n), -np.ones(m)])
-    hi = np.concatenate([[dt + eps], 2 * np.ones(n), np.ones(m)])
-    net = FeedforwardNet(NetworkSpec(widths), InputScaling(lo, hi), n, m)
-    params = net.init_params(seed) if seed is not None else np.zeros(net.n_params)
-    return PinnModel(net=net, params=params, dt=dt, eps=eps)
+from tests.support import Spy, toy_model, unbounded
 
 
 class ReferenceModel:
@@ -48,22 +33,6 @@ class ReferenceModel:
 
     def time_derivative(self, t, x, u):
         return np.zeros_like(self.ref)
-
-
-class PredictionSpy:
-    """A surrogate that records every prediction it is asked for."""
-
-    def __init__(self, model):
-        self.model, self.calls = model, []
-        self.n, self.m, self.dt = model.n, model.m, model.dt
-
-    def predict(self, *args):
-        self.calls.append("predict")
-        return self.model.predict(*args)
-
-    def time_derivative(self, *args):
-        self.calls.append("time_derivative")
-        return self.model.time_derivative(*args)
 
 
 class TestControlInput:
@@ -353,7 +322,7 @@ class TestVectorShapes:
     def test_error_init_checks_x0_against_the_model(self):
         # x0 set the width the references were checked against, so a 3-wide state with
         # 3-wide references reached the network's generic batch-shape message
-        spy = PredictionSpy(toy_model(seed=4))
+        spy = Spy(toy_model(seed=4))
         with pytest.raises(ValueError, match=r"^x0 has shape \(3,\), the model needs \(2,\)$"):
             error_init(spy, np.zeros(3), np.zeros(3), np.zeros(3), 0.2)
         assert spy.calls == []
@@ -364,7 +333,7 @@ class TestVectorShapes:
     ], ids=["three_wide_x_k", "two_wide_u_k"])
     def test_error_update_checks_state_and_input_against_the_model(self, arg, bad, match):
         # n was read off x_k, and u_k was not checked: each reached the network
-        spy = PredictionSpy(toy_model(seed=3))
+        spy = Spy(toy_model(seed=3))
         n = bad.shape[0] if arg == "x_k" else 2
         args = dict(x_ref_k=np.zeros(n), x_ref_next=np.zeros(n), x_k=np.zeros(n),
                     u_k=np.zeros(1), errors=np.zeros(3 * n), x_meas_next=np.zeros(n))

@@ -21,9 +21,9 @@ from pinnpid.plants import (
 )
 from pinnpid.training import FD_STEP, fd_state_jacobian
 from tests import reference_plants
+from tests.support import MSD
 
 MANIP = ManipulatorParams()
-MSD = MsdParams()
 
 
 def gravity(p, q):

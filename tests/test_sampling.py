@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pinnpid.plants import MsdParams, RolloutDiverged, msd_rhs
+from pinnpid.plants import RolloutDiverged, msd_rhs
 from pinnpid.sampling import (
     Box,
     DatasetConfig,
@@ -16,8 +16,7 @@ from pinnpid.sampling import (
     integrate_batch,
     lhs_sample,
 )
-
-MSD = MsdParams()
+from tests.support import MSD
 
 
 def msd_config(n_data=64, n_phys=128, seed=0):

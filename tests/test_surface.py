@@ -23,7 +23,8 @@ and each fails once its entry is no longer needed, so none can go stale. Every
 public exception class must be the expected exception of some ``pytest.raises``
 under ``tests/``, so each failure path has a test that forces it. The settable
 options must equal ``OPTIONS``, so that a new, removed or swapped option shows up
-as a change to this file.
+as a change to this file. No test module imports another: what they share is
+defined once, in ``tests/support.py``.
 """
 
 import ast
@@ -425,3 +426,19 @@ def test_every_exception_is_forced_by_a_test():
     assert exceptions
     missing = sorted(exceptions - names_expected_by_tests())
     assert not missing, "expected by no pytest.raises under tests/: " + ", ".join(missing)
+
+
+def test_no_test_module_imports_another():
+    # a name that two test modules need belongs in tests/support.py, or its copies drift
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # also "from tests import test_pid"
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name} imports {name}" for name in names
+                      if any(part.startswith("test_") for part in name.split("."))]
+    assert not found, "; ".join(found)

@@ -11,7 +11,6 @@ from pinnpid.model import PinnModel
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.plants import (
     ManipulatorParams,
-    MsdParams,
     manipulator_rhs,
     msd_rhs,
     msd_state_space,
@@ -28,7 +27,6 @@ from pinnpid.sampling import (
 )
 from pinnpid.training import (
     TrainConfig,
-    ValidationSet,
     fd_state_jacobian,
     loss,
     loss_and_grad,
@@ -38,8 +36,8 @@ from pinnpid.training import (
 )
 from tests.reference_train import fd_state_jacobian as reference_fd_state_jacobian
 from tests.reference_train import train as reference_train
+from tests.support import MSD
 
-MSD = MsdParams()
 MSD_RHS = lambda x, u: msd_rhs(MSD, x, u)
 STATE_BOX = Box([-2.0, -1.0], [2.0, 1.0])
 INPUT_BOX = Box([-1.0], [1.0])
@@ -408,13 +406,16 @@ class TestTrain:
         ("x0", np.zeros((3, 2)), r"x0 has shape \(3, 2\), the model needs \(2, 2\)"),
         ("truth", np.zeros((2, 3, 2)), r"truth has shape \(2, 3, 2\), the model needs \(2, 4, 2\)"),
         ("u_seq", np.zeros((2, 0, 1)), r"u_seq has shape \(2, 0, 1\), validation needs a step"),
+        ("u_seq", np.zeros((0, 3, 1)),
+         r"u_seq has shape \(0, 3, 1\), validation needs a trajectory"),
     ], ids=["two_inputs", "flat_inputs", "three_states", "three_starts", "truth_one_step_short",
-            "no_steps"])
+            "no_steps", "no_trajectories"])
     def test_mis_sized_validation_set_rejected_before_an_iteration(self, name, value, message,
                                                                     monkeypatch):
         # a set with a second input column passed the dt check and failed only at the first
         # validation, val_interval iterations in, with "mismatched batch shapes for (t, x, u)";
-        # a set of no steps failed there with "need at least one array to concatenate"
+        # a set of no steps failed there with "need at least one array to concatenate", and
+        # one of no trajectories trained on and scored every validation NaN
         monkeypatch.setattr(training, "loss_and_grad",
                             lambda *args, **kwargs: pytest.fail("an iteration ran"))
         data, phys = small_sets()
@@ -424,6 +425,48 @@ class TestTrain:
                   TrainConfig(iterations=4, val_interval=2), validation=vset)
         with pytest.raises(ValueError, match=message):
             validate(msd_model(seed=1), vset)
+
+    @pytest.mark.parametrize("name, index", [("truth", (1, 2, 0)), ("x0", (0, 1)),
+                                             ("u_seq", (1, 0, 0))], ids=["truth", "x0", "u_seq"])
+    def test_non_finite_validation_set_rejected_before_an_iteration(self, name, index,
+                                                                    monkeypatch):
+        # one NaN in truth made every val_mse NaN, so no iterate beat the first best (inf)
+        # and train returned the untrained parameters; a NaN x0 or u_seq failed only at
+        # the first validation, val_interval iterations in
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        data, phys = small_sets()
+        vset = small_vset()
+        value = getattr(vset, name).copy()
+        value[index] = np.nan
+        vset = replace(vset, **{name: value})
+        message = rf"^{name} has non-finite entries, validation cannot score them$"
+        with pytest.raises(ValueError, match=message):
+            train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
+                  TrainConfig(iterations=4, val_interval=2), validation=vset)
+        with pytest.raises(ValueError, match=message):
+            validate(msd_model(seed=1), vset)
+
+    @pytest.mark.parametrize("which, column, shape, message", [
+        (0, "t", (7,), r"^t has shape \(7,\), the model needs \(8,\)$"),
+        (0, "u", (7, 1), r"^u has shape \(7, 1\), the model needs \(8, 1\)$"),
+        (0, "x0", (8, 3), r"^x0 has shape \(8, 3\), the model needs \(8, 2\)$"),
+        (1, "t", (7,), r"^phys\.t has shape \(7,\), the model needs \(8,\)$"),
+        (1, "u", (8, 2), r"^phys\.u has shape \(8, 2\), the model needs \(8, 1\)$"),
+    ], ids=["data_t_short", "data_u_short", "data_x0_three_wide", "phys_t_short",
+            "phys_u_two_wide"])
+    def test_set_column_of_another_shape_rejected_before_an_iteration(
+            self, which, column, shape, message, monkeypatch):
+        # which indexes the (data set, collocation set) pair; a 7-row t beside 8-row columns
+        # failed with NumPy's bare "all the input array dimensions ..." message, and a
+        # 2-wide collocation u reached the first iteration
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        sets = list(small_sets())
+        sets[which] = replace(sets[which], **{column: np.zeros(shape)})
+        with pytest.raises(ValueError, match=message):
+            train(msd_model(seed=1), MSD_RHS, lambda k: tuple(sets),
+                  TrainConfig(iterations=4, val_interval=2), validation=small_vset())
 
     def test_config_is_frozen(self):
         # an assignment skipped every check: val_interval = 0 divided by zero inside train
