@@ -19,7 +19,10 @@ also how ``init_params`` and the parameter gradient walk that layout):
   accumulation, which the gain optimizer's pullbacks never read.
 
 Everything operates on float64 and is pure: identical arguments give
-bit-identical results, and no pass writes an attribute of the net.
+bit-identical results, and no pass writes an attribute of the net, which is
+read-only. A pass writes nothing but its own ``buffers`` dict (below), so
+passes given distinct dicts, or none, may run at once on one net and one
+``layers``; ``training`` runs its data and physics passes so.
 
 Each pass keeps only the row-sized arrays that are read again later. In the
 forward pass a layer's pre-activation ``a = z W^T + b`` is formed in the
@@ -134,27 +137,33 @@ def _out(buffers, name, layer, shape):
     return arr
 
 
+@dataclass(frozen=True, eq=False)
 class FeedforwardNet:
     """A tanh MLP over ``[t, x, u]`` rows with analytic derivative passes.
 
     ``n_state`` and ``n_input`` fix how the input row splits into the time,
     state and control blocks, and the output is the n-wide state; the scaling
-    must cover all ``1 + n + m`` coordinates in that order.
+    must cover all ``1 + n + m`` coordinates in that order. Every attribute
+    is read-only once built, so passes that run at once read one net.
     """
 
-    def __init__(self, spec: NetworkSpec, scaling: InputScaling, n_state: int, n_input: int):
-        if spec.input_dim != 1 + n_state + n_input:
+    spec: NetworkSpec
+    scaling: InputScaling
+    n_state: int
+    n_input: int
+    _slices: tuple = field(init=False, repr=False)
+    n_params: int = field(init=False)  # the end of the last bias
+
+    def __post_init__(self):
+        if self.spec.input_dim != 1 + self.n_state + self.n_input:
             raise ValueError("input width must equal 1 + n_state + n_input")
-        if spec.output_dim != n_state:
+        if self.spec.output_dim != self.n_state:
             raise ValueError("output width must equal n_state")
-        if scaling.lower.shape[0] != spec.input_dim:
+        if self.scaling.lower.shape[0] != self.spec.input_dim:
             raise ValueError("scaling dimension must match the input width")
-        self.spec = spec
-        self.scaling = scaling
-        self.n_state = n_state
-        self.n_input = n_input
-        self._slices = spec.param_slices()
-        self.n_params = self._slices[-1][1].stop  # the end of the last bias
+        slices = tuple(self.spec.param_slices())
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "n_params", slices[-1][1].stop)
 
     # -- assembly -----------------------------------------------------------
 

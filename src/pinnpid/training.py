@@ -10,8 +10,21 @@ cosine-decayed from ``LR_START`` to ``LR_END``; L-BFGS-B (scipy, default
 memory) refines its result when ``lbfgs_iterations`` is positive. Both
 stages fit one data set and one collocation set. The returned parameters
 are the best-validation iterate, scored by self-loop rollout MSE against
-held-out RK4 trajectories. ``loss`` and ``loss_and_grad`` share the loss's
-two forward passes (``_forward``); the latter adds their reverse sweeps.
+held-out RK4 trajectories. ``loss`` and ``loss_and_grad`` share one
+evaluation (``_evaluate``) of the loss's two passes; the latter adds their
+reverse sweeps.
+
+The two passes share nothing but the parameters until their gradients are
+summed, so each evaluation runs the data pass (rows, value forward, data
+residual, ``l_data`` and its reverse sweep) on ``_LANE``, one worker thread
+of the module, while the calling thread runs the physics pass. NumPy
+releases the interpreter lock inside its loops and BLAS calls, so the two
+run at once. The data pass owns ``buffers["data"]`` and the physics pass
+``buffers["phys"]``; the evaluation waits for the lane before it returns or
+raises, so no pass outlives the call, and an exception of either pass
+reaches the caller. Every operation is the one the serial order ran, on the
+same arrays, so results are bit-identical to it. A fit therefore keeps two
+threads busy, whatever number of BLAS threads each one uses.
 
 Both stages share one path in ``train``: an evaluation that raises
 :class:`TrainingDiverged` on a non-finite loss or gradient, a record step
@@ -22,6 +35,8 @@ Validation always runs, since ``train`` requires a validation set.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +53,18 @@ LAMBDA_PHYS = 1.0  # weight of the physics residual term in the loss
 LR_START = 1e-3  # Adam learning rate at the first iteration ...
 LR_END = 1e-4  # ... cosine-decayed to this one at the last
 VALIDATION_SUBSTEPS = 200  # RK4 steps per dt of the validation truth
+
+
+def _open_lane():
+    """Start ``_LANE`` afresh: on import, and in a forked child, which inherits
+    the executor but not its thread, so work queued on it would never run."""
+    global _LANE
+    _LANE = concurrent.futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="pinnpid-data")
+
+
+_open_lane()
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere there is no fork
+    os.register_at_fork(after_in_child=_open_lane)
 
 
 class TrainingDiverged(RuntimeError):
@@ -117,29 +144,48 @@ def fd_state_jacobian(rhs, x, u):
     return jac
 
 
-def _forward(net, layers, data: DataSet, phys: PhysSet, rhs, buffers):
-    """Data pass and dual physics pass through ``layers``: (l_data, l_phys)
-    and what the reverse sweeps read, (data residual, tape, physics residual,
-    predicted states, tape). ``buffers`` is as in ``loss_and_grad``."""
+def _data_pass(net, layers, data: DataSet, buf, want_grad):
+    """l_data and, if ``want_grad``, its parameter gradient; writes only ``buf``."""
+    rows = net.stack_rows(data.t, data.x0, data.u)
+    preds, _, tape = net.forward_raw(layers, rows, buffers=buf)
+    res = preds - data.xf
+    l_data = float(np.mean(np.sum(res**2, axis=1)))
+    if not want_grad:
+        return l_data, None
+    grad, _ = net.backward_raw(layers, tape, (2.0 / res.shape[0]) * res, buffers=buf)
+    return l_data, grad
+
+
+def _evaluate(net, params, data: DataSet, phys: PhysSet, rhs, buffers, want_grad):
+    """(l_data, l_phys, l_total, gradient or None): the data pass on ``_LANE``
+    while the physics pass runs here; if both raise, the physics pass's
+    exception is the one raised. ``buffers`` is as in ``loss_and_grad``."""
+    layers = net.unpack(params)
     buf_d, buf_p = buffers.setdefault("data", {}), buffers.setdefault("phys", {})
-    rows_d = net.stack_rows(data.t, data.x0, data.u)
-    preds, _, tape_d = net.forward_raw(layers, rows_d, buffers=buf_d)
-    res_d = preds - data.xf
-    l_data = float(np.mean(np.sum(res_d**2, axis=1)))
-    rows_p = net.stack_rows(phys.t, phys.x, phys.u)
-    values, rates, tape_p = net.forward_raw(
-        layers, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
-    )
-    residual = rates - rhs(values, phys.u)
-    l_phys = float(np.mean(np.sum(residual**2, axis=1)))
-    return l_data, l_phys, res_d, tape_d, residual, values, tape_p
+    lane = _LANE.submit(_data_pass, net, layers, data, buf_d, want_grad)
+    try:
+        rows = net.stack_rows(phys.t, phys.x, phys.u)
+        values, rates, tape = net.forward_raw(
+            layers, rows, net.time_tangent_rows(rows.shape[0]), buffers=buf_p
+        )
+        residual = rates - rhs(values, phys.u)
+        l_phys = float(np.mean(np.sum(residual**2, axis=1)))
+        if want_grad:
+            cot_rate = (2.0 / residual.shape[0]) * residual
+            jac = fd_state_jacobian(rhs, values, phys.u)
+            cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
+            grad_p, _ = net.backward_raw(layers, tape, cot_value, cot_rate, buffers=buf_p)
+    finally:
+        concurrent.futures.wait((lane,))  # no pass outlives the call
+    l_data, grad_d = lane.result()  # raises what the data pass raised
+    grad = grad_d + LAMBDA_PHYS * grad_p if want_grad else None
+    return l_data, l_phys, l_data + LAMBDA_PHYS * l_phys, grad
 
 
 def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int, *, buffers):
     """The composite loss as the report of ``iteration`` (floats only); ``buffers``
     is as in ``loss_and_grad``."""
-    l_data, l_phys, *_ = _forward(net, net.unpack(params), data, phys, rhs, buffers)
-    return LossReport(iteration, l_data, l_phys, l_data + LAMBDA_PHYS * l_phys)
+    return LossReport(iteration, *_evaluate(net, params, data, phys, rhs, buffers, False)[:3])
 
 
 def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers):
@@ -149,18 +195,7 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers):
     physics pass each keep their row-sized arrays in a sub-dict of it (see
     the ``network`` module docstring). Nothing returned aliases a buffer.
     """
-    layers = net.unpack(params)
-    l_data, l_phys, res_d, tape_d, residual, values, tape_p = _forward(
-        net, layers, data, phys, rhs, buffers
-    )
-    buf_d, buf_p = buffers["data"], buffers["phys"]
-    grad_d, _ = net.backward_raw(layers, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
-    cot_rate = (2.0 / residual.shape[0]) * residual
-    jac = fd_state_jacobian(rhs, values, phys.u)
-    cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
-    grad_p, _ = net.backward_raw(layers, tape_p, cot_value, cot_rate, buffers=buf_p)
-    l_total = l_data + LAMBDA_PHYS * l_phys
-    return l_data, l_phys, l_total, grad_d + LAMBDA_PHYS * grad_p
+    return _evaluate(net, params, data, phys, rhs, buffers, True)
 
 
 def _check_finite_sets(data: DataSet, phys: PhysSet) -> None:
@@ -240,7 +275,7 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
     history: list[LossReport] = []
     best = [np.inf, params.copy()]  # lowest validation rollout MSE and its parameters
     data, phys = data_generator(0)
-    rows = np.shape(data.x0)[:1]  # else a column broadcasts in _forward or fails unnamed
+    rows = np.shape(data.x0)[:1]  # else a column broadcasts in _evaluate or fails unnamed
     check_shapes(t=(data.t, rows), x0=(data.x0, (*rows, model.n)),
                  xf=(data.xf, (*rows, model.n)), u=(data.u, (*rows, model.m)))
     rows = np.shape(phys.x)[:1]  # its t and u named apart from the data set's

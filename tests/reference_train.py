@@ -10,6 +10,11 @@ reference that the shared path is compared against.
 ``fd_state_jacobian`` is the frozen central-difference Jacobian: it builds a
 step array and the two shifted states afresh for each column, where the
 library moves one column of a single working copy.
+
+``serial_loss_and_grad`` and ``serial_loss`` are the frozen serial evaluation:
+the data pass, then the physics pass, then their two reverse sweeps, all on
+the calling thread, where the library runs the data pass on a worker lane
+beside the physics pass.
 """
 
 import numpy as np
@@ -19,6 +24,7 @@ from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
 from pinnpid.training import (
     FD_STEP,
+    LAMBDA_PHYS,
     LR_END,
     LR_START,
     LossReport,
@@ -125,3 +131,43 @@ def fd_state_jacobian(rhs, x, u):
         dx[..., j] = FD_STEP
         jac[..., j] = (rhs(x + dx, u) - rhs(x - dx, u)) / (2.0 * FD_STEP)
     return jac
+
+
+def serial_forward(net, layers, data, phys, rhs, buffers):
+    """Data pass and dual physics pass through ``layers``: (l_data, l_phys)
+    and what the reverse sweeps read, (data residual, tape, physics residual,
+    predicted states, tape)."""
+    buf_d, buf_p = buffers.setdefault("data", {}), buffers.setdefault("phys", {})
+    rows_d = net.stack_rows(data.t, data.x0, data.u)
+    preds, _, tape_d = net.forward_raw(layers, rows_d, buffers=buf_d)
+    res_d = preds - data.xf
+    l_data = float(np.mean(np.sum(res_d**2, axis=1)))
+    rows_p = net.stack_rows(phys.t, phys.x, phys.u)
+    values, rates, tape_p = net.forward_raw(
+        layers, rows_p, net.time_tangent_rows(rows_p.shape[0]), buffers=buf_p
+    )
+    residual = rates - rhs(values, phys.u)
+    l_phys = float(np.mean(np.sum(residual**2, axis=1)))
+    return l_data, l_phys, res_d, tape_d, residual, values, tape_p
+
+
+def serial_loss(net, params, data, phys, rhs, iteration, *, buffers):
+    """The composite loss as the report of ``iteration``."""
+    l_data, l_phys, *_ = serial_forward(net, net.unpack(params), data, phys, rhs, buffers)
+    return LossReport(iteration, l_data, l_phys, l_data + LAMBDA_PHYS * l_phys)
+
+
+def serial_loss_and_grad(net, params, data, phys, rhs, *, buffers):
+    """(l_data, l_phys, l_total, gradient), every pass on the calling thread."""
+    layers = net.unpack(params)
+    l_data, l_phys, res_d, tape_d, residual, values, tape_p = serial_forward(
+        net, layers, data, phys, rhs, buffers
+    )
+    buf_d, buf_p = buffers["data"], buffers["phys"]
+    grad_d, _ = net.backward_raw(layers, tape_d, (2.0 / res_d.shape[0]) * res_d, buffers=buf_d)
+    cot_rate = (2.0 / residual.shape[0]) * residual
+    jac = fd_state_jacobian(rhs, values, phys.u)
+    cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
+    grad_p, _ = net.backward_raw(layers, tape_p, cot_value, cot_rate, buffers=buf_p)
+    l_total = l_data + LAMBDA_PHYS * l_phys
+    return l_data, l_phys, l_total, grad_d + LAMBDA_PHYS * grad_p

@@ -479,6 +479,19 @@ class TestFrozenModel:
                 arr[0] = np.nan
         assert np.isfinite(FIXTURE_MODEL.params).all()
 
+    def test_net_rejects_attribute_assignment(self):
+        # the widths used to be writeable: n then read 3 and predict failed on the shapes;
+        # training's two lanes read one net at once
+        net = FIXTURE_MODEL.net
+        for name, value in (("n_state", 3), ("n_input", 2), ("n_params", 0),
+                            ("scaling", None), ("spec", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(net, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del net.n_state
+        assert (FIXTURE_MODEL.n, FIXTURE_MODEL.m) == (2, 1)
+        assert FIXTURE_MODEL.predict([0.1], np.zeros(2), np.zeros(1)).shape == (1, 2)
+
     def test_layers_share_memory_with_params(self):
         net, params, t, x, u = random_net(np.random.default_rng(65))
         model = PinnModel(net=net, params=params, dt=0.2, eps=0.05)

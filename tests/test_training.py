@@ -1,5 +1,10 @@
 """Loss, residual and trainer checks, with finite-difference gradient oracles."""
 
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 from dataclasses import FrozenInstanceError, astuple, replace
 
@@ -35,8 +40,9 @@ from pinnpid.training import (
     validate,
 )
 from tests.reference_train import fd_state_jacobian as reference_fd_state_jacobian
+from tests.reference_train import serial_loss, serial_loss_and_grad
 from tests.reference_train import train as reference_train
-from tests.support import MSD
+from tests.support import MSD, toy_model
 
 MSD_RHS = lambda x, u: msd_rhs(MSD, x, u)
 STATE_BOX = Box([-2.0, -1.0], [2.0, 1.0])
@@ -632,3 +638,169 @@ class TestTrainMatchesReference:
             assert got.last_report.val_mse is not None  # iteration 14, the last, validates
         else:
             assert got.iteration > cfg.iterations
+
+
+ARM = ManipulatorParams()
+ARM_RHS = lambda x, u: manipulator_rhs(ARM, x, u)
+
+
+def lane_case(plant, n_data=300, n_phys=400, seed=0):
+    """(model, rhs, data set, collocation set) of the arm (4 states, 2 inputs) or the
+    MSD, with random rows inside the model's scaling box; labels need not be exact."""
+    rng = np.random.default_rng(seed)
+    if plant == "msd":
+        model, rhs = msd_model(seed=seed), MSD_RHS
+    else:
+        model, rhs = toy_model(seed=seed, n=4, m=2), ARM_RHS
+    n, m = model.n, model.m
+
+    def draw(rows):
+        return (rng.uniform(0.0, 0.25, rows), rng.uniform(-2.0, 2.0, (rows, n)),
+                rng.uniform(-1.0, 1.0, (rows, m)))
+
+    t, x0, u = draw(n_data)
+    data = DataSet(t=t, x0=x0, xf=x0 + rng.normal(0.0, 0.1, x0.shape), u=u)
+    return model, rhs, data, PhysSet(*draw(n_phys))
+
+
+def bits(values):
+    """The float64 bit patterns of a tuple of floats and arrays, one flat array."""
+    return np.concatenate([np.ravel(np.asarray(v, dtype=np.float64)) for v in values]
+                          ).view(np.uint64)
+
+
+class TestDataLane:
+    """The data pass runs on ``training``'s worker lane beside the physics pass; every
+    result equals the frozen serial evaluation in reference_train.py bit for bit."""
+
+    @pytest.mark.parametrize("plant", ["arm", "msd"])
+    def test_matches_the_serial_evaluation(self, plant):
+        # one dict per side through several parameter vectors and both entries
+        model, rhs, data, phys = lane_case(plant)
+        got_buffers, want_buffers = {}, {}
+        for k, scale in enumerate((1.0, 0.5, 1.0, -0.25)):
+            params = model.params * scale
+            got = loss_and_grad(model.net, params, data, phys, rhs, buffers=got_buffers)
+            want = serial_loss_and_grad(model.net, params, data, phys, rhs,
+                                        buffers=want_buffers)
+            assert np.array_equal(bits(got), bits(want))
+            got = loss(model.net, params, data, phys, rhs, k, buffers=got_buffers)
+            want = serial_loss(model.net, params, data, phys, rhs, k, buffers=want_buffers)
+            assert got.iteration == want.iteration == k
+            assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(want)[1:4]))
+        assert got_buffers.keys() == want_buffers.keys() == {"data", "phys"}
+
+    def test_train_matches_the_serial_evaluation(self, monkeypatch):
+        # Adam, then L-BFGS, whose callback calls loss
+        model, rhs, data, phys = lane_case("arm", n_data=96, n_phys=128, seed=4)
+        vset = make_validation_set(rhs, Box(-2 * np.ones(4), 2 * np.ones(4)),
+                                   Box(-np.ones(2), np.ones(2)), 0.2, n_traj=2, n_steps=3,
+                                   seed=6)
+        cfg = TrainConfig(iterations=12, optimizer="adam-then-lbfgs", val_interval=4,
+                          lbfgs_iterations=8)
+        runs = []
+        for serial in (False, True):
+            if serial:
+                monkeypatch.setattr(training, "loss_and_grad", serial_loss_and_grad)
+                monkeypatch.setattr(training, "loss", serial_loss)
+            trained, history = train(model, rhs, lambda k: (data, phys), cfg, vset)
+            runs.append((trained.params, [astuple(h) for h in history]))
+        (got_params, got), (want_params, want) = runs
+        assert len(got) > cfg.iterations
+        assert got == want
+        assert np.array_equal(got_params.view(np.uint64), want_params.view(np.uint64))
+
+    def test_physics_failure_raises_after_the_data_pass_finished(self, monkeypatch):
+        # the data pass's last call sleeps, so the rhs raises long before it ends
+        model, _, data, phys = lane_case("msd")
+        finished = []
+        backward_raw = FeedforwardNet.backward_raw
+
+        def slow_value_backward(self, layers, tape, cot_values, cot_tangents=None, *a, **k):
+            out = backward_raw(self, layers, tape, cot_values, cot_tangents, *a, **k)
+            if cot_tangents is None:
+                time.sleep(0.2)
+                finished.append(threading.current_thread())
+            return out
+
+        def failing_rhs(x, u):
+            raise ArithmeticError("rhs failed")
+
+        monkeypatch.setattr(FeedforwardNet, "backward_raw", slow_value_backward)
+        with pytest.raises(ArithmeticError, match="rhs failed"):
+            loss_and_grad(model.net, model.params, data, phys, failing_rhs, buffers={})
+        assert len(finished) == 1
+        assert finished[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("entry", ["loss_and_grad", "loss"])
+    def test_data_failure_reaches_the_caller(self, entry, monkeypatch):
+        model, rhs, data, phys = lane_case("msd")
+        args = (model.net, model.params, data, phys, rhs)
+        evaluate = {"loss_and_grad": lambda: loss_and_grad(*args, buffers={}),
+                    "loss": lambda: loss(*args, 0, buffers={})}[entry]
+        forward_raw = FeedforwardNet.forward_raw
+
+        def failing_value_forward(self, layers, raw_rows, tangent_rows=None, **k):
+            if tangent_rows is None:
+                raise ArithmeticError("value pass failed")
+            return forward_raw(self, layers, raw_rows, tangent_rows, **k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FeedforwardNet, "forward_raw", failing_value_forward)
+            with pytest.raises(ArithmeticError, match="value pass failed"):
+                evaluate()
+        # the lane outlives the failure
+        want = serial_loss_and_grad(*args, buffers={})
+        assert np.array_equal(bits(loss_and_grad(*args, buffers={})), bits(want))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork is POSIX only")
+    def test_a_forked_child_gets_a_lane_of_its_own(self):
+        # fork copies the executor but not its thread, so a child that queued its data
+        # pass on the inherited one waited for it forever
+        model, rhs, data, phys = lane_case("msd", n_data=50, n_phys=60)
+        args = (model.net, model.params, data, phys, rhs)
+        want = bits(loss_and_grad(*args, buffers={}))  # the lane's thread is running
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork beside a thread
+            pid = os.fork()
+        if pid == 0:
+            os._exit(0 if np.array_equal(bits(loss_and_grad(*args, buffers={})), want) else 1)
+        deadline = time.monotonic() + 30
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not done[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the child's evaluation did not finish within 30 s"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_concurrent_callers_each_get_the_serial_result(self):
+        # four callers on two cores share the one lane and the one net, each with its
+        # own buffers; a shortened switch interval interleaves them often
+        cases = [lane_case(plant, n_data=120, n_phys=160, seed=s)
+                 for plant, s in (("arm", 1), ("msd", 2), ("arm", 3), ("msd", 4))]
+        want = [bits(serial_loss_and_grad(m.net, m.params, d, p, rhs, buffers={}))
+                for m, rhs, d, p in cases]
+        got = [[] for _ in cases]
+
+        def caller(k):
+            model, rhs, data, phys = cases[k]
+            buffers = {}
+            for _ in range(15):
+                got[k].append(bits(loss_and_grad(model.net, model.params, data, phys, rhs,
+                                                 buffers=buffers)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, results in enumerate(got):
+            assert len(results) == 15
+            assert all(np.array_equal(r, want[k]) for r in results)
