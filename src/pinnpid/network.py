@@ -317,6 +317,7 @@ class FeedforwardNet:
         return grads, cz
 
     def time_tangent_rows(self, n: int) -> np.ndarray:
-        rows = np.zeros((n, self.spec.input_dim))
-        rows[:, 0] = 1.0
-        return rows
+        """The tangent rows of d/dt: the one row (1, 0, ..., 0), broadcast read-only to n rows."""
+        row = np.zeros(self.spec.input_dim)
+        row[0] = 1.0
+        return np.broadcast_to(row, (n, row.size))

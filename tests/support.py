@@ -1,27 +1,83 @@
 """Setup shared by the test modules, defined once; no test module imports another.
 
 Every shared array is read-only and every shared record frozen, so no test can
-leave state behind for another.
+leave state behind for another. The oracles:
+
+- ``central_fd(f, x, h)``: central differences of a scalar function at every entry
+  of an array of any shape. Every check of a gradient against finite differences
+  takes its differences here.
+- ``calls_to(monkeypatch, owner, name)``: the arguments of every later call of
+  ``owner.name``, which still runs. For a test that counts or inspects the calls
+  a library function makes to another.
+- ``forbid(monkeypatch, owner, name)``: fails the test at any later call of
+  ``owner.name``. For a check that must refuse its input before that call.
+- The plant table: ``MSD_RHS`` and ``ARM_RHS`` (the nominal ``MSD`` and ``ARM``),
+  and the benchmark's state and input boxes of each, for any test that samples,
+  integrates or fits a plant.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pinnpid.gainopt import CostWeights
 from pinnpid.model import PinnModel, load_model
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.pid import diagonal_gain_bounds
-from pinnpid.plants import MsdParams, msd_state_space
+from pinnpid.plants import ManipulatorParams, MsdParams, manipulator_rhs, msd_rhs, msd_state_space
 from pinnpid.sampling import Box
 
 MSD = MsdParams()
+ARM = ManipulatorParams()
+MSD_RHS = lambda x, u: msd_rhs(MSD, x, u)
+ARM_RHS = lambda x, u: manipulator_rhs(ARM, x, u)
+MSD_STATE_BOX = Box([-2.0, -1.0], [2.0, 1.0])
+MSD_INPUT_BOX = Box([-1.0], [1.0])
+ARM_STATE_BOX = Box([-np.pi, -np.pi, -2.5, -2.5], [np.pi, np.pi, 2.5, 2.5])
+ARM_INPUT_BOX = Box([-0.5, -0.5], [0.5, 0.5])
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "msd_surrogate_seed0.txt"
 FIXTURE_MODEL = load_model(FIXTURE)  # the committed MSD surrogate, read once on import
 WEIGHTS = CostWeights(q=np.diag([1000.0, 1.0]), r=[[0.01]], mu=1.0)  # the closed loop's
 E0 = np.array([0.6, 0.0, 0.1, 0.0, 0.2, -0.1])  # an MSD error state (e_prop, e_int, e_deri)
 X0 = np.array([0.1, -0.2])  # an MSD state
 E0.flags.writeable = X0.flags.writeable = False
+
+
+def central_fd(f, x, h):
+    """(f(x + h e_i) - f(x - h e_i)) / (2 h) at every entry i of the array x."""
+    x = np.asarray(x, dtype=float)
+    fd = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd[i] = (f(xp) - f(xm)) / (2 * h)
+    return fd
+
+
+def calls_to(monkeypatch, owner, name):
+    """The list into which each later call of ``owner.name`` puts its arguments, by
+    parameter name, before it runs."""
+    fn, calls = getattr(owner, name), []
+    signature = inspect.signature(fn)
+
+    def recording(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def forbid(monkeypatch, owner, name):
+    """Fail the test at any later call of ``owner.name``."""
+
+    def fail(*args, **kwargs):
+        pytest.fail(f"{name} ran")
+
+    monkeypatch.setattr(owner, name, fail)
 
 
 def unbounded(m=1):

@@ -44,6 +44,9 @@ from tests.support import (
     CliffSurrogate,
     LinearSurrogate,
     Spy,
+    calls_to,
+    central_fd,
+    forbid,
     msd_bounds,
     msd_inputs,
     toy_model,
@@ -282,15 +285,7 @@ class TestWindowGradient:
         f = np.array([[1.1, 0.2, 0.8, 0.1, 0.9, 0.05]])
         window = Window(model, x0, e0, refs, WEIGHTS, 10, UNBOUNDED)
         cost, grad = window_cost_and_grad(window, f)
-        fd = np.zeros_like(f)
-        h = 1e-6
-        for i in range(f.shape[1]):
-            fp, fm = f.copy(), f.copy()
-            fp[0, i] += h
-            fm[0, i] -= h
-            cp = window_cost_and_grad(window, fp)[0]
-            cm = window_cost_and_grad(window, fm)[0]
-            fd[0, i] = (cp - cm) / (2 * h)
+        fd = central_fd(lambda g: window_cost_and_grad(window, g)[0], f, 1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     def test_gradient_through_network_surrogate(self):
@@ -301,15 +296,7 @@ class TestWindowGradient:
         f = np.array([[0.9, 0.1, 0.5, 0.0, 0.7, 0.2]])
         window = Window(model, X0, e0, refs, WEIGHTS, 10, UNBOUNDED)
         cost, grad = window_cost_and_grad(window, f)
-        h = 1e-6
-        fd = np.zeros_like(f)
-        for i in range(f.shape[1]):
-            fp, fm = f.copy(), f.copy()
-            fp[0, i] += h
-            fm[0, i] -= h
-            cp = window_cost_and_grad(window, fp)[0]
-            cm = window_cost_and_grad(window, fm)[0]
-            fd[0, i] = (cp - cm) / (2 * h)
+        fd = central_fd(lambda g: window_cost_and_grad(window, g)[0], f, 1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-8)
 
     def test_nearly_symmetric_q_through_fixture_matches_finite_differences(self):
@@ -325,15 +312,7 @@ class TestWindowGradient:
             f = np.zeros((1, 6))
             f[0, [0, 2, 4]] = rng.uniform(0.0, 1.0, 3)
             _, grad = window_cost_and_grad(window, f)
-            fd = np.zeros_like(f)
-            h = 1e-6
-            for i in range(f.shape[1]):
-                fp, fm = f.copy(), f.copy()
-                fp[0, i] += h
-                fm[0, i] -= h
-                cp = window_cost_and_grad(window, fp)[0]
-                cm = window_cost_and_grad(window, fm)[0]
-                fd[0, i] = (cp - cm) / (2 * h)
+            fd = central_fd(lambda g: window_cost_and_grad(window, g)[0], f, 1e-6)
             # central differences of a cost near 0.6 carry about 1e-10 of rounding
             assert np.max(np.abs(grad - fd)) < 1e-7 * np.max(np.abs(fd))
 
@@ -349,25 +328,20 @@ class TestWindowGradient:
         saturated = [abs(u[0]) == 1.0 for u in spy.inputs]
         assert any(saturated) and not all(saturated)
         assert msd_stability_value(MSD, f, 2) > 0
-        h = 1e-6
-        fd = np.zeros_like(f)
-        for i in range(f.shape[1]):
-            fp, fm = f.copy(), f.copy()
-            fp[0, i] += h
-            fm[0, i] -= h
-            cp = regularized_window(model, X0, E0, refs, fp, WEIGHTS, 10, **kw)[1]
-            cm = regularized_window(model, X0, E0, refs, fm, WEIGHTS, 10, **kw)[1]
-            fd[0, i] = (cp - cm) / (2 * h)
+        fd = central_fd(lambda g: regularized_window(model, X0, E0, refs, g, WEIGHTS, 10, **kw)[1],
+                        f, 1e-6)
         # the cost is about 190, so rounding alone puts ~2e-8 into each difference
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
-    @pytest.mark.parametrize("clip", [False, True], ids=["no_box", "box"])
-    def test_two_inputs_match_finite_differences(self, clip):
-        # 4-state, 2-input linear stand-in with an arm-shaped F: channel i acts on coordinate i
+    @pytest.mark.parametrize("network, clip", [(False, False), (False, True), (True, True)],
+                             ids=["no_box", "box", "network_box"])
+    def test_two_inputs_match_finite_differences(self, network, clip):
+        # a 4-state, 2-input linear stand-in or network surrogate with an arm-shaped F:
+        # channel i acts on coordinate i
         a = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                       [-2.0, 0.5, -0.4, 0.0], [0.3, -1.5, 0.0, -0.6]])
         b = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.2], [0.0, 0.8]])
-        model = LinearSurrogate(ab=(a, b))
+        model = toy_model(seed=2, n=4, m=2) if network else LinearSurrogate(ab=(a, b))
         weights = CostWeights(q=np.diag([100.0, 50.0, 1.0, 1.0]), r=np.diag([0.01, 0.02]),
                               mu=1.0)
         bounds = diagonal_gain_bounds(4, 2, (0.0, 5.0), (0.0, 5.0), (0.0, 5.0), [0, 1])
@@ -386,15 +360,7 @@ class TestWindowGradient:
             saturated = [np.any(np.abs(u) == 0.8) for u in spy.inputs]
             assert any(saturated) and not all(saturated)
         window = Window(model, x0, e0, refs, weights, 10, box)
-        h = 1e-6
-        fd = np.zeros_like(f)
-        for idx in np.ndindex(f.shape):
-            fp, fm = f.copy(), f.copy()
-            fp[idx] += h
-            fm[idx] -= h
-            cp = window_cost_and_grad(window, fp)[0]
-            cm = window_cost_and_grad(window, fm)[0]
-            fd[idx] = (cp - cm) / (2 * h)
+        fd = central_fd(lambda g: window_cost_and_grad(window, g)[0], f, 1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-7)
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -685,23 +651,17 @@ class TestOptimizeSegment:
             refs = np.array([[0.7, 0.0]] * 3 + [[-0.3, 0.0]] * 3)
             kw = dict(regularizer_kind="barrier", plant=MSD, input_bounds=Box([-1.0], [1.0]),
                       max_iters=30, tol=0.0)
-        window = gainopt.window_cost_and_grad
-        windows = []
-
-        def counting(shared, f):
-            windows.append(shared)
-            return window(shared, f)
-
-        monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
+        calls = calls_to(monkeypatch, gainopt, "window_cost_and_grad")
         res = segment(model, x0, e0, refs, WEIGHTS, AdamConfig(), msd_bounds(), **kw)
         assert res.converged == (stop == "converged")
         if stop == "max_iters":
             assert res.iterations == 30
         # every call scores the one Window that the segment built
-        assert len(windows) == res.iterations + 1
-        assert all(w is windows[0] for w in windows)
+        assert len(calls) == res.iterations + 1
+        assert all(c["window"] is calls[0]["window"] for c in calls)
         f = res.gains.stacked()
-        quad, _ = window(Window(model, x0, e0, refs, WEIGHTS, 10, kw["input_bounds"]), f)
+        quad, _ = window_cost_and_grad(
+            Window(model, x0, e0, refs, WEIGHTS, 10, kw["input_bounds"]), f)
         assert res.cost == quad + WEIGHTS.mu * float((f * f).sum())
 
     def test_non_finite_step_raises(self):
@@ -733,8 +693,7 @@ class TestOptimizeSegment:
     @pytest.mark.parametrize("tol", [-1e-6, np.nan])
     def test_negative_or_nan_tol_rejected_before_a_window(self, tol, monkeypatch):
         # either one turned early stopping off without a word
-        monkeypatch.setattr(gainopt, "window_cost_and_grad",
-                            lambda *args: pytest.fail("a window ran"))
+        forbid(monkeypatch, gainopt, "window_cost_and_grad")
         e0 = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=rf"tol must be >= 0, got .*{tol}"):
             segment(LinearSurrogate(), np.zeros(2), e0, np.zeros((4, 2)), WEIGHTS,
@@ -750,8 +709,7 @@ class TestOptimizeSegment:
                                                         match):
         # each used to reach the first window: the first two failed there with a bare
         # matmul error, the third was broadcast into both rows of F
-        monkeypatch.setattr(gainopt, "window_cost_and_grad",
-                            lambda *args, **kwargs: pytest.fail("a window ran"))
+        forbid(monkeypatch, gainopt, "window_cost_and_grad")
         model = msd_inputs(m)
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
         start = {} if init is None else {"init_gains": GainMatrix.from_stacked(np.ones(init))}
@@ -773,14 +731,7 @@ class TestOptimizeSegment:
             self, monkeypatch, x_k, errors_k, refs, q, r, box, input_box, match):
         # the widths used to be read off the error state and r, so each of these passed
         # every check and failed inside the first window with a bare NumPy message
-        window = gainopt.window_cost_and_grad
-        calls = []
-
-        def counting(shared, f):
-            calls.append(f)
-            return window(shared, f)
-
-        monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
+        calls = calls_to(monkeypatch, gainopt, "window_cost_and_grad")
         with pytest.raises(ValueError, match=match):
             segment(FIXTURE_MODEL, x_k, errors_k, refs, CostWeights(q=q, r=r, mu=1.0),
                     AdamConfig(), GainBounds(np.zeros(box), np.full(box, 5.0)),
@@ -807,14 +758,7 @@ class TestSegmentFeasibility:
     iterate gets, applied to the start too, and the error when no cut is left."""
 
     def first_window_gains(self, monkeypatch, bounds, init=None):
-        window = gainopt.window_cost_and_grad
-        seen = []
-
-        def recording(shared, f):
-            seen.append(f.copy())
-            return window(shared, f)
-
-        monkeypatch.setattr(gainopt, "window_cost_and_grad", recording)
+        calls = calls_to(monkeypatch, gainopt, "window_cost_and_grad")
         model = LinearSurrogate()
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         start = {} if init is None else {"init_gains": GainMatrix.from_stacked(
@@ -822,7 +766,7 @@ class TestSegmentFeasibility:
         segment(model, np.zeros(2), e0, np.full((4, 2), 0.3), WEIGHTS, AdamConfig(),
                 bounds, regularizer_kind="barrier", plant=MSD, max_iters=2, tol=0.0,
                 **start)
-        return seen[0]
+        return calls[0]["f"]
 
     def test_box_without_a_stable_gain_raises(self, monkeypatch):
         # K^p = K^d = 0 leave g = D K - M K^i = 0.5 - K^i, negative on all of K^i in [4, 5]
@@ -841,8 +785,7 @@ class TestSegmentFeasibility:
         # on velocity_channel g reads three entries pinned to 0, so it is D K = 0.5 at
         # every gain the box allows; the segment refuses before its first window. The model
         # has an input per row of the box, so the box's shape passes and the pins refuse
-        monkeypatch.setattr(gainopt, "window_cost_and_grad",
-                            lambda *args, **kwargs: pytest.fail("a window ran"))
+        forbid(monkeypatch, gainopt, "window_cost_and_grad")
         weights = CostWeights(q=np.diag([1000.0, 1.0]), r=r, mu=1.0)
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="pin every other gain to 0"):
@@ -863,8 +806,7 @@ class TestSegmentFeasibility:
     def test_unrestorable_warm_start_raises_before_a_window(self, monkeypatch):
         # K^p = -1 cancels the stiffness, so g = -K^i, which no K^i in [0, 5] makes
         # positive; the box centre would be stable, but the start is not moved there
-        monkeypatch.setattr(gainopt, "window_cost_and_grad",
-                            lambda *args, **kwargs: pytest.fail("a window ran"))
+        forbid(monkeypatch, gainopt, "window_cost_and_grad")
         bounds = diagonal_gain_bounds(2, 1, (-1.0, 5.0), (0.0, 5.0), (0.0, 5.0), coords=[0])
         assert msd_stability_value(MSD, bounds.center(), 2) > 0
         with pytest.raises(InfeasibleGainError, match="inside the gain box"):
@@ -875,14 +817,7 @@ class TestSegmentFeasibility:
     def test_kind_and_plant_checked_before_a_window(self, monkeypatch, kind, plant):
         # an unknown kind used to fail only after the first window, and a plant passed
         # with "norm" was ignored
-        window = gainopt.window_cost_and_grad
-        calls = []
-
-        def counting(shared, f):
-            calls.append(f)
-            return window(shared, f)
-
-        monkeypatch.setattr(gainopt, "window_cost_and_grad", counting)
+        calls = calls_to(monkeypatch, gainopt, "window_cost_and_grad")
         e0 = np.array([0.4, 0.0, 0.1, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="regularizer_kind must be 'barrier' with a plant"):
             segment(LinearSurrogate(), np.zeros(2), e0, np.full((4, 2), 0.3), WEIGHTS,

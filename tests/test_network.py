@@ -10,7 +10,7 @@ import pytest
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
 from pinnpid.model import PinnModel, load_model, save_model
 from tests import reference_network
-from tests.support import FIXTURE, FIXTURE_MODEL
+from tests.support import FIXTURE, FIXTURE_MODEL, central_fd
 
 
 def make_net(widths, n_state, n_input, t_hi=0.25):
@@ -69,15 +69,16 @@ def input_grad(net, params, t, x, u, cot):
     return model.predict_vjp(tape, np.asarray(cot, dtype=float)[None, :])
 
 
-def central_fd(f, v0, h=1e-5):
-    v0 = np.asarray(v0, dtype=float)
-    grad = np.zeros_like(v0)
-    for i in range(v0.size):
-        vp, vm = v0.copy(), v0.copy()
-        vp[i] += h
-        vm[i] -= h
-        grad[i] = (f(vp) - f(vm)) / (2.0 * h)
-    return grad
+def random_batch(rng, rows=11, net=None, params=None):
+    """A random net (unless ``net`` and ``params`` are given), raw rows inside its
+    scaling box and value cotangents."""
+    if net is None:
+        net, params, _, _, _ = random_net(rng)
+    t = rng.uniform(0.0, 0.25, rows)
+    x = rng.uniform(-0.8, 0.8, (rows, net.n_state))
+    u = rng.uniform(-0.8, 0.8, (rows, net.n_input))
+    cot = rng.standard_normal((rows, net.spec.output_dim))
+    return net, params, net.stack_rows(t, x, u), cot
 
 
 class TestSpec:
@@ -235,7 +236,7 @@ class TestGradParams:
         net, params, t, x, u = random_net(rng)
         cot = rng.standard_normal(net.spec.output_dim)
         g = param_grad(net, params, net.stack_rows([t], x, u), cot[None, :])
-        fd = central_fd(lambda p: float(cot @ forward1(net, p, t, x, u)), params)
+        fd = central_fd(lambda p: float(cot @ forward1(net, p, t, x, u)), params, 1e-5)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_batch_gradient_is_sum_of_samples(self):
@@ -306,8 +307,8 @@ class TestGradInputs:
         net, params, t, x, u = random_net(rng)
         cot = rng.standard_normal(net.spec.output_dim)
         gx, gu = input_grad(net, params, t, x, u, cot)
-        fd_x = central_fd(lambda v: float(cot @ forward1(net, params, t, v, u)), x)
-        fd_u = central_fd(lambda v: float(cot @ forward1(net, params, t, x, v)), u)
+        fd_x = central_fd(lambda v: float(cot @ forward1(net, params, t, v, u)), x, 1e-5)
+        fd_u = central_fd(lambda v: float(cot @ forward1(net, params, t, x, v)), u, 1e-5)
         np.testing.assert_allclose(gx, fd_x, rtol=1e-5, atol=1e-9)
         np.testing.assert_allclose(gu, fd_u, rtol=1e-5, atol=1e-9)
 
@@ -327,12 +328,8 @@ class TestGradInputs:
         cot = rng.standard_normal(net.spec.output_dim)
         _, gu = input_grad(net, params, t, x, u, cot)
         gF = gu[0] * e
-        fd = central_fd(
-            lambda f: float(
-                cot @ forward1(net, params, t, x, np.concatenate([[f @ e], np.zeros(m - 1)]))
-            ),
-            F,
-        )
+        fd = central_fd(lambda f: float(cot @ forward1(
+            net, params, t, x, np.concatenate([[f @ e], np.zeros(m - 1)]))), F, 1e-5)
         np.testing.assert_allclose(gF, fd, rtol=1e-5, atol=1e-9)
 
 
@@ -349,7 +346,7 @@ class TestDualReverse:
             return float(cv @ val[0] + ct @ rate[0])
 
         g = param_grad(net, params, net.stack_rows([t], x, u), cv[None], ct[None])
-        fd = central_fd(scalar, params)
+        fd = central_fd(scalar, params, 1e-5)
         np.testing.assert_allclose(g, fd, rtol=2e-5, atol=1e-7)
 
 
@@ -378,18 +375,10 @@ class TestNonFiniteRows:
 class TestInputCotangentOnly:
     """backward_raw(want_grads=False) must return the full pass's input cotangent."""
 
-    def batch(self, rng, rows=11):
-        net, params, _, _, _ = random_net(rng)
-        t = rng.uniform(0.0, 0.25, rows)
-        x = rng.uniform(-0.8, 0.8, (rows, net.n_state))
-        u = rng.uniform(-0.8, 0.8, (rows, net.n_input))
-        cot = rng.standard_normal((rows, net.spec.output_dim))
-        return net, params, net.stack_rows(t, x, u), cot
-
     def test_value_tape(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
-            net, params, rows, cot = self.batch(rng)
+            net, params, rows, cot = random_batch(rng)
             layers = net.unpack(params)
             _, _, tape = net.forward_raw(layers, rows)
             grads, full = net.backward_raw(layers, tape, cot)
@@ -400,7 +389,7 @@ class TestInputCotangentOnly:
     def test_dual_tape(self):
         rng = np.random.default_rng(43)
         for _ in range(5):
-            net, params, rows, cot = self.batch(rng)
+            net, params, rows, cot = random_batch(rng)
             cot_t = rng.standard_normal(cot.shape)
             layers = net.unpack(params)
             _, _, tape = net.forward_raw(layers, rows, net.time_tangent_rows(rows.shape[0]))
@@ -529,15 +518,6 @@ def run_passes(forward, backward, net, weights, raw, cot, cot_t, dual, want_grad
 class TestBufferedPasses:
     """A pass with ``buffers`` must return what the unbuffered pass returns, bit for bit."""
 
-    def batch(self, rng, rows=11, net=None, params=None):
-        if net is None:
-            net, params, _, _, _ = random_net(rng)
-        t = rng.uniform(0.0, 0.25, rows)
-        x = rng.uniform(-0.8, 0.8, (rows, net.n_state))
-        u = rng.uniform(-0.8, 0.8, (rows, net.n_input))
-        cot = rng.standard_normal((rows, net.spec.output_dim))
-        return net, params, net.stack_rows(t, x, u), cot
-
     def passes(self, net, params, rows, cot, dual, want_grads, buffers=None):
         return run_passes(net.forward_raw, net.backward_raw, net, net.unpack(params), rows, cot,
                           0.5 * cot[:, ::-1], dual, want_grads, buffers)
@@ -552,7 +532,7 @@ class TestBufferedPasses:
     def test_matches_unbuffered(self, dual, want_grads):
         rng = np.random.default_rng(61)
         for _ in range(5):
-            net, params, rows, cot = self.batch(rng)
+            net, params, rows, cot = random_batch(rng)
             buffers = {}
             got = self.passes(net, params, rows, cot, dual, want_grads, buffers)
             self.assert_same(got, self.passes(net, params, rows, cot, dual, want_grads))
@@ -560,8 +540,8 @@ class TestBufferedPasses:
 
     def test_second_call_on_other_rows_is_not_stale(self):
         rng = np.random.default_rng(67)
-        net, params, rows_a, cot_a = self.batch(rng)
-        _, _, rows_b, cot_b = self.batch(rng, net=net, params=params)
+        net, params, rows_a, cot_a = random_batch(rng)
+        _, _, rows_b, cot_b = random_batch(rng, net=net, params=params)
         buffers = {}
         first, _, _ = net.forward_raw(net.unpack(params), rows_a, buffers=buffers)
         self.passes(net, params, rows_a, cot_a, True, True, buffers)
@@ -572,10 +552,10 @@ class TestBufferedPasses:
 
     def test_changed_row_count_reallocates(self):
         rng = np.random.default_rng(71)
-        net, params, rows, cot = self.batch(rng, rows=11)
+        net, params, rows, cot = random_batch(rng, rows=11)
         buffers = {}
         self.passes(net, params, rows, cot, True, True, buffers)
-        _, _, rows7, cot7 = self.batch(rng, rows=7, net=net, params=params)
+        _, _, rows7, cot7 = random_batch(rng, rows=7, net=net, params=params)
         got = self.passes(net, params, rows7, cot7, True, True, buffers)
         self.assert_same(got, self.passes(net, params, rows7, cot7, True, True))
         assert all(a.shape[0] == 7 for a in buffers.values())
@@ -698,7 +678,7 @@ class TestDerivativeSweep:
             net, params, t, x, u = random_net(rng)
             cot = rng.standard_normal(net.spec.output_dim)
             g = param_grad(net, params, net.stack_rows([t], x, u), cot[None])
-            fd = central_fd(lambda p: float(cot @ forward1(net, p, t, x, u)), params)
+            fd = central_fd(lambda p: float(cot @ forward1(net, p, t, x, u)), params, 1e-5)
             scale = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(g - fd) / scale) < 1e-5
 

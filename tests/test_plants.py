@@ -21,9 +21,7 @@ from pinnpid.plants import (
 )
 from pinnpid.training import FD_STEP, fd_state_jacobian
 from tests import reference_plants
-from tests.support import MSD
-
-MANIP = ManipulatorParams()
+from tests.support import ARM, ARM_RHS, MSD, MSD_RHS
 
 
 def gravity(p, q):
@@ -37,7 +35,7 @@ def euler_lagrange():
     """Symbolic Euler-Lagrange terms of the arm: the symbols (a, b, da, db),
     the inertia D(q) and the rest h(q, qdot) of D(q) qddot + h(q, qdot) = tau."""
     a, b, da, db = sp.symbols("a b da db", real=True)
-    p = MANIP
+    p = ARM
     # COM positions, angles measured from the upward vertical
     p1 = sp.Matrix([p.lc1 * sp.sin(a), p.lc1 * sp.cos(a)])
     p2 = sp.Matrix(
@@ -90,11 +88,11 @@ def lagrangian_state_jacobian():
 
 class TestManipulator:
     def test_upright_equilibrium(self):
-        rate = manipulator_rhs(MANIP, np.zeros(4), np.zeros(2))
+        rate = manipulator_rhs(ARM, np.zeros(4), np.zeros(2))
         np.testing.assert_array_equal(rate, np.zeros(4))
 
     def test_zero_velocity_freezes_positions(self):
-        rate = manipulator_rhs(MANIP, np.array([0.4, -0.9, 0.0, 0.0]), np.zeros(2))
+        rate = manipulator_rhs(ARM, np.array([0.4, -0.9, 0.0, 0.0]), np.zeros(2))
         assert rate[0] == 0.0 and rate[1] == 0.0
 
     def test_matches_lagrangian_oracle(self, lagrangian_oracle):
@@ -102,8 +100,8 @@ class TestManipulator:
         for _ in range(25):
             x = rng.uniform([-3, -3, -2.5, -2.5], [3, 3, 2.5, 2.5])
             u = rng.uniform(-0.48, 0.48, 2)
-            rate = manipulator_rhs(MANIP, x, u)
-            tau = np.array([MANIP.b_alpha, MANIP.b_beta]) * u
+            rate = manipulator_rhs(ARM, x, u)
+            tau = np.array([ARM.b_alpha, ARM.b_beta]) * u
             acc = lagrangian_oracle(x[0], x[1], x[2], x[3], tau[0], tau[1])
             np.testing.assert_allclose(rate[2:], acc, rtol=0, atol=1e-10)
             np.testing.assert_array_equal(rate[:2], x[2:])
@@ -112,14 +110,14 @@ class TestManipulator:
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, size=(6, 4))
         U = rng.uniform(-0.4, 0.4, size=(6, 2))
-        batch = manipulator_rhs(MANIP, X, U)
-        rows = np.array([manipulator_rhs(MANIP, X[i], U[i]) for i in range(6)])
+        batch = manipulator_rhs(ARM, X, U)
+        rows = np.array([manipulator_rhs(ARM, X[i], U[i]) for i in range(6)])
         np.testing.assert_array_equal(batch, rows)
 
     def test_coriolis_skew_symmetry(self):
         # Ddot - 2C must be skew symmetric for the Christoffel C
         rng = np.random.default_rng(11)
-        p = MANIP
+        p = ARM
         for _ in range(20):
             beta, da, db = rng.uniform(-3, 3, 3)
             h = -p.m2 * p.l1 * p.lc2 * np.sin(beta)
@@ -143,10 +141,9 @@ class TestManipulator:
 
     def test_energy_conserved_without_input(self):
         x0 = np.array([0.5, -0.7, 0.3, 0.2])
-        e0 = manipulator_energy(MANIP, x0)
-        rhs = lambda x, u: manipulator_rhs(MANIP, x, u)
-        _, states = simulate_zoh(rhs, x0, [np.zeros(2)] * 10, 0.2, 200)
-        drift = max(abs(manipulator_energy(MANIP, s) - e0) for s in states[::40])
+        e0 = manipulator_energy(ARM, x0)
+        _, states = simulate_zoh(ARM_RHS, x0, [np.zeros(2)] * 10, 0.2, 200)
+        drift = max(abs(manipulator_energy(ARM, s) - e0) for s in states[::40])
         assert drift < 5e-7  # pure integrator truncation, scales as h^4
 
     def test_fd_state_jacobian_matches_lagrangian_oracle(self, lagrangian_state_jacobian):
@@ -157,12 +154,12 @@ class TestManipulator:
             rng.uniform([-9, -9, -40, -40], [9, 9, 40, 40], (3, 4)),
         ])
         u = rng.uniform(-0.5, 0.5, (7, 2))
-        jac = fd_state_jacobian(lambda x_, u_: manipulator_rhs(MANIP, x_, u_), x, u)
-        tau = np.array([MANIP.b_alpha, MANIP.b_beta]) * u
+        jac = fd_state_jacobian(ARM_RHS, x, u)
+        tau = np.array([ARM.b_alpha, ARM.b_beta]) * u
         for i in range(7):
             # central differences lose about eps |f| / FD_STEP to rounding; the
             # truncation error, of order FD_STEP^2, is far below that
-            scale = max(1.0, np.max(np.abs(manipulator_rhs(MANIP, x[i], u[i]))))
+            scale = max(1.0, np.max(np.abs(manipulator_rhs(ARM, x[i], u[i]))))
             atol = 100 * np.finfo(float).eps / FD_STEP * scale
             np.testing.assert_allclose(
                 jac[i], lagrangian_state_jacobian(x[i], tau[i]), rtol=0, atol=atol
@@ -170,7 +167,7 @@ class TestManipulator:
 
     def test_inertia_positive_definite_on_grid(self):
         for beta in np.linspace(-np.pi, np.pi, 41):
-            d11, d12, d22 = manipulator_inertia(MANIP, beta)
+            d11, d12, d22 = manipulator_inertia(ARM, beta)
             assert d11 > 0 and d11 * d22 - d12**2 > 0
 
 
@@ -223,8 +220,7 @@ class TestArmKernelMatchesFrozenReference:
     """
 
     IDS = staticmethod(lambda shape: "x".join(map(str, shape + (4,))))
-    RHS = staticmethod(lambda x, u: manipulator_rhs(MANIP, x, u))
-    REF = staticmethod(lambda x, u: reference_plants.manipulator_rhs(MANIP, x, u))
+    REF = staticmethod(lambda x, u: reference_plants.manipulator_rhs(ARM, x, u))
 
     @staticmethod
     def draw(shape, seed=17):
@@ -236,15 +232,15 @@ class TestArmKernelMatchesFrozenReference:
     @pytest.mark.parametrize("shape", [(), (1,), (4,), (16,), (4000,)], ids=IDS)
     def test_rhs_and_gravity(self, shape):
         x, u = self.draw(shape)
-        got = manipulator_rhs(MANIP, x, u)
+        got = manipulator_rhs(ARM, x, u)
         assert got.shape == x.shape
-        np.testing.assert_array_equal(got, reference_plants.manipulator_rhs(MANIP, x, u))
+        np.testing.assert_array_equal(got, reference_plants.manipulator_rhs(ARM, x, u))
         np.testing.assert_array_equal(
-            gravity(MANIP, x[..., :2]),
-            reference_plants.manipulator_gravity(MANIP, x[..., :2]),
+            gravity(ARM, x[..., :2]),
+            reference_plants.manipulator_gravity(ARM, x[..., :2]),
         )
-        for got_d, ref_d in zip(manipulator_inertia(MANIP, x[..., 1]),
-                                reference_plants.manipulator_inertia(MANIP, x[..., 1])):
+        for got_d, ref_d in zip(manipulator_inertia(ARM, x[..., 1]),
+                                reference_plants.manipulator_inertia(ARM, x[..., 1])):
             np.testing.assert_array_equal(got_d, ref_d)
 
     @pytest.mark.parametrize("shape", [(16,), (4000,)], ids=IDS)
@@ -254,9 +250,9 @@ class TestArmKernelMatchesFrozenReference:
             for sign in (1.0, -1.0):
                 xs = x.copy()
                 xs[..., j] += sign * FD_STEP
-                np.testing.assert_array_equal(self.RHS(xs, u), self.REF(xs, u))
+                np.testing.assert_array_equal(ARM_RHS(xs, u), self.REF(xs, u))
         np.testing.assert_array_equal(
-            fd_state_jacobian(self.RHS, x, u), fd_state_jacobian(self.REF, x, u)
+            fd_state_jacobian(ARM_RHS, x, u), fd_state_jacobian(self.REF, x, u)
         )
 
     @pytest.mark.parametrize("shape", [(4,), (16,), (4000,)], ids=IDS)
@@ -264,7 +260,7 @@ class TestArmKernelMatchesFrozenReference:
         x, u = self.draw(shape)
         h = np.full(shape + (1,), 1e-3)
         np.testing.assert_array_equal(
-            rk4_advance(self.RHS, x, u, h), rk4_advance(self.REF, x, u, h)
+            rk4_advance(ARM_RHS, x, u, h), rk4_advance(self.REF, x, u, h)
         )
 
 
@@ -272,11 +268,11 @@ class TestGravityCompensation:
     """The torque that holds the arm at rest at q is the gravity vector g(q)."""
 
     def test_upright_needs_no_input(self):
-        np.testing.assert_array_equal(gravity(MANIP, np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(gravity(ARM, np.zeros(2)), np.zeros(2))
 
     def test_both_links_horizontal_hand_value(self):
         # alpha = pi/2, beta = 0: g = -[(m1 lc1 + m2 l1) g + m2 lc2 g, m2 lc2 g]
-        p = MANIP
+        p = ARM
         q = np.array([np.pi / 2, 0.0])
         expect = -np.array(
             [
@@ -319,12 +315,11 @@ class TestRk4:
     def test_fourth_order_convergence_on_msd(self):
         a_mat, _ = msd_state_space(MSD)
         exact = expm(a_mat * 4.0) @ np.array([-0.7, 0.0])
-        rhs = lambda x, u: msd_rhs(MSD, x, u)
 
         def global_error(h):
             x = np.array([-0.7, 0.0])
             for _ in range(int(round(4.0 / h))):
-                x = rk4_step(rhs, x, np.zeros(1), h)
+                x = rk4_step(MSD_RHS, x, np.zeros(1), h)
             return np.linalg.norm(x - exact)
 
         ratio = global_error(0.05) / global_error(0.025)
@@ -357,26 +352,24 @@ class TestSimulateZoh:
         assert times.tolist() == [k * 0.1 for k in range(31)]
 
     def test_msd_free_response_decays(self):
-        rhs = lambda x, u: msd_rhs(MSD, x, u)
-        _, states = simulate_zoh(rhs, np.array([-0.7, 0.0]), [np.zeros(1)] * 150, 0.2, 10)
+        _, states = simulate_zoh(MSD_RHS, np.array([-0.7, 0.0]), [np.zeros(1)] * 150, 0.2, 10)
         assert np.linalg.norm(states[-1]) < 0.01 * np.linalg.norm(states[0])
 
     def test_manipulator_substep_refinement(self):
-        rhs = lambda x, u: manipulator_rhs(MANIP, x, u)
         x0 = np.array([0.2, -0.1, 0.0, 0.0])
         u = [np.array([0.1, -0.05])]
-        _, coarse = simulate_zoh(rhs, x0, u, 0.2, 20)
-        _, fine = simulate_zoh(rhs, x0, u, 0.2, 200)
+        _, coarse = simulate_zoh(ARM_RHS, x0, u, 0.2, 20)
+        _, fine = simulate_zoh(ARM_RHS, x0, u, 0.2, 200)
         np.testing.assert_allclose(coarse[-1], fine[-1], atol=1e-6)
 
     @pytest.mark.parametrize("plant", ["msd", "arm"])
     def test_batch_equals_single_state_calls(self, plant):
         rng = np.random.default_rng(4)
         if plant == "msd":
-            rhs = lambda x, u: msd_rhs(MSD, x, u)
+            rhs = MSD_RHS
             x0, u = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (3, 5, 1))
         else:
-            rhs = lambda x, u: manipulator_rhs(MANIP, x, u)
+            rhs = ARM_RHS
             x0, u = rng.uniform(-1, 1, (5, 4)), rng.uniform(-0.5, 0.5, (3, 5, 2))
         times, batch = simulate_zoh(rhs, x0, u, 0.2, 7)
         assert batch.shape == (3 * 7 + 1, 5, x0.shape[1])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pinnpid.plants import RolloutDiverged, msd_rhs
+from pinnpid.plants import RolloutDiverged
 from pinnpid.sampling import (
     Box,
     DatasetConfig,
@@ -16,7 +16,7 @@ from pinnpid.sampling import (
     integrate_batch,
     lhs_sample,
 )
-from tests.support import MSD
+from tests.support import ARM_INPUT_BOX, ARM_STATE_BOX, MSD_INPUT_BOX, MSD_RHS, MSD_STATE_BOX
 
 
 def msd_config(n_data=64, n_phys=128, seed=0):
@@ -25,8 +25,8 @@ def msd_config(n_data=64, n_phys=128, seed=0):
         n_phys=n_phys,
         dt=0.2,
         eps=0.05,
-        state_box=Box([-2.0, -1.0], [2.0, 1.0]),
-        input_box=Box([-1.0], [1.0]),
+        state_box=MSD_STATE_BOX,
+        input_box=MSD_INPUT_BOX,
         seed=seed,
     )
 
@@ -110,8 +110,8 @@ class TestDataSet:
             n_phys=1 * 10**5,
             dt=0.2,
             eps=0.05,
-            state_box=Box([-np.pi, -np.pi, -2.5, -2.5], [np.pi, np.pi, 2.5, 2.5]),
-            input_box=Box([-0.5, -0.5], [0.5, 0.5]),
+            state_box=ARM_STATE_BOX,
+            input_box=ARM_INPUT_BOX,
             seed=0,
         )
         assert cfg.horizon == pytest.approx(0.250)
@@ -122,36 +122,33 @@ class TestDataSet:
 
     def test_short_time_stays_near_start(self):
         cfg = msd_config()
-        rhs = lambda x, u: msd_rhs(MSD, x, u)
-        data = build_data_set(rhs, cfg)
+        data = build_data_set(MSD_RHS, cfg)
         i = int(np.argmin(data.t))
         assert np.linalg.norm(data.xf[i] - data.x0[i]) < 3.0 * data.t[i] + 1e-6
 
     def test_labels_match_half_step_reintegration(self):
         cfg = msd_config(n_data=16)
-        rhs = lambda x, u: msd_rhs(MSD, x, u)
-        data = build_data_set(rhs, cfg)
+        data = build_data_set(MSD_RHS, cfg)
         # halve the step by splitting each sample time in two legs
-        mid = integrate_batch(rhs, data.x0, data.u, data.t / 2, cfg.horizon)
-        fine = integrate_batch(rhs, mid, data.u, data.t / 2, cfg.horizon)
+        mid = integrate_batch(MSD_RHS, data.x0, data.u, data.t / 2, cfg.horizon)
+        fine = integrate_batch(MSD_RHS, mid, data.u, data.t / 2, cfg.horizon)
         np.testing.assert_allclose(fine, data.xf, atol=1e-8)
 
     def test_times_in_half_open_interval(self):
         cfg = msd_config()
-        data = build_data_set(lambda x, u: msd_rhs(MSD, x, u), cfg)
+        data = build_data_set(MSD_RHS, cfg)
         assert np.all(data.t > 0.0) and np.all(data.t <= cfg.horizon)
 
     def test_deterministic_under_seed(self):
         cfg = msd_config(seed=5)
-        rhs = lambda x, u: msd_rhs(MSD, x, u)
-        a = build_data_set(rhs, cfg)
-        b = build_data_set(rhs, cfg)
+        a = build_data_set(MSD_RHS, cfg)
+        b = build_data_set(MSD_RHS, cfg)
         assert np.array_equal(a.xf, b.xf) and np.array_equal(a.t, b.t)
 
     def test_rows_are_one_latin_hypercube(self):
         # the hypercube on which msd_cliff (below) diverges on one row
         cfg = msd_config(seed=7)
-        data = build_data_set(lambda x, u: msd_rhs(MSD, x, u), cfg)
+        data = build_data_set(MSD_RHS, cfg)
         cols = np.column_stack([1.0 - data.t / cfg.horizon, data.x0, data.u])
         lo = np.concatenate([[0.0], cfg.state_box.lower, cfg.input_box.lower])
         hi = np.concatenate([[1.0], cfg.state_box.upper, cfg.input_box.upper])
@@ -174,7 +171,7 @@ def counting(rhs):
 def msd_cliff(x, u):
     """MSD rates, but infinite in the corner x > 0, u > 0.98 of the box."""
     corner = (x[..., 0] > 0.0) & (u[..., 0] > 0.98)
-    return np.where(corner[..., None], np.inf, msd_rhs(MSD, x, u))
+    return np.where(corner[..., None], np.inf, MSD_RHS(x, u))
 
 
 class TestResample:

@@ -23,8 +23,9 @@ and each fails once its entry is no longer needed, so none can go stale. Every
 public exception class must be the expected exception of some ``pytest.raises``
 under ``tests/``, so each failure path has a test that forces it. The settable
 options must equal ``OPTIONS``, so that a new, removed or swapped option shows up
-as a change to this file. No test module imports another: what they share is
-defined once, in ``tests/support.py``.
+as a change to this file. No test module imports another, and no module-level
+name is defined in two files under ``tests/``: what they share is defined once, in
+``tests/support.py``.
 """
 
 import ast
@@ -442,3 +443,37 @@ def test_no_test_module_imports_another():
             found += [f"{path.name} imports {name}" for name in names
                       if any(part.startswith("test_") for part in name.split("."))]
     assert not found, "; ".join(found)
+
+
+def module_level_names(source):
+    """The names that a module's top level binds by ``def``, ``class`` or assignment."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def defined_twice(sources):
+    """``name: files`` of each module-level name that two of ``sources`` (file name:
+    source) define."""
+    files = {}
+    for name, source in sources.items():
+        for defined in set(module_level_names(source)):
+            files.setdefault(defined, []).append(name)
+    return {defined: names for defined, names in files.items() if len(names) > 1}
+
+
+def test_no_name_is_defined_in_two_test_files():
+    # a second central_fd or MSD_RHS drifts from the first; tests/support.py holds the one
+    found = defined_twice({path.name: path.read_text()
+                           for path in sorted((ROOT / "tests").glob("*.py"))})
+    assert not found, "; ".join(f"{name} in {', '.join(files)}" for name, files in found.items())
+
+
+def test_a_name_defined_in_two_files_is_named():
+    sources = {"a.py": "def central_fd(f, x, h):\n    pass\nX, Y = 1, 2\n",
+               "b.py": "class Spy:\n    def central_fd(self):\n        pass\nY: int = 3\n",
+               "c.py": "MSD_RHS = None\nSpy = None\nfrom tests.support import central_fd\n"}
+    assert defined_twice(sources) == {"Y": ["a.py", "b.py"], "Spy": ["b.py", "c.py"]}

@@ -14,13 +14,7 @@ import pytest
 from pinnpid import training
 from pinnpid.model import PinnModel
 from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
-from pinnpid.plants import (
-    ManipulatorParams,
-    manipulator_rhs,
-    msd_rhs,
-    msd_state_space,
-    simulate_zoh,
-)
+from pinnpid.plants import msd_state_space, simulate_zoh
 from pinnpid.sampling import (
     Box,
     DataSet,
@@ -42,16 +36,24 @@ from pinnpid.training import (
 from tests.reference_train import fd_state_jacobian as reference_fd_state_jacobian
 from tests.reference_train import serial_loss, serial_loss_and_grad
 from tests.reference_train import train as reference_train
-from tests.support import MSD, toy_model
-
-MSD_RHS = lambda x, u: msd_rhs(MSD, x, u)
-STATE_BOX = Box([-2.0, -1.0], [2.0, 1.0])
-INPUT_BOX = Box([-1.0], [1.0])
+from tests.support import (
+    ARM_INPUT_BOX,
+    ARM_RHS,
+    ARM_STATE_BOX,
+    MSD,
+    MSD_INPUT_BOX,
+    MSD_RHS,
+    MSD_STATE_BOX,
+    calls_to,
+    central_fd,
+    forbid,
+    toy_model,
+)
 
 
 def msd_model(widths=(4, 16, 16, 2), seed=0, dt=0.2, eps=0.05):
-    lo = np.concatenate([[0.0], STATE_BOX.lower, INPUT_BOX.lower])
-    hi = np.concatenate([[dt + eps], STATE_BOX.upper, INPUT_BOX.upper])
+    lo = np.concatenate([[0.0], MSD_STATE_BOX.lower, MSD_INPUT_BOX.lower])
+    hi = np.concatenate([[dt + eps], MSD_STATE_BOX.upper, MSD_INPUT_BOX.upper])
     net = FeedforwardNet(NetworkSpec(widths), InputScaling(lo, hi), 2, 1)
     params = net.init_params(seed) if seed is not None else np.zeros(net.n_params)
     return PinnModel(net=net, params=params, dt=dt, eps=eps)
@@ -59,13 +61,14 @@ def msd_model(widths=(4, 16, 16, 2), seed=0, dt=0.2, eps=0.05):
 
 def small_sets(n_data=8, n_phys=8, seed=0):
     cfg = DatasetConfig(n_data=n_data, n_phys=n_phys, dt=0.2, eps=0.05,
-                        state_box=STATE_BOX, input_box=INPUT_BOX, seed=seed)
+                        state_box=MSD_STATE_BOX, input_box=MSD_INPUT_BOX, seed=seed)
     return build_data_set(MSD_RHS, cfg), build_phys_set(cfg)
 
 
-def small_vset():
-    """A two-trajectory, three-step validation set at the models' dt."""
-    return make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=3, seed=8)
+def small_vset(dt=0.2, n_traj=2, n_steps=3, seed=8):
+    """An MSD validation set, by default of two trajectories of three steps at the models' dt."""
+    return make_validation_set(MSD_RHS, MSD_STATE_BOX, MSD_INPUT_BOX, dt, n_traj=n_traj,
+                               n_steps=n_steps, seed=seed)
 
 
 def one_row_l_phys(model, rhs, t, x, u):
@@ -91,7 +94,7 @@ class TestPhysicsResidual:
         h = 1e-6
         fd_rate = (model.predict(np.array([t + h]), x, u)[0]
                    - model.predict(np.array([t - h]), x, u)[0]) / (2 * h)
-        expected = fd_rate - msd_rhs(MSD, model.predict(np.array([t]), x, u)[0], u)
+        expected = fd_rate - MSD_RHS(model.predict(np.array([t]), x, u)[0], u)
         shifted = lambda xs, us: MSD_RHS(xs, us) + expected
         tol = np.min(1e-7 + 1e-5 * np.abs(expected))
         assert one_row_l_phys(model, shifted, t, x, u) <= tol**2
@@ -141,23 +144,29 @@ class TestLoss:
         assert rep_p.l_total == pytest.approx(rep.l_total, rel=1e-12)
 
 
+def loss_gradient_error(model, data, phys, rhs):
+    """The largest error of loss_and_grad's gradient against central differences of
+    the loss, relative to the difference or to 1e-4, whichever is larger."""
+    *_, grad = loss_and_grad(model.net, model.params, data, phys, rhs, buffers={})
+    buffers = {}  # shared by every loss call, as in train's L-BFGS callback
+    fd = central_fd(lambda p: loss(model.net, p, data, phys, rhs, 0, buffers=buffers).l_total,
+                    model.params, 1e-6)
+    scale = np.maximum(np.abs(fd), 1e-4)
+    return np.max(np.abs(grad - fd) / scale)
+
+
 class TestLossGradient:
     def test_matches_finite_differences(self):
         model = msd_model(widths=(4, 6, 2), seed=11)
         data, phys = small_sets(n_data=8, n_phys=8)
-        *_, grad = loss_and_grad(model.net, model.params, data, phys, MSD_RHS, buffers={})
-        buffers = {}  # shared by every loss call, as in train's L-BFGS callback
-        h = 1e-6
-        fd = np.zeros_like(model.params)
-        for i in range(model.params.size):
-            pp, pm = model.params.copy(), model.params.copy()
-            pp[i] += h
-            pm[i] -= h
-            fd[i] = (loss(model.net, pp, data, phys, MSD_RHS, 0, buffers=buffers).l_total
-                     - loss(model.net, pm, data, phys, MSD_RHS, 0, buffers=buffers).l_total
-                     ) / (2 * h)
-        scale = np.maximum(np.abs(fd), 1e-4)
-        assert np.max(np.abs(grad - fd) / scale) < 1e-4
+        assert loss_gradient_error(model, data, phys, MSD_RHS) < 1e-4
+
+    def test_arm_matches_finite_differences(self):
+        # 4 states and 2 inputs, with the arm's labels and collocation rows
+        cfg = DatasetConfig(n_data=8, n_phys=8, dt=0.2, eps=0.05, state_box=ARM_STATE_BOX,
+                            input_box=ARM_INPUT_BOX, seed=0)
+        data, phys = build_data_set(ARM_RHS, cfg), build_phys_set(cfg)
+        assert loss_gradient_error(toy_model(n=4, m=2), data, phys, ARM_RHS) < 1e-4
 
     def test_buffered_call_matches_unbuffered(self):
         # one dict through two set sizes: the data rows shrink and the collocation
@@ -213,8 +222,7 @@ class TestLossGradient:
             x = rng.uniform(-2.0, 2.0, shape + (2,))
             u = rng.uniform(-1.0, 1.0, shape + (1,))
         else:
-            arm = ManipulatorParams()
-            rhs = lambda x_, u_: manipulator_rhs(arm, x_, u_)
+            rhs = ARM_RHS
             x = rng.uniform([-20.0, -20.0, -40.0, -40.0], [20.0, 20.0, 40.0, 40.0], shape + (4,))
             u = rng.uniform(-0.5, 0.5, shape + (2,))
         x_before = x.copy()
@@ -244,7 +252,7 @@ class TestLossGradient:
 
 class TestValidation:
     def test_oracle_standin_has_zero_error(self):
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=3, n_steps=5, seed=1)
+        vset = small_vset(n_traj=3, n_steps=5, seed=1)
 
         class OracleModel:
             dt, n, m = 0.2, 2, 1  # validate checks the set's widths against n and m
@@ -260,12 +268,9 @@ class TestValidation:
     @pytest.mark.parametrize("plant", ["msd", "arm"])
     def test_batched_set_matches_per_trajectory_integration(self, plant):
         if plant == "msd":
-            rhs, sbox, ibox = MSD_RHS, STATE_BOX, INPUT_BOX
+            rhs, sbox, ibox = MSD_RHS, MSD_STATE_BOX, MSD_INPUT_BOX
         else:
-            arm = ManipulatorParams()
-            rhs = lambda x, u: manipulator_rhs(arm, x, u)
-            sbox = Box([-np.pi, -np.pi, -2.5, -2.5], [np.pi, np.pi, 2.5, 2.5])
-            ibox = Box([-0.5, -0.5], [0.5, 0.5])
+            rhs, sbox, ibox = ARM_RHS, ARM_STATE_BOX, ARM_INPUT_BOX
         vset = make_validation_set(rhs, sbox, ibox, 0.2, n_traj=4, n_steps=3, seed=7)
         substeps = training.VALIDATION_SUBSTEPS
         rng = np.random.default_rng(7)
@@ -284,7 +289,7 @@ class TestValidation:
     @pytest.mark.parametrize("input_box, n_steps, match", [
         (Box([-1.0], [np.inf]), 5, "finite input box"),
         (Box([-np.inf], [1.0]), 5, "finite input box"),
-        (INPUT_BOX, 0, "n_steps >= 1"),
+        (MSD_INPUT_BOX, 0, "n_steps >= 1"),
     ], ids=["inf_upper", "inf_lower", "no_steps"])
     def test_make_validation_set_rejects_a_set_it_cannot_build(self, input_box, n_steps,
                                                                match):
@@ -293,19 +298,19 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
-                make_validation_set(MSD_RHS, STATE_BOX, input_box, 0.2, n_traj=3,
+                make_validation_set(MSD_RHS, MSD_STATE_BOX, input_box, 0.2, n_traj=3,
                                     n_steps=n_steps, seed=1)
 
     def test_validate_rejects_a_dt_other_than_the_surrogates(self):
         # a set at dt = 0.5 rolled the network out at tau = 0.5, past its trained horizon
         # dt + eps = 0.25
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.5, n_traj=2, n_steps=2, seed=2)
+        vset = small_vset(0.5, n_steps=2, seed=2)
         with pytest.raises(ValueError, match="validation set steps 0.5, the surrogate 0.2"):
             validate(msd_model(seed=8), vset)
 
     def test_reports_per_coordinate(self):
         model = msd_model(seed=8)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=4, seed=2)
+        vset = small_vset(n_steps=4, seed=2)
         rep = validate(model, vset)
         assert rep.mse_rollout.shape == (2,)
         assert np.all(rep.mse_rollout >= 0)
@@ -323,7 +328,7 @@ class TestTrain:
     def test_desk_smoke_loss_decreases(self):
         model = msd_model(widths=(4, 16, 16, 2), seed=0)
         cfg_data = DatasetConfig(n_data=256, n_phys=512, dt=0.2, eps=0.05,
-                                 state_box=STATE_BOX, input_box=INPUT_BOX, seed=3)
+                                 state_box=MSD_STATE_BOX, input_box=MSD_INPUT_BOX, seed=3)
         sets = (build_data_set(MSD_RHS, cfg_data), build_phys_set(cfg_data))
         cfg = TrainConfig(iterations=1500, val_interval=1500)
         trained, history = train(model, MSD_RHS, lambda k: sets, cfg, small_vset())
@@ -386,8 +391,7 @@ class TestTrain:
     def test_labels_of_another_shape_rejected_before_an_iteration(self, monkeypatch):
         # (N, 1) labels on a 2-state model broadcast against the (N, 2) predictions,
         # and the fit ran on a data loss that compares every label with both states
-        monkeypatch.setattr(training, "loss_and_grad",
-                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        forbid(monkeypatch, training, "loss_and_grad")
         data, phys = small_sets()
         data = replace(data, xf=data.xf[:, :1])
         with pytest.raises(ValueError, match=r"^xf has shape \(8, 1\), the model needs \(8, 2\)$"):
@@ -397,10 +401,9 @@ class TestTrain:
     def test_validation_set_of_another_dt_rejected_before_an_iteration(self, monkeypatch):
         # validate refuses such a set, but only at the first validation, after
         # val_interval iterations
-        monkeypatch.setattr(training, "loss_and_grad",
-                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        forbid(monkeypatch, training, "loss_and_grad")
         data, phys = small_sets()
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.5, n_traj=2, n_steps=2, seed=2)
+        vset = small_vset(0.5, n_steps=2, seed=2)
         with pytest.raises(ValueError, match="validation set steps 0.5, the surrogate 0.2"):
             train(msd_model(seed=1), MSD_RHS, lambda k: (data, phys),
                   TrainConfig(iterations=4, val_interval=2), validation=vset)
@@ -422,8 +425,7 @@ class TestTrain:
         # validation, val_interval iterations in, with "mismatched batch shapes for (t, x, u)";
         # a set of no steps failed there with "need at least one array to concatenate", and
         # one of no trajectories trained on and scored every validation NaN
-        monkeypatch.setattr(training, "loss_and_grad",
-                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        forbid(monkeypatch, training, "loss_and_grad")
         data, phys = small_sets()
         vset = replace(small_vset(), **{name: value})
         with pytest.raises(ValueError, match=message):
@@ -439,8 +441,7 @@ class TestTrain:
         # one NaN in truth made every val_mse NaN, so no iterate beat the first best (inf)
         # and train returned the untrained parameters; a NaN x0 or u_seq failed only at
         # the first validation, val_interval iterations in
-        monkeypatch.setattr(training, "loss_and_grad",
-                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        forbid(monkeypatch, training, "loss_and_grad")
         data, phys = small_sets()
         vset = small_vset()
         value = getattr(vset, name).copy()
@@ -466,8 +467,7 @@ class TestTrain:
         # which indexes the (data set, collocation set) pair; a 7-row t beside 8-row columns
         # failed with NumPy's bare "all the input array dimensions ..." message, and a
         # 2-wide collocation u reached the first iteration
-        monkeypatch.setattr(training, "loss_and_grad",
-                            lambda *args, **kwargs: pytest.fail("an iteration ran"))
+        forbid(monkeypatch, training, "loss_and_grad")
         sets = list(small_sets())
         sets[which] = replace(sets[which], **{column: np.zeros(shape)})
         with pytest.raises(ValueError, match=message):
@@ -523,14 +523,7 @@ class TestTrain:
         data, phys = small_sets()
         _, adam_history = train(model, MSD_RHS, lambda k: (data, phys),
                                 TrainConfig(iterations=2, val_interval=2), small_vset())
-        steps = []
-        adam_step = training.adam_step
-
-        def counting_adam_step(*args, **kwargs):
-            steps.append(1)
-            return adam_step(*args, **kwargs)
-
-        monkeypatch.setattr(training, "adam_step", counting_adam_step)
+        steps = calls_to(monkeypatch, training, "adam_step")
         rhs = lambda x, u: MSD_RHS(x, u) if len(steps) < 2 else np.full(np.shape(x), np.nan)
         cfg = TrainConfig(iterations=2, optimizer="adam-then-lbfgs", lbfgs_iterations=5,
                           val_interval=2)
@@ -542,7 +535,7 @@ class TestTrain:
     def test_best_validation_checkpoint_restored(self):
         model = msd_model(widths=(4, 8, 2), seed=2)
         data, phys = small_sets(n_data=64, n_phys=64, seed=4)
-        vset = make_validation_set(MSD_RHS, STATE_BOX, INPUT_BOX, 0.2, n_traj=2, n_steps=4, seed=5)
+        vset = small_vset(n_steps=4, seed=5)
         cfg = TrainConfig(iterations=300, val_interval=100)
         trained, history = train(model, MSD_RHS, lambda k: (data, phys), cfg,
                                  validation=vset)
@@ -638,10 +631,6 @@ class TestTrainMatchesReference:
             assert got.last_report.val_mse is not None  # iteration 14, the last, validates
         else:
             assert got.iteration > cfg.iterations
-
-
-ARM = ManipulatorParams()
-ARM_RHS = lambda x, u: manipulator_rhs(ARM, x, u)
 
 
 def lane_case(plant, n_data=300, n_phys=400, seed=0):
