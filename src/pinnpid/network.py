@@ -16,13 +16,25 @@ also how ``init_params`` and the parameter gradient walk that layout):
   reverse-over-forward, for gradients of functions of the time derivative,
   which the physics-residual training loss needs. With ``want_grads=False``
   it carries only the input cotangent and skips the parameter-gradient
-  accumulation, which the gain optimizer's pullbacks never read.
+  accumulation, which the gain optimizer's pullbacks never read. Each
+  layer takes a row-wise step (the cotangent products below) and then its
+  sum step, the parameter-gradient terms, which are sums over rows:
+  ``value_sums`` and ``tangent_sum`` compute them and ``add_sums`` adds
+  them. A caller that swept with ``want_grads=False`` can take the sum step
+  itself, from the cotangents that ``sweep_cotangents`` reads back.
 
 Everything operates on float64 and is pure: identical arguments give
 bit-identical results, and no pass writes an attribute of the net, which is
-read-only. A pass writes nothing but its own ``buffers`` dict (below), so
-passes given distinct dicts, or none, may run at once on one net and one
-``layers``; ``training`` runs its data and physics passes so.
+read-only. That holds per call. A row's values also do not depend on how
+many rows share its call, but only from about ``ROW_FLOOR`` (1,000) rows
+up: below, OpenBLAS picks its matmul kernel by size, and a row's last bits
+can differ (a 32→2 product up to 600 rows, a 32→32 one up to 37). A pass
+writes nothing but its own ``buffers`` dict (below), so passes given
+distinct dicts, or none, may run at once on one net and one ``layers``;
+``training`` runs its data and physics passes so. A ``RowBlock`` of a dict
+restricts a pass to a block of rows of the dict's whole arrays, so passes
+over disjoint blocks of one dict may run at once too, and with blocks of
+``ROW_FLOOR`` rows or more they leave the whole pass's bits.
 
 Each pass keeps only the row-sized arrays that are read again later. In the
 forward pass a layer's pre-activation ``a = z W^T + b`` is formed in the
@@ -53,9 +65,12 @@ array is fresh, and the results are bit-identical either way.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+ROW_FLOOR = 1000  # from this many rows up, a row's values do not depend on the call's rows
 
 
 @dataclass(frozen=True)
@@ -127,14 +142,71 @@ class InputScaling:
 def _out(buffers, name, layer, shape):
     """The array kept under ``(name, layer)``, (re)allocated to ``shape``; None
     (allocate a fresh result) without buffers. ``layer`` is the layer index,
-    or the width for an array that layers of one width share."""
+    or the width for an array that layers of one width share. Given a
+    ``RowBlock``, the block's rows of the whole array."""
     if buffers is None:
         return None
+    if isinstance(buffers, RowBlock):
+        return buffers.rows_of(name, layer, shape[1:])
     key = (name, layer)
     arr = buffers.get(key)
     if arr is None or arr.shape != shape:
         arr = buffers[key] = np.empty(shape)
     return arr
+
+
+_ALLOCATING = threading.Lock()  # taken by every RowBlock that allocates
+
+
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Rows ``rows`` (a slice) of the ``n``-row arrays that passes keep in ``buffers``.
+
+    Given to a pass as its ``buffers``, it hands the pass the view
+    ``whole[rows]`` of the whole array that the dict keeps under each key,
+    allocated when missing or of another shape (under one lock, so that
+    blocks of one dict never allocate a key twice). The pass so writes those
+    rows alone: passes over disjoint blocks of one dict may run at once, and
+    together they fill whole arrays, the tape included (``whole``). A block
+    of fewer than ``ROW_FLOOR`` rows may change its rows' last bits.
+    """
+
+    buffers: dict
+    rows: slice
+    n: int
+
+    def rows_of(self, name, layer, width):
+        with _ALLOCATING:
+            whole = _out(self.buffers, name, layer, (self.n, *width))
+        return whole[self.rows]
+
+    @staticmethod
+    def whole(tape):
+        """The tape of whole arrays whose rows a block pass's ``tape`` holds."""
+        return tuple([None if a is None else a.base for a in part] for part in tape)
+
+
+def value_sums(tape, i, ca):
+    """Layer ``i``'s value-path sums over rows: its weight term ``ca^T z_i`` and
+    its bias term, ``ca`` summed over rows (``ca`` its pre-activation cotangent)."""
+    return ca.T @ tape[0][i], ca.sum(axis=0)
+
+
+def tangent_sum(tape, i, cadot):
+    """Layer ``i``'s tangent-path sum over rows on a dual tape: the weight term
+    ``cadot^T zdot_i``."""
+    return cadot.T @ tape[3][i]
+
+
+def add_sums(layer_grads, value_terms, tangent_term):
+    """The sum step's additions into one layer's (weight, bias) gradient views:
+    the weight term, the bias term, then the tangent term (if not None), the
+    reverse sweep's order."""
+    gw, gb = layer_grads
+    gw += value_terms[0]
+    gb += value_terms[1]
+    if tangent_term is not None:
+        gw += tangent_term
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,6 +359,7 @@ class FeedforwardNet:
         last = len(layers) - 1
         for i in range(last, -1, -1):
             w, _ = layers[i]
+            # the row-wise step: ca and cadot, then the cotangents of the layer's input
             if i == last:  # the caller's cotangents: read, never written
                 ca = cz
                 cadot = czdot
@@ -303,18 +376,26 @@ class FeedforwardNet:
                     np.multiply(cadot, tmp, out=tmp)
                     np.multiply(tmp, adots[i + 1], out=tmp)
                     ca += tmp
-            if want_grads:
-                gw, gb = gview[i]
-                gw += ca.T @ zs[i]
-                gb += ca.sum(axis=0)
-                if cadot is not None:
-                    gw += cadot.T @ zdots[i]
             shape = (n, w.shape[1])
             cz = np.matmul(ca, w, out=_out(buffers, "cz", i, shape))
             # the input tangent cotangent is never returned
             czdot = None if cadot is None or i == 0 else np.matmul(
                 cadot, w, out=_out(buffers, "czdot", i, shape))
+            if want_grads:  # the sum step, which reads ca and cadot, not cz and czdot
+                add_sums(gview[i], value_sums(tape, i, ca),
+                         None if cadot is None else tangent_sum(tape, i, cadot))
         return grads, cz
+
+    def sweep_cotangents(self, buffers, cot_values, cot_tangents):
+        """Per layer, input layer first, the pre-activation cotangents (ca, cadot)
+        that the last reverse sweep with ``buffers`` (a dict) formed: the sweep's
+        ``cot_values`` and ``cot_tangents`` for the output layer, and below it the
+        arrays of ``buffers`` in which ``ca`` and ``cadot`` overwrote the
+        cotangents of the layer above. After row blocks of one dict swept (see
+        ``RowBlock``), these are whole arrays."""
+        below = [(buffers[("cz", i + 1)], buffers.get(("czdot", i + 1)))
+                 for i in range(len(self._slices) - 1)]
+        return below + [(cot_values, cot_tangents)]
 
     def time_tangent_rows(self, n: int) -> np.ndarray:
         """The tangent rows of d/dt: the one row (1, 0, ..., 0), broadcast read-only to n rows."""

@@ -14,17 +14,31 @@ held-out RK4 trajectories. ``loss`` and ``loss_and_grad`` share one
 evaluation (``_evaluate``) of the loss's two passes; the latter adds their
 reverse sweeps.
 
-The two passes share nothing but the parameters until their gradients are
-summed, so each evaluation runs the data pass (rows, value forward, data
-residual, ``l_data`` and its reverse sweep) on ``_LANE``, one worker thread
-of the module, while the calling thread runs the physics pass. NumPy
-releases the interpreter lock inside its loops and BLAS calls, so the two
-run at once. The data pass owns ``buffers["data"]`` and the physics pass
-``buffers["phys"]``; the evaluation waits for the lane before it returns or
-raises, so no pass outlives the call, and an exception of either pass
-reaches the caller. Every operation is the one the serial order ran, on the
-same arrays, so results are bit-identical to it. A fit therefore keeps two
-threads busy, whatever number of BLAS threads each one uses.
+Each evaluation keeps both cores busy on ``_LANE``, one worker thread of
+the module, and the calling thread. NumPy releases the interpreter lock
+inside its loops and BLAS calls, so the two run at once:
+
+- The physics pass is cut at one collocation row (``_cut``, from the row
+  counts alone). The calling thread runs the rows below the cut. The lane
+  runs the data pass (rows, value forward, data residual, ``l_data`` and
+  its reverse sweep, in ``buffers["data"]``) and then the rows from the cut
+  on. Each block runs its rows' dual forward, ``rhs``, residual,
+  cotangents, ``fd_state_jacobian`` and reverse sweep without its sums,
+  into a ``RowBlock`` of ``buffers["phys"]``, so the tape and the sweep's
+  products stay one set of whole arrays. Below two blocks of ``ROW_FLOOR``
+  rows the calling thread runs the whole pass, since smaller blocks could
+  change a row's last bits; the lane's share is sized by
+  ``DATA_ROW_SHARE``, the cost of a data row in collocation rows.
+- Every sum over collocation rows is then taken once, on the whole arrays,
+  in the serial order: ``l_phys`` here, and the physics gradient's sum step
+  with each layer's value terms here and its tangent terms on the lane.
+
+Every operation is the one the serial order ran, on the same rows, so
+results are bit-identical to it. Each step waits for the lane before it
+returns or raises, so no work outlives the call; an exception of either
+thread reaches the caller, the calling thread's when both raise. A fit
+therefore keeps two threads busy, whatever number of BLAS threads each one
+uses.
 
 Both stages share one path in ``train``: an evaluation that raises
 :class:`TrainingDiverged` on a non-finite loss or gradient, a record step
@@ -44,6 +58,7 @@ import scipy.optimize
 
 from pinnpid.adam import AdamConfig, AdamState, adam_step
 from pinnpid.model import PinnModel
+from pinnpid.network import ROW_FLOOR, RowBlock, add_sums, tangent_sum, value_sums
 from pinnpid.pid import check_shapes
 from pinnpid.plants import simulate_zoh
 from pinnpid.sampling import DataSet, PhysSet, lhs_sample
@@ -53,6 +68,7 @@ LAMBDA_PHYS = 1.0  # weight of the physics residual term in the loss
 LR_START = 1e-3  # Adam learning rate at the first iteration ...
 LR_END = 1e-4  # ... cosine-decayed to this one at the last
 VALIDATION_SUBSTEPS = 200  # RK4 steps per dt of the validation truth
+DATA_ROW_SHARE = 0.5  # a data row's cost in collocation rows, which places the cut
 
 
 def _open_lane():
@@ -156,30 +172,88 @@ def _data_pass(net, layers, data: DataSet, buf, want_grad):
     return l_data, grad
 
 
-def _evaluate(net, params, data: DataSet, phys: PhysSet, rhs, buffers, want_grad):
-    """(l_data, l_phys, l_total, gradient or None): the data pass on ``_LANE``
-    while the physics pass runs here; if both raise, the physics pass's
-    exception is the one raised. ``buffers`` is as in ``loss_and_grad``."""
-    layers = net.unpack(params)
-    buf_d, buf_p = buffers.setdefault("data", {}), buffers.setdefault("phys", {})
-    lane = _LANE.submit(_data_pass, net, layers, data, buf_d, want_grad)
+def _cut(n_data, n_phys):
+    """The collocation row at which the physics pass splits: the calling thread
+    takes the rows below it, the lane, after the data pass, the rest. Whole
+    (``n_phys``) below two blocks of ``ROW_FLOOR`` rows; else the lane takes
+    (n_phys - ``DATA_ROW_SHARE`` * n_data) / 2 rows, so that both threads
+    finish together, but no block fewer than ``ROW_FLOOR``."""
+    if n_phys < 2 * ROW_FLOOR:
+        return n_phys
+    lane_rows = round((n_phys - DATA_ROW_SHARE * n_data) / 2)
+    return n_phys - min(max(lane_rows, ROW_FLOOR), n_phys - ROW_FLOOR)
+
+
+def _beside(lane_work, work):
+    """(lane_work(), work()), the first run on ``_LANE`` while the second runs
+    here. Both have ended before it returns or raises; if both raise, the
+    calling thread's exception is the one raised."""
+    lane = _LANE.submit(lane_work)
     try:
-        rows = net.stack_rows(phys.t, phys.x, phys.u)
-        values, rates, tape = net.forward_raw(
-            layers, rows, net.time_tangent_rows(rows.shape[0]), buffers=buf_p
-        )
-        residual = rates - rhs(values, phys.u)
-        l_phys = float(np.mean(np.sum(residual**2, axis=1)))
-        if want_grad:
-            cot_rate = (2.0 / residual.shape[0]) * residual
-            jac = fd_state_jacobian(rhs, values, phys.u)
-            cot_value = -np.einsum("nij,ni->nj", jac, cot_rate)
-            grad_p, _ = net.backward_raw(layers, tape, cot_value, cot_rate, buffers=buf_p)
+        mine = work()
     finally:
         concurrent.futures.wait((lane,))  # no pass outlives the call
-    l_data, grad_d = lane.result()  # raises what the data pass raised
-    grad = grad_d + LAMBDA_PHYS * grad_p if want_grad else None
-    return l_data, l_phys, l_data + LAMBDA_PHYS * l_phys, grad
+    return lane.result(), mine  # raises what the lane raised
+
+
+def _physics_gradient(net, tape, buf, cots):
+    """The physics term's parameter gradient from the block sweeps of ``_evaluate``:
+    each sum over rows whole, the value terms here and the tangent terms on
+    ``_LANE`` at once, added in ``backward_raw``'s order."""
+    per_layer = net.sweep_cotangents(buf, *cots)
+    tangent, value = _beside(
+        lambda: [tangent_sum(tape, i, cadot) for i, (_, cadot) in enumerate(per_layer)],
+        lambda: [value_sums(tape, i, ca) for i, (ca, _) in enumerate(per_layer)],
+    )
+    grad = np.zeros(net.n_params)
+    for layer_grads, value_terms, tangent_term in zip(net.unpack(grad), value, tangent):
+        add_sums(layer_grads, value_terms, tangent_term)
+    return grad
+
+
+def _evaluate(net, params, data: DataSet, phys: PhysSet, rhs, buffers, want_grad):
+    """(l_data, l_phys, l_total, gradient or None), with the work split between
+    the calling thread and ``_LANE`` as the module docstring says; if both
+    raise, the calling thread's exception is the one raised. ``buffers`` is as
+    in ``loss_and_grad``."""
+    layers = net.unpack(params)
+    buf_d, buf_p = buffers.setdefault("data", {}), buffers.setdefault("phys", {})
+    rows = net.stack_rows(phys.t, phys.x, phys.u)
+    n = rows.shape[0]
+    cut = _cut(len(data.t), n)
+    residual = np.empty((n, net.n_state))
+    cots = (np.empty_like(residual), np.empty_like(residual)) if want_grad else None
+
+    def physics_rows(block):
+        # the dual forward, the residual and, for the gradient, the cotangents of the
+        # values and the rates and the reverse sweep without its sums, on rows[block]
+        # alone; returns the block's tape
+        into = RowBlock(buf_p, block, n)
+        values, rates, tape = net.forward_raw(layers, rows[block],
+                                              net.time_tangent_rows(n)[block], buffers=into)
+        u = phys.u[block]
+        np.subtract(rates, rhs(values, u), out=residual[block])
+        if want_grad:
+            cot_value, cot_rate = (c[block] for c in cots)
+            np.multiply(2.0 / n, residual[block], out=cot_rate)
+            jac = fd_state_jacobian(rhs, values, u)
+            np.negative(np.einsum("nij,ni->nj", jac, cot_rate), out=cot_value)
+            net.backward_raw(layers, tape, cot_value, cot_rate, want_grads=False, buffers=into)
+        return tape
+
+    def lane_work():
+        out = _data_pass(net, layers, data, buf_d, want_grad)
+        if cut < n:
+            physics_rows(slice(cut, n))
+        return out
+
+    (l_data, grad_d), tape = _beside(lane_work, lambda: physics_rows(slice(0, cut)))
+    l_phys = float(np.mean(np.sum(residual**2, axis=1)))
+    l_total = l_data + LAMBDA_PHYS * l_phys
+    if not want_grad:
+        return l_data, l_phys, l_total, None
+    grad_p = _physics_gradient(net, RowBlock.whole(tape), buf_p, cots)
+    return l_data, l_phys, l_total, grad_d + LAMBDA_PHYS * grad_p
 
 
 def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int, *, buffers):

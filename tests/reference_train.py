@@ -12,9 +12,11 @@ step array and the two shifted states afresh for each column, where the
 library moves one column of a single working copy.
 
 ``serial_loss_and_grad`` and ``serial_loss`` are the frozen serial evaluation:
-the data pass, then the physics pass, then their two reverse sweeps, all on
-the calling thread, where the library runs the data pass on a worker lane
-beside the physics pass.
+the data pass, then the whole physics pass, then their two reverse sweeps,
+each with its sums over rows inside, all on the calling thread. The library
+runs the data pass and a block of the physics rows on a worker lane beside
+the other block, and the physics sums after both. These stay as they are:
+they are the serial oracle that the library's split is compared against.
 """
 
 import numpy as np

@@ -13,7 +13,7 @@ import pytest
 
 from pinnpid import training
 from pinnpid.model import PinnModel
-from pinnpid.network import FeedforwardNet, InputScaling, NetworkSpec
+from pinnpid.network import ROW_FLOOR, FeedforwardNet, InputScaling, NetworkSpec, RowBlock
 from pinnpid.plants import msd_state_space, simulate_zoh
 from pinnpid.sampling import (
     Box,
@@ -633,19 +633,31 @@ class TestTrainMatchesReference:
             assert got.iteration > cfg.iterations
 
 
-def lane_case(plant, n_data=300, n_phys=400, seed=0):
-    """(model, rhs, data set, collocation set) of the arm (4 states, 2 inputs) or the
-    MSD, with random rows inside the model's scaling box; labels need not be exact."""
+SPLIT_ROWS = 2 * ROW_FLOOR + 400  # collocation rows that split between the two threads
+
+
+def bench_model(plant, seed):
+    """A model of the benchmark's widths for the plant, scaled to its boxes."""
+    sbox, ibox, widths = {"msd": (MSD_STATE_BOX, MSD_INPUT_BOX, (4, 32, 32, 2)),
+                          "arm": (ARM_STATE_BOX, ARM_INPUT_BOX, (7, 32, 32, 4))}[plant]
+    scaling = InputScaling(np.concatenate([[0.0], sbox.lower, ibox.lower]),
+                           np.concatenate([[0.25], sbox.upper, ibox.upper]))
+    net = FeedforwardNet(NetworkSpec(widths), scaling, sbox.dim, ibox.dim)
+    return PinnModel(net=net, params=net.init_params(seed), dt=0.2, eps=0.05)
+
+
+def lane_case(plant, n_data=300, n_phys=SPLIT_ROWS, seed=0):
+    """(model, rhs, data set, collocation set) of the arm or the MSD: a model of the
+    benchmark's widths, with random rows inside its scaling box; labels need not be
+    exact. The default collocation set splits between the calling thread and the lane;
+    at these widths a block of a few hundred rows would part a row's last bits."""
     rng = np.random.default_rng(seed)
-    if plant == "msd":
-        model, rhs = msd_model(seed=seed), MSD_RHS
-    else:
-        model, rhs = toy_model(seed=seed, n=4, m=2), ARM_RHS
-    n, m = model.n, model.m
+    model, rhs = bench_model(plant, seed), {"msd": MSD_RHS, "arm": ARM_RHS}[plant]
+    lo, hi, n = model.net.scaling.lower, model.net.scaling.upper, model.n
 
     def draw(rows):
-        return (rng.uniform(0.0, 0.25, rows), rng.uniform(-2.0, 2.0, (rows, n)),
-                rng.uniform(-1.0, 1.0, (rows, m)))
+        return (rng.uniform(lo[0], hi[0], rows), rng.uniform(lo[1:n + 1], hi[1:n + 1], (rows, n)),
+                rng.uniform(lo[n + 1:], hi[n + 1:], (rows, model.m)))
 
     t, x0, u = draw(n_data)
     data = DataSet(t=t, x0=x0, xf=x0 + rng.normal(0.0, 0.1, x0.shape), u=u)
@@ -658,14 +670,64 @@ def bits(values):
                           ).view(np.uint64)
 
 
-class TestDataLane:
-    """The data pass runs on ``training``'s worker lane beside the physics pass; every
-    result equals the frozen serial evaluation in reference_train.py bit for bit."""
+class TestRowInvariance:
+    """The canary of the split physics pass: from ``ROW_FLOOR`` rows up, a row's bits do
+    not depend on how many rows share its call, at the benchmark's widths. A BLAS whose
+    kernel choice breaks that fails here instead of parting the fits silently."""
+
+    N = SPLIT_ROWS
+
+    @pytest.mark.parametrize("cut", [ROW_FLOOR, SPLIT_ROWS - ROW_FLOOR])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("plant", ["arm", "msd"])
+    def test_network_passes_split_at_the_floor(self, plant, dual, cut):
+        # every array that a forward pass and a reverse sweep keep (tape, reverse
+        # products, input cotangent), whole against two row blocks of one dict
+        model, _, _, phys = lane_case(plant, n_phys=self.N, seed=5)
+        net = model.net
+        rows = net.stack_rows(phys.t, phys.x, phys.u)
+        tangents = net.time_tangent_rows(self.N) if dual else None
+        rng = np.random.default_rng(6)
+        cot, cot_t = rng.standard_normal((2, self.N, net.n_state))
+        cot_t = cot_t if dual else None
+        kept = []
+        for blocks in ([slice(None)], [slice(0, cut), slice(cut, self.N)]):
+            buffers = {}
+            for block in blocks:
+                into = buffers if len(blocks) == 1 else RowBlock(buffers, block, self.N)
+                *_, tape = net.forward_raw(model.layers, rows[block],
+                                           None if tangents is None else tangents[block],
+                                           buffers=into)
+                net.backward_raw(model.layers, tape, cot[block],
+                                 None if cot_t is None else cot_t[block],
+                                 want_grads=False, buffers=into)
+            kept.append(buffers)
+        whole, split = kept
+        assert whole.keys() == split.keys()
+        for key in whole:
+            assert np.array_equal(whole[key].view(np.uint64), split[key].view(np.uint64)), key
 
     @pytest.mark.parametrize("plant", ["arm", "msd"])
-    def test_matches_the_serial_evaluation(self, plant):
+    def test_rhs_and_jacobian_split_anywhere(self, plant):
+        _, rhs, _, phys = lane_case(plant, n_phys=self.N, seed=7)
+        x, u = phys.x, phys.u
+        want = bits((rhs(x, u), fd_state_jacobian(rhs, x, u)))
+        for cut in (1, 37, ROW_FLOOR, self.N // 2):
+            blocks = (slice(0, cut), slice(cut, self.N))
+            got = bits((np.concatenate([rhs(x[b], u[b]) for b in blocks]),
+                        np.concatenate([fd_state_jacobian(rhs, x[b], u[b]) for b in blocks])))
+            assert np.array_equal(got, want), cut
+
+
+class TestDataLane:
+    """The data pass and, from ``SPLIT_ROWS`` rows on, a block of the physics rows run on
+    ``training``'s worker lane beside the other block; every result equals the frozen
+    serial evaluation in reference_train.py bit for bit."""
+
+    @staticmethod
+    def check_against_serial(plant, n_phys):
         # one dict per side through several parameter vectors and both entries
-        model, rhs, data, phys = lane_case(plant)
+        model, rhs, data, phys = lane_case(plant, n_phys=n_phys)
         got_buffers, want_buffers = {}, {}
         for k, scale in enumerate((1.0, 0.5, 1.0, -0.25)):
             params = model.params * scale
@@ -678,26 +740,43 @@ class TestDataLane:
             assert got.iteration == want.iteration == k
             assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(want)[1:4]))
         assert got_buffers.keys() == want_buffers.keys() == {"data", "phys"}
+        assert got_buffers["phys"].keys() == want_buffers["phys"].keys()
+
+    @pytest.mark.parametrize("plant", ["arm", "msd"])
+    def test_matches_the_serial_evaluation(self, plant, monkeypatch):
+        # the physics pass splits: each thread takes the Jacobian of its own block
+        jacobians = calls_to(monkeypatch, training, "fd_state_jacobian")
+        self.check_against_serial(plant, SPLIT_ROWS)
+        cut = training._cut(300, SPLIT_ROWS)
+        assert ROW_FLOOR <= cut <= SPLIT_ROWS - ROW_FLOOR
+        assert sorted(len(c["x"]) for c in jacobians) == sorted([cut, SPLIT_ROWS - cut] * 4)
+
+    def test_whole_pass_below_the_floor_matches_the_serial_evaluation(self, monkeypatch):
+        jacobians = calls_to(monkeypatch, training, "fd_state_jacobian")
+        self.check_against_serial("msd", 2 * ROW_FLOOR - 1)
+        assert [len(c["x"]) for c in jacobians] == [2 * ROW_FLOOR - 1] * 4
 
     def test_train_matches_the_serial_evaluation(self, monkeypatch):
-        # Adam, then L-BFGS, whose callback calls loss
-        model, rhs, data, phys = lane_case("arm", n_data=96, n_phys=128, seed=4)
-        vset = make_validation_set(rhs, Box(-2 * np.ones(4), 2 * np.ones(4)),
-                                   Box(-np.ones(2), np.ones(2)), 0.2, n_traj=2, n_steps=3,
-                                   seed=6)
+        # Adam, then L-BFGS, whose callback calls loss, on both plants with a split pass
+        vset = make_validation_set(ARM_RHS, ARM_STATE_BOX, ARM_INPUT_BOX, 0.2, n_traj=2,
+                                   n_steps=3, seed=6)
         cfg = TrainConfig(iterations=12, optimizer="adam-then-lbfgs", val_interval=4,
                           lbfgs_iterations=8)
-        runs = []
-        for serial in (False, True):
-            if serial:
-                monkeypatch.setattr(training, "loss_and_grad", serial_loss_and_grad)
-                monkeypatch.setattr(training, "loss", serial_loss)
-            trained, history = train(model, rhs, lambda k: (data, phys), cfg, vset)
-            runs.append((trained.params, [astuple(h) for h in history]))
-        (got_params, got), (want_params, want) = runs
-        assert len(got) > cfg.iterations
-        assert got == want
-        assert np.array_equal(got_params.view(np.uint64), want_params.view(np.uint64))
+        for plant, validation in (("arm", vset), ("msd", small_vset())):
+            model, rhs, data, phys = lane_case(plant, n_data=96, seed=4)
+            runs = []
+            for serial in (False, True):
+                with monkeypatch.context() as patch:
+                    if serial:
+                        patch.setattr(training, "loss_and_grad", serial_loss_and_grad)
+                        patch.setattr(training, "loss", serial_loss)
+                    trained, history = train(model, rhs, lambda k: (data, phys), cfg,
+                                             validation)
+                runs.append((trained.params, [astuple(h) for h in history]))
+            (got_params, got), (want_params, want) = runs
+            assert len(got) > cfg.iterations, plant
+            assert got == want, plant
+            assert np.array_equal(got_params.view(np.uint64), want_params.view(np.uint64))
 
     def test_physics_failure_raises_after_the_data_pass_finished(self, monkeypatch):
         # the data pass's last call sleeps, so the rhs raises long before it ends
@@ -720,6 +799,43 @@ class TestDataLane:
             loss_and_grad(model.net, model.params, data, phys, failing_rhs, buffers={})
         assert len(finished) == 1
         assert finished[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("failing", ["lane", "caller", "both"])
+    def test_block_failure_raises_after_both_blocks_finished(self, failing, monkeypatch):
+        # a block that does not fail sleeps at its end, in its reverse sweep; a failing
+        # block's rhs raises, on the lane only after a sleep; each block records its end
+        model, rhs, data, phys = lane_case("msd")
+        caller = threading.current_thread()
+        ended = []
+        side = lambda: "caller" if threading.current_thread() is caller else "lane"
+        backward_raw = FeedforwardNet.backward_raw
+
+        def slow_dual_backward(self, layers, tape, cot_values, cot_tangents=None, *a, **k):
+            out = backward_raw(self, layers, tape, cot_values, cot_tangents, *a, **k)
+            if cot_tangents is not None:
+                time.sleep(0.2)
+                ended.append(side())
+            return out
+
+        def block_rhs(x, u):
+            if failing in (side(), "both"):
+                if side() == "lane":
+                    time.sleep(0.2)
+                ended.append(side())
+                raise ArithmeticError(f"{side()} block failed")
+            return rhs(x, u)
+
+        args = (model.net, model.params, data, phys)
+        buffers = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(FeedforwardNet, "backward_raw", slow_dual_backward)
+            winner = "lane" if failing == "lane" else "caller"
+            with pytest.raises(ArithmeticError, match=f"{winner} block failed"):
+                loss_and_grad(*args, block_rhs, buffers=buffers)
+        assert sorted(ended) == ["caller", "lane"]
+        # the next evaluation on the same buffers splits again and is exact
+        want = serial_loss_and_grad(*args, rhs, buffers={})
+        assert np.array_equal(bits(loss_and_grad(*args, rhs, buffers=buffers)), bits(want))
 
     @pytest.mark.parametrize("entry", ["loss_and_grad", "loss"])
     def test_data_failure_reaches_the_caller(self, entry, monkeypatch):
@@ -765,9 +881,11 @@ class TestDataLane:
 
     def test_concurrent_callers_each_get_the_serial_result(self):
         # four callers on two cores share the one lane and the one net, each with its
-        # own buffers; a shortened switch interval interleaves them often
-        cases = [lane_case(plant, n_data=120, n_phys=160, seed=s)
-                 for plant, s in (("arm", 1), ("msd", 2), ("arm", 3), ("msd", 4))]
+        # own buffers, two of them with a split physics pass; a shortened switch
+        # interval interleaves them often
+        cases = [lane_case(plant, n_data=120, n_phys=n_phys, seed=s)
+                 for plant, s, n_phys in (("arm", 1, SPLIT_ROWS), ("msd", 2, 160),
+                                          ("arm", 3, 160), ("msd", 4, SPLIT_ROWS))]
         want = [bits(serial_loss_and_grad(m.net, m.params, d, p, rhs, buffers={}))
                 for m, rhs, d, p in cases]
         got = [[] for _ in cases]
