@@ -12,7 +12,14 @@ stages fit one data set and one collocation set. The returned parameters
 are the best-validation iterate, scored by self-loop rollout MSE against
 held-out RK4 trajectories. ``loss`` and ``loss_and_grad`` share one
 evaluation (``_evaluate``) of the loss's two passes; the latter adds their
-reverse sweeps.
+reverse sweeps. Each evaluation that returns leaves its losses in the
+caller's ``buffers`` under ``"scored"``, with a copy of the parameter vector
+and the net, sets and ``rhs`` it scored. ``loss`` at that very point (the same
+objects, a bit-equal vector) returns those floats and evaluates nothing, as
+``train``'s L-BFGS callback does at each accepted iterate, the point that the
+line search evaluated last. They are the floats that a fresh ``loss`` would
+return: identical arguments give bit-identical results, and an evaluation
+forms its losses before it looks at ``want_grad``.
 
 Each evaluation keeps both cores busy on ``_LANE``, one worker thread of
 the module, and the calling thread. NumPy releases the interpreter lock
@@ -122,6 +129,28 @@ class LossReport:
     l_phys: float
     l_total: float
     val_mse: float | None = field(default=None, init=False)
+
+
+@dataclass(frozen=True)
+class _Scored:
+    """What one evaluation scored (a copy of the parameter vector, the objects it
+    used) and its (l_data, l_phys, l_total)."""
+
+    params: np.ndarray
+    net: object
+    data: DataSet
+    phys: PhysSet
+    rhs: object
+    losses: tuple
+
+    def at(self, net, params, data, phys, rhs):
+        """Whether these are the same objects and a vector of the same bytes, so
+        that -0.0 is not 0.0 and a NaN matches only the same NaN."""
+        params = np.asarray(params)
+        return (net is self.net and data is self.data and phys is self.phys
+                and rhs is self.rhs and params.dtype == self.params.dtype
+                and params.shape == self.params.shape
+                and params.tobytes() == self.params.tobytes())
 
 
 @dataclass
@@ -250,15 +279,26 @@ def _evaluate(net, params, data: DataSet, phys: PhysSet, rhs, buffers, want_grad
     (l_data, grad_d), tape = _beside(lane_work, lambda: physics_rows(slice(0, cut)))
     l_phys = float(np.mean(np.sum(residual**2, axis=1)))
     l_total = l_data + LAMBDA_PHYS * l_phys
-    if not want_grad:
-        return l_data, l_phys, l_total, None
-    grad_p = _physics_gradient(net, RowBlock.whole(tape), buf_p, cots)
-    return l_data, l_phys, l_total, grad_d + LAMBDA_PHYS * grad_p
+    grad = None
+    if want_grad:
+        grad = grad_d + LAMBDA_PHYS * _physics_gradient(net, RowBlock.whole(tape), buf_p, cots)
+    buffers["scored"] = _Scored(np.array(params), net, data, phys, rhs, (l_data, l_phys, l_total))
+    return l_data, l_phys, l_total, grad
 
 
 def loss(net, params, data: DataSet, phys: PhysSet, rhs, iteration: int, *, buffers):
     """The composite loss as the report of ``iteration`` (floats only); ``buffers``
-    is as in ``loss_and_grad``."""
+    is as in ``loss_and_grad``.
+
+    If the last evaluation on ``buffers`` scored these very ``net``, ``data``,
+    ``phys`` and ``rhs`` objects (``is``) and a vector of the same bytes, its
+    floats are returned and nothing is evaluated; otherwise ``loss`` evaluates.
+    So the sets' arrays must not change in place between calls on one dict, and
+    ``rhs`` must give the same output for the same input, as in ``train``.
+    """
+    scored = buffers.get("scored")
+    if scored is not None and scored.at(net, params, data, phys, rhs):
+        return LossReport(iteration, *scored.losses)
     return LossReport(iteration, *_evaluate(net, params, data, phys, rhs, buffers, False)[:3])
 
 
@@ -266,8 +306,12 @@ def loss_and_grad(net, params, data: DataSet, phys: PhysSet, rhs, *, buffers):
     """One fused evaluation of the composite loss and its parameter gradient.
 
     ``buffers`` is a dict the caller keeps across calls; the data and the
-    physics pass each keep their row-sized arrays in a sub-dict of it (see
-    the ``network`` module docstring). Nothing returned aliases a buffer.
+    physics pass each keep their row-sized arrays in a sub-dict of it,
+    ``"data"`` and ``"phys"`` (see the ``network`` module docstring). Once both
+    passes and the reverse sweeps have ended, the evaluation records its losses
+    under ``"scored"`` (a ``_Scored``, which ``loss`` reads) before it returns; an
+    evaluation that raises records nothing. It always evaluates. Nothing returned
+    aliases a buffer.
     """
     return _evaluate(net, params, data, phys, rhs, buffers, True)
 
@@ -395,6 +439,8 @@ def train(model: PinnModel, rhs, data_generator, config: TrainConfig,
             return l_total, grad
 
         def callback(pvec):
+            # the accepted iterate is the point the objective evaluated last, so
+            # loss returns that evaluation's losses and does not evaluate
             record(pvec, loss(net, pvec, data, phys, rhs, len(history), buffers=buffers))
 
         params = scipy.optimize.minimize(

@@ -1,5 +1,6 @@
 """Loss, residual and trainer checks, with finite-difference gradient oracles."""
 
+import copy
 import os
 import signal
 import sys
@@ -181,8 +182,8 @@ class TestLossGradient:
                 got = loss_and_grad(model.net, params, data, phys, MSD_RHS, buffers=buffers)
             assert got[:3] == want[:3]
             assert np.array_equal(got[3], want[3])
-            kept = [a for sub in buffers.values() for a in sub.values()]
-            assert set(buffers) == {"data", "phys"} and kept
+            kept = [a for part in ("data", "phys") for a in buffers[part].values()]
+            assert set(buffers) == {"data", "phys", "scored"} and kept
             assert {a.shape[0] for a in buffers["data"].values()} == {n_data}
             assert not any(np.shares_memory(got[3], a) for a in kept)
 
@@ -193,13 +194,15 @@ class TestLossGradient:
         data, phys = small_sets(n_data=24, n_phys=40, seed=2)
         buffers = {}
         loss_and_grad(model.net, model.params, data, phys, MSD_RHS, buffers=buffers)
-        held = lambda: {(part, key): arr for part, sub in buffers.items()
-                        for key, arr in sub.items()}
+        assert set(buffers) == {"data", "phys", "scored"}
+        held = lambda: {(part, key): arr for part in ("data", "phys")
+                        for key, arr in buffers[part].items()}
         before = held()
         params = model.params + 0.01
         got = loss(model.net, params, data, phys, MSD_RHS, 7, buffers=buffers)
         want = loss(model.net, params, data, phys, MSD_RHS, 7, buffers={})
         assert astuple(got) == astuple(want)
+        assert set(buffers) == {"data", "phys", "scored"}
         after = held()
         assert after.keys() == before.keys()
         assert all(after[key] is arr for key, arr in before.items())
@@ -545,29 +548,34 @@ class TestTrain:
         assert float(np.mean(final.mse_rollout)) <= min(scored) + 1e-12
 
 
-def nan_after(calls):
-    """The MSD rhs for its first ``calls`` calls, NaN from then on."""
+def exact_jacobian_until(calls):
+    """In place of ``fd_state_jacobian``: the MSD's exact state Jacobian A for its
+    first ``calls`` calls, NaN from then on, which leaves the loss finite and makes
+    the gradient NaN."""
+    a_mat, _ = msd_state_space(MSD)
     count = []
 
-    def faulty(x, u):
+    def jacobian(rhs, x, u):
         count.append(1)
-        return MSD_RHS(x, u) if len(count) <= calls else np.full(np.shape(x), np.nan)
+        return np.broadcast_to(a_mat if len(count) <= calls else np.nan, (x.shape[0], 2, 2))
 
-    return faulty
+    return jacobian
 
 
 class TestTrainMatchesReference:
     """``train`` against the frozen two-stage trainer in reference_train.py, bit for bit."""
 
-    def runs(self, cfg, rhs_factory=lambda: MSD_RHS):
-        """(params, history) of train and of the reference, or the TrainingDiverged of each."""
+    def runs(self, cfg, before_each=lambda: None):
+        """(params, history) of train and of the reference, or the TrainingDiverged of
+        each; ``before_each`` runs before each trainer, to give it a fresh patch."""
         model = msd_model(widths=(4, 8, 8, 2), seed=3)
         sets = small_sets(n_data=48, n_phys=64, seed=5)
         vset = small_vset()
         out = []
         for fn in (train, reference_train):
+            before_each()
             try:
-                trained, history = fn(model, rhs_factory(), lambda k: sets, cfg,
+                trained, history = fn(model, MSD_RHS, lambda k: sets, cfg,
                                       validation=vset)
                 out.append((trained.params, history))
             except training.TrainingDiverged as exc:
@@ -612,15 +620,13 @@ class TestTrainMatchesReference:
 
     @pytest.mark.parametrize("stage, calls", [("Adam", 15), ("L-BFGS", 30)])
     def test_divergence(self, stage, calls, monkeypatch):
-        # with the exact Jacobian in place of the central difference, the rhs runs once
-        # per Adam step and once per L-BFGS evaluation and callback; it turns NaN after
-        # ``calls`` of them
+        # the exact Jacobian stands in for the central difference; it runs once per
+        # gradient evaluation, one per Adam step and one per L-BFGS objective call in
+        # both trainers (the L-BFGS callback takes none), and turns NaN after ``calls``
         cfg = TrainConfig(iterations=20, optimizer="adam-then-lbfgs", val_interval=5,
                           lbfgs_iterations=30)
-        a_mat, _ = msd_state_space(MSD)
-        monkeypatch.setattr(training, "fd_state_jacobian",
-                            lambda rhs, x, u: np.broadcast_to(a_mat, (x.shape[0], 2, 2)))
-        got, want = self.runs(cfg, lambda: nan_after(calls))
+        got, want = self.runs(cfg, lambda: monkeypatch.setattr(
+            training, "fd_state_jacobian", exact_jacobian_until(calls)))
         assert isinstance(got, training.TrainingDiverged)
         assert isinstance(want, training.TrainingDiverged)
         assert stage in str(got)
@@ -726,20 +732,26 @@ class TestDataLane:
 
     @staticmethod
     def check_against_serial(plant, n_phys):
-        # one dict per side through several parameter vectors and both entries
+        # one dict per side through several parameter vectors and both entries; loss
+        # runs before loss_and_grad, where it evaluates, and after it, where it reads
+        # the record of loss_and_grad's evaluation
         model, rhs, data, phys = lane_case(plant, n_phys=n_phys)
         got_buffers, want_buffers = {}, {}
         for k, scale in enumerate((1.0, 0.5, 1.0, -0.25)):
             params = model.params * scale
+            want = serial_loss(model.net, params, data, phys, rhs, k, buffers=want_buffers)
+            reports = [loss(model.net, params, data, phys, rhs, k, buffers=got_buffers)]
             got = loss_and_grad(model.net, params, data, phys, rhs, buffers=got_buffers)
+            reports.append(loss(model.net, params, data, phys, rhs, k, buffers=got_buffers))
+            for got_report in reports:
+                assert got_report.iteration == want.iteration == k
+                assert np.array_equal(bits(astuple(got_report)[1:4]), bits(astuple(want)[1:4]))
             want = serial_loss_and_grad(model.net, params, data, phys, rhs,
                                         buffers=want_buffers)
             assert np.array_equal(bits(got), bits(want))
-            got = loss(model.net, params, data, phys, rhs, k, buffers=got_buffers)
-            want = serial_loss(model.net, params, data, phys, rhs, k, buffers=want_buffers)
-            assert got.iteration == want.iteration == k
-            assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(want)[1:4]))
-        assert got_buffers.keys() == want_buffers.keys() == {"data", "phys"}
+        assert set(got_buffers) == {"data", "phys", "scored"}
+        assert set(want_buffers) == {"data", "phys"}
+        assert got_buffers["data"].keys() == want_buffers["data"].keys()
         assert got_buffers["phys"].keys() == want_buffers["phys"].keys()
 
     @pytest.mark.parametrize("plant", ["arm", "msd"])
@@ -911,3 +923,123 @@ class TestDataLane:
         for k, results in enumerate(got):
             assert len(results) == 15
             assert all(np.array_equal(r, want[k]) for r in results)
+
+
+class TestScoredRecord:
+    """``loss`` at the point that the last evaluation on its ``buffers`` scored (the same
+    net, sets and rhs objects, a vector of the same bytes) returns that evaluation's
+    floats; anywhere else it evaluates."""
+
+    @pytest.mark.parametrize("plant", ["arm", "msd"])
+    def test_hit_returns_the_floats_of_the_gradient_evaluation(self, plant, monkeypatch):
+        model, rhs, data, phys = lane_case(plant)
+        args = (model.net, model.params.copy(), data, phys, rhs)
+        fresh = loss(*args, 3, buffers={})
+        buffers = {}
+        l_data, l_phys, l_total, _ = loss_and_grad(*args, buffers=buffers)
+        with monkeypatch.context() as patch:
+            forbid(patch, training, "_evaluate")
+            got = loss(*args, 3, buffers=buffers)
+        assert got.iteration == 3 and got.val_mse is None
+        assert np.array_equal(bits(astuple(got)[1:4]), bits((l_data, l_phys, l_total)))
+        assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(fresh)[1:4]))
+
+    @pytest.mark.parametrize("move", ["nextafter_first", "nextafter_last", "negative_zero"])
+    def test_a_vector_of_other_bytes_evaluates(self, move, monkeypatch):
+        # -0.0 equals 0.0, yet it is another vector
+        model, rhs, data, phys = lane_case("msd")
+        params = model.params.copy()
+        moved = params.copy()
+        if move == "negative_zero":
+            params[5] = 0.0
+            moved[5] = -0.0
+        else:
+            i = 0 if move == "nextafter_first" else -1
+            moved[i] = np.nextafter(moved[i], np.inf)
+        buffers = {}
+        loss_and_grad(model.net, params, data, phys, rhs, buffers=buffers)
+        evaluations = calls_to(monkeypatch, training, "_evaluate")
+        got = loss(model.net, moved, data, phys, rhs, 0, buffers=buffers)
+        assert len(evaluations) == 1
+        want = loss(model.net, moved, data, phys, rhs, 0, buffers={})
+        assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(want)[1:4]))
+
+    def test_a_vector_changed_in_place_evaluates(self, monkeypatch):
+        # scipy's L-BFGS-B overwrites its x in place, so the record must hold a copy
+        model, rhs, data, phys = lane_case("msd")
+        params = model.params.copy()
+        buffers = {}
+        loss_and_grad(model.net, params, data, phys, rhs, buffers=buffers)
+        params[7] = np.nextafter(params[7], -np.inf)
+        evaluations = calls_to(monkeypatch, training, "_evaluate")
+        got = loss(model.net, params, data, phys, rhs, 0, buffers=buffers)
+        assert len(evaluations) == 1
+        want = loss(model.net, params.copy(), data, phys, rhs, 0, buffers={})
+        assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(want)[1:4]))
+
+    @pytest.mark.parametrize("other", ["net", "data", "phys", "rhs"])
+    def test_another_object_of_equal_contents_evaluates(self, other, monkeypatch):
+        model, rhs, data, phys = lane_case("msd")
+        args = {"net": model.net, "params": model.params, "data": data, "phys": phys,
+                "rhs": rhs}
+        buffers = {}
+        loss_and_grad(**args, buffers=buffers)
+        args[other] = {"net": lambda: copy.copy(model.net), "data": lambda: replace(data),
+                       "phys": lambda: replace(phys),
+                       "rhs": lambda: lambda x, u: rhs(x, u)}[other]()
+        evaluations = calls_to(monkeypatch, training, "_evaluate")
+        got = loss(**args, iteration=0, buffers=buffers)
+        assert len(evaluations) == 1
+        want = loss(**args, iteration=0, buffers={})
+        assert np.array_equal(bits(astuple(got)[1:4]), bits(astuple(want)[1:4]))
+
+    @pytest.mark.parametrize("entry", ["loss_and_grad", "loss"])
+    @pytest.mark.parametrize("failing", ["lane", "caller"])
+    def test_an_evaluation_that_raises_leaves_no_record(self, failing, entry):
+        # the record of an earlier point stays; the point that raised has none, so a
+        # loss there evaluates, and raises, again
+        model, rhs, data, phys = lane_case("msd")
+        caller = threading.current_thread()
+        side = lambda: "caller" if threading.current_thread() is caller else "lane"
+
+        def block_rhs(x, u):
+            if side() == failing:
+                raise ArithmeticError(f"{side()} block failed")
+            return rhs(x, u)
+
+        net, params = model.net, model.params
+        buffers = {}
+        loss_and_grad(net, 0.5 * params, data, phys, rhs, buffers=buffers)
+        earlier = buffers["scored"]
+        evaluate = {"loss_and_grad": lambda: loss_and_grad(net, params, data, phys, block_rhs,
+                                                            buffers=buffers),
+                    "loss": lambda: loss(net, params, data, phys, block_rhs, 0,
+                                         buffers=buffers)}[entry]
+        with pytest.raises(ArithmeticError, match=f"{failing} block failed"):
+            evaluate()
+        assert buffers["scored"] is earlier
+        assert not earlier.at(net, params, data, phys, block_rhs)
+        with pytest.raises(ArithmeticError, match=f"{failing} block failed"):
+            loss(net, params, data, phys, block_rhs, 0, buffers=buffers)
+
+    def test_train_evaluates_each_point_once(self, monkeypatch):
+        # Adam, then L-BFGS, on both plants with a split pass: every evaluation is a
+        # gradient evaluation, one per Adam step and one per L-BFGS objective call, and
+        # the callback's loss, once per L-BFGS iteration, reads the record
+        vset = make_validation_set(ARM_RHS, ARM_STATE_BOX, ARM_INPUT_BOX, 0.2, n_traj=2,
+                                   n_steps=3, seed=6)
+        cfg = TrainConfig(iterations=6, optimizer="adam-then-lbfgs", val_interval=2,
+                          lbfgs_iterations=6)
+        for plant, validation in (("arm", vset), ("msd", small_vset())):
+            model, rhs, data, phys = lane_case(plant, n_data=96, seed=4)
+            with monkeypatch.context() as patch:
+                evaluations = calls_to(patch, training, "_evaluate")
+                gradients = calls_to(patch, training, "loss_and_grad")
+                losses = calls_to(patch, training, "loss")
+                _, history = train(model, rhs, lambda k: (data, phys), cfg, validation)
+            lbfgs_reports = len(history) - cfg.iterations
+            assert lbfgs_reports > 0, plant
+            assert [c["want_grad"] for c in evaluations] == [True] * len(gradients), plant
+            assert len(gradients) > cfg.iterations + lbfgs_reports, plant
+            assert [c["iteration"] for c in losses] == list(range(cfg.iterations,
+                                                                  len(history))), plant
