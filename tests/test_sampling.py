@@ -1,5 +1,7 @@
 """Stratification, determinism and oracle-consistency of the training sets."""
 
+import os
+import signal
 import warnings
 from dataclasses import replace
 
@@ -8,6 +10,7 @@ import pytest
 
 from pinnpid.plants import RolloutDiverged
 from pinnpid.sampling import (
+    FORK_ROWS,
     Box,
     DatasetConfig,
     build_data_set,
@@ -16,7 +19,16 @@ from pinnpid.sampling import (
     integrate_batch,
     lhs_sample,
 )
-from tests.support import ARM_INPUT_BOX, ARM_STATE_BOX, MSD_INPUT_BOX, MSD_RHS, MSD_STATE_BOX
+from tests.support import (
+    ARM_INPUT_BOX,
+    ARM_RHS,
+    ARM_STATE_BOX,
+    MSD_INPUT_BOX,
+    MSD_RHS,
+    MSD_STATE_BOX,
+    calls_to,
+    forbid,
+)
 
 
 def msd_config(n_data=64, n_phys=128, seed=0):
@@ -205,6 +217,108 @@ class TestFinalTimes:
         x0 = np.array([[1.0], [2.0]])
         x = integrate_batch(lambda x, u: -x, x0, np.zeros((2, 1)), np.zeros(2), 0.25)
         assert np.array_equal(x, x0)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("name, value, message", [
+        # a one-entry t_final broadcast over every row
+        ("t_final", np.array([0.1]), r"^t_final has shape \(1,\), the model needs \(2,\)$"),
+        ("u", np.zeros((3, 1)), r"^u has shape \(3, 1\), the model needs \(2, 1\)$"),
+        ("u", np.zeros(2), r"^u has shape \(2,\), the model needs \(2, 2\)$"),
+        ("x0", np.ones(2), r"^x0 has shape \(2,\), not \(rows, states\)$"),
+    ])
+    def test_names_an_array_of_another_row_count(self, name, value, message):
+        rhs = counting(lambda x, u: -x)
+        arrays = dict(x0=np.ones((2, 1)), u=np.zeros((2, 1)), t_final=np.array([0.1, 0.2]))
+        arrays[name] = value
+        with pytest.raises(ValueError, match=message):
+            integrate_batch(rhs, horizon=0.25, **arrays)
+        assert rhs.rows == 0
+
+
+def label_case(plant, rows, seed=3):
+    """(rhs, x0, u, t_final) of ``rows`` uniform draws over the plant's boxes."""
+    rhs, state_box, input_box = {"arm": (ARM_RHS, ARM_STATE_BOX, ARM_INPUT_BOX),
+                                 "msd": (MSD_RHS, MSD_STATE_BOX, MSD_INPUT_BOX)}[plant]
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(state_box.lower, state_box.upper, (rows, state_box.dim))
+    u = rng.uniform(input_box.lower, input_box.upper, (rows, input_box.dim))
+    return rhs, x0, u, rng.uniform(0.0, 0.25, rows)
+
+
+def in_halves(monkeypatch, rhs, x0, u, t_final):
+    """Rows [0, N//2) and [N//2, N), each integrated whole in this process, concatenated."""
+    monkeypatch.delattr(os, "fork")  # where fork is missing, the call stays whole
+    cut = len(t_final) // 2
+    return np.concatenate([integrate_batch(rhs, x0[b], u[b], t_final[b], 0.25)
+                           for b in (slice(None, cut), slice(cut, None))])
+
+
+class TestLabelSplit:
+    """From ``FORK_ROWS`` rows up, a forked child integrates the upper half of the
+    rows: the labels keep their bits, a failure of the child costs no result, an
+    exception of rhs reaches the caller, and no child outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("rows", [FORK_ROWS, FORK_ROWS + 1, 2 * FORK_ROWS])
+    @pytest.mark.parametrize("plant", ["arm", "msd"])
+    def test_split_equals_the_halves_in_process(self, plant, rows, monkeypatch):
+        rhs, x0, u, t_final = label_case(plant, rows)
+        forks = calls_to(monkeypatch, os, "fork")
+        got = integrate_batch(rhs, x0, u, t_final, 0.25)
+        assert len(forks) == 1
+        want = in_halves(monkeypatch, rhs, x0, u, t_final)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("fault", ["raise", "kill"])
+    def test_a_failed_child_costs_no_result(self, fault, monkeypatch):
+        caller = os.getpid()
+
+        def rhs(x, u):
+            if os.getpid() != caller:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ZeroDivisionError("in the child")
+            return MSD_RHS(x, u)
+
+        _, x0, u, t_final = label_case("msd", FORK_ROWS + 1)
+        forks = calls_to(monkeypatch, os, "fork")
+        got = integrate_batch(rhs, x0, u, t_final, 0.25)
+        assert len(forks) == 1
+        want = in_halves(monkeypatch, MSD_RHS, x0, u, t_final)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_an_exception_of_rhs_reaches_the_caller(self):
+        def rhs(x, u):
+            raise ZeroDivisionError("everywhere")
+
+        _, x0, u, t_final = label_case("msd", FORK_ROWS)
+        with pytest.raises(ZeroDivisionError, match="^everywhere$"):
+            integrate_batch(rhs, x0, u, t_final, 0.25)
+
+    def test_divergence_is_counted_over_both_halves(self):
+        # rows with u > 0.9 diverge at their first step, in both halves; no
+        # RuntimeWarning (an error under tier-1 and here) escapes either process
+        _, x0, u, t_final = label_case("msd", FORK_ROWS)
+        cliff = u[:, 0] > 0.9
+        half = FORK_ROWS // 2
+        assert cliff[:half].any() and cliff[half:].any()
+        rhs = lambda x, u: np.where(u > 0.9, np.inf, MSD_RHS(x, u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RolloutDiverged, match=f"^{cliff.sum()} of {FORK_ROWS} rows "
+                                                      "non-finite in batched rollout$"):
+                integrate_batch(rhs, x0, u, t_final, 0.25)
+
+    def test_below_the_floor_the_call_never_forks(self, monkeypatch):
+        forbid(monkeypatch, os, "fork")
+        rhs, x0, u, t_final = label_case("msd", FORK_ROWS - 1)
+        integrate_batch(rhs, x0, u, t_final, 0.25)
 
 
 class TestPhysSet:
